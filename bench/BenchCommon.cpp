@@ -7,6 +7,7 @@
 #include "BenchCommon.h"
 
 #include <cstdio>
+#include <cstdlib>
 
 using namespace specctrl;
 using namespace specctrl::bench;
@@ -46,10 +47,6 @@ void bench::addStandardOptions(OptionSet &Opts) {
                  "disk tier for the trace arena: materialized traces are "
                  "written here as v2 trace files and reused across "
                  "invocations");
-  Opts.addString("exec-tier", "",
-                 "SimIR execution backend: reference|threaded|fused "
-                 "(default SPECCTRL_EXEC_TIER, else reference; results "
-                 "are bit-identical across all tiers)");
   Opts.addFlag("verify-distill",
                "verify every distilled code version before dispatch "
                "(SPECCTRL_VERIFY)");
@@ -66,29 +63,29 @@ SuiteOptions bench::readSuiteOptions(const OptionSet &Opts) {
   Out.Csv = Opts.getFlag("csv");
   Out.Scale = readScale(Opts);
   Out.Benchmarks = splitList(Opts.getString("benchmarks"));
-  Out.Jobs = static_cast<unsigned>(Opts.getInt("jobs"));
+  const int64_t Jobs = Opts.getInt("jobs");
+  if (Jobs < 0) {
+    std::fprintf(stderr,
+                 "error: --jobs must be 0 (hardware concurrency) or a "
+                 "positive worker count, got %lld\n",
+                 static_cast<long long>(Jobs));
+    std::exit(1);
+  }
+  Out.Jobs = static_cast<unsigned>(Jobs);
   Out.Seed = static_cast<uint64_t>(Opts.getInt("seed"));
   Out.UseTraceArena = !Opts.getFlag("no-trace-arena");
   Out.TraceCacheDir = Opts.getString("trace-cache-dir");
 
   // CLI overrides layer on top of the environment-parsed RunConfig and
   // are pushed back into the process-wide config so libraries that read
-  // RunConfig::global() (distill verifier, trace arena, backend
-  // factories) see the same values as the bench.
+  // RunConfig::global() (distill verifier, trace arena) see the same
+  // values as the bench.
   RunConfig Cfg = RunConfig::global();
-  const std::string TierName = Opts.getString("exec-tier");
-  if (!TierName.empty() && !parseExecTier(TierName, Cfg.Tier)) {
-    std::fprintf(stderr,
-                 "specctrl: --exec-tier=%s is not a tier "
-                 "(reference|threaded); keeping %s\n",
-                 TierName.c_str(), execTierName(Cfg.Tier));
-  }
   if (Opts.getFlag("verify-distill"))
     Cfg.VerifyDistill = true;
   if (Opts.getFlag("arena-verbose"))
     Cfg.ArenaVerbose = true;
   RunConfig::setGlobal(Cfg);
-  Out.Tier = Cfg.Tier;
   return Out;
 }
 

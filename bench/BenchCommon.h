@@ -53,9 +53,6 @@ struct SuiteOptions {
   bool UseTraceArena = true;
   /// Disk tier for the arena (--trace-cache-dir); empty = memory only.
   std::string TraceCacheDir;
-  /// SimIR execution tier for MSSP-backed benches (--exec-tier, default
-  /// from SPECCTRL_EXEC_TIER).  Never changes results, only throughput.
-  ExecTier Tier = ExecTier::Reference;
 };
 
 /// Registers the workload-scaling options (--events-per-billion,
@@ -75,7 +72,9 @@ void addStandardOptions(OptionSet &Opts);
 /// sweeps restore the paper's values explicitly).
 core::ReactiveConfig scaledBaseline(const OptionSet &Opts);
 
-/// Reads the standard options back.
+/// Reads the standard options back.  A value no run can honor (a
+/// negative --jobs) prints an `error:` line and exits with status 1, like
+/// the option parser's own errors.
 SuiteOptions readSuiteOptions(const OptionSet &Opts);
 
 /// Builds the selected benchmarks (all twelve by default).

@@ -42,7 +42,7 @@ int main(int Argc, char **Argv) {
   const SynthSpec Spec = makeSynthSpecFor(Profile, Iterations);
   SynthProgram Baseline = synthesize(Spec);
   const uint64_t BaselineCycles =
-      simulateSuperscalarBaseline(Baseline, MachineConfig(), 0, Opt.Tier);
+      simulateSuperscalarBaseline(Baseline, MachineConfig());
 
   Table Out({"iterations/task", "speedup", "tasks", "squashes",
              "branch misspecs", "misses folded per squash"});
@@ -50,7 +50,6 @@ int main(int Argc, char **Argv) {
   for (unsigned TaskIters : {1u, 2u, 4u, 8u, 16u, 32u}) {
     SynthProgram Program = synthesize(Spec);
     MsspConfig Cfg;
-    Cfg.Tier = Opt.Tier;
     Cfg.Control.MonitorPeriod = 1000;
     Cfg.Control.EvictSaturation = 2000;
     Cfg.Control.WaitPeriod = 100000;

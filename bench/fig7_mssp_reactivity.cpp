@@ -36,10 +36,9 @@ namespace {
 /// One MSSP cell: synthesize the benchmark's program and simulate under
 /// the given control loop.
 MsspResult runOne(const CellContext &Ctx, uint64_t Iterations, bool Eviction,
-                  uint64_t MonitorPeriod, bool ValueSpec, ExecTier Tier) {
+                  uint64_t MonitorPeriod, bool ValueSpec) {
   SynthProgram Program = synthesize(msspSynthSpec(Ctx, Iterations));
   MsspConfig Cfg;
-  Cfg.Tier = Tier;
   Cfg.Control.MonitorPeriod = MonitorPeriod;
   Cfg.Control.EnableEviction = Eviction;
   // Short runs: scale the eviction counter and wait period with the
@@ -77,12 +76,10 @@ int main(int Argc, char **Argv) {
               "MSSP speedup over the superscalar baseline: open (o/O) vs "
               "closed (c/C) loop at 1k/10k monitor periods");
 
-  const ExecTier Tier = Opt.Tier;
   ExperimentPlan Plan = msspSuitePlan(Opt);
-  Plan.addTaskConfig("baseline", [Iterations, Tier](const CellContext &Ctx) {
+  Plan.addTaskConfig("baseline", [Iterations](const CellContext &Ctx) {
     SynthProgram Program = synthesize(msspSynthSpec(Ctx, Iterations));
-    return std::any(
-        simulateSuperscalarBaseline(Program, MachineConfig(), 0, Tier));
+    return std::any(simulateSuperscalarBaseline(Program, MachineConfig()));
   });
   const struct {
     const char *Name;
@@ -94,9 +91,9 @@ int main(int Argc, char **Argv) {
                  {"closed-10k", true, 10000}};
   for (const auto &S : Series)
     Plan.addTaskConfig(
-        S.Name, [Iterations, ValueSpec, Tier, &S](const CellContext &Ctx) {
-          return std::any(runOne(Ctx, Iterations, S.Eviction, S.Monitor,
-                                 ValueSpec, Tier));
+        S.Name, [Iterations, ValueSpec, &S](const CellContext &Ctx) {
+          return std::any(
+              runOne(Ctx, Iterations, S.Eviction, S.Monitor, ValueSpec));
         });
 
   const RunReport Report = runSuite(Plan, Opt);

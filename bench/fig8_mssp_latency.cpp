@@ -43,21 +43,18 @@ int main(int Argc, char **Argv) {
               "MSSP speedup over the superscalar baseline at optimization "
               "latencies of 0 / 1e5 / 1e6 cycles (closed loop)");
 
-  const ExecTier Tier = Opt.Tier;
   ExperimentPlan Plan = msspSuitePlan(Opt);
-  Plan.addTaskConfig("baseline", [Iterations, Tier](const CellContext &Ctx) {
+  Plan.addTaskConfig("baseline", [Iterations](const CellContext &Ctx) {
     SynthProgram Program = synthesize(msspSynthSpec(Ctx, Iterations));
-    return std::any(
-        simulateSuperscalarBaseline(Program, MachineConfig(), 0, Tier));
+    return std::any(simulateSuperscalarBaseline(Program, MachineConfig()));
   });
   const uint64_t Latencies[3] = {0, 100000, 1000000};
   for (const uint64_t Latency : Latencies)
     Plan.addTaskConfig("latency-" + std::to_string(Latency),
-                       [Iterations, Latency, Tier](const CellContext &Ctx) {
+                       [Iterations, Latency](const CellContext &Ctx) {
                          SynthProgram Prog =
                              synthesize(msspSynthSpec(Ctx, Iterations));
                          MsspConfig Cfg;
-                         Cfg.Tier = Tier;
                          Cfg.Control.MonitorPeriod = 1000;
                          Cfg.Control.EvictSaturation = 2000;
                          Cfg.Control.WaitPeriod = 100000;

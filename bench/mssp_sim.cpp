@@ -1,28 +1,16 @@
 //===- bench/mssp_sim.cpp - MSSP simulation-throughput microbenches -------===//
 //
-// google-benchmark microbenches for the MSSP timing simulation's fast
-// path.  Every benchmark runs the Figure 7 default workload (bzip2,
-// closed-loop control at a 1k monitor period) end to end and reports
-// simulator throughput as tasks/sec (items) plus simulated cycles/sec;
-// the benchmark argument is a bitmask over MsspFastPath so each
-// optimization can be measured alone and combined:
-//
-//   bit 0 = IncrementalDigest (dirty-set verification + static dispatch)
-//   bit 1 = MemoizedDistill   (request-keyed code cache)
-//   bit 2 = DenseTables       (vector/flat-hash speculation tables)
-//
-// Arg(0) is the legacy reference path, Arg(7) the full fast path.  The
-// golden suite (tests/mssp/MsspGoldenTest.cpp) pins every mask to
-// bit-identical MsspResults, so any throughput difference here is free.
+// google-benchmark microbenches for the MSSP timing simulation.  Every
+// benchmark runs a Figure 7 default workload (closed-loop control at a 1k
+// monitor period) end to end and reports simulator throughput as
+// tasks/sec (items) plus simulated cycles/sec and instructions/sec.
 //
 // The value-speculation variant doubles the controller load (every region
-// load feeds the value-invariance FSM), which is where DenseTables'
-// per-load site lookup matters most.
+// load feeds the value-invariance FSM and its per-load site lookup).
 //
 //===----------------------------------------------------------------------===//
 
 #include "mssp/MsspSimulator.h"
-#include "support/RunConfig.h"
 #include "workload/SpecSuite.h"
 
 #include <benchmark/benchmark.h>
@@ -42,13 +30,8 @@ const SynthProgram &fig7Program() {
   return Program;
 }
 
-MsspConfig fig7Config(int Mask, bool ValueSpec) {
+MsspConfig fig7Config(bool ValueSpec) {
   MsspConfig Cfg;
-  // SPECCTRL_EXEC_TIER=threaded swaps in the pre-decoded backend; the
-  // golden suite pins both tiers to identical MsspResults, so any
-  // throughput delta here is free (bench/exec_tier.cpp measures both
-  // side by side).
-  Cfg.Tier = RunConfig::global().Tier;
   Cfg.Control.MonitorPeriod = 1000;
   Cfg.Control.EnableEviction = true;
   Cfg.Control.EvictSaturation = 2000;
@@ -58,9 +41,6 @@ MsspConfig fig7Config(int Mask, bool ValueSpec) {
     Cfg.EnableValueSpeculation = true;
     Cfg.ValueControl = Cfg.Control;
   }
-  Cfg.FastPath.IncrementalDigest = (Mask & 1) != 0;
-  Cfg.FastPath.MemoizedDistill = (Mask & 2) != 0;
-  Cfg.FastPath.DenseTables = (Mask & 4) != 0;
   return Cfg;
 }
 
@@ -83,60 +63,53 @@ void reportMssp(benchmark::State &State, const MsspResult &R) {
       benchmark::Counter(static_cast<double>(R.TaskSquashes));
 }
 
-/// Fig. 7 default workload; Arg = MsspFastPath bitmask.
+/// Fig. 7 default workload.
 void BM_Mssp(benchmark::State &State) {
-  const int Mask = static_cast<int>(State.range(0));
   MsspResult R;
   for (auto _ : State) {
-    MsspSimulator Sim(fig7Program(), fig7Config(Mask, false));
+    MsspSimulator Sim(fig7Program(), fig7Config(false));
     R = Sim.run();
     benchmark::DoNotOptimize(R.TotalCycles);
   }
   reportMssp(State, R);
 }
-BENCHMARK(BM_Mssp)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(7)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Mssp)->Unit(benchmark::kMillisecond);
 
 /// mcf's periodic-rich workload: the closed-loop FSM oscillates
 /// (evict -> wait -> re-deploy the same assertion set), so the keyed code
-/// cache gets real hits here (distill_hit_rate > 0 with bit 1 set),
-/// unlike bzip2 whose assertion sets never recur.
+/// cache gets real hits here (distill_hit_rate > 0), unlike bzip2 whose
+/// assertion sets never recur.
 void BM_MsspPeriodic(benchmark::State &State) {
   static const SynthProgram Program =
       synthesize(makeSynthSpecFor(profileByName("mcf"), Fig7Iterations));
-  const int Mask = static_cast<int>(State.range(0));
   MsspResult R;
   for (auto _ : State) {
-    MsspSimulator Sim(Program, fig7Config(Mask, false));
+    MsspSimulator Sim(Program, fig7Config(false));
     R = Sim.run();
     benchmark::DoNotOptimize(R.TotalCycles);
   }
   reportMssp(State, R);
 }
-BENCHMARK(BM_MsspPeriodic)->Arg(0)->Arg(2)->Arg(7)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MsspPeriodic)->Unit(benchmark::kMillisecond);
 
 /// Same workload with reactive load-value speculation enabled.
 void BM_MsspValueSpec(benchmark::State &State) {
-  const int Mask = static_cast<int>(State.range(0));
   MsspResult R;
   for (auto _ : State) {
-    MsspSimulator Sim(fig7Program(), fig7Config(Mask, true));
+    MsspSimulator Sim(fig7Program(), fig7Config(true));
     R = Sim.run();
     benchmark::DoNotOptimize(R.TotalCycles);
   }
   reportMssp(State, R);
 }
-BENCHMARK(BM_MsspValueSpec)->Arg(0)->Arg(7)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MsspValueSpec)->Unit(benchmark::kMillisecond);
 
-/// The superscalar baseline simulation (one statically dispatched
-/// interpreter pass with the leading core's timing model).
+/// The superscalar baseline simulation (one engine pass with the leading
+/// core's timing model).
 void BM_MsspBaseline(benchmark::State &State) {
   uint64_t Cycles = 0;
   for (auto _ : State) {
-    Cycles = simulateSuperscalarBaseline(fig7Program(), MachineConfig(), 0,
-                                         RunConfig::global().Tier);
+    Cycles = simulateSuperscalarBaseline(fig7Program(), MachineConfig());
     benchmark::DoNotOptimize(Cycles);
   }
   State.counters["sim_cycles_per_sec"] = benchmark::Counter(

@@ -15,7 +15,7 @@
 
 #include "distill/Distiller.h"
 #include "distill/ValueProfiler.h"
-#include "fsim/Interpreter.h"
+#include "exec/ThreadedBackend.h"
 #include "ir/Printer.h"
 #include "profile/BranchProfile.h"
 #include "workload/ProgramSynthesizer.h"
@@ -27,20 +27,21 @@ using namespace specctrl::workload;
 
 namespace {
 
-/// Observer collecting a branch profile during the profiling run.
-class ProfilingObserver : public fsim::ExecObserver {
+/// Execution policy collecting branch and load-value profiles during the
+/// profiling run.
+class ProfilingPolicy : public exec::NoEvents {
 public:
   profile::BranchProfile Branches;
   distill::ValueProfiler Values;
 
-  explicit ProfilingObserver(uint32_t RegionFunc) : Values(RegionFunc) {}
+  explicit ProfilingPolicy(uint32_t RegionFunc) : Values(RegionFunc) {}
 
-  void onBranch(ir::SiteId Site, bool Taken) override {
+  void noteBranch(ir::SiteId Site, bool Taken, uint64_t /*Done*/) {
     Branches.addOutcome(Site, Taken);
   }
-  void onLoad(const fsim::InstLocation &L, uint64_t Addr,
-              uint64_t Value) override {
-    Values.onLoad(L, Addr, Value);
+  void noteLoad(const exec::InstLocation &L, uint64_t Addr, uint64_t Value,
+                uint64_t Done) {
+    Values.noteLoad(L, Addr, Value, Done);
   }
 };
 
@@ -71,10 +72,10 @@ int main() {
   ir::printFunction(Program.Mod.function(RegionFunc), std::cout);
 
   // -- 2. Profile --------------------------------------------------------
-  ProfilingObserver Prof(RegionFunc);
+  ProfilingPolicy Prof(RegionFunc);
   {
-    fsim::Interpreter Profiling(Program.Mod, Program.InitialMemory);
-    Profiling.run(2000000, &Prof); // a profiling window, not the whole run
+    exec::ThreadedBackend Profiling(Program.Mod, Program.InitialMemory);
+    Profiling.run(2000000, Prof); // a profiling window, not the whole run
   }
 
   // -- 3. Distill --------------------------------------------------------
@@ -100,8 +101,8 @@ int main() {
             << Result.DistilledSize << " instructions\n";
 
   // -- 4. Verify: run both versions to completion ------------------------
-  fsim::Interpreter Original(Program.Mod, Program.InitialMemory);
-  fsim::Interpreter Distilled(Program.Mod, Program.InitialMemory);
+  exec::ThreadedBackend Original(Program.Mod, Program.InitialMemory);
+  exec::ThreadedBackend Distilled(Program.Mod, Program.InitialMemory);
   Distilled.setCodeVersion(RegionFunc, &Result.Distilled);
   Original.run(~0ull >> 1);
   Distilled.run(~0ull >> 1);

@@ -9,9 +9,10 @@
 using namespace specctrl;
 using namespace specctrl::distill;
 
-void ValueProfiler::onLoad(const fsim::InstLocation &L, uint64_t Addr,
-                           uint64_t Value) {
+void ValueProfiler::noteLoad(const exec::InstLocation &L, uint64_t Addr,
+                             uint64_t Value, uint64_t Done) {
   (void)Addr;
+  (void)Done;
   if (L.Func != FunctionId)
     return;
   ValueStats &S = Sites[{L.Block, L.Index}];

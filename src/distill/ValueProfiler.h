@@ -18,7 +18,7 @@
 #define SPECCTRL_DISTILL_VALUEPROFILER_H
 
 #include "distill/Distiller.h"
-#include "fsim/Interpreter.h"
+#include "exec/ThreadedBackend.h"
 
 #include <map>
 
@@ -40,14 +40,15 @@ struct ValueStats {
   }
 };
 
-/// An ExecObserver that profiles load values for one function.
-class ValueProfiler : public fsim::ExecObserver {
+/// An execution policy (exec/ThreadedBackend.h) that profiles load values
+/// for one function.
+class ValueProfiler : public exec::NoEvents {
 public:
   /// Profiles loads executed inside function \p FunctionId only.
   explicit ValueProfiler(uint32_t FunctionId) : FunctionId(FunctionId) {}
 
-  void onLoad(const fsim::InstLocation &L, uint64_t Addr,
-              uint64_t Value) override;
+  void noteLoad(const exec::InstLocation &L, uint64_t Addr, uint64_t Value,
+                uint64_t Done);
 
   const std::map<LocKey, ValueStats> &sites() const { return Sites; }
 

@@ -1,4 +1,4 @@
-//===- exec/ThreadedBackend.cpp - Direct-threaded SimIR tier --------------===//
+//===- exec/ThreadedBackend.cpp - The SimIR execution engine --------------===//
 //
 // Part of the specctrl project (CGO 2005 reactive speculation reproduction).
 //
@@ -6,7 +6,6 @@
 
 #include "exec/ThreadedBackend.h"
 
-#include "fsim/Interpreter.h"
 #include "ir/Verifier.h"
 #include "support/RunConfig.h"
 
@@ -16,7 +15,6 @@
 
 using namespace specctrl;
 using namespace specctrl::exec;
-using namespace specctrl::fsim;
 
 // The plain prefix of XOp mirrors ir::Opcode, so decode of an unfused
 // instruction is a cast.  Pin the correspondence.
@@ -102,12 +100,13 @@ std::unique_ptr<DecodedFunction> exec::decodeFunction(const ir::Function &F) {
   DF->Src = &F;
   DF->NumRegs = F.numRegs();
 
-  DF->BlockStart.resize(F.numBlocks());
+  DF->BlockStart.resize(F.numBlocks() + 1);
   uint32_t PC = 0;
   for (uint32_t B = 0; B < F.numBlocks(); ++B) {
     DF->BlockStart[B] = PC;
     PC += static_cast<uint32_t>(F.block(B).size());
   }
+  DF->BlockStart[F.numBlocks()] = PC;
   DF->Insts.reserve(PC);
 
   for (uint32_t B = 0; B < F.numBlocks(); ++B) {
@@ -124,7 +123,6 @@ std::unique_ptr<DecodedFunction> exec::decodeFunction(const ir::Function &F) {
       D.Callee = I.Callee;
       D.Block = B;
       D.Index = Idx;
-      D.Src = &I;
       if (I.Op == ir::Opcode::Br) {
         D.ThenPC = DF->BlockStart[I.ThenTarget];
         D.ElsePC = DF->BlockStart[I.ElseTarget];
@@ -132,37 +130,6 @@ std::unique_ptr<DecodedFunction> exec::decodeFunction(const ir::Function &F) {
         D.ThenPC = DF->BlockStart[I.ThenTarget];
       }
       DF->Insts.push_back(D);
-    }
-  }
-
-  // Static per-block timing metadata: the fused loop charges [PC, EndPC)
-  // in one step, and the event census records which slots can touch the
-  // dynamic timing models.  Computed before fusion, on the plain opcodes
-  // (fusion never changes how many entries a block has or which of them
-  // are events).
-  DF->Blocks.resize(F.numBlocks());
-  for (uint32_t B = 0; B < F.numBlocks(); ++B) {
-    DecodedBlockInfo &Info = DF->Blocks[B];
-    Info.StartPC = DF->BlockStart[B];
-    Info.EndPC = Info.StartPC + static_cast<uint32_t>(F.block(B).size());
-    for (uint32_t PC = Info.StartPC; PC < Info.EndPC; ++PC) {
-      switch (DF->Insts[PC].Op) {
-      case XOp::Br:
-        ++Info.Branches;
-        break;
-      case XOp::Load:
-      case XOp::Store:
-        ++Info.Mems;
-        break;
-      case XOp::Call:
-        ++Info.Calls;
-        break;
-      case XOp::Ret:
-        ++Info.Rets;
-        break;
-      default:
-        break;
-      }
     }
   }
 
@@ -229,7 +196,7 @@ void ThreadedBackend::setCodeVersion(uint32_t FuncId, const ir::Function *F) {
   const ir::Function *Version = F ? F : &Mod.function(FuncId);
   assert(Version->numRegs() <= ir::Function::MaxRegs && "bad code version");
   // Deploy-time gate (RunConfig.VerifyDistill): never dispatch into a
-  // structurally broken code version.  Same policy as the reference tier.
+  // structurally broken code version.
   if (F && RunConfig::global().VerifyDistill) {
     std::string Err;
     if (!ir::verifyFunction(*F, &Err)) {
@@ -249,8 +216,9 @@ const ir::Function &ThreadedBackend::codeFor(uint32_t FuncId) const {
   return *VersionMap[FuncId];
 }
 
-StopReason ThreadedBackend::run(uint64_t MaxInstructions, ExecObserver *Obs) {
-  return runLoop<ExecObserver>(MaxInstructions, Obs);
+StopReason ThreadedBackend::run(uint64_t MaxInstructions) {
+  NoEvents Policy;
+  return run(MaxInstructions, Policy);
 }
 
 ArchPosition ThreadedBackend::archPosition() const {
@@ -276,15 +244,4 @@ void ThreadedBackend::setArchPosition(const ArchPosition &Position) {
   RegStack = Position.Regs;
   Halted = Position.Halted;
   Faulted = Position.Faulted;
-}
-
-std::unique_ptr<ExecBackend> exec::createBackend(ExecTier Tier,
-                                                 const ir::Module &M,
-                                                 std::vector<uint64_t> Memory) {
-  // TimingFused is the threaded backend too: the tier selects how timing
-  // consumers drive it (runTimed's block-charging loop), not a different
-  // execution engine.
-  if (Tier == ExecTier::Threaded || Tier == ExecTier::TimingFused)
-    return std::make_unique<ThreadedBackend>(M, std::move(Memory));
-  return std::make_unique<Interpreter>(M, std::move(Memory));
 }

@@ -14,31 +14,3 @@ CoreTiming::CoreTiming(const CoreConfig &Config, CacheModel *SharedL2,
     : Config(Config), Gshare(Config.GshareBits), Ras(Config.RasEntries),
       L1(Config.L1), L2(SharedL2), L2Latency(L2LatencyCycles),
       MemoryLatency(MemoryLatencyCycles), Width(Config.Width) {}
-
-void CoreTiming::onInstruction(const ir::Instruction &I,
-                               const fsim::InstLocation &L) {
-  (void)I;
-  (void)L;
-  recordInstruction();
-}
-
-void CoreTiming::onBranch(ir::SiteId Site, bool Taken) {
-  recordBranch(Site, Taken);
-}
-
-void CoreTiming::onLoad(const fsim::InstLocation &L, uint64_t Addr,
-                        uint64_t Value) {
-  (void)L;
-  (void)Value;
-  recordMemoryAccess(Addr);
-}
-
-void CoreTiming::onStore(uint64_t Addr, uint64_t Value, uint64_t Old) {
-  (void)Value;
-  (void)Old;
-  recordMemoryAccess(Addr);
-}
-
-void CoreTiming::onCall(uint32_t Callee) { recordCall(Callee); }
-
-void CoreTiming::onReturn(uint32_t Callee) { recordReturn(Callee); }

@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A mechanistic timing model for one core, driven as an interpreter
-/// observer: base issue cost of 1/width per instruction, pipeline-depth
-/// misprediction penalties from a live gshare (branch sites keyed by their
-/// stable site ids, so original and distilled versions share predictor
-/// state exactly as one PC would), RAS-overflow penalties on returns, and
-/// cache-miss stalls from the L1 -> shared L2 -> memory hierarchy.
+/// A mechanistic timing model for one core, driven by the execution
+/// engine through TimingPolicy: base issue cost of 1/width per
+/// instruction, pipeline-depth misprediction penalties from a live gshare
+/// (branch sites keyed by their stable site ids, so original and distilled
+/// versions share predictor state exactly as one PC would), RAS-overflow
+/// penalties on returns, and cache-miss stalls from the L1 -> shared L2 ->
+/// memory hierarchy.
 /// Instruction fetch is assumed to hit (synthesized regions are small);
 /// the window size's memory-level-parallelism effect is folded into the
 /// per-miss latencies.  See DESIGN.md for the substitution argument.
@@ -20,7 +21,7 @@
 #ifndef SPECCTRL_MSSP_CORETIMING_H
 #define SPECCTRL_MSSP_CORETIMING_H
 
-#include "fsim/Interpreter.h"
+#include "exec/ThreadedBackend.h"
 #include "mssp/BranchPredictor.h"
 #include "mssp/Cache.h"
 
@@ -28,31 +29,16 @@ namespace specctrl {
 namespace mssp {
 
 /// Cycle accumulator for one core.
-class CoreTiming : public fsim::ExecObserver {
+class CoreTiming {
 public:
   /// \p SharedL2 may be shared between cores (nullptr = perfect L2).
   CoreTiming(const CoreConfig &Config, CacheModel *SharedL2,
              uint32_t L2LatencyCycles, uint32_t MemoryLatencyCycles);
 
-  // Observer hooks -- chainable from a composite observer.
-  void onInstruction(const ir::Instruction &I,
-                     const fsim::InstLocation &L) override;
-  void onBranch(ir::SiteId Site, bool Taken) override;
-  void onLoad(const fsim::InstLocation &L, uint64_t Addr,
-              uint64_t Value) override;
-  void onStore(uint64_t Addr, uint64_t Value, uint64_t Old) override;
-  void onCall(uint32_t Callee) override;
-  void onReturn(uint32_t Callee) override;
-
-  // Non-virtual hot-path equivalents of the hooks above.  The statically
-  // dispatched MSSP fast path calls these directly; the virtual overrides
-  // delegate to them, so both paths share one definition of the timing
-  // rules.
-  //
-  // The instruction counter is kept pre-divided: IssueFull/IssueRem are
-  // exactly (Insts / Width, Insts % Width) at all times, so cycles() is
-  // O(1) reads with no division, and the timing-fused tier can charge a
-  // whole straight-line block in one addInstructions() call.
+  // The timing rules, one per event kind.  The instruction counter is kept
+  // pre-divided: IssueFull/IssueRem are exactly (Insts / Width, Insts %
+  // Width) at all times, so cycles() is O(1) reads with no division, and a
+  // whole run slice's straight-line cost is one addInstructions() call.
   void recordInstruction() {
     if (++IssueRem == Width) {
       ++IssueFull;
@@ -61,8 +47,8 @@ public:
   }
   /// Bulk-charges \p N straight-line instructions at once -- bit-identical
   /// to N recordInstruction() calls, since instruction issue accumulates
-  /// order-free between cycle reads.  The timing-fused execution tier uses
-  /// this to charge per decoded block / per run slice.
+  /// order-free between cycle reads.  TimingPolicy charges each run slice
+  /// this way.
   void addInstructions(uint64_t N) {
     IssueRem += N;
     IssueFull += IssueRem / Width;
@@ -112,6 +98,37 @@ private:
   uint64_t IssueFull = 0; ///< completed issue groups (Insts / Width)
   uint64_t IssueRem = 0;  ///< instructions in the open group (< Width)
   uint64_t Stalls = 0;
+};
+
+/// The engine policy that charges a CoreTiming: branch, memory, call, and
+/// return events touch the dynamic models (gshare, caches, RAS) as they
+/// happen, and each run's straight-line issue cost -- the engine retires
+/// in block quanta -- is charged in one bulk add as the run returns.
+/// Issue accumulates order-free between cycle reads, so cycles() read
+/// between runs equals per-instruction accounting exactly.  MSSP's master
+/// and checker policies and the superscalar baseline derive from it.
+class TimingPolicy : public exec::NoEvents {
+public:
+  explicit TimingPolicy(CoreTiming &Timing) : Timing(Timing) {}
+
+  void noteBranch(ir::SiteId Site, bool Taken, uint64_t /*Done*/) {
+    Timing.recordBranch(Site, Taken);
+  }
+  void noteLoad(const exec::InstLocation &, uint64_t Addr,
+                uint64_t /*Value*/, uint64_t /*Done*/) {
+    Timing.recordMemoryAccess(Addr);
+  }
+  void noteStore(uint64_t Addr, uint64_t /*Value*/) {
+    Timing.recordMemoryAccess(Addr);
+  }
+  void noteCall(uint32_t Callee) { Timing.recordCall(Callee); }
+  void noteReturn(uint32_t Callee) { Timing.recordReturn(Callee); }
+  void noteRetired(uint64_t Instructions) {
+    Timing.addInstructions(Instructions);
+  }
+
+protected:
+  CoreTiming &Timing;
 };
 
 } // namespace mssp

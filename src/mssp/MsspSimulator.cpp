@@ -7,13 +7,13 @@
 #include "mssp/MsspSimulator.h"
 
 #include "distill/Distiller.h"
-#include "exec/TimedRun.h"
-#include "fsim/Interpreter.h"
 #include "support/Hash.h"
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
+#include <deque>
+#include <stdexcept>
+#include <string>
 
 using namespace specctrl;
 using namespace specctrl::mssp;
@@ -21,305 +21,6 @@ using namespace specctrl::mssp;
 namespace {
 
 constexpr uint64_t RunForever = ~0ull >> 1;
-
-/// Stops the interpreter at task boundaries (every TaskIterations
-/// iterations of the main loop) and forwards events to a timing model.
-class TaskObserver : public fsim::ExecObserver {
-public:
-  TaskObserver(fsim::ExecBackend &Interp, CoreTiming &Timing,
-               uint64_t IterationAddr, unsigned TaskIterations)
-      : Interp(Interp), Timing(Timing), IterationAddr(IterationAddr),
-        TaskIterations(TaskIterations) {}
-
-  void onInstruction(const ir::Instruction &I,
-                     const fsim::InstLocation &L) override {
-    Timing.onInstruction(I, L);
-  }
-  void onBranch(ir::SiteId Site, bool Taken) override {
-    Timing.onBranch(Site, Taken);
-  }
-  void onLoad(const fsim::InstLocation &L, uint64_t Addr,
-              uint64_t Value) override {
-    Timing.onLoad(L, Addr, Value);
-  }
-  void onStore(uint64_t Addr, uint64_t Value, uint64_t Old) override {
-    Timing.onStore(Addr, Value, Old);
-    if (Addr == IterationAddr && Value != 0 &&
-        Value % TaskIterations == 0)
-      Interp.requestStop();
-  }
-  void onCall(uint32_t Callee) override { Timing.onCall(Callee); }
-  void onReturn(uint32_t Callee) override { Timing.onReturn(Callee); }
-
-private:
-  fsim::ExecBackend &Interp;
-  CoreTiming &Timing;
-  uint64_t IterationAddr;
-  unsigned TaskIterations;
-};
-
-/// Receives region-load observations (for the value controller).
-using LoadHook =
-    std::function<void(const fsim::InstLocation &, uint64_t, uint64_t)>;
-
-/// The checker-side observer: task boundaries + trailing-core timing +
-/// controller feeding + value-invariance feeding.
-class CheckerObserver : public TaskObserver {
-public:
-  CheckerObserver(fsim::ExecBackend &Interp, CoreTiming &Timing,
-                  uint64_t IterationAddr, unsigned TaskIterations,
-                  core::ReactiveController &Controller,
-                  const std::vector<bool> &ControlSites, LoadHook OnLoad)
-      : TaskObserver(Interp, Timing, IterationAddr, TaskIterations),
-        Controller(Controller), ControlSites(ControlSites),
-        OnLoadHook(std::move(OnLoad)) {}
-
-  void onInstruction(const ir::Instruction &I,
-                     const fsim::InstLocation &L) override {
-    ++InstRet;
-    TaskObserver::onInstruction(I, L);
-  }
-
-  void onBranch(ir::SiteId Site, bool Taken) override {
-    TaskObserver::onBranch(Site, Taken);
-    // Control sites (loop exit, dispatch) are real branches the predictor
-    // sees, but the dynamic optimizer never asserts them, so the
-    // controller does not track them.
-    if (Site < ControlSites.size() && ControlSites[Site])
-      return;
-    Controller.onBranch(Site, Taken, InstRet);
-  }
-
-  void onLoad(const fsim::InstLocation &L, uint64_t Addr,
-              uint64_t Value) override {
-    TaskObserver::onLoad(L, Addr, Value);
-    if (OnLoadHook)
-      OnLoadHook(L, Value, InstRet);
-  }
-
-private:
-  core::ReactiveController &Controller;
-  const std::vector<bool> &ControlSites;
-  LoadHook OnLoadHook;
-  uint64_t InstRet = 0;
-};
-
-/// Statically dispatched master-side observer for the fast path: core
-/// timing, task boundaries, and dirty-set tracking, every hook a plain
-/// member the interpreter's templated loop inlines (no virtual calls).
-class FastTaskObserver {
-public:
-  FastTaskObserver(fsim::ExecBackend &Interp, CoreTiming &Timing,
-                   uint64_t IterationAddr, unsigned TaskIterations,
-                   std::vector<uint8_t> &AddrClass,
-                   std::vector<uint64_t> &DirtyAddrs)
-      : Interp(Interp), Timing(Timing), IterationAddr(IterationAddr),
-        TaskIterations(TaskIterations), AddrClass(AddrClass),
-        DirtyAddrs(DirtyAddrs) {}
-
-  void onInstruction(const ir::Instruction &, const fsim::InstLocation &) {
-    Timing.recordInstruction();
-  }
-  void onBranch(ir::SiteId Site, bool Taken) {
-    Timing.recordBranch(Site, Taken);
-  }
-  void onLoad(const fsim::InstLocation &, uint64_t Addr, uint64_t) {
-    Timing.recordMemoryAccess(Addr);
-  }
-  void onStore(uint64_t Addr, uint64_t Value, uint64_t) {
-    Timing.recordMemoryAccess(Addr);
-    // First store to a writable word this task marks it dirty; stores
-    // outside the writable set are ignored, exactly as the full digest
-    // never hashed them.
-    if (Addr < AddrClass.size() && AddrClass[Addr] == 1) {
-      AddrClass[Addr] = 2;
-      DirtyAddrs.push_back(Addr);
-    }
-    if (Addr == IterationAddr && Value != 0 &&
-        Value % TaskIterations == 0)
-      Interp.requestStop();
-  }
-  void onCall(uint32_t Callee) { Timing.recordCall(Callee); }
-  void onReturn(uint32_t Callee) { Timing.recordReturn(Callee); }
-
-private:
-  fsim::ExecBackend &Interp;
-  CoreTiming &Timing;
-  uint64_t IterationAddr;
-  unsigned TaskIterations;
-  std::vector<uint8_t> &AddrClass;
-  std::vector<uint64_t> &DirtyAddrs;
-};
-
-/// Fast-path checker observer: FastTaskObserver duties plus controller
-/// and value-invariance feeding, with the region-func bounds check and
-/// the std::function load hook of the legacy path compiled away.
-class FastCheckerObserver {
-public:
-  FastCheckerObserver(fsim::ExecBackend &Interp, CoreTiming &Timing,
-                      uint64_t IterationAddr, unsigned TaskIterations,
-                      std::vector<uint8_t> &AddrClass,
-                      std::vector<uint64_t> &DirtyAddrs,
-                      core::ReactiveController &Controller,
-                      const std::vector<bool> &ControlSites,
-                      const std::vector<bool> &RegionFunc, bool ValueSpec,
-                      MsspSimulator &Sim)
-      : Interp(Interp), Timing(Timing), IterationAddr(IterationAddr),
-        TaskIterations(TaskIterations), AddrClass(AddrClass),
-        DirtyAddrs(DirtyAddrs), Controller(Controller),
-        ControlSites(ControlSites), RegionFunc(RegionFunc),
-        ValueSpec(ValueSpec), Sim(Sim) {}
-
-  void onInstruction(const ir::Instruction &, const fsim::InstLocation &) {
-    ++InstRet;
-    Timing.recordInstruction();
-  }
-  void onBranch(ir::SiteId Site, bool Taken) {
-    Timing.recordBranch(Site, Taken);
-    if (Site < ControlSites.size() && ControlSites[Site])
-      return;
-    Controller.onBranch(Site, Taken, InstRet);
-  }
-  void onLoad(const fsim::InstLocation &L, uint64_t Addr, uint64_t Value) {
-    Timing.recordMemoryAccess(Addr);
-    // The interpreter only dispatches module function ids, all of which
-    // RegionFunc covers, so L.Func needs no bounds check.
-    if (ValueSpec && RegionFunc[L.Func])
-      Sim.noteRegionLoad(L, Value, InstRet);
-  }
-  void onStore(uint64_t Addr, uint64_t Value, uint64_t) {
-    Timing.recordMemoryAccess(Addr);
-    if (Addr < AddrClass.size() && AddrClass[Addr] == 1) {
-      AddrClass[Addr] = 2;
-      DirtyAddrs.push_back(Addr);
-    }
-    if (Addr == IterationAddr && Value != 0 &&
-        Value % TaskIterations == 0)
-      Interp.requestStop();
-  }
-  void onCall(uint32_t Callee) { Timing.recordCall(Callee); }
-  void onReturn(uint32_t Callee) { Timing.recordReturn(Callee); }
-
-private:
-  fsim::ExecBackend &Interp;
-  CoreTiming &Timing;
-  uint64_t IterationAddr;
-  unsigned TaskIterations;
-  std::vector<uint8_t> &AddrClass;
-  std::vector<uint64_t> &DirtyAddrs;
-  core::ReactiveController &Controller;
-  const std::vector<bool> &ControlSites;
-  const std::vector<bool> &RegionFunc;
-  bool ValueSpec;
-  MsspSimulator &Sim;
-  uint64_t InstRet = 0;
-};
-
-/// Timing policy for the timing-fused master (ExecTier::TimingFused):
-/// straight-line issue cost is charged by the task loop in bulk (one
-/// CoreTiming::addInstructions per run slice), so the policy only handles
-/// the events that touch dynamic timing state -- gshare, RAS, caches --
-/// plus task boundaries and dirty-set tracking.  The backend reference is
-/// concrete, so the boundary requestStop devirtualizes along with the
-/// hooks themselves.
-class FusedMasterPolicy {
-public:
-  FusedMasterPolicy(exec::ThreadedBackend &Backend, CoreTiming &Timing,
-                    uint64_t IterationAddr, unsigned TaskIterations,
-                    std::vector<uint8_t> &AddrClass,
-                    std::vector<uint64_t> &DirtyAddrs)
-      : Backend(Backend), Timing(Timing), IterationAddr(IterationAddr),
-        TaskIterations(TaskIterations), AddrClass(AddrClass),
-        DirtyAddrs(DirtyAddrs) {}
-
-  void noteBranch(ir::SiteId Site, bool Taken, uint64_t /*Done*/) {
-    Timing.recordBranch(Site, Taken);
-  }
-  void noteLoad(const fsim::InstLocation &, uint64_t Addr, uint64_t /*Value*/,
-                uint64_t /*Done*/) {
-    Timing.recordMemoryAccess(Addr);
-  }
-  void noteStore(uint64_t Addr, uint64_t Value) {
-    Timing.recordMemoryAccess(Addr);
-    if (Addr < AddrClass.size() && AddrClass[Addr] == 1) {
-      AddrClass[Addr] = 2;
-      DirtyAddrs.push_back(Addr);
-    }
-    if (Addr == IterationAddr && Value != 0 &&
-        Value % TaskIterations == 0)
-      Backend.requestStop();
-  }
-  void noteCall(uint32_t Callee) { Timing.recordCall(Callee); }
-  void noteReturn(uint32_t Callee) { Timing.recordReturn(Callee); }
-
-private:
-  exec::ThreadedBackend &Backend;
-  CoreTiming &Timing;
-  uint64_t IterationAddr;
-  unsigned TaskIterations;
-  std::vector<uint8_t> &AddrClass;
-  std::vector<uint64_t> &DirtyAddrs;
-};
-
-/// Checker-side timing policy for the timing-fused tier: master duties
-/// plus controller and value-invariance feeding.  `Done` is the loop's
-/// reconstructed completed-instruction count at the event, which equals
-/// the per-instruction observers' InstRet bit-for-bit (both count the
-/// instructions fully completed before the one raising the event).
-class FusedCheckerPolicy {
-public:
-  FusedCheckerPolicy(exec::ThreadedBackend &Backend, CoreTiming &Timing,
-                     uint64_t IterationAddr, unsigned TaskIterations,
-                     std::vector<uint8_t> &AddrClass,
-                     std::vector<uint64_t> &DirtyAddrs,
-                     core::ReactiveController &Controller,
-                     const std::vector<bool> &ControlSites,
-                     const std::vector<bool> &RegionFunc, bool ValueSpec,
-                     MsspSimulator &Sim)
-      : Backend(Backend), Timing(Timing), IterationAddr(IterationAddr),
-        TaskIterations(TaskIterations), AddrClass(AddrClass),
-        DirtyAddrs(DirtyAddrs), Controller(Controller),
-        ControlSites(ControlSites), RegionFunc(RegionFunc),
-        ValueSpec(ValueSpec), Sim(Sim) {}
-
-  void noteBranch(ir::SiteId Site, bool Taken, uint64_t Done) {
-    Timing.recordBranch(Site, Taken);
-    if (Site < ControlSites.size() && ControlSites[Site])
-      return;
-    Controller.onBranch(Site, Taken, Done);
-  }
-  void noteLoad(const fsim::InstLocation &L, uint64_t Addr, uint64_t Value,
-                uint64_t Done) {
-    Timing.recordMemoryAccess(Addr);
-    if (ValueSpec && RegionFunc[L.Func])
-      Sim.noteRegionLoad(L, Value, Done);
-  }
-  void noteStore(uint64_t Addr, uint64_t Value) {
-    Timing.recordMemoryAccess(Addr);
-    if (Addr < AddrClass.size() && AddrClass[Addr] == 1) {
-      AddrClass[Addr] = 2;
-      DirtyAddrs.push_back(Addr);
-    }
-    if (Addr == IterationAddr && Value != 0 &&
-        Value % TaskIterations == 0)
-      Backend.requestStop();
-  }
-  void noteCall(uint32_t Callee) { Timing.recordCall(Callee); }
-  void noteReturn(uint32_t Callee) { Timing.recordReturn(Callee); }
-
-private:
-  exec::ThreadedBackend &Backend;
-  CoreTiming &Timing;
-  uint64_t IterationAddr;
-  unsigned TaskIterations;
-  std::vector<uint8_t> &AddrClass;
-  std::vector<uint64_t> &DirtyAddrs;
-  core::ReactiveController &Controller;
-  const std::vector<bool> &ControlSites;
-  const std::vector<bool> &RegionFunc;
-  bool ValueSpec;
-  MsspSimulator &Sim;
-};
 
 uint8_t *putU32(uint8_t *P, uint32_t V) {
   P[0] = static_cast<uint8_t>(V);
@@ -370,33 +71,74 @@ uint64_t packValueSiteKey(uint32_t Func, distill::LocKey Loc) {
          (static_cast<uint64_t>(Loc.Block) << 20) | Loc.Index;
 }
 
-/// Dirty-set task verification, exact over the writable set: both
-/// executions start each task with identical writable memory (same
-/// initial image; equal after a match; copied equal after a squash), so
-/// words neither stored to are still equal and only the dirty set needs
-/// comparing.  Unlike the FNV digest there is no hash at all, hence no
-/// collision case.  Templated over the concrete backend so the loadWord
-/// calls devirtualize (both backends are final).
-template <class BackendT>
-bool dirtyStateMatches(const BackendT &Master, const BackendT &Checker,
-                       const std::vector<uint64_t> &DirtyAddrs) {
-  if (Master.halted() != Checker.halted())
-    return false;
-  for (uint64_t Addr : DirtyAddrs)
-    if (Master.loadWord(Addr) != Checker.loadWord(Addr))
-      return false;
-  return true;
+/// Names the function an execution faulted in, for error messages.
+std::string faultingFunction(const exec::ThreadedBackend &Backend) {
+  const exec::ArchPosition Position = Backend.archPosition();
+  return Position.Frames.empty() ? std::string("<none>")
+                                 : Position.Frames.back().Code->name();
 }
 
 } // namespace
 
+/// The master's policy: leading-core timing, task boundaries (a stop
+/// after every TaskIterations-th store of the iteration marker), and
+/// dirty-set tracking.
+class MsspSimulator::MasterPolicy : public TimingPolicy {
+public:
+  MasterPolicy(MsspSimulator &Sim, exec::ThreadedBackend &Backend,
+               CoreTiming &Timing)
+      : TimingPolicy(Timing), Sim(Sim), Backend(Backend),
+        IterationAddr(Sim.Program.IterationAddr),
+        TaskIterations(Sim.Config.TaskIterations) {}
+
+  void noteStore(uint64_t Addr, uint64_t Value) {
+    TimingPolicy::noteStore(Addr, Value);
+    Sim.markDirty(Addr);
+    if (Addr == IterationAddr && Value != 0 && Value % TaskIterations == 0)
+      Backend.requestStop();
+  }
+
+protected:
+  MsspSimulator &Sim;
+
+private:
+  exec::ThreadedBackend &Backend;
+  uint64_t IterationAddr;
+  unsigned TaskIterations;
+};
+
+/// The checker's policy: the master's duties on the trailing core's
+/// timing, plus feeding branches to the reactive controller and region
+/// loads to the value-invariance controller.  `Done` is the checker's
+/// completed-instruction count at the event.
+class MsspSimulator::CheckerPolicy : public MasterPolicy {
+public:
+  using MasterPolicy::MasterPolicy;
+
+  void noteBranch(ir::SiteId Site, bool Taken, uint64_t Done) {
+    MasterPolicy::noteBranch(Site, Taken, Done);
+    // Control sites (loop exit, dispatch) are real branches the predictor
+    // sees, but the dynamic optimizer never asserts them, so the
+    // controller does not track them.
+    if (Site < Sim.IsControlSite.size() && Sim.IsControlSite[Site])
+      return;
+    Sim.Controller.onBranch(Site, Taken, Done);
+  }
+  void noteLoad(const exec::InstLocation &L, uint64_t Addr, uint64_t Value,
+                uint64_t Done) {
+    MasterPolicy::noteLoad(L, Addr, Value, Done);
+    // The engine only dispatches module function ids, all of which
+    // IsRegionFunc covers, so L.Func needs no bounds check.
+    if (Sim.Config.EnableValueSpeculation && Sim.IsRegionFunc[L.Func])
+      Sim.noteRegionLoad(L, Value, Done);
+  }
+};
+
 MsspSimulator::MsspSimulator(const workload::SynthProgram &Program,
                              const MsspConfig &Config)
     : Program(Program), Config(Config),
-      Master(exec::createBackend(Config.Tier, Program.Mod,
-                                 Program.InitialMemory)),
-      Checker(exec::createBackend(Config.Tier, Program.Mod,
-                                  Program.InitialMemory)),
+      Master(Program.Mod, Program.InitialMemory),
+      Checker(Program.Mod, Program.InitialMemory),
       SharedL2(Config.Machine.L2),
       MasterTiming(Config.Machine.Leading, &SharedL2,
                    Config.Machine.L2.LatencyCycles,
@@ -405,24 +147,36 @@ MsspSimulator::MsspSimulator(const workload::SynthProgram &Program,
                   Config.Machine.L2.LatencyCycles,
                   Config.Machine.MemoryLatencyCycles),
       Controller(Config.Control, "mssp-reactive"),
-      ValueCtrl(Config.ValueControl),
-      WritableAddrs(Program.writableAddrs()) {
-  assert(Config.TaskIterations > 0 && "tasks need at least one iteration");
+      ValueCtrl(Config.ValueControl) {
+  if (Config.TaskIterations == 0)
+    throw std::runtime_error(
+        "MsspSimulator: MsspConfig::TaskIterations must be at least 1");
   Controller.setRequestSink(this);
   if (Config.EnableValueSpeculation)
     ValueCtrl.setRequestSink(&ValueSink);
 
-  if (Config.FastPath.DenseTables) {
-    AssertState.assign(Program.Sites.size(), 0);
-    SitesByFunc.assign(Program.Mod.numFunctions(), {});
-    for (const workload::SynthSiteInfo &Info : Program.Sites)
-      SitesByFunc[Info.FunctionId].push_back(Info.Site);
-    for (std::vector<ir::SiteId> &Sites : SitesByFunc)
-      std::sort(Sites.begin(), Sites.end());
-    ValueConstsByFunc.assign(Program.Mod.numFunctions(), {});
+  IsControlSite.assign(Program.Sites.size(), false);
+  AssertState.assign(Program.Sites.size(), 0);
+  SitesByFunc.assign(Program.Mod.numFunctions(), {});
+  for (const workload::SynthSiteInfo &Info : Program.Sites) {
+    IsControlSite[Info.Site] = Info.IsControlSite;
+    SitesByFunc[Info.FunctionId].push_back(Info.Site);
   }
-  if (Config.FastPath.IncrementalDigest)
-    initDirtyTracking();
+  for (std::vector<ir::SiteId> &Sites : SitesByFunc)
+    std::sort(Sites.begin(), Sites.end());
+  ValueConstsByFunc.assign(Program.Mod.numFunctions(), {});
+  IsRegionFunc.assign(Program.Mod.numFunctions(), false);
+  for (uint32_t F : Program.RegionFunctions)
+    IsRegionFunc[F] = true;
+
+  const std::vector<uint64_t> Writable = Program.writableAddrs();
+  uint64_t MaxAddr = 0;
+  for (uint64_t Addr : Writable)
+    MaxAddr = std::max(MaxAddr, Addr);
+  AddrClass.assign(Writable.empty() ? 0 : MaxAddr + 1, 0);
+  for (uint64_t Addr : Writable)
+    AddrClass[Addr] = 1;
+  DirtyAddrs.reserve(Writable.size());
 }
 
 MsspSimulator::~MsspSimulator() = default;
@@ -447,63 +201,40 @@ void MsspSimulator::onValueRequest(const core::OptRequest &Request) {
 }
 
 uint32_t MsspSimulator::valueSiteId(uint32_t Func, distill::LocKey Loc) {
-  if (Config.FastPath.DenseTables) {
-    const uint64_t Key = packValueSiteKey(Func, Loc);
-    const auto [Id, Inserted] = ValueSiteMap.tryEmplace(
-        Key, static_cast<uint32_t>(ValueSites.size()));
-    if (Inserted)
-      ValueSites.push_back({Func, Loc});
-    return Id;
-  }
-  const auto [It, Inserted] = ValueSiteIds.try_emplace(
-      {Func, Loc}, static_cast<uint32_t>(ValueSites.size()));
+  const uint64_t Key = packValueSiteKey(Func, Loc);
+  const auto [Id, Inserted] = ValueSiteMap.tryEmplace(
+      Key, static_cast<uint32_t>(ValueSites.size()));
   if (Inserted)
     ValueSites.push_back({Func, Loc});
-  return It->second;
+  return Id;
 }
 
-void MsspSimulator::noteRegionLoad(const fsim::InstLocation &L,
+void MsspSimulator::noteRegionLoad(const exec::InstLocation &L,
                                    uint64_t Value, uint64_t InstRet) {
   ValueCtrl.onLoad(valueSiteId(L.Func, {L.Block, L.Index}), Value, InstRet);
 }
 
-uint64_t MsspSimulator::stateDigest(const fsim::ExecBackend &Interp) const {
-  uint64_t H = 0xCBF29CE484222325ull;
-  auto Mix = [&H](uint64_t V) {
-    H ^= V;
-    H *= 0x100000001B3ull;
-  };
-  for (uint64_t Addr : WritableAddrs)
-    Mix(Interp.loadWord(Addr));
-  Mix(Interp.halted() ? 1 : 0);
-  return H;
-}
-
-void MsspSimulator::restoreMasterFromChecker() {
-  // Digest words cover every address the program writes, so copying them
-  // (plus the register/stack position) transplants the trailing
-  // execution's architectural state into the master.
-  for (uint64_t Addr : WritableAddrs)
-    Master->storeWord(Addr, Checker->loadWord(Addr));
-  Master->adoptPositionFrom(*Checker);
-}
-
-void MsspSimulator::initDirtyTracking() {
-  uint64_t MaxAddr = 0;
-  for (uint64_t Addr : WritableAddrs)
-    MaxAddr = std::max(MaxAddr, Addr);
-  AddrClass.assign(WritableAddrs.empty() ? 0 : MaxAddr + 1, 0);
-  for (uint64_t Addr : WritableAddrs)
-    AddrClass[Addr] = 1;
-  DirtyAddrs.reserve(WritableAddrs.size());
+/// Dirty-set task verification, exact over the writable set: both
+/// executions start each task with identical writable memory (same
+/// initial image; equal after a match; copied equal after a squash), so
+/// words neither stored to are still equal and only the dirty set needs
+/// comparing.  There is no hash, hence no collision case.
+bool MsspSimulator::dirtyStateMatches() const {
+  if (Master.halted() != Checker.halted())
+    return false;
+  for (uint64_t Addr : DirtyAddrs)
+    if (Master.loadWord(Addr) != Checker.loadWord(Addr))
+      return false;
+  return true;
 }
 
 void MsspSimulator::restoreMasterDirty() {
   // Clean writable words are equal by the task-start invariant, so
-  // copying the dirty set transplants the checker's full memory state.
+  // copying the dirty set (plus the register/stack position) transplants
+  // the trailing execution's architectural state into the master.
   for (uint64_t Addr : DirtyAddrs)
-    Master->storeWord(Addr, Checker->loadWord(Addr));
-  Master->adoptPositionFrom(*Checker);
+    Master.storeWord(Addr, Checker.loadWord(Addr));
+  Master.adoptPositionFrom(Checker);
 }
 
 void MsspSimulator::clearDirtyAddrs() {
@@ -512,99 +243,58 @@ void MsspSimulator::clearDirtyAddrs() {
   DirtyAddrs.clear();
 }
 
-void MsspSimulator::setAssertion(ir::SiteId Site, bool Direction) {
-  if (Config.FastPath.DenseTables) {
-    assert(Site < AssertState.size() && "assertion for unknown site");
-    AssertState[Site] = Direction ? 2 : 1;
-  } else {
-    Assertions[Site] = Direction;
-  }
-}
-
-void MsspSimulator::clearAssertion(ir::SiteId Site) {
-  if (Config.FastPath.DenseTables) {
-    assert(Site < AssertState.size() && "assertion for unknown site");
-    AssertState[Site] = 0;
-  } else {
-    Assertions.erase(Site);
-  }
-}
-
 void MsspSimulator::setValueConstant(uint32_t Func, distill::LocKey Loc,
                                      int64_t Value) {
-  if (Config.FastPath.DenseTables) {
-    auto &Consts = ValueConstsByFunc[Func];
-    const auto It = std::lower_bound(
-        Consts.begin(), Consts.end(), Loc,
-        [](const auto &Entry, distill::LocKey K) { return Entry.first < K; });
-    if (It != Consts.end() && It->first == Loc)
-      It->second = Value;
-    else
-      Consts.insert(It, {Loc, Value});
-  } else {
-    ValueConstants[Func][Loc] = Value;
-  }
+  auto &Consts = ValueConstsByFunc[Func];
+  const auto It = std::lower_bound(
+      Consts.begin(), Consts.end(), Loc,
+      [](const auto &Entry, distill::LocKey K) { return Entry.first < K; });
+  if (It != Consts.end() && It->first == Loc)
+    It->second = Value;
+  else
+    Consts.insert(It, {Loc, Value});
 }
 
 void MsspSimulator::clearValueConstant(uint32_t Func, distill::LocKey Loc) {
-  if (Config.FastPath.DenseTables) {
-    auto &Consts = ValueConstsByFunc[Func];
-    const auto It = std::lower_bound(
-        Consts.begin(), Consts.end(), Loc,
-        [](const auto &Entry, distill::LocKey K) { return Entry.first < K; });
-    if (It != Consts.end() && It->first == Loc)
-      Consts.erase(It);
-  } else {
-    ValueConstants[Func].erase(Loc);
-  }
+  auto &Consts = ValueConstsByFunc[Func];
+  const auto It = std::lower_bound(
+      Consts.begin(), Consts.end(), Loc,
+      [](const auto &Entry, distill::LocKey K) { return Entry.first < K; });
+  if (It != Consts.end() && It->first == Loc)
+    Consts.erase(It);
 }
 
 distill::DistillRequest
 MsspSimulator::buildDistillRequest(uint32_t FunctionId) const {
   distill::DistillRequest Request;
-  if (Config.FastPath.DenseTables) {
-    for (ir::SiteId Site : SitesByFunc[FunctionId]) {
-      const uint8_t State = AssertState[Site];
-      if (State != 0)
-        Request.BranchAssertions[Site] = State == 2;
-    }
-    for (const auto &[Loc, Value] : ValueConstsByFunc[FunctionId])
-      Request.ValueConstants[Loc] = Value;
-  } else {
-    for (const auto &[Site, Dir] : Assertions)
-      if (Program.Sites[Site].FunctionId == FunctionId)
-        Request.BranchAssertions[Site] = Dir;
-    const auto ValueIt = ValueConstants.find(FunctionId);
-    if (ValueIt != ValueConstants.end())
-      Request.ValueConstants = ValueIt->second;
+  for (ir::SiteId Site : SitesByFunc[FunctionId]) {
+    const uint8_t State = AssertState[Site];
+    if (State != 0)
+      Request.BranchAssertions[Site] = State == 2;
   }
+  for (const auto &[Loc, Value] : ValueConstsByFunc[FunctionId])
+    Request.ValueConstants[Loc] = Value;
   return Request;
 }
 
 void MsspSimulator::rebuildRegion(uint32_t FunctionId) {
+  // Code-cache entries are keyed by the exact distillation request, so FSM
+  // evict/revisit oscillations re-deploy cached versions instead of
+  // re-running the distiller.
   const distill::DistillRequest Request = buildDistillRequest(FunctionId);
-  const ir::Function *Installed = nullptr;
-  if (Config.FastPath.MemoizedDistill) {
-    serializeRequest(Request, KeyBuf);
-    const uint64_t KeyHash = hash64(KeyBuf.data(), KeyBuf.size(), FunctionId);
-    Installed = Cache.findKeyed(FunctionId, KeyHash, KeyBuf);
-    if (Installed) {
-      ++Result.DistillCacheHits;
-    } else {
-      ++Result.DistillCacheMisses;
-      distill::DistillResult Distilled =
-          distill::distillFunction(Program.Mod.function(FunctionId), Request);
-      Installed = Cache.installKeyed(FunctionId, KeyHash, KeyBuf,
-                                     std::move(Distilled.Distilled));
-    }
+  serializeRequest(Request, KeyBuf);
+  const uint64_t KeyHash = hash64(KeyBuf.data(), KeyBuf.size(), FunctionId);
+  const ir::Function *Installed = Cache.findKeyed(FunctionId, KeyHash, KeyBuf);
+  if (Installed) {
+    ++Result.DistillCacheHits;
   } else {
+    ++Result.DistillCacheMisses;
     distill::DistillResult Distilled =
         distill::distillFunction(Program.Mod.function(FunctionId), Request);
-    Installed = Cache.install(FunctionId, std::move(Distilled.Distilled));
+    Installed = Cache.installKeyed(FunctionId, KeyHash, KeyBuf,
+                                   std::move(Distilled.Distilled));
   }
-  Master->setCodeVersion(FunctionId, Installed);
-  // Counts redeployments, not distiller runs, so the value is identical
-  // with and without memoization (golden-pinned).
+  Master.setCodeVersion(FunctionId, Installed);
   ++Result.Regenerations;
 }
 
@@ -643,10 +333,9 @@ void MsspSimulator::processOptCompletions() {
       else
         clearValueConstant(Func, Site.Loc);
     } else {
-      if (Rq.Kind == core::OptRequestKind::Deploy)
-        setAssertion(Rq.Site, Rq.Direction);
-      else
-        clearAssertion(Rq.Site);
+      AssertState[Rq.Site] = Rq.Kind == core::OptRequestKind::Deploy
+                                 ? (Rq.Direction ? 2 : 1)
+                                 : 0;
       Func = Program.Sites[Rq.Site].FunctionId;
     }
     const auto It =
@@ -664,12 +353,8 @@ void MsspSimulator::processOptCompletions() {
   }
 }
 
-template <bool Fast, bool Fused, class BackendT, class MasterObsT,
-          class CheckerObsT>
-uint64_t MsspSimulator::taskLoop(BackendT &MasterB, BackendT &CheckerB,
-                                 MasterObsT &MasterObs,
-                                 CheckerObsT &CheckerObs) {
-  static_assert(!Fused || Fast, "the fused tier requires dirty-set tracking");
+uint64_t MsspSimulator::taskLoop(MasterPolicy &MasterP,
+                                 CheckerPolicy &CheckerP) {
   std::deque<uint64_t> CommitTimes; ///< in-flight verified-commit times
   std::vector<uint64_t> SlaveFree(Config.Machine.NumTrailing, 0);
   uint64_t PrevCommit = 0;
@@ -684,39 +369,28 @@ uint64_t MsspSimulator::taskLoop(BackendT &MasterB, BackendT &CheckerB,
       CommitTimes.pop_front();
     }
 
-    // Master executes one task of distilled code.  The fused tier charges
-    // the slice's straight-line issue cost in one bulk add after the run;
-    // issue accumulation is order-free between cycle reads, and cycles()
-    // is only read at slice boundaries, so the count is bit-identical to
-    // per-instruction accounting.
+    // Master executes one task of distilled code; the trailing execution
+    // covers the same task with original code.  The timing policies
+    // charge each run's issue cost as the run returns, so cycles() read
+    // here is exact.
     const uint64_t MStart = MasterTiming.cycles();
-    fsim::StopReason MReason;
-    if constexpr (Fused) {
-      const uint64_t Before = MasterB.instructionsRetired();
-      MReason = MasterB.runTimed(RunForever, MasterObs);
-      MasterTiming.addInstructions(MasterB.instructionsRetired() - Before);
-    } else if constexpr (Fast) {
-      MReason = MasterB.runWith(RunForever, MasterObs);
-    } else {
-      MReason = MasterB.run(RunForever, &MasterObs);
-    }
+    const exec::StopReason MReason = Master.run(RunForever, MasterP);
     MasterClock += MasterTiming.cycles() - MStart;
 
-    // The trailing execution covers the same task with original code.
     const uint64_t VStartCycles = TrailTiming.cycles();
-    fsim::StopReason CReason;
-    if constexpr (Fused) {
-      const uint64_t Before = CheckerB.instructionsRetired();
-      CReason = CheckerB.runTimed(RunForever, CheckerObs);
-      TrailTiming.addInstructions(CheckerB.instructionsRetired() - Before);
-    } else if constexpr (Fast) {
-      CReason = CheckerB.runWith(RunForever, CheckerObs);
-    } else {
-      CReason = CheckerB.run(RunForever, &CheckerObs);
-    }
+    const exec::StopReason CReason = Checker.run(RunForever, CheckerP);
     const uint64_t VCycles = TrailTiming.cycles() - VStartCycles;
-    assert(MReason != fsim::StopReason::Fault &&
-           CReason != fsim::StopReason::Fault && "simulated program faulted");
+    if (MReason == exec::StopReason::Fault ||
+        CReason == exec::StopReason::Fault) {
+      const bool MasterFaulted = MReason == exec::StopReason::Fault;
+      const exec::ThreadedBackend &Faulted = MasterFaulted ? Master : Checker;
+      throw std::runtime_error(
+          "MsspSimulator::run: the " +
+          std::string(MasterFaulted ? "master" : "checker") +
+          " execution faulted in task " + std::to_string(Result.Tasks + 1) +
+          " after " + std::to_string(Faulted.instructionsRetired()) +
+          " instructions, in function '" + faultingFunction(Faulted) + "'");
+    }
 
     ++Result.Tasks;
 
@@ -728,31 +402,22 @@ uint64_t MsspSimulator::taskLoop(BackendT &MasterB, BackendT &CheckerB,
     const uint64_t Commit = std::max(VerifyEnd + Hop, PrevCommit);
     PrevCommit = Commit;
 
-    bool Match;
-    if constexpr (Fast)
-      Match = dirtyStateMatches(MasterB, CheckerB, DirtyAddrs);
-    else
-      Match = stateDigest(MasterB) == stateDigest(CheckerB);
-    if (!Match) {
+    if (!dirtyStateMatches()) {
       // Task misspeculation: detected when verification completes; the
       // master restarts from the trailing execution's state.
       ++Result.TaskSquashes;
-      if constexpr (Fast)
-        restoreMasterDirty();
-      else
-        restoreMasterFromChecker();
+      restoreMasterDirty();
       MasterClock = Commit + Hop + Config.Machine.Leading.PipelineDepth;
     } else {
       CommitTimes.push_back(Commit);
     }
-    if constexpr (Fast)
-      clearDirtyAddrs();
+    clearDirtyAddrs();
 
     const bool Done =
-        (MReason == fsim::StopReason::Halted &&
-         CReason == fsim::StopReason::Halted) ||
+        (MReason == exec::StopReason::Halted &&
+         CReason == exec::StopReason::Halted) ||
         (Config.MaxInstructions != 0 &&
-         CheckerB.instructionsRetired() >= Config.MaxInstructions);
+         Checker.instructionsRetired() >= Config.MaxInstructions);
     if (Done)
       break;
   }
@@ -761,74 +426,9 @@ uint64_t MsspSimulator::taskLoop(BackendT &MasterB, BackendT &CheckerB,
 }
 
 MsspResult MsspSimulator::run() {
-  std::vector<bool> ControlSites(Program.Sites.size(), false);
-  for (const workload::SynthSiteInfo &Info : Program.Sites)
-    ControlSites[Info.Site] = Info.IsControlSite;
-
-  std::vector<bool> IsRegionFunc(Program.Mod.numFunctions(), false);
-  for (uint32_t F : Program.RegionFunctions)
-    IsRegionFunc[F] = true;
-
-  uint64_t TotalCycles = 0;
-  if (Config.FastPath.IncrementalDigest &&
-      Config.Tier == ExecTier::TimingFused) {
-    // The timing-fused tier: the threaded backend's block-charging loop
-    // with event-only policies, bit-identical cycles and results.
-    FusedMasterPolicy MasterObs(static_cast<exec::ThreadedBackend &>(*Master),
-                                MasterTiming, Program.IterationAddr,
-                                Config.TaskIterations, AddrClass, DirtyAddrs);
-    FusedCheckerPolicy CheckerObs(
-        static_cast<exec::ThreadedBackend &>(*Checker), TrailTiming,
-        Program.IterationAddr, Config.TaskIterations, AddrClass, DirtyAddrs,
-        Controller, ControlSites, IsRegionFunc,
-        Config.EnableValueSpeculation, *this);
-    TotalCycles =
-        taskLoop<true, true>(static_cast<exec::ThreadedBackend &>(*Master),
-                             static_cast<exec::ThreadedBackend &>(*Checker),
-                             MasterObs, CheckerObs);
-  } else if (Config.FastPath.IncrementalDigest) {
-    FastTaskObserver MasterObs(*Master, MasterTiming, Program.IterationAddr,
-                               Config.TaskIterations, AddrClass, DirtyAddrs);
-    FastCheckerObserver CheckerObs(
-        *Checker, TrailTiming, Program.IterationAddr, Config.TaskIterations,
-        AddrClass, DirtyAddrs, Controller, ControlSites, IsRegionFunc,
-        Config.EnableValueSpeculation, *this);
-    // The fast path instantiates the loop over the concrete backend so
-    // runWith can inline the observers into its dispatch loop.
-    if (Config.Tier == ExecTier::Threaded)
-      TotalCycles =
-          taskLoop<true, false>(static_cast<exec::ThreadedBackend &>(*Master),
-                                static_cast<exec::ThreadedBackend &>(*Checker),
-                                MasterObs, CheckerObs);
-    else
-      TotalCycles =
-          taskLoop<true, false>(static_cast<fsim::Interpreter &>(*Master),
-                                static_cast<fsim::Interpreter &>(*Checker),
-                                MasterObs, CheckerObs);
-  } else {
-    LoadHook OnLoad;
-    if (Config.EnableValueSpeculation)
-      // The interpreter only dispatches module function ids, all of which
-      // RegionFunc covers, so no per-load bounds check; the vector is
-      // moved into the closure, not copied.
-      OnLoad = [this, RegionFunc = std::move(IsRegionFunc)](
-                   const fsim::InstLocation &L, uint64_t Value,
-                   uint64_t InstRet) {
-        if (RegionFunc[L.Func])
-          ValueCtrl.onLoad(valueSiteId(L.Func, {L.Block, L.Index}), Value,
-                           InstRet);
-      };
-
-    TaskObserver MasterObs(*Master, MasterTiming, Program.IterationAddr,
-                           Config.TaskIterations);
-    CheckerObserver CheckerObs(*Checker, TrailTiming, Program.IterationAddr,
-                               Config.TaskIterations, Controller,
-                               ControlSites, std::move(OnLoad));
-    TotalCycles = taskLoop<false, false, fsim::ExecBackend>(
-        *Master, *Checker, MasterObs, CheckerObs);
-  }
-
-  Result.TotalCycles = TotalCycles;
+  MasterPolicy MasterP(*this, Master, MasterTiming);
+  CheckerPolicy CheckerP(*this, Checker, TrailTiming);
+  Result.TotalCycles = taskLoop(MasterP, CheckerP);
   Result.MasterInstructions = MasterTiming.instructions();
   Result.CheckerInstructions = TrailTiming.instructions();
   Result.MasterBranchMispredicts = MasterTiming.branchMispredicts();
@@ -839,66 +439,17 @@ MsspResult MsspSimulator::run() {
 
 uint64_t mssp::simulateSuperscalarBaseline(
     const workload::SynthProgram &Program, const MachineConfig &Machine,
-    uint64_t MaxInstructions, ExecTier Tier) {
-  std::unique_ptr<fsim::ExecBackend> Interp =
-      exec::createBackend(Tier, Program.Mod, Program.InitialMemory);
+    uint64_t MaxInstructions) {
+  exec::ThreadedBackend Engine(Program.Mod, Program.InitialMemory);
   CacheModel L2(Machine.L2);
   CoreTiming Timing(Machine.Leading, &L2, Machine.L2.LatencyCycles,
                     Machine.MemoryLatencyCycles);
-
-  /// Plain timing observer (no task boundaries), statically dispatched.
-  class BaselineObserver {
-  public:
-    explicit BaselineObserver(CoreTiming &T) : T(T) {}
-    void onInstruction(const ir::Instruction &, const fsim::InstLocation &) {
-      T.recordInstruction();
-    }
-    void onBranch(ir::SiteId S, bool Taken) { T.recordBranch(S, Taken); }
-    void onLoad(const fsim::InstLocation &, uint64_t A, uint64_t) {
-      T.recordMemoryAccess(A);
-    }
-    void onStore(uint64_t A, uint64_t, uint64_t) { T.recordMemoryAccess(A); }
-    void onCall(uint32_t C) { T.recordCall(C); }
-    void onReturn(uint32_t C) { T.recordReturn(C); }
-
-  private:
-    CoreTiming &T;
-  };
-
-  /// Event-only policy for the timing-fused tier (issue cost is
-  /// bulk-charged after the run).
-  class BaselinePolicy {
-  public:
-    explicit BaselinePolicy(CoreTiming &T) : T(T) {}
-    void noteBranch(ir::SiteId S, bool Taken, uint64_t) {
-      T.recordBranch(S, Taken);
-    }
-    void noteLoad(const fsim::InstLocation &, uint64_t A, uint64_t, uint64_t) {
-      T.recordMemoryAccess(A);
-    }
-    void noteStore(uint64_t A, uint64_t) { T.recordMemoryAccess(A); }
-    void noteCall(uint32_t C) { T.recordCall(C); }
-    void noteReturn(uint32_t C) { T.recordReturn(C); }
-
-  private:
-    CoreTiming &T;
-  };
-
-  BaselineObserver Obs(Timing);
-  const uint64_t Fuel =
-      MaxInstructions ? MaxInstructions : (~0ull >> 1);
-  fsim::StopReason Reason;
-  if (Tier == ExecTier::TimingFused) {
-    auto &Backend = static_cast<exec::ThreadedBackend &>(*Interp);
-    BaselinePolicy Policy(Timing);
-    Reason = Backend.runTimed(Fuel, Policy);
-    Timing.addInstructions(Backend.instructionsRetired());
-  } else if (Tier == ExecTier::Threaded) {
-    Reason = static_cast<exec::ThreadedBackend &>(*Interp).runWith(Fuel, Obs);
-  } else {
-    Reason = static_cast<fsim::Interpreter &>(*Interp).runWith(Fuel, Obs);
-  }
-  assert(Reason != fsim::StopReason::Fault && "baseline program faulted");
-  (void)Reason;
+  TimingPolicy Policy(Timing);
+  const uint64_t Fuel = MaxInstructions ? MaxInstructions : RunForever;
+  if (Engine.run(Fuel, Policy) == exec::StopReason::Fault)
+    throw std::runtime_error(
+        "simulateSuperscalarBaseline: the program faulted after " +
+        std::to_string(Engine.instructionsRetired()) +
+        " instructions, in function '" + faultingFunction(Engine) + "'");
   return Timing.cycles();
 }

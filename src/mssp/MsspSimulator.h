@@ -19,11 +19,16 @@
 /// Tasks are fixed iteration windows of the program's main loop.  Each
 /// task is shipped to the earliest-free trailing core for verification
 /// (paying coherence hops); tasks commit in order; the master stalls when
-/// its checkpoint buffer fills.  A digest mismatch is a task
+/// its checkpoint buffer fills.  A state mismatch is a task
 /// misspeculation: the master's architectural state is restored from the
 /// trailing execution and the master restarts after detection + recovery
 /// latency -- hundreds of cycles, exactly the penalty regime that makes
 /// speculation control matter.
+///
+/// Both executions run on the one SimIR engine (exec/ThreadedBackend.h)
+/// under CoreTiming policies; verification compares only the writable
+/// words either execution stored to in the task (see DESIGN.md for the
+/// exactness argument).
 ///
 /// The dynamic optimizer is the distiller: the controller's deploy/revoke
 /// requests complete after a configurable optimization latency, at which
@@ -39,40 +44,16 @@
 #include "core/ReactiveController.h"
 #include "core/ValueInvariance.h"
 #include "distill/CodeCache.h"
-#include "fsim/ExecBackend.h"
+#include "exec/ThreadedBackend.h"
 #include "mssp/CoreTiming.h"
 #include "mssp/MachineConfig.h"
 #include "support/FlatHash.h"
 #include "workload/ProgramSynthesizer.h"
 
-#include <deque>
-#include <map>
-#include <memory>
 #include <vector>
 
 namespace specctrl {
 namespace mssp {
-
-/// Fast-path toggles.  Each optimization preserves MsspResult bit-exactly
-/// (pinned by tests/mssp/MsspGoldenTest.cpp); the flags exist so the
-/// benchmark suite can measure them individually and so a regression can
-/// be bisected to one mechanism.  All default on.
-struct MsspFastPath {
-  /// Dirty-set task verification: the task loop runs on the statically
-  /// dispatched interpreter pipeline, which tracks stored-to writable
-  /// addresses so digest comparison and squash recovery cost O(stores in
-  /// task) instead of O(writable memory) -- and the per-instruction
-  /// observer virtual calls disappear with it.
-  bool IncrementalDigest = true;
-  /// Key code-cache entries by the exact distillation request, so FSM
-  /// evict/revisit oscillations re-deploy cached versions instead of
-  /// re-running the distiller.
-  bool MemoizedDistill = true;
-  /// SiteId/FunctionId-indexed vectors for assertions and value
-  /// constants, and a flat hash for the per-load value-site lookup,
-  /// replacing std::map on the hot paths.
-  bool DenseTables = true;
-};
 
 /// MSSP simulation parameters.
 struct MsspConfig {
@@ -82,7 +63,8 @@ struct MsspConfig {
   core::ReactiveConfig Control;
   /// Cycles from a controller request to the new code version going live.
   uint64_t OptLatencyCycles = 0;
-  /// Main-loop iterations per task (a task is a few hundred instructions).
+  /// Main-loop iterations per task (a task is a few hundred instructions);
+  /// must be at least 1.
   unsigned TaskIterations = 4;
   /// Checkpoint-buffer depth: max unverified tasks in flight.
   unsigned MaxOutstandingTasks = 8;
@@ -97,17 +79,6 @@ struct MsspConfig {
   /// Stop after this many checker (architectural) instructions; 0 = run
   /// the program to completion.
   uint64_t MaxInstructions = 0;
-  /// Simulator-throughput optimizations (never change results).
-  MsspFastPath FastPath;
-  /// Execution backend for both the master and the checker (never changes
-  /// results -- the tiers are bit-exact in events AND cycle counts; pinned
-  /// by the fig7 golden CSVs under --exec-tier threaded/fused and by
-  /// tests/mssp/TimingFusedTest.cpp).  Benches thread RunConfig's tier
-  /// here.  TimingFused drives the threaded backend through the
-  /// block-charging runTimed loop when IncrementalDigest is on; with
-  /// IncrementalDigest off it behaves exactly like Threaded (the legacy
-  /// virtual-observer loop needs per-instruction hooks).
-  ExecTier Tier = ExecTier::Reference;
 };
 
 /// Simulation outputs.
@@ -120,7 +91,7 @@ struct MsspResult {
   uint64_t OptRequests = 0;      ///< controller deploy+revoke requests
   /// Region code redeployments (each completed request batch rebuilds the
   /// affected regions once -- whether freshly distilled or served from
-  /// the keyed code cache, so the count is invariant under memoization).
+  /// the keyed code cache).
   uint64_t Regenerations = 0;
   uint64_t DistillCacheHits = 0;   ///< rebuilds served from the keyed cache
   uint64_t DistillCacheMisses = 0; ///< rebuilds that ran the distiller
@@ -140,21 +111,24 @@ struct MsspResult {
 /// Runs one MSSP simulation over a synthesized program.
 class MsspSimulator : private core::OptRequestSink {
 public:
+  /// Throws std::runtime_error when Config.TaskIterations is 0.
   MsspSimulator(const workload::SynthProgram &Program,
                 const MsspConfig &Config);
   ~MsspSimulator() override;
 
   /// Runs to completion (or the instruction cap) and returns the results.
-  /// Single-shot: construct a new simulator for another run.
+  /// Single-shot: construct a new simulator for another run.  Throws
+  /// std::runtime_error when either execution faults.
   MsspResult run();
 
-  /// Internal hook for the fast-path checker observer: feeds one region
-  /// load to the value-invariance controller.  Public only because the
-  /// observer lives in the implementation file.
-  void noteRegionLoad(const fsim::InstLocation &L, uint64_t Value,
-                      uint64_t InstRet);
-
 private:
+  /// The engine policies of the two executions (defined in the
+  /// implementation file): the master's charges the leading core and
+  /// marks task boundaries and dirty words; the checker's adds the
+  /// controller feeds.
+  class MasterPolicy;
+  class CheckerPolicy;
+
   struct PendingOpt {
     core::OptRequest Request;
     uint64_t ReadyCycle = 0;
@@ -174,47 +148,37 @@ private:
 
   /// Maps a load location to a dense value-site id (lazily).
   uint32_t valueSiteId(uint32_t Func, distill::LocKey Loc);
+  /// Feeds one region load to the value-invariance controller.
+  void noteRegionLoad(const exec::InstLocation &L, uint64_t Value,
+                      uint64_t InstRet);
 
-  uint64_t stateDigest(const fsim::ExecBackend &Interp) const;
-  void restoreMasterFromChecker();
-  void processOptCompletions();
-  void rebuildRegion(uint32_t FunctionId);
-
-  /// Collects the deployed speculations for \p FunctionId from whichever
-  /// table representation is active.
-  distill::DistillRequest buildDistillRequest(uint32_t FunctionId) const;
-
-  // Deployed-speculation mutation, dispatched on FastPath.DenseTables.
-  void setAssertion(ir::SiteId Site, bool Direction);
-  void clearAssertion(ir::SiteId Site);
-  void setValueConstant(uint32_t Func, distill::LocKey Loc, int64_t Value);
-  void clearValueConstant(uint32_t Func, distill::LocKey Loc);
-
-  // Dirty-set verification (FastPath.IncrementalDigest).  The per-task
-  // dirty compare/restore themselves live in the implementation file as
-  // templates over the concrete backend, so loadWord devirtualizes.
-  void initDirtyTracking();
+  /// Records a store to \p Addr for this task's verification.
+  void markDirty(uint64_t Addr) {
+    // First store to a writable word this task marks it dirty; stores
+    // outside the writable set are never compared.
+    if (Addr < AddrClass.size() && AddrClass[Addr] == 1) {
+      AddrClass[Addr] = 2;
+      DirtyAddrs.push_back(Addr);
+    }
+  }
+  bool dirtyStateMatches() const;
   void restoreMasterDirty();
   void clearDirtyAddrs();
 
-  /// The task loop, instantiated once per execution path: Fast uses the
-  /// statically dispatched backend pipeline (BackendT is the concrete
-  /// backend, so runWith inlines the observers) plus dirty-set
-  /// verification; Fused (implies Fast, ThreadedBackend only) drives the
-  /// block-charging runTimed loop instead, bulk-charging each run slice's
-  /// straight-line issue cost into the core timing; the legacy
-  /// instantiation uses the virtual-observer path and full digests with
-  /// BackendT = fsim::ExecBackend.  Returns the final commit time.
-  template <bool Fast, bool Fused, class BackendT, class MasterObsT,
-            class CheckerObsT>
-  uint64_t taskLoop(BackendT &MasterB, BackendT &CheckerB,
-                    MasterObsT &MasterObs, CheckerObsT &CheckerObs);
+  void processOptCompletions();
+  void rebuildRegion(uint32_t FunctionId);
+  distill::DistillRequest buildDistillRequest(uint32_t FunctionId) const;
+  void setValueConstant(uint32_t Func, distill::LocKey Loc, int64_t Value);
+  void clearValueConstant(uint32_t Func, distill::LocKey Loc);
+
+  /// The task loop.  Returns the final commit time.
+  uint64_t taskLoop(MasterPolicy &MasterP, CheckerPolicy &CheckerP);
 
   const workload::SynthProgram &Program;
   MsspConfig Config;
 
-  std::unique_ptr<fsim::ExecBackend> Master;
-  std::unique_ptr<fsim::ExecBackend> Checker;
+  exec::ThreadedBackend Master;
+  exec::ThreadedBackend Checker;
   CacheModel SharedL2;
   CoreTiming MasterTiming;
   CoreTiming TrailTiming;
@@ -235,17 +199,15 @@ private:
   };
   ValueSinkAdapter ValueSink{*this};
 
-  /// Deployed branch assertions (non-control sites only).
-  std::map<ir::SiteId, bool> Assertions;
-  /// Deployed value constants, per region function.
-  std::map<uint32_t, std::map<distill::LocKey, int64_t>> ValueConstants;
-  /// Dense ids for load sites (for the value controller).
-  std::map<std::pair<uint32_t, distill::LocKey>, uint32_t> ValueSiteIds;
-  std::vector<ValueSite> ValueSites; ///< id -> site
+  /// SiteId-indexed: loop/dispatch sites the optimizer never asserts.
+  std::vector<bool> IsControlSite;
+  /// FunctionId-indexed: region functions (value-speculation candidates).
+  std::vector<bool> IsRegionFunc;
+  std::vector<ValueSite> ValueSites; ///< dense value-site id -> site
+  /// Packed (function, location) -> dense value-site id.
+  FlatMap64 ValueSiteMap;
   std::vector<PendingOpt> Pending;
-  std::vector<uint64_t> WritableAddrs;
 
-  // --- Dense-table representation (FastPath.DenseTables) ----------------
   /// SiteId-indexed assertion state: 0 = none, 1 = assert not-taken,
   /// 2 = assert taken.
   std::vector<uint8_t> AssertState;
@@ -254,13 +216,9 @@ private:
   /// FunctionId -> deployed value constants, sorted by location.
   std::vector<std::vector<std::pair<distill::LocKey, int64_t>>>
       ValueConstsByFunc;
-  /// Packed (function, location) -> dense value-site id.
-  FlatMap64 ValueSiteMap;
 
-  // --- Dirty-set verification (FastPath.IncrementalDigest) --------------
-  /// Word-addr-indexed classification: 0 = not writable (stores ignored,
-  /// exactly as the full digest ignores them), 1 = writable and clean
-  /// this task, 2 = writable and dirty.
+  /// Word-addr-indexed classification: 0 = not writable (stores never
+  /// compared), 1 = writable and clean this task, 2 = writable and dirty.
   std::vector<uint8_t> AddrClass;
   /// Writable addresses stored to by either execution this task.
   std::vector<uint64_t> DirtyAddrs;
@@ -275,12 +233,11 @@ private:
 };
 
 /// Baseline: the original program on the leading core alone ("vanilla"
-/// superscalar, the B bars of Figs. 7-8).  Returns total cycles.  The
-/// execution tier never changes the cycle count (bit-exact backends).
+/// superscalar, the B bars of Figs. 7-8).  Returns total cycles.  Throws
+/// std::runtime_error when the program faults.
 uint64_t simulateSuperscalarBaseline(const workload::SynthProgram &Program,
                                      const MachineConfig &Machine,
-                                     uint64_t MaxInstructions = 0,
-                                     ExecTier Tier = ExecTier::Reference);
+                                     uint64_t MaxInstructions = 0);
 
 } // namespace mssp
 } // namespace specctrl

@@ -61,48 +61,12 @@ uint64_t envCount(const char *Name, uint64_t Default, std::string *Warnings) {
 
 } // namespace
 
-const char *specctrl::execTierName(ExecTier Tier) {
-  switch (Tier) {
-  case ExecTier::Reference:
-    return "reference";
-  case ExecTier::Threaded:
-    return "threaded";
-  case ExecTier::TimingFused:
-    return "fused";
-  }
-  return "reference";
-}
-
-bool specctrl::parseExecTier(const std::string &Name, ExecTier &Out) {
-  if (Name == "reference") {
-    Out = ExecTier::Reference;
-    return true;
-  }
-  if (Name == "threaded") {
-    Out = ExecTier::Threaded;
-    return true;
-  }
-  if (Name == "fused") {
-    Out = ExecTier::TimingFused;
-    return true;
-  }
-  return false;
-}
-
 RunConfig RunConfig::fromEnv(std::string *Warnings) {
   RunConfig Out;
   Out.VerifyDistill = envBool("SPECCTRL_VERIFY", "SPECCTRL_VERIFY_DISTILL",
                               false, Warnings);
   Out.ArenaVerbose = envBool("SPECCTRL_ARENA_VERBOSE", "SPECCTRL_ARENA_DEBUG",
                              false, Warnings);
-  if (const char *Env = std::getenv("SPECCTRL_EXEC_TIER")) {
-    if (!parseExecTier(Env, Out.Tier) && Warnings) {
-      *Warnings += "SPECCTRL_EXEC_TIER=";
-      *Warnings += Env;
-      *Warnings +=
-          " is not a tier (reference|threaded|fused); keeping reference\n";
-    }
-  }
   Out.ServeEpochEvents =
       envCount("SPECCTRL_SERVE_EPOCH_EVENTS", Out.ServeEpochEvents, Warnings);
   Out.ServeRingEvents =

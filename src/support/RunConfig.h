@@ -7,18 +7,17 @@
 /// \file
 /// The single typed carrier for cross-cutting run knobs that used to be
 /// scattered env peeks (`SPECCTRL_VERIFY_DISTILL` in the distiller, code
-/// cache, and interpreter; `SPECCTRL_ARENA_DEBUG` in the trace arena) plus
-/// the execution-tier selection for the SimIR backends.  The environment
-/// is parsed exactly once into RunConfig::global(); tool and bench mains
-/// may override it from the command line (BenchCommon's --exec-tier /
-/// --verify-distill / --arena-verbose) before any work starts, and
-/// libraries read the parsed struct instead of calling getenv.
+/// cache, and execution engine; `SPECCTRL_ARENA_DEBUG` in the trace
+/// arena).  The environment is parsed exactly once into
+/// RunConfig::global(); tool and bench mains may override it from the
+/// command line (BenchCommon's --verify-distill / --arena-verbose) before
+/// any work starts, and libraries read the parsed struct instead of
+/// calling getenv.
 ///
 /// Canonical environment variables:
 ///
 ///   SPECCTRL_VERIFY=1            deploy-time distill verification gate
 ///   SPECCTRL_ARENA_VERBOSE=1     per-materialization trace-arena logging
-///   SPECCTRL_EXEC_TIER=reference|threaded|fused   default SimIR exec tier
 ///   SPECCTRL_SERVE_EPOCH_EVENTS=N   serve-layer epoch length (events)
 ///   SPECCTRL_SERVE_RING_EVENTS=N    serve-layer ingest ring capacity
 ///   SPECCTRL_TRACE_MMAP=0        disable the zero-copy mmap trace tier
@@ -39,37 +38,14 @@
 
 namespace specctrl {
 
-/// Which SimIR execution backend to construct (see fsim/ExecBackend.h).
-/// Reference is the seed interpreter -- the bit-exactness oracle; Threaded
-/// is the pre-decoded direct-threaded tier in src/exec.  TimingFused runs
-/// the same threaded backend but lets timing-aware consumers (the MSSP
-/// simulator, the superscalar baseline) drive it through the
-/// block-charging runTimed loop, folding the CoreTiming updates into the
-/// dispatch handlers instead of per-instruction observer calls.  All
-/// three tiers are bit-exact in both events and cycle counts.
-enum class ExecTier : uint8_t {
-  Reference,
-  Threaded,
-  TimingFused,
-};
-
-/// Stable lowercase name ("reference" / "threaded" / "fused").
-const char *execTierName(ExecTier Tier);
-
-/// Parses an ExecTier name; returns false (leaving \p Out untouched) on an
-/// unknown spelling.
-bool parseExecTier(const std::string &Name, ExecTier &Out);
-
 /// Typed run configuration, parsed once per process.
 struct RunConfig {
   /// Deploy-time static speculation-safety verification: the distiller,
-  /// code cache, and backends verify every code version before it can be
-  /// dispatched (analysis/DistillVerifier.h).
+  /// code cache, and execution engine verify every code version before it
+  /// can be dispatched (analysis/DistillVerifier.h).
   bool VerifyDistill = false;
   /// Per-materialization trace-arena logging to stderr.
   bool ArenaVerbose = false;
-  /// Default SimIR execution tier for backend factories.
-  ExecTier Tier = ExecTier::Reference;
   /// Default epoch length (events per stream between control-op points)
   /// for serve/StreamServer; snapshots and reconfigurations land exactly
   /// on multiples of this.

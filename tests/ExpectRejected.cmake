@@ -1,0 +1,34 @@
+# Runs each binary with each bad argument string and requires every run
+# to start, fail (nonzero exit), and say "error" on stderr -- bad input
+# must never be silently accepted.
+#
+# Usage:
+#   cmake "-DBINS=<exe>;<exe>..." "-DBAD_ARGS=<args>|<args>..."
+#         -P ExpectRejected.cmake
+#
+# BAD_ARGS separates argument strings with '|'; each string is split on
+# whitespace.
+
+if(NOT DEFINED BINS OR NOT DEFINED BAD_ARGS)
+  message(FATAL_ERROR "ExpectRejected.cmake: BINS and BAD_ARGS must be set")
+endif()
+
+string(REPLACE "|" ";" ARG_STRINGS "${BAD_ARGS}")
+foreach(Bin IN LISTS BINS)
+  if(NOT EXISTS "${Bin}")
+    message(FATAL_ERROR "${Bin} does not exist")
+  endif()
+  foreach(Args IN LISTS ARG_STRINGS)
+    separate_arguments(ArgList UNIX_COMMAND "${Args}")
+    execute_process(COMMAND "${Bin}" ${ArgList}
+                    OUTPUT_QUIET ERROR_VARIABLE Err RESULT_VARIABLE Rc)
+    # A non-numeric result means the binary did not run at all.
+    if(NOT Rc MATCHES "^[0-9]+$" OR Rc EQUAL 0)
+      message(FATAL_ERROR
+              "${Bin} ${Args} returned '${Rc}'; it must reject the input")
+    endif()
+    if(NOT Err MATCHES "error")
+      message(FATAL_ERROR "${Bin} ${Args} failed without an error message")
+    endif()
+  endforeach()
+endforeach()

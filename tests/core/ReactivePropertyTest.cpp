@@ -50,6 +50,11 @@ struct SweepParam {
   ReactiveConfig Config;
 };
 
+/// Names the parameter in test listings.  Without it gtest prints the raw
+/// bytes -- a randomized pointer and padding -- so every discovery would
+/// produce different test names.
+void PrintTo(const SweepParam &P, std::ostream *OS) { *OS << P.Name; }
+
 class ReactiveSweepTest : public ::testing::TestWithParam<SweepParam> {};
 
 ReactiveConfig scaled(ReactiveConfig C) {

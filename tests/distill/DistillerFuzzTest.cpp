@@ -10,13 +10,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "distill/Distiller.h"
+#include "FuzzPrograms.h"
 
-#include "fsim/Interpreter.h"
-#include "ir/IRBuilder.h"
+#include "exec/ThreadedBackend.h"
 #include "ir/Verifier.h"
-#include "support/Rng.h"
-#include "workload/ProgramSynthesizer.h"
 
 #include <gtest/gtest.h>
 
@@ -26,60 +23,12 @@ using namespace specctrl::ir;
 
 namespace {
 
-/// Builds a random straight-line program: ALU soup over 8 registers with
-/// loads from a small input region and stores to an output region.
-Function makeRandomStraightLine(Rng &R, unsigned Length) {
-  Function F("fuzz", 0, 8);
-  IRBuilder B(F);
-  B.setBlock(B.makeBlock());
-  const Opcode AluOps[] = {Opcode::Add, Opcode::Sub, Opcode::Mul,
-                           Opcode::And, Opcode::Or,  Opcode::Xor,
-                           Opcode::Shl, Opcode::Shr, Opcode::CmpLt,
-                           Opcode::CmpEq};
-  for (unsigned I = 0; I < Length; ++I) {
-    const uint8_t Rd = 1 + static_cast<uint8_t>(R.nextBelow(7));
-    switch (R.nextBelow(6)) {
-    case 0:
-      B.movImm(Rd, static_cast<int64_t>(R.next() % 1000) - 500);
-      break;
-    case 1:
-      B.load(Rd, 0, static_cast<int64_t>(R.nextBelow(8)));
-      break;
-    case 2:
-      B.addImm(Rd, 1 + static_cast<uint8_t>(R.nextBelow(7)),
-               static_cast<int64_t>(R.nextBelow(64)) - 32);
-      break;
-    case 3:
-      B.cmpLtImm(Rd, 1 + static_cast<uint8_t>(R.nextBelow(7)),
-                 static_cast<int64_t>(R.nextBelow(100)));
-      break;
-    case 4:
-      B.store(0, 16 + static_cast<int64_t>(R.nextBelow(8)),
-              1 + static_cast<uint8_t>(R.nextBelow(7)));
-      break;
-    default:
-      B.binary(AluOps[R.nextBelow(std::size(AluOps))], Rd,
-               1 + static_cast<uint8_t>(R.nextBelow(7)),
-               1 + static_cast<uint8_t>(R.nextBelow(7)));
-      break;
-    }
-  }
-  // Flush every register so DCE cannot legally delete everything.
-  for (uint8_t Reg = 1; Reg < 8; ++Reg)
-    B.store(0, 32 + Reg, Reg);
-  B.ret();
-  return F;
-}
-
 std::vector<uint64_t> runAndDump(const Module &M, const Function *Version,
                                  uint32_t FuncId) {
-  std::vector<uint64_t> Memory(64, 0);
-  for (size_t I = 0; I < 8; ++I)
-    Memory[I] = 0x9E3779B97F4A7C15ull * (I + 1);
-  fsim::Interpreter Interp(M, Memory);
+  exec::ThreadedBackend Interp(M, fuzz::straightLineMemory());
   if (Version)
     Interp.setCodeVersion(FuncId, Version);
-  EXPECT_EQ(Interp.run(1u << 22), fsim::StopReason::Halted);
+  EXPECT_EQ(Interp.run(1u << 22), exec::StopReason::Halted);
   std::vector<uint64_t> Out;
   for (uint64_t Addr = 16; Addr < 48; ++Addr)
     Out.push_back(Interp.loadWord(Addr));
@@ -95,20 +44,7 @@ TEST_P(StraightLineFuzz, OptimizationsPreserveMemorySemantics) {
   Rng R(GetParam());
   for (int Round = 0; Round < 20; ++Round) {
     Module M;
-    Function &Main = M.createFunction("main", 2);
-    {
-      IRBuilder B(Main);
-      B.setBlock(B.makeBlock());
-      B.call(1);
-      B.halt();
-    }
-    Function &F = M.createFunction("fuzz", 8);
-    F = makeRandomStraightLine(R, 10 + static_cast<unsigned>(
-                                          R.nextBelow(60)));
-    // createFunction assigned id 1; the random builder used id 0.
-    Function Fixed("fuzz", 1, 8);
-    Fixed.blocks() = F.blocks();
-    F = Fixed;
+    fuzz::buildStraightLineModule(M, R);
     ASSERT_TRUE(verifyModule(M, nullptr));
 
     const std::vector<uint64_t> Reference = runAndDump(M, nullptr, 1);
@@ -133,44 +69,24 @@ TEST_P(SynthesizedFuzz, TrueAssertionsPreserveStateAndShrinkWork) {
   for (int Round = 0; Round < 4; ++Round) {
     // Deterministic branch behaviors so "assert the true direction" never
     // misspeculates.
-    SynthSpec Spec;
-    Spec.Name = "fuzz";
-    Spec.Seed = R.next();
-    Spec.Iterations = 300 + R.nextBelow(700);
-    const unsigned NumRegions = 1 + static_cast<unsigned>(R.nextBelow(3));
-    for (unsigned Reg = 0; Reg < NumRegions; ++Reg) {
-      SynthRegion Region;
-      Region.Weight = 0.5 + R.nextDouble();
-      const unsigned NumSites = 1 + static_cast<unsigned>(R.nextBelow(4));
-      for (unsigned SI = 0; SI < NumSites; ++SI) {
-        SynthSite Site;
-        Site.FillerThen = static_cast<unsigned>(R.nextBelow(3));
-        Site.FillerElse = static_cast<unsigned>(R.nextBelow(3));
-        Site.Behavior = BehaviorSpec::fixed(R.nextBool(0.5) ? 1.0 : 0.0);
-        Region.Sites.push_back(Site);
-      }
-      Spec.Regions.push_back(Region);
-    }
+    const SynthSpec Spec = fuzz::makeDeterministicSynthSpec(R);
     SynthProgram P = synthesize(Spec);
 
     // Reference run.
-    fsim::Interpreter Original(P.Mod, P.InitialMemory);
-    ASSERT_EQ(Original.run(~0ull >> 1), fsim::StopReason::Halted);
+    exec::ThreadedBackend Original(P.Mod, P.InitialMemory);
+    ASSERT_EQ(Original.run(~0ull >> 1), exec::StopReason::Halted);
 
     // Assert every gadget site to its true direction and distill every
     // region.
-    fsim::Interpreter Distilled(P.Mod, P.InitialMemory);
+    exec::ThreadedBackend Distilled(P.Mod, P.InitialMemory);
     std::vector<DistillResult> Results;
     Results.reserve(P.RegionFunctions.size());
     for (uint32_t FuncId : P.RegionFunctions) {
-      DistillRequest Request;
-      for (const SynthSiteInfo &Info : P.Sites)
-        if (!Info.IsControlSite && Info.FunctionId == FuncId)
-          Request.BranchAssertions[Info.Site] = Info.Behavior.BiasA >= 0.5;
-      Results.push_back(distillFunction(P.Mod.function(FuncId), Request));
+      Results.push_back(distillFunction(P.Mod.function(FuncId),
+                                        fuzz::dominantAssertions(P, FuncId)));
       Distilled.setCodeVersion(FuncId, &Results.back().Distilled);
     }
-    ASSERT_EQ(Distilled.run(~0ull >> 1), fsim::StopReason::Halted);
+    ASSERT_EQ(Distilled.run(~0ull >> 1), exec::StopReason::Halted);
 
     for (uint64_t Addr : P.writableAddrs())
       ASSERT_EQ(Original.loadWord(Addr), Distilled.loadWord(Addr))

@@ -8,7 +8,7 @@
 
 #include "distill/Distiller.h"
 
-#include "fsim/Interpreter.h"
+#include "exec/ThreadedBackend.h"
 #include "ir/Verifier.h"
 #include "workload/ProgramSynthesizer.h"
 
@@ -70,12 +70,12 @@ TEST(DistillerTest, SemanticPreservationWhenSpeculationsHold) {
   Request.BranchAssertions[P.Sites[1].Site] = false;
   DistillResult R = distillFunction(P.Mod.function(RegionFunc), Request);
 
-  fsim::Interpreter Original(P.Mod, P.InitialMemory);
-  fsim::Interpreter Distilled(P.Mod, P.InitialMemory);
+  exec::ThreadedBackend Original(P.Mod, P.InitialMemory);
+  exec::ThreadedBackend Distilled(P.Mod, P.InitialMemory);
   Distilled.setCodeVersion(RegionFunc, &R.Distilled);
 
-  ASSERT_EQ(Original.run(~0ull >> 1), fsim::StopReason::Halted);
-  ASSERT_EQ(Distilled.run(~0ull >> 1), fsim::StopReason::Halted);
+  ASSERT_EQ(Original.run(~0ull >> 1), exec::StopReason::Halted);
+  ASSERT_EQ(Distilled.run(~0ull >> 1), exec::StopReason::Halted);
 
   for (uint64_t Addr : P.writableAddrs())
     EXPECT_EQ(Original.loadWord(Addr), Distilled.loadWord(Addr))
@@ -95,11 +95,11 @@ TEST(DistillerTest, MisspeculationChangesLiveOuts) {
   Request.BranchAssertions[P.Sites[0].Site] = false; // wrong!
   DistillResult R = distillFunction(P.Mod.function(RegionFunc), Request);
 
-  fsim::Interpreter Original(P.Mod, P.InitialMemory);
-  fsim::Interpreter Distilled(P.Mod, P.InitialMemory);
+  exec::ThreadedBackend Original(P.Mod, P.InitialMemory);
+  exec::ThreadedBackend Distilled(P.Mod, P.InitialMemory);
   Distilled.setCodeVersion(RegionFunc, &R.Distilled);
-  ASSERT_EQ(Original.run(~0ull >> 1), fsim::StopReason::Halted);
-  ASSERT_EQ(Distilled.run(~0ull >> 1), fsim::StopReason::Halted);
+  ASSERT_EQ(Original.run(~0ull >> 1), exec::StopReason::Halted);
+  ASSERT_EQ(Distilled.run(~0ull >> 1), exec::StopReason::Halted);
 
   EXPECT_NE(Original.loadWord(P.AccumulatorAddrs[0]),
             Distilled.loadWord(P.AccumulatorAddrs[0]));
@@ -133,11 +133,11 @@ TEST(DistillerTest, ValueSpeculationPlusFoldingFigure1) {
   EXPECT_LT(R.DistilledSize, R.OriginalSize);
 
   // Equivalence under held speculations.
-  fsim::Interpreter O(P.Mod, P.InitialMemory);
-  fsim::Interpreter D(P.Mod, P.InitialMemory);
+  exec::ThreadedBackend O(P.Mod, P.InitialMemory);
+  exec::ThreadedBackend D(P.Mod, P.InitialMemory);
   D.setCodeVersion(RegionFunc, &R.Distilled);
-  ASSERT_EQ(O.run(~0ull >> 1), fsim::StopReason::Halted);
-  ASSERT_EQ(D.run(~0ull >> 1), fsim::StopReason::Halted);
+  ASSERT_EQ(O.run(~0ull >> 1), exec::StopReason::Halted);
+  ASSERT_EQ(D.run(~0ull >> 1), exec::StopReason::Halted);
   for (uint64_t Addr : P.writableAddrs())
     EXPECT_EQ(O.loadWord(Addr), D.loadWord(Addr));
 }
@@ -161,11 +161,11 @@ TEST(DistillerTest, EmptyRequestIsIdentityModuloCleanup) {
       OriginalBranches += I.Op == Opcode::Br;
   EXPECT_EQ(Branches, OriginalBranches);
 
-  fsim::Interpreter O(P.Mod, P.InitialMemory);
-  fsim::Interpreter D(P.Mod, P.InitialMemory);
+  exec::ThreadedBackend O(P.Mod, P.InitialMemory);
+  exec::ThreadedBackend D(P.Mod, P.InitialMemory);
   D.setCodeVersion(RegionFunc, &R.Distilled);
-  ASSERT_EQ(O.run(~0ull >> 1), fsim::StopReason::Halted);
-  ASSERT_EQ(D.run(~0ull >> 1), fsim::StopReason::Halted);
+  ASSERT_EQ(O.run(~0ull >> 1), exec::StopReason::Halted);
+  ASSERT_EQ(D.run(~0ull >> 1), exec::StopReason::Halted);
   for (uint64_t Addr : P.writableAddrs())
     EXPECT_EQ(O.loadWord(Addr), D.loadWord(Addr));
 }

@@ -1,17 +1,18 @@
 //===- tests/exec/ThreadedBackendTest.cpp ---------------------------------===//
 //
-// Unit tests for the direct-threaded tier's moving parts that the
-// equivalence suite exercises only indirectly: the decode pass
-// (flattening, target resolution, superinstruction fusion and its
-// adjacency rules), the per-version decode cache, the stale-handle
-// generation guard, and ArchPosition transplants -- including the
-// cross-backend adopt that MSSP squash recovery uses.
+// Unit tests for the engine's moving parts that the differential suite
+// (tests/oracle) exercises only indirectly: the decode pass (flattening,
+// target resolution, superinstruction fusion and its adjacency rules), the
+// per-version decode cache, the stale-handle generation guard, and
+// ArchPosition transplants -- between engines, as MSSP squash recovery
+// uses them, and to and from the definitional interpreter.
 //
 //===----------------------------------------------------------------------===//
 
 #include "exec/ThreadedBackend.h"
 
-#include "fsim/Interpreter.h"
+#include "../oracle/Differential.h"
+
 #include "ir/IRBuilder.h"
 #include "workload/ProgramSynthesizer.h"
 #include "workload/SpecSuite.h"
@@ -60,12 +61,15 @@ TEST(DecodeFunction, FlattensBlocksWithBijectivePcs) {
     Total += F.block(B).size();
   ASSERT_EQ(DF->Insts.size(), Total);
 
-  // pcOf inverts the stored source coordinates on every entry.
+  // pcOf inverts the stored source coordinates on every entry, and the
+  // entry carries that source instruction's operands.
   for (uint32_t PC = 0; PC < DF->Insts.size(); ++PC) {
     const DecodedInst &D = DF->Insts[PC];
     EXPECT_EQ(DF->pcOf(D.Block, D.Index), PC);
-    EXPECT_EQ(D.Src, &F.block(D.Block).Insts[D.Index]);
+    EXPECT_EQ(D.Imm, F.block(D.Block).Insts[D.Index].Imm);
   }
+  // The final BlockStart entry closes the last block.
+  EXPECT_EQ(DF->BlockStart.back(), Total);
 
   // Branch targets resolve to the decoded head of their blocks.
   const DecodedInst &Br = DF->Insts[DF->pcOf(0, 1)];
@@ -115,13 +119,12 @@ TEST(ThreadedBackend, ExecutesFusedLoopExactly) {
   const Module M = makeLoopModule(1000);
   std::vector<uint64_t> Memory(32, 0);
 
-  fsim::Interpreter Ref(M, Memory);
+  oracle::Machine Ref(M, Memory);
   ThreadedBackend Thr(M, Memory);
-  EXPECT_EQ(Ref.run(~0ull >> 1), fsim::StopReason::Halted);
-  EXPECT_EQ(Thr.run(~0ull >> 1), fsim::StopReason::Halted);
+  EXPECT_EQ(Ref.run(~0ull >> 1), oracle::Status::Halted);
+  EXPECT_EQ(Thr.run(~0ull >> 1), StopReason::Halted);
   EXPECT_EQ(Thr.loadWord(16), 7000u);
-  EXPECT_EQ(Ref.memory(), Thr.memory());
-  EXPECT_EQ(Ref.instructionsRetired(), Thr.instructionsRetired());
+  difftest::expectSameState(Thr, Ref, "fused loop");
 }
 
 TEST(ThreadedBackend, DecodeCacheReusesVersions) {
@@ -134,7 +137,7 @@ TEST(ThreadedBackend, DecodeCacheReusesVersions) {
   Thr.setCodeVersion(0, &F);
   Thr.setCodeVersion(0, &F);
   EXPECT_EQ(&Thr.codeFor(0), &F);
-  EXPECT_EQ(Thr.run(~0ull >> 1), fsim::StopReason::Halted);
+  EXPECT_EQ(Thr.run(~0ull >> 1), StopReason::Halted);
   EXPECT_EQ(Thr.loadWord(16), 350u);
 }
 
@@ -164,42 +167,39 @@ TEST(ThreadedBackend, ArchPositionSelfRoundTrip) {
 
   // Run A partway (mid-loop, likely mid-fused-pair), transplant its
   // position into B along with memory, and let both finish.
-  EXPECT_EQ(A.run(1237), fsim::StopReason::FuelExhausted);
+  EXPECT_EQ(A.run(1237), StopReason::FuelExhausted);
   B.memory() = A.memory();
   B.adoptPositionFrom(A);
   EXPECT_EQ(B.instructionsRetired(), 0u); // position, not counters
 
-  EXPECT_EQ(A.run(~0ull >> 1), fsim::StopReason::Halted);
-  EXPECT_EQ(B.run(~0ull >> 1), fsim::StopReason::Halted);
+  EXPECT_EQ(A.run(~0ull >> 1), StopReason::Halted);
+  EXPECT_EQ(B.run(~0ull >> 1), StopReason::Halted);
   EXPECT_EQ(A.memory(), B.memory());
   EXPECT_EQ(A.loadWord(16), 7000u);
 }
 
 TEST(ThreadedBackend, CrossBackendPositionTransplant) {
-  // The MSSP squash-recovery direction: interpreter (checker) state into
-  // the threaded backend (master), and back.
+  // Positions are source coordinates, not engine internals: a position
+  // taken from the engine mid-run continues correctly in the definitional
+  // interpreter, and one taken from the interpreter continues correctly in
+  // the engine.
   const workload::SynthProgram P = workload::synthesize(
       workload::makeSynthSpecFor(workload::profileByName("bzip2"), 400));
 
-  fsim::Interpreter Ref(P.Mod, P.InitialMemory);
-  EXPECT_EQ(Ref.run(5003), fsim::StopReason::FuelExhausted);
-
   ThreadedBackend Thr(P.Mod, P.InitialMemory);
-  Thr.memory() = Ref.memory();
-  Thr.adoptPositionFrom(Ref);
+  EXPECT_EQ(Thr.run(5003), StopReason::FuelExhausted);
+  oracle::Machine Ref(P.Mod, Thr.memory());
+  difftest::adoptPosition(Ref, Thr.archPosition());
+  EXPECT_EQ(Thr.run(~0ull >> 1), StopReason::Halted);
+  EXPECT_EQ(Ref.run(~0ull >> 1), oracle::Status::Halted);
+  EXPECT_EQ(Ref.Memory, Thr.memory());
 
-  // Continue both from the transplanted position; they must agree.
-  EXPECT_EQ(Ref.run(~0ull >> 1), fsim::StopReason::Halted);
-  EXPECT_EQ(Thr.run(~0ull >> 1), fsim::StopReason::Halted);
-  EXPECT_EQ(Ref.memory(), Thr.memory());
-
-  // And the reverse direction from a fresh partial threaded run.
-  ThreadedBackend Thr2(P.Mod, P.InitialMemory);
-  EXPECT_EQ(Thr2.run(5003), fsim::StopReason::FuelExhausted);
-  fsim::Interpreter Ref2(P.Mod, P.InitialMemory);
-  Ref2.memory() = Thr2.memory();
-  Ref2.adoptPositionFrom(Thr2);
-  EXPECT_EQ(Thr2.run(~0ull >> 1), fsim::StopReason::Halted);
-  EXPECT_EQ(Ref2.run(~0ull >> 1), fsim::StopReason::Halted);
-  EXPECT_EQ(Ref2.memory(), Thr2.memory());
+  // And the reverse direction.
+  oracle::Machine Ref2(P.Mod, P.InitialMemory);
+  EXPECT_EQ(Ref2.run(5003), oracle::Status::Running);
+  ThreadedBackend Thr2(P.Mod, Ref2.Memory);
+  Thr2.setArchPosition(difftest::positionOf(Ref2));
+  EXPECT_EQ(Ref2.run(~0ull >> 1), oracle::Status::Halted);
+  EXPECT_EQ(Thr2.run(~0ull >> 1), StopReason::Halted);
+  EXPECT_EQ(Ref2.Memory, Thr2.memory());
 }

@@ -9,9 +9,6 @@ using namespace specctrl::mssp;
 
 namespace {
 
-fsim::InstLocation loc() { return {}; }
-ir::Instruction nop() { return ir::Instruction::makeNop(); }
-
 CoreConfig leading() { return MachineConfig().Leading; }
 
 } // namespace
@@ -19,7 +16,7 @@ CoreConfig leading() { return MachineConfig().Leading; }
 TEST(CoreTimingTest, BaseIssueCost) {
   CoreTiming T(leading(), nullptr, 10, 200);
   for (int I = 0; I < 400; ++I)
-    T.onInstruction(nop(), loc());
+    T.recordInstruction();
   // 4-wide: 400 instructions = 100 cycles.
   EXPECT_EQ(T.cycles(), 100u);
   EXPECT_EQ(T.instructions(), 400u);
@@ -28,7 +25,7 @@ TEST(CoreTimingTest, BaseIssueCost) {
 TEST(CoreTimingTest, PartialGroupRoundsUp) {
   CoreTiming T(leading(), nullptr, 10, 200);
   for (int I = 0; I < 5; ++I)
-    T.onInstruction(nop(), loc());
+    T.recordInstruction();
   EXPECT_EQ(T.cycles(), 2u);
 }
 
@@ -36,7 +33,7 @@ TEST(CoreTimingTest, MispredictChargesPipelineDepth) {
   CoreTiming T(leading(), nullptr, 10, 200);
   // Random-ish alternation on a cold predictor: first update on a weakly
   // not-taken counter with Taken=true mispredicts.
-  T.onBranch(5, true);
+  T.recordBranch(5, true);
   EXPECT_EQ(T.cycles(), 12u); // depth 12, no instructions yet
 }
 
@@ -44,10 +41,10 @@ TEST(CoreTimingTest, CacheMissesStallHierarchically) {
   CacheModel L2(MachineConfig().L2);
   CoreTiming T(leading(), &L2, 10, 200);
   // Cold access: L1 miss (+10) and L2 miss (+200).
-  T.onLoad(loc(), 0, 0);
+  T.recordMemoryAccess(0);
   EXPECT_EQ(T.cycles(), 210u);
   // Hit in L1 afterwards: free.
-  T.onLoad(loc(), 0, 0);
+  T.recordMemoryAccess(0);
   EXPECT_EQ(T.cycles(), 210u);
   EXPECT_EQ(T.l1Misses(), 1u);
 }
@@ -55,17 +52,17 @@ TEST(CoreTimingTest, CacheMissesStallHierarchically) {
 TEST(CoreTimingTest, L2HitCheaperThanMemory) {
   CacheModel L2(MachineConfig().L2);
   CoreTiming A(leading(), &L2, 10, 200);
-  A.onLoad(loc(), 0, 0); // warms shared L2 (and A's L1)
+  A.recordMemoryAccess(0); // warms shared L2 (and A's L1)
   // A second core with a cold L1 but the warm shared L2.
   CoreTiming B(leading(), &L2, 10, 200);
-  B.onLoad(loc(), 0, 0);
+  B.recordMemoryAccess(0);
   EXPECT_EQ(B.cycles(), 10u); // L1 miss, L2 hit
 }
 
 TEST(CoreTimingTest, BiasedBranchesBecomeCheap) {
   CoreTiming T(leading(), nullptr, 10, 200);
   for (int I = 0; I < 10000; ++I)
-    T.onBranch(3, true);
+    T.recordBranch(3, true);
   // Only warmup mispredicts: one per fresh history-indexed counter while
   // the global history register fills, then none.
   EXPECT_LE(T.branchMispredicts(), 20u);
@@ -74,8 +71,8 @@ TEST(CoreTimingTest, BiasedBranchesBecomeCheap) {
 TEST(CoreTimingTest, CallReturnBalancedIsFree) {
   CoreTiming T(leading(), nullptr, 10, 200);
   for (int I = 0; I < 100; ++I) {
-    T.onCall(7);
-    T.onReturn(7);
+    T.recordCall(7);
+    T.recordReturn(7);
   }
   EXPECT_EQ(T.cycles(), 0u);
 }
@@ -117,11 +114,11 @@ TEST(CoreTimingTest, BulkChargeInterleavesWithStalls) {
   // Interleaved: 5 insts, mispredict, 3 insts.
   for (int I = 0; I < 5; ++I)
     Interleaved.recordInstruction();
-  Interleaved.onBranch(5, true);
+  Interleaved.recordBranch(5, true);
   for (int I = 0; I < 3; ++I)
     Interleaved.recordInstruction();
   // Batched: the event first, the slice's whole charge after.
-  Batched.onBranch(5, true);
+  Batched.recordBranch(5, true);
   Batched.addInstructions(8);
   EXPECT_EQ(Interleaved.cycles(), Batched.cycles());
   EXPECT_EQ(Interleaved.instructions(), Batched.instructions());
@@ -132,8 +129,8 @@ TEST(CoreTimingTest, NarrowCoreIsSlower) {
   CoreTiming Wide(M.Leading, nullptr, 10, 200);
   CoreTiming Narrow(M.Trailing, nullptr, 10, 200);
   for (int I = 0; I < 1000; ++I) {
-    Wide.onInstruction(nop(), loc());
-    Narrow.onInstruction(nop(), loc());
+    Wide.recordInstruction();
+    Narrow.recordInstruction();
   }
   EXPECT_EQ(Wide.cycles(), 250u);
   EXPECT_EQ(Narrow.cycles(), 500u);

@@ -1,14 +1,17 @@
-//===- tests/mssp/MsspGoldenTest.cpp - MSSP fast-path golden pins ---------===//
+//===- tests/mssp/MsspGoldenTest.cpp - MSSP golden pins -------------------===//
 //
 // Part of the specctrl project (CGO 2005 reactive speculation reproduction).
 //
 // Pins MsspResult bit-exactly against values captured from the
-// pre-fast-path implementation (the seed of this optimization work), and
-// proves every MsspFastPath flag combination produces identical results.
-// The fast path's whole contract is "never changes results"; these tests
-// are that contract.
+// pre-fast-path implementation (full-digest verification, map-based
+// tables, unkeyed code cache, the reference interpreter).  The simulator's
+// dirty-set verification, dense tables, keyed memoization, and the
+// block-charged engine all promise "never changes results"; these tests
+// are that promise, one run per pinned configuration.
 //
 //===----------------------------------------------------------------------===//
+
+#include "MsspResultText.h"
 
 #include "mssp/MsspSimulator.h"
 #include "workload/SpecSuite.h"
@@ -34,64 +37,18 @@ MsspConfig fig7Config() {
   return Cfg;
 }
 
-MsspFastPath maskPath(int Mask) {
-  MsspFastPath FP;
-  FP.IncrementalDigest = (Mask & 1) != 0;
-  FP.MemoizedDistill = (Mask & 2) != 0;
-  FP.DenseTables = (Mask & 4) != 0;
-  return FP;
-}
-
 MsspResult runMssp(const std::string &Bench, uint64_t Iterations,
-                   MsspConfig Cfg, int Mask) {
+                   const MsspConfig &Cfg) {
   const SynthProgram Program =
       synthesize(makeSynthSpecFor(profileByName(Bench), Iterations));
-  Cfg.FastPath = maskPath(Mask);
   MsspSimulator Sim(Program, Cfg);
   return Sim.run();
 }
 
-void expectStatsEq(const core::ControlStats &A, const core::ControlStats &B,
-                   const std::string &Tag) {
-  EXPECT_EQ(A.Branches, B.Branches) << Tag;
-  EXPECT_EQ(A.LastInstRet, B.LastInstRet) << Tag;
-  EXPECT_EQ(A.CorrectSpecs, B.CorrectSpecs) << Tag;
-  EXPECT_EQ(A.IncorrectSpecs, B.IncorrectSpecs) << Tag;
-  EXPECT_EQ(A.DeployRequests, B.DeployRequests) << Tag;
-  EXPECT_EQ(A.RevokeRequests, B.RevokeRequests) << Tag;
-  EXPECT_EQ(A.SuppressedRequests, B.SuppressedRequests) << Tag;
-  EXPECT_EQ(A.Evictions, B.Evictions) << Tag;
-  EXPECT_EQ(A.Revisits, B.Revisits) << Tag;
-  EXPECT_EQ(A.EventsConsumed, B.EventsConsumed) << Tag;
-}
-
-/// Everything except the cache counters, which are definitionally zero
-/// without MemoizedDistill (their own invariant is checked separately).
-void expectResultsEq(const MsspResult &A, const MsspResult &B,
-                     const std::string &Tag) {
-  EXPECT_EQ(A.TotalCycles, B.TotalCycles) << Tag;
-  EXPECT_EQ(A.Tasks, B.Tasks) << Tag;
-  EXPECT_EQ(A.TaskSquashes, B.TaskSquashes) << Tag;
-  EXPECT_EQ(A.MasterInstructions, B.MasterInstructions) << Tag;
-  EXPECT_EQ(A.CheckerInstructions, B.CheckerInstructions) << Tag;
-  EXPECT_EQ(A.OptRequests, B.OptRequests) << Tag;
-  EXPECT_EQ(A.Regenerations, B.Regenerations) << Tag;
-  EXPECT_EQ(A.MasterBranchMispredicts, B.MasterBranchMispredicts) << Tag;
-  expectStatsEq(A.Controller, B.Controller, Tag + "/branch-ctrl");
-  expectStatsEq(A.ValueController, B.ValueController, Tag + "/value-ctrl");
-}
-
-/// The memoization counters account for every redeployment exactly once
-/// when the flag is on, and stay untouched when it is off.
-void expectCacheCounterInvariant(const MsspResult &R, int Mask,
-                                 const std::string &Tag) {
-  if ((Mask & 2) != 0) {
-    EXPECT_EQ(R.DistillCacheHits + R.DistillCacheMisses, R.Regenerations)
-        << Tag;
-  } else {
-    EXPECT_EQ(R.DistillCacheHits, 0u) << Tag;
-    EXPECT_EQ(R.DistillCacheMisses, 0u) << Tag;
-  }
+/// The memoization counters account for every redeployment exactly once.
+void expectCacheCounterInvariant(const MsspResult &R, const std::string &Tag) {
+  EXPECT_EQ(R.DistillCacheHits + R.DistillCacheMisses, R.Regenerations)
+      << Tag;
 }
 
 /// Values captured from the pre-optimization implementation (seed commit,
@@ -123,16 +80,12 @@ void expectGolden(const MsspResult &R, const Golden &G,
   EXPECT_EQ(R.ValueController.Evictions, G.ValEvict) << Tag;
 }
 
-/// Runs one golden configuration on the legacy path (mask 0) and the full
-/// fast path (mask 7) and pins both to the captured values.
+/// Runs one golden configuration and pins it to the captured values.
 void checkGolden(const std::string &Bench, uint64_t Iterations,
-                 MsspConfig Cfg, const Golden &G) {
-  for (const int Mask : {0, 7}) {
-    const MsspResult R = runMssp(Bench, Iterations, Cfg, Mask);
-    expectGolden(R, G, Bench + "/mask" + std::to_string(Mask));
-    expectCacheCounterInvariant(R, Mask,
-                                Bench + "/mask" + std::to_string(Mask));
-  }
+                 const MsspConfig &Cfg, const Golden &G) {
+  const MsspResult R = runMssp(Bench, Iterations, Cfg);
+  expectGolden(R, G, Bench);
+  expectCacheCounterInvariant(R, Bench);
 }
 
 // ---- Seed-captured goldens (20000 iterations each) -----------------------
@@ -177,29 +130,34 @@ TEST(MsspGoldenTest, Bzip2TinyTasksAndBuffer) {
                102, 2, 8, 2, 0, 0});
 }
 
-// ---- Flag-combination bit-identity ---------------------------------------
+// ---- Legacy-path pins (10000 iterations each) ----------------------------
+//
+// Full results of the legacy path (every fast-path flag off, reference
+// interpreter), which every flag combination used to be checked against.
 
 TEST(MsspGoldenTest, AllFlagCombosBitIdenticalBzip2) {
-  const MsspResult Legacy = runMssp("bzip2", 10000, fig7Config(), 0);
-  for (int Mask = 1; Mask <= 7; ++Mask) {
-    const MsspResult R = runMssp("bzip2", 10000, fig7Config(), Mask);
-    expectResultsEq(R, Legacy, "bzip2/mask" + std::to_string(Mask));
-    expectCacheCounterInvariant(R, Mask,
-                                "bzip2/mask" + std::to_string(Mask));
-  }
+  const MsspResult R = runMssp("bzip2", 10000, fig7Config());
+  EXPECT_EQ(testutil::resultText(R),
+            "cycles=1442087 tasks=2501 squashes=53 master=587379 "
+            "checker=655106 requests=10 regens=6 hits=0 misses=6 "
+            "mispredicts=10094 "
+            "ctrl=40000/655091/11144/97/8/2/0/2/0/0/69eadce554e3e5f8 "
+            "value=0/0/0/0/0/0/0/0/0/0/d280a40161fff655");
+  expectCacheCounterInvariant(R, "bzip2");
 }
 
 TEST(MsspGoldenTest, AllFlagCombosBitIdenticalGccValueSpec) {
   MsspConfig Cfg = fig7Config();
   Cfg.EnableValueSpeculation = true;
   Cfg.ValueControl = Cfg.Control;
-  const MsspResult Legacy = runMssp("gcc", 10000, Cfg, 0);
-  for (int Mask = 1; Mask <= 7; ++Mask) {
-    const MsspResult R = runMssp("gcc", 10000, Cfg, Mask);
-    expectResultsEq(R, Legacy, "gcc-vs/mask" + std::to_string(Mask));
-    expectCacheCounterInvariant(R, Mask,
-                                "gcc-vs/mask" + std::to_string(Mask));
-  }
+  const MsspResult R = runMssp("gcc", 10000, Cfg);
+  EXPECT_EQ(testutil::resultText(R),
+            "cycles=1211781 tasks=2501 squashes=29 master=581625 "
+            "checker=670979 requests=26 regens=5 hits=0 misses=5 "
+            "mispredicts=6905 "
+            "ctrl=40000/670960/18221/49/12/1/0/1/0/0/750c3a7e4eabd0db "
+            "value=124984/670961/18224/46/12/1/0/1/0/0/a27b117c82ce073d");
+  expectCacheCounterInvariant(R, "gcc-vs");
 }
 
 // ---- Completion ordering --------------------------------------------------
@@ -207,17 +165,32 @@ TEST(MsspGoldenTest, AllFlagCombosBitIdenticalGccValueSpec) {
 // With a long optimization latency several pending requests become ready
 // on the same task boundary, so one processOptCompletions call drains a
 // batch: region rebuild order and request completion order are what this
-// pins (fast and legacy paths must agree exactly; mcf's oscillating
-// periodic branches make the batch non-trivial).
+// pins (mcf's oscillating periodic branches make the batch non-trivial).
 TEST(MsspGoldenTest, CompletionBatchOrdering) {
-  for (const uint64_t Latency : {0ull, 5000ull, 200000ull}) {
+  const std::pair<uint64_t, const char *> Pins[] = {
+      {0, "cycles=1513501 tasks=2501 squashes=29 master=613309 "
+          "checker=674115 requests=10 regens=7 hits=0 misses=7 "
+          "mispredicts=13726 "
+          "ctrl=40000/674096/8568/129/7/3/0/3/0/0/e0a2523452381731 "
+          "value=0/0/0/0/0/0/0/0/0/0/d280a40161fff655"},
+      {5000, "cycles=1515389 tasks=2501 squashes=33 master=613574 "
+             "checker=674115 requests=10 regens=7 hits=0 misses=7 "
+             "mispredicts=13689 "
+             "ctrl=40000/674096/8527/151/7/3/0/3/0/0/e0a2523452381731 "
+             "value=0/0/0/0/0/0/0/0/0/0/d280a40161fff655"},
+      {200000, "cycles=1594066 tasks=2501 squashes=112 master=626181 "
+               "checker=674115 requests=10 regens=4 hits=0 misses=4 "
+               "mispredicts=13291 "
+               "ctrl=40000/674096/6446/699/7/3/0/3/0/0/e0a2523452381731 "
+               "value=0/0/0/0/0/0/0/0/0/0/d280a40161fff655"},
+  };
+  for (const auto &[Latency, Pin] : Pins) {
     MsspConfig Cfg = fig7Config();
     Cfg.OptLatencyCycles = Latency;
-    const MsspResult Legacy = runMssp("mcf", 10000, Cfg, 0);
-    const MsspResult Fast = runMssp("mcf", 10000, Cfg, 7);
-    expectResultsEq(Fast, Legacy, "mcf/lat" + std::to_string(Latency));
-    expectCacheCounterInvariant(Fast, 7,
-                                "mcf/lat" + std::to_string(Latency));
+    const MsspResult R = runMssp("mcf", 10000, Cfg);
+    const std::string Tag = "mcf/lat" + std::to_string(Latency);
+    EXPECT_EQ(testutil::resultText(R), Pin) << Tag;
+    expectCacheCounterInvariant(R, Tag);
   }
 }
 

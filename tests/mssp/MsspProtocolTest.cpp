@@ -165,8 +165,8 @@ TEST(MsspProtocolTest, ReactiveValueSpeculationSurvivesConstantChange) {
 
   // Architectural correctness end to end.
   SynthProgram Ref = synthesize(Spec);
-  fsim::Interpreter Interp(Ref.Mod, Ref.InitialMemory);
-  ASSERT_EQ(Interp.run(~0ull >> 1), fsim::StopReason::Halted);
+  exec::ThreadedBackend Interp(Ref.Mod, Ref.InitialMemory);
+  ASSERT_EQ(Interp.run(~0ull >> 1), exec::StopReason::Halted);
   EXPECT_EQ(R.CheckerInstructions, Interp.instructionsRetired());
 }
 
@@ -181,7 +181,7 @@ TEST(MsspProtocolTest, SquashRecoveryKeepsCheckerAuthoritative) {
   EXPECT_GT(R.TaskSquashes, 100u);
 
   SynthProgram Ref = makeProgram(30000, 0.3);
-  fsim::Interpreter Interp(Ref.Mod, Ref.InitialMemory);
-  ASSERT_EQ(Interp.run(~0ull >> 1), fsim::StopReason::Halted);
+  exec::ThreadedBackend Interp(Ref.Mod, Ref.InitialMemory);
+  ASSERT_EQ(Interp.run(~0ull >> 1), exec::StopReason::Halted);
   EXPECT_EQ(R.CheckerInstructions, Interp.instructionsRetired());
 }

@@ -111,8 +111,8 @@ TEST(MsspSimulatorTest, SquashRecoveryPreservesCorrectness) {
   (void)Sim.run();
 
   SynthProgram PRef = makeFlippyProgram(20000, 4000);
-  fsim::Interpreter Ref(PRef.Mod, PRef.InitialMemory);
-  ASSERT_EQ(Ref.run(~0ull >> 1), fsim::StopReason::Halted);
+  exec::ThreadedBackend Ref(PRef.Mod, PRef.InitialMemory);
+  ASSERT_EQ(Ref.run(~0ull >> 1), exec::StopReason::Halted);
 
   // Re-run the simulation to inspect checker state at the end via the
   // result: checker instructions equal the reference instruction count.

@@ -2,7 +2,7 @@
 //
 // The typed run configuration: canonical environment names, the
 // deprecated aliases (honored only when the canonical name is unset,
-// with a one-line note), and the execution-tier parsing.
+// with a one-line note), and the numeric and default-on knobs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,32 +44,17 @@ public:
   }
 
 private:
-  static constexpr const char *Names[10] = {
+  static constexpr const char *Names[9] = {
       "SPECCTRL_VERIFY",        "SPECCTRL_VERIFY_DISTILL",
       "SPECCTRL_ARENA_VERBOSE", "SPECCTRL_ARENA_DEBUG",
-      "SPECCTRL_EXEC_TIER",     "SPECCTRL_SERVE_EPOCH_EVENTS",
-      "SPECCTRL_SERVE_RING_EVENTS", "SPECCTRL_TRACE_MMAP",
-      "SPECCTRL_SWEEP_PROCS",   "SPECCTRL_VERIFY_SPECLEAK"};
+      "SPECCTRL_SERVE_EPOCH_EVENTS", "SPECCTRL_SERVE_RING_EVENTS",
+      "SPECCTRL_TRACE_MMAP",    "SPECCTRL_SWEEP_PROCS",
+      "SPECCTRL_VERIFY_SPECLEAK"};
   std::vector<std::pair<const char *, std::string>> Saved;
   std::vector<bool> HadValue;
 };
 
 } // namespace
-
-TEST(ExecTier, NamesRoundTrip) {
-  EXPECT_STREQ(execTierName(ExecTier::Reference), "reference");
-  EXPECT_STREQ(execTierName(ExecTier::Threaded), "threaded");
-
-  ExecTier Tier = ExecTier::Reference;
-  EXPECT_TRUE(parseExecTier("threaded", Tier));
-  EXPECT_EQ(Tier, ExecTier::Threaded);
-  EXPECT_TRUE(parseExecTier("reference", Tier));
-  EXPECT_EQ(Tier, ExecTier::Reference);
-
-  Tier = ExecTier::Threaded;
-  EXPECT_FALSE(parseExecTier("jit", Tier));
-  EXPECT_EQ(Tier, ExecTier::Threaded) << "unknown names leave Out untouched";
-}
 
 TEST(RunConfig, DefaultsWithEmptyEnvironment) {
   ScopedEnv Env;
@@ -77,7 +62,6 @@ TEST(RunConfig, DefaultsWithEmptyEnvironment) {
   const RunConfig Cfg = RunConfig::fromEnv(&Warnings);
   EXPECT_FALSE(Cfg.VerifyDistill);
   EXPECT_FALSE(Cfg.ArenaVerbose);
-  EXPECT_EQ(Cfg.Tier, ExecTier::Reference);
   EXPECT_TRUE(Warnings.empty());
 }
 
@@ -85,12 +69,10 @@ TEST(RunConfig, CanonicalNamesParseSilently) {
   ScopedEnv Env;
   Env.set("SPECCTRL_VERIFY", "1");
   Env.set("SPECCTRL_ARENA_VERBOSE", "1");
-  Env.set("SPECCTRL_EXEC_TIER", "threaded");
   std::string Warnings;
   const RunConfig Cfg = RunConfig::fromEnv(&Warnings);
   EXPECT_TRUE(Cfg.VerifyDistill);
   EXPECT_TRUE(Cfg.ArenaVerbose);
-  EXPECT_EQ(Cfg.Tier, ExecTier::Threaded);
   EXPECT_TRUE(Warnings.empty()) << Warnings;
 }
 
@@ -129,16 +111,6 @@ TEST(RunConfig, CanonicalNameWinsOverAlias) {
       << "a set canonical name must shadow the alias entirely";
   EXPECT_TRUE(Warnings.empty())
       << "no deprecation note when the alias is shadowed: " << Warnings;
-}
-
-TEST(RunConfig, UnknownTierWarnsAndKeepsReference) {
-  ScopedEnv Env;
-  Env.set("SPECCTRL_EXEC_TIER", "turbo");
-  std::string Warnings;
-  const RunConfig Cfg = RunConfig::fromEnv(&Warnings);
-  EXPECT_EQ(Cfg.Tier, ExecTier::Reference);
-  EXPECT_NE(Warnings.find("SPECCTRL_EXEC_TIER=turbo"), std::string::npos)
-      << Warnings;
 }
 
 TEST(RunConfig, ServeKnobsDefaultAndParse) {
@@ -210,9 +182,10 @@ TEST(RunConfig, SweepProcsDefaultsAutoAndParses) {
 TEST(RunConfig, SetGlobalOverrides) {
   const RunConfig Before = RunConfig::global();
   RunConfig Override = Before;
-  Override.Tier = ExecTier::Threaded;
+  Override.ServeEpochEvents = Before.ServeEpochEvents + 1;
   RunConfig::setGlobal(Override);
-  EXPECT_EQ(RunConfig::global().Tier, ExecTier::Threaded);
+  EXPECT_EQ(RunConfig::global().ServeEpochEvents,
+            Before.ServeEpochEvents + 1);
   RunConfig::setGlobal(Before); // restore for the rest of the binary
-  EXPECT_EQ(RunConfig::global().Tier, Before.Tier);
+  EXPECT_EQ(RunConfig::global().ServeEpochEvents, Before.ServeEpochEvents);
 }

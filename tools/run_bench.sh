@@ -1,19 +1,17 @@
 #!/usr/bin/env sh
 # Runs the perf-trajectory microbenches (MSSP simulator throughput +
-# trace pipeline + trace-arena sweep amortization + execution-tier
-# comparison + streaming-server ingest + SCT2 decode tiers + sweep
-# executors) and records google-benchmark JSON next to the build:
-# BENCH_mssp.json, BENCH_trace_pipe.json, BENCH_arena.json,
-# BENCH_exec.json, BENCH_serve.json, BENCH_decode.json, and
-# BENCH_sweep.json.
+# trace pipeline + trace-arena sweep amortization + streaming-server
+# ingest + SCT2 decode tiers + sweep executors) and records
+# google-benchmark JSON next to the build: BENCH_mssp.json,
+# BENCH_trace_pipe.json, BENCH_arena.json, BENCH_serve.json,
+# BENCH_decode.json, and BENCH_sweep.json.
 #
 # Usage: tools/run_bench.sh [build-dir] [output-json]
 #   build-dir    defaults to ./build
 #   output-json  defaults to <build-dir>/BENCH_mssp.json
 #
 # The MSSP half is also reachable as `cmake --build <build-dir> --target
-# bench-trajectory`, the execution-tier half as `--target bench-exec`,
-# and the serve half as `--target bench-serve`.
+# bench-trajectory`, and the serve half as `--target bench-serve`.
 
 set -eu
 
@@ -54,23 +52,6 @@ if [ -x "${PIPE_BIN}" ]; then
   echo "wrote ${ARENA_OUT}"
 else
   echo "note: ${PIPE_BIN} not built; skipped BENCH_trace_pipe.json" >&2
-fi
-
-EXEC_BIN="${BUILD_DIR}/bench/exec_tier"
-EXEC_OUT="${BUILD_DIR}/BENCH_exec.json"
-if [ -x "${EXEC_BIN}" ]; then
-  "${EXEC_BIN}" \
-    --benchmark_out="${EXEC_OUT}" \
-    --benchmark_out_format=json \
-    --benchmark_counters_tabular=true
-
-  echo "wrote ${EXEC_OUT}"
-
-  # Perf floor: the timing-fused tier must hold its speedup over the
-  # reference tier on the full MSSP loop (see check_bench_floor.sh).
-  "$(dirname "$0")/check_bench_floor.sh" "${EXEC_OUT}"
-else
-  echo "note: ${EXEC_BIN} not built; skipped BENCH_exec.json" >&2
 fi
 
 SERVE_BIN="${BUILD_DIR}/bench/serve_ingest"
