@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 using namespace specctrl;
 using namespace specctrl::bench;
@@ -45,7 +46,7 @@ void bench::addStandardOptions(OptionSet &Opts) {
                "one materialization (results are identical either way)");
   Opts.addString("trace-cache-dir", "",
                  "disk tier for the trace arena: materialized traces are "
-                 "written here as v2 trace files and reused across "
+                 "written here as SCT2 files and replayed mapped across "
                  "invocations");
   Opts.addFlag("verify-distill",
                "verify every distilled code version before dispatch "
@@ -63,6 +64,14 @@ SuiteOptions bench::readSuiteOptions(const OptionSet &Opts) {
   Out.Csv = Opts.getFlag("csv");
   Out.Scale = readScale(Opts);
   Out.Benchmarks = splitList(Opts.getString("benchmarks"));
+  for (const std::string &Name : Out.Benchmarks) {
+    try {
+      (void)workload::profileByName(Name);
+    } catch (const std::invalid_argument &E) {
+      std::fprintf(stderr, "error: --benchmarks: %s\n", E.what());
+      std::exit(1);
+    }
+  }
   const int64_t Jobs = Opts.getInt("jobs");
   if (Jobs < 0) {
     std::fprintf(stderr,
@@ -188,9 +197,10 @@ bench::collectProfile(const workload::WorkloadSpec &Spec,
                       const workload::InputConfig &Input) {
   profile::BranchProfile P(Spec.numSites());
   workload::TraceGenerator Gen(Spec, Input);
-  workload::BranchEvent E;
-  while (Gen.next(E))
-    P.addOutcome(E.Site, E.Taken);
+  std::vector<workload::BranchEvent> Chunk(workload::DefaultBatchEvents);
+  while (const size_t N = Gen.nextBatch(Chunk))
+    for (size_t I = 0; I < N; ++I)
+      P.addOutcome(Chunk[I].Site, Chunk[I].Taken);
   return P;
 }
 

@@ -14,14 +14,16 @@
 #include "mssp/MsspSimulator.h"
 #include "support/Table.h"
 
+#include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 using namespace specctrl;
 using namespace specctrl::bench;
 using namespace specctrl::mssp;
 using namespace specctrl::workload;
 
-int main(int Argc, char **Argv) {
+int main(int Argc, char **Argv) try {
   OptionSet Opts("ablation_task_size: MSSP task-granularity sweep");
   addStandardOptions(Opts);
   Opts.addString("bench", "gzip", "benchmark-like program to run");
@@ -71,4 +73,7 @@ int main(int Argc, char **Argv) {
 
   Out.print(std::cout, Opt.Csv);
   return 0;
+} catch (const std::invalid_argument &E) {
+  std::fprintf(stderr, "error: %s\n", E.what());
+  return 1;
 }

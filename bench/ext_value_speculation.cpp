@@ -70,9 +70,11 @@ RunResult runPolicy(const WorkloadSpec &Spec, const ReactiveConfig &Config) {
   TraceGenerator Gen(Spec, Spec.refInput());
   std::vector<uint64_t> ExecCount(Spec.numSites(), 0);
   Rng Noise(Spec.Seed ^ 0x56414Cull);
-  BranchEvent E;
-  while (Gen.next(E))
-    C.onLoad(E.Site, deriveValue(Spec, E, ExecCount, Noise), E.InstRet);
+  std::vector<BranchEvent> Chunk(DefaultBatchEvents);
+  while (const size_t N = Gen.nextBatch(Chunk))
+    for (size_t I = 0; I < N; ++I)
+      C.onLoad(Chunk[I].Site, deriveValue(Spec, Chunk[I], ExecCount, Noise),
+               Chunk[I].InstRet);
   return {C.stats().correctRate(), C.stats().incorrectRate(),
           C.stats().Evictions};
 }

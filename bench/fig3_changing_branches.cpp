@@ -13,14 +13,16 @@
 #include "profile/BiasSeries.h"
 #include "support/Table.h"
 
+#include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 using namespace specctrl;
 using namespace specctrl::bench;
 using namespace specctrl::profile;
 using namespace specctrl::workload;
 
-int main(int Argc, char **Argv) {
+int main(int Argc, char **Argv) try {
   OptionSet Opts("fig3_changing_branches: Figure 3, initially-invariant "
                  "branches that later change");
   addStandardOptions(Opts);
@@ -55,9 +57,10 @@ int main(int Argc, char **Argv) {
 
   BiasSeriesCollector Collector(Chosen, Block);
   TraceGenerator Gen(Spec, Spec.refInput());
-  BranchEvent E;
-  while (Gen.next(E))
-    Collector.addOutcome(E.Site, E.Taken, E.Index);
+  std::vector<BranchEvent> Chunk(DefaultBatchEvents);
+  while (const size_t N = Gen.nextBatch(Chunk))
+    for (size_t I = 0; I < N; ++I)
+      Collector.addOutcome(Chunk[I].Site, Chunk[I].Taken, Chunk[I].Index);
   Collector.finish(Gen.eventsGenerated());
 
   Table Out({"site", "behavior", "instances", "bias (block avg)"});
@@ -77,4 +80,7 @@ int main(int Argc, char **Argv) {
 
   Out.print(std::cout, Opt.Csv);
   return 0;
+} catch (const std::invalid_argument &E) {
+  std::fprintf(stderr, "error: %s\n", E.what());
+  return 1;
 }

@@ -14,15 +14,17 @@
 #include "support/Format.h"
 #include "support/Table.h"
 
+#include <cstdio>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 
 using namespace specctrl;
 using namespace specctrl::bench;
 using namespace specctrl::profile;
 using namespace specctrl::workload;
 
-int main(int Argc, char **Argv) {
+int main(int Argc, char **Argv) try {
   OptionSet Opts("fig9_correlation: Figure 9, correlated behavioral changes "
                  "of vortex's flipping branches");
   addStandardOptions(Opts);
@@ -45,9 +47,10 @@ int main(int Argc, char **Argv) {
 
   BiasSeriesCollector Collector(Tracked, 1000);
   TraceGenerator Gen(Spec, Spec.refInput());
-  BranchEvent E;
-  while (Gen.next(E))
-    Collector.addOutcome(E.Site, E.Taken, E.Index);
+  std::vector<BranchEvent> Chunk(DefaultBatchEvents);
+  while (const size_t N = Gen.nextBatch(Chunk))
+    for (size_t I = 0; I < N; ++I)
+      Collector.addOutcome(Chunk[I].Site, Chunk[I].Taken, Chunk[I].Index);
   Collector.finish(Gen.eventsGenerated());
 
   const double Total = static_cast<double>(Gen.eventsGenerated());
@@ -80,4 +83,7 @@ int main(int Argc, char **Argv) {
     std::cout << "  group " << G << ": " << RowStr << '\n';
   }
   return 0;
+} catch (const std::invalid_argument &E) {
+  std::fprintf(stderr, "error: %s\n", E.what());
+  return 1;
 }

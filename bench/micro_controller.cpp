@@ -115,10 +115,11 @@ void BM_TraceGeneration(benchmark::State &State) {
       "bzip2", {6.0e4, 0.1});
   for (auto _ : State) {
     workload::TraceGenerator Gen(Spec, Spec.refInput());
-    workload::BranchEvent E;
+    std::vector<workload::BranchEvent> Chunk(workload::DefaultBatchEvents);
     uint64_t Sum = 0;
-    while (Gen.next(E))
-      Sum += E.Taken;
+    while (const size_t N = Gen.nextBatch(Chunk))
+      for (size_t I = 0; I < N; ++I)
+        Sum += Chunk[I].Taken;
     benchmark::DoNotOptimize(Sum);
   }
   State.SetItemsProcessed(State.iterations() * Spec.RefEvents);

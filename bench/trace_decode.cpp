@@ -1,17 +1,13 @@
 //===- bench/trace_decode.cpp - Trace decode + sweep microbenches ---------===//
 //
-// google-benchmark microbenches for the SCT2 decode tiers and the sweep
-// executors:
+// google-benchmark microbenches for SCT2 decode and the sweep executors:
 //
 //  * BM_Decode_* -- per-block payload decode over a recorded trace: the
-//    checked decoder (validation on every event), the scalar trusted
-//    decoder (the pre-SWAR baseline), and the SWAR trusted decoder (four
-//    events per 8-byte load).  The SWAR path must beat the scalar path by
-//    >= 1.5x events/sec; the equivalence tests pin bit-identical output,
-//    so the speedup is free.
-//  * BM_Replay_* -- whole-trace replay throughput of the resident tier
-//    (TraceFileReader over an ifstream) vs the zero-copy mmap tier
-//    (MmapReplaySource over a page-aligned file).
+//    checked decoder (validation on every event; an untrusted block's
+//    first read) and the SWAR trusted decoder (four events per 8-byte
+//    load; every later read).
+//  * BM_Replay_Mmap -- whole-trace replay throughput of a TraceCursor over
+//    a page-aligned file mapped read-only.
 //  * BM_Sweep -- a table4-shaped plan through the in-process thread-pool
 //    executor vs the forked work-stealing process pool, at 1 and 4
 //    workers (the BENCH_sweep.json trajectory point).
@@ -21,7 +17,6 @@
 #include "engine/ExperimentRunner.h"
 #include "engine/ProcessPool.h"
 #include "core/ReactiveController.h"
-#include "workload/MmapTraceStore.h"
 #include "workload/SpecSuite.h"
 #include "workload/TraceFile.h"
 #include "workload/TraceGenerator.h"
@@ -29,11 +24,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -51,112 +44,55 @@ const workload::WorkloadSpec &decodeSpec() {
   return Spec;
 }
 
-/// The decode workload recorded once in the packed v2 layout.
-const std::string &recordedV2() {
-  static const std::string Bytes = [] {
-    std::ostringstream OS;
+/// The decode workload recorded once in the packed layout.
+const workload::MaterializedTrace &recorded() {
+  static const std::shared_ptr<const workload::MaterializedTrace> Trace = [] {
     workload::TraceGenerator Gen(decodeSpec(), decodeSpec().refInput());
-    workload::writeTraceV2(OS, Gen);
-    return OS.str();
+    return workload::MaterializedTrace::record(Gen);
   }();
-  return Bytes;
+  return *Trace;
 }
 
-struct BlockRef {
-  const uint8_t *Payload = nullptr;
-  size_t PayloadBytes = 0;
-  uint32_t Events = 0;
-};
-
-uint32_t loadLE32(const uint8_t *P) {
-  uint32_t V;
-  std::memcpy(&V, P, sizeof(V));
-  return V;
-}
-
-/// Structural walk of the recorded image: (payload, bytes, count) per
-/// block, pad frames skipped -- the same walk MappedTrace::open performs.
-const std::vector<BlockRef> &recordedBlocks() {
-  static const std::vector<BlockRef> Blocks = [] {
-    const std::string &Bytes = recordedV2();
-    const uint8_t *Base = reinterpret_cast<const uint8_t *>(Bytes.data());
-    std::vector<BlockRef> Out;
-    size_t Off = workload::TraceV2HeaderBytes;
-    while (Off + workload::TraceV2FrameBytes <= Bytes.size()) {
-      const uint32_t Count = loadLE32(Base + Off);
-      const uint32_t PayloadBytes = loadLE32(Base + Off + 4);
-      Off += workload::TraceV2FrameBytes;
-      if (Count != 0)
-        Out.push_back({Base + Off, PayloadBytes, Count});
-      Off += PayloadBytes;
-    }
-    return Out;
-  }();
-  return Blocks;
-}
-
-uint64_t recordedEvents() {
-  uint64_t Total = 0;
-  for (const BlockRef &B : recordedBlocks())
-    Total += B.Events;
-  return Total;
-}
-
-void reportDecode(benchmark::State &State, uint64_t Events) {
-  State.SetItemsProcessed(State.iterations() * static_cast<int64_t>(Events));
+void reportDecode(benchmark::State &State) {
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(recorded().totalEvents()));
   State.counters["blocks"] =
-      benchmark::Counter(static_cast<double>(recordedBlocks().size()));
+      benchmark::Counter(static_cast<double>(recorded().numBlocks()));
 }
 
 /// Fully checked decode (per-event validation): the first-touch path.
 void BM_Decode_Checked(benchmark::State &State) {
-  const std::vector<BlockRef> &Blocks = recordedBlocks();
-  const uint32_t NumSites = decodeSpec().numSites();
+  const workload::MaterializedTrace &Trace = recorded();
   std::vector<workload::BranchEvent> Buf(workload::TraceV2BlockEvents);
   for (auto _ : State) {
     uint64_t NextIndex = 0, InstRet = 0;
-    for (const BlockRef &B : Blocks)
-      if (!workload::decodeTraceBlockPayload(B.Payload, B.PayloadBytes,
-                                             B.Events, NumSites, NextIndex,
-                                             InstRet, Buf.data()))
+    for (const workload::MaterializedTrace::Block &B : Trace.blocks())
+      if (!workload::decodeTraceBlockPayload(
+              Trace.data() + B.PayloadOffset, B.PayloadBytes, B.Events,
+              Trace.numSites(), NextIndex, InstRet, Buf.data()))
         State.SkipWithError("checked decode rejected a block");
     benchmark::DoNotOptimize(Buf.data());
     benchmark::DoNotOptimize(InstRet);
   }
-  reportDecode(State, recordedEvents());
+  reportDecode(State);
 }
 BENCHMARK(BM_Decode_Checked)->Unit(benchmark::kMillisecond);
 
-/// Trusted scalar decode: the pre-SWAR baseline, one event per iteration.
-void BM_Decode_TrustedScalar(benchmark::State &State) {
-  const std::vector<BlockRef> &Blocks = recordedBlocks();
-  std::vector<workload::BranchEvent> Buf(workload::TraceV2BlockEvents);
-  for (auto _ : State) {
-    uint64_t NextIndex = 0, InstRet = 0;
-    for (const BlockRef &B : Blocks)
-      workload::decodeTraceBlockPayloadTrustedScalar(
-          B.Payload, B.PayloadBytes, B.Events, NextIndex, InstRet, Buf.data());
-    benchmark::DoNotOptimize(Buf.data());
-    benchmark::DoNotOptimize(InstRet);
-  }
-  reportDecode(State, recordedEvents());
-}
-BENCHMARK(BM_Decode_TrustedScalar)->Unit(benchmark::kMillisecond);
-
 /// Trusted SWAR decode: four events per 8-byte load on the varint fast
-/// path.  Must be >= 1.5x BM_Decode_TrustedScalar events/sec.
+/// path.
 void BM_Decode_TrustedSWAR(benchmark::State &State) {
-  const std::vector<BlockRef> &Blocks = recordedBlocks();
+  const workload::MaterializedTrace &Trace = recorded();
   std::vector<workload::BranchEvent> Buf(workload::TraceV2BlockEvents);
   for (auto _ : State) {
     uint64_t NextIndex = 0, InstRet = 0;
-    for (const BlockRef &B : Blocks)
-      workload::decodeTraceBlockPayloadTrusted(
-          B.Payload, B.PayloadBytes, B.Events, NextIndex, InstRet, Buf.data());
+    for (const workload::MaterializedTrace::Block &B : Trace.blocks())
+      workload::decodeTraceBlockPayloadTrusted(Trace.data() + B.PayloadOffset,
+                                               B.PayloadBytes, B.Events,
+                                               NextIndex, InstRet, Buf.data());
     benchmark::DoNotOptimize(Buf.data());
     benchmark::DoNotOptimize(InstRet);
   }
-  reportDecode(State, recordedEvents());
+  reportDecode(State);
 }
 BENCHMARK(BM_Decode_TrustedSWAR)->Unit(benchmark::kMillisecond);
 
@@ -180,59 +116,32 @@ private:
   std::string Path;
 };
 
-const std::string &alignedTracePath() {
-  static const AlignedTraceFile File;
-  return File.path();
-}
-
-/// Whole-trace replay through the resident tier: ifstream ->
-/// TraceFileReader (read + checksum + checked decode every pass).
-void BM_Replay_Resident(benchmark::State &State) {
-  const std::string &Path = alignedTracePath();
-  std::vector<workload::BranchEvent> Buf(workload::TraceV2BlockEvents);
-  uint64_t Events = 0;
-  for (auto _ : State) {
-    std::ifstream IS(Path, std::ios::binary);
-    workload::TraceFileReader Reader(IS);
-    if (!Reader.valid())
-      State.SkipWithError("trace file invalid");
-    Events = 0;
-    size_t N;
-    while ((N = Reader.nextBatch(Buf)) != 0)
-      Events += N;
-    benchmark::DoNotOptimize(Events);
-  }
-  State.SetItemsProcessed(State.iterations() * static_cast<int64_t>(Events));
-}
-BENCHMARK(BM_Replay_Resident)->Unit(benchmark::kMillisecond);
-
-/// Whole-trace replay through the zero-copy mmap tier: blocks decode in
-/// place from the shared mapping; after the first pass verifies the
-/// bitmap, every pass runs the trusted SWAR path.
+/// Whole-trace replay from a read-only mapping: blocks decode in place;
+/// the first pass verifies every block, so every later pass runs the
+/// trusted SWAR path.
 void BM_Replay_Mmap(benchmark::State &State) {
-  const std::string &Path = alignedTracePath();
+  static const AlignedTraceFile File;
+  std::string Error;
+  const std::shared_ptr<const workload::MaterializedTrace> Trace =
+      workload::MaterializedTrace::mapFile(File.path(), &Error);
+  if (!Trace) {
+    State.SkipWithError(Error.c_str());
+    return;
+  }
   std::vector<workload::BranchEvent> Buf(workload::TraceV2BlockEvents);
   uint64_t Events = 0;
   for (auto _ : State) {
-    std::string Error;
-    std::unique_ptr<workload::MmapReplaySource> Cursor =
-        workload::MmapTraceStore::global().openCursor(Path, &Error);
-    if (!Cursor)
-      State.SkipWithError(Error.c_str());
+    workload::TraceCursor Cursor(Trace);
     Events = 0;
-    size_t N;
-    while ((N = Cursor->nextBatch(Buf)) != 0)
+    while (const size_t N = Cursor.nextBatch(Buf))
       Events += N;
-    if (Cursor->failed())
-      State.SkipWithError(Cursor->error().c_str());
+    if (Cursor.failed())
+      State.SkipWithError(Cursor.error().c_str());
     benchmark::DoNotOptimize(Events);
   }
   State.SetItemsProcessed(State.iterations() * static_cast<int64_t>(Events));
-  std::string Error;
-  if (std::shared_ptr<const workload::MappedTrace> Trace =
-          workload::MmapTraceStore::global().open(Path, &Error))
-    State.counters["mapped_bytes"] =
-        benchmark::Counter(static_cast<double>(Trace->bytes()));
+  State.counters["mapped_bytes"] =
+      benchmark::Counter(static_cast<double>(Trace->bytes()));
 }
 BENCHMARK(BM_Replay_Mmap)->Unit(benchmark::kMillisecond);
 

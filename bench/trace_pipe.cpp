@@ -9,9 +9,12 @@
 // wins); the equivalence property tests guarantee the two paths produce
 // bit-identical results, so the speedup is free.
 //
-// Every benchmark takes the chunk size as its argument: 1 = per-event.
+// BM_TracePipe_{Reactive,Static,Replay} take the chunk size as their
+// argument: 1 = per-event.
 //
 //===----------------------------------------------------------------------===//
+
+#include "BenchCommon.h"
 
 #include "core/Driver.h"
 #include "core/ReactiveController.h"
@@ -44,32 +47,18 @@ const workload::WorkloadSpec &pipeSpec() {
 /// The whole-run profile of the pipe workload (for self-trained static
 /// selections), computed once.
 const profile::BranchProfile &pipeProfile() {
-  static const profile::BranchProfile Profile = [] {
-    profile::BranchProfile P(pipeSpec().numSites());
-    workload::TraceGenerator Gen(pipeSpec(), pipeSpec().refInput());
-    workload::BranchEvent E;
-    while (Gen.next(E))
-      P.addOutcome(E.Site, E.Taken);
-    return P;
-  }();
+  static const profile::BranchProfile Profile =
+      bench::collectProfile(pipeSpec(), pipeSpec().refInput());
   return Profile;
 }
 
-/// The pipe workload recorded once in each trace format.
-const std::string &recordedTrace(unsigned Version) {
-  static const std::string V1 = [] {
-    std::ostringstream OS;
+/// The pipe workload recorded once.
+const std::shared_ptr<const workload::MaterializedTrace> &recordedTrace() {
+  static const std::shared_ptr<const workload::MaterializedTrace> Trace = [] {
     workload::TraceGenerator Gen(pipeSpec(), pipeSpec().refInput());
-    workload::writeTrace(OS, Gen);
-    return OS.str();
+    return workload::MaterializedTrace::record(Gen);
   }();
-  static const std::string V2 = [] {
-    std::ostringstream OS;
-    workload::TraceGenerator Gen(pipeSpec(), pipeSpec().refInput());
-    workload::writeTraceV2(OS, Gen);
-    return OS.str();
-  }();
-  return Version == 1 ? V1 : V2;
+  return Trace;
 }
 
 core::ReactiveConfig scaledReactive() {
@@ -119,28 +108,23 @@ BENCHMARK(BM_TracePipe_Static)->Arg(1)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
 /// Replay (recorded trace -> controller) with a profile observer, chunk
-/// size = Arg; Version selects the v1 or v2 on-disk format.
-template <unsigned Version>
+/// size = Arg.
 void BM_TracePipe_Replay(benchmark::State &State) {
   const size_t Batch = static_cast<size_t>(State.range(0));
-  const std::string &Bytes = recordedTrace(Version);
   core::TraceRunMetrics Metrics;
   for (auto _ : State) {
-    std::istringstream IS(Bytes);
-    workload::TraceFileReader Reader(IS);
+    workload::TraceCursor Cursor(recordedTrace());
     core::StaticSelectionController C(pipeProfile(), 0.99);
-    core::ProfileObserver Observer(Reader.numSites());
+    core::ProfileObserver Observer(recordedTrace()->numSites());
     Metrics = {};
-    core::runTrace(C, Reader, &Observer, Batch, &Metrics);
+    core::runTrace(C, Cursor, &Observer, Batch, &Metrics);
     benchmark::DoNotOptimize(Observer.profile().totalExecutions());
   }
   State.counters["trace_bytes"] =
-      benchmark::Counter(static_cast<double>(Bytes.size()));
+      benchmark::Counter(static_cast<double>(recordedTrace()->bytes()));
   reportRun(State, Metrics);
 }
-BENCHMARK(BM_TracePipe_Replay<1>)->Arg(1)->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TracePipe_Replay<2>)->Arg(1)->Arg(4096)
+BENCHMARK(BM_TracePipe_Replay)->Arg(1)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
 /// A table4-shaped sweep (one workload, a ladder of reactive configs)
@@ -194,17 +178,15 @@ BENCHMARK(BM_TraceArena)
     ->Args({1, 4})
     ->Unit(benchmark::kMillisecond);
 
-/// Recording throughput of each format (generation included, identical in
-/// both, so the delta is pure encode cost; counters report bytes/event).
-template <unsigned Version>
+/// Recording throughput (generation included; counters report
+/// bytes/event).
 void BM_TracePipe_Record(benchmark::State &State) {
   uint64_t Events = 0;
   size_t Bytes = 0;
   for (auto _ : State) {
     std::ostringstream OS;
     workload::TraceGenerator Gen(pipeSpec(), pipeSpec().refInput());
-    Events = Version == 1 ? workload::writeTrace(OS, Gen)
-                          : workload::writeTraceV2(OS, Gen);
+    Events = workload::writeTraceV2(OS, Gen);
     Bytes = OS.str().size();
     benchmark::DoNotOptimize(Events);
   }
@@ -213,8 +195,7 @@ void BM_TracePipe_Record(benchmark::State &State) {
       Events ? static_cast<double>(Bytes) / static_cast<double>(Events)
              : 0.0);
 }
-BENCHMARK(BM_TracePipe_Record<1>)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TracePipe_Record<2>)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TracePipe_Record)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -19,6 +19,7 @@
 #include "workload/SpecSuite.h"
 
 #include <cstdio>
+#include <stdexcept>
 #include <vector>
 
 using namespace specctrl;
@@ -108,7 +109,7 @@ void report(const char *Name, const ControlStats &S) {
 
 } // namespace
 
-int main(int Argc, char **Argv) {
+int main(int Argc, char **Argv) try {
   const char *Name = Argc > 1 ? Argv[1] : "mcf";
   workload::SuiteScale Scale;
   Scale.EventsPerBillion = 2e5;
@@ -132,4 +133,7 @@ int main(int Argc, char **Argv) {
               "model filters with a 10k monitor, a +50/-1 counter, and an "
               "oscillation cap.\n");
   return 0;
+} catch (const std::invalid_argument &E) {
+  std::fprintf(stderr, "error: %s\n", E.what());
+  return 1;
 }

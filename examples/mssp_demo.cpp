@@ -14,6 +14,7 @@
 #include "workload/SpecSuite.h"
 
 #include <cstdio>
+#include <stdexcept>
 
 using namespace specctrl;
 using namespace specctrl::mssp;
@@ -35,7 +36,7 @@ MsspResult runMssp(const BenchmarkProfile &Profile, uint64_t Iterations,
 
 } // namespace
 
-int main(int Argc, char **Argv) {
+int main(int Argc, char **Argv) try {
   const char *Name = Argc > 1 ? Argv[1] : "gzip";
   const BenchmarkProfile &Profile = profileByName(Name);
   const uint64_t Iterations = 90000;
@@ -74,4 +75,7 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(Closed.OptRequests),
               static_cast<unsigned long long>(Closed.Regenerations));
   return 0;
+} catch (const std::invalid_argument &E) {
+  std::fprintf(stderr, "error: %s\n", E.what());
+  return 1;
 }

@@ -13,10 +13,11 @@
 #include "workload/SpecSuite.h"
 
 #include <cstdio>
+#include <stdexcept>
 
 using namespace specctrl;
 
-int main(int Argc, char **Argv) {
+int main(int Argc, char **Argv) try {
   // 1. Build a workload: one of the twelve SPEC2000int-calibrated
   //    synthetic benchmarks (scaled down for a quick demo).
   const char *Name = Argc > 1 ? Argv[1] : "gzip";
@@ -55,4 +56,7 @@ int main(int Argc, char **Argv) {
                                               S.RevokeRequests),
               static_cast<unsigned long long>(S.SuppressedRequests));
   return 0;
+} catch (const std::invalid_argument &E) {
+  std::fprintf(stderr, "error: %s\n", E.what());
+  return 1;
 }

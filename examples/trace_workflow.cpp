@@ -16,26 +16,36 @@
 
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 
 using namespace specctrl;
 using namespace specctrl::workload;
 
-int main(int Argc, char **Argv) {
+int main(int Argc, char **Argv) try {
   const char *Name = Argc > 1 ? Argv[1] : "mcf";
   SuiteScale Scale;
   Scale.EventsPerBillion = 2e5;
   const WorkloadSpec Spec = makeBenchmark(Name, Scale);
 
   // 1. Record (to a file in real use; a memory stream here).
-  std::stringstream TraceBytes;
+  std::ostringstream Recording;
   {
     TraceGenerator Gen(Spec, Spec.refInput());
-    const uint64_t N = writeTrace(TraceBytes, Gen);
+    const uint64_t N = writeTraceV2(Recording, Gen);
     std::printf("recorded %s events of %s (%s on disk)\n\n",
                 formatMagnitude(static_cast<double>(N)).c_str(), Name,
-                formatMagnitude(static_cast<double>(
-                                    TraceBytes.str().size()))
+                formatMagnitude(static_cast<double>(Recording.str().size()))
                     .c_str());
+  }
+  // Replay reads the recorded bytes (MaterializedTrace::mapFile for a
+  // file); every block is verified the first time it is read.
+  const std::string Bytes = Recording.str();
+  std::string Error;
+  const std::shared_ptr<const MaterializedTrace> Trace =
+      MaterializedTrace::fromBytes({Bytes.begin(), Bytes.end()}, &Error);
+  if (!Trace) {
+    std::fprintf(stderr, "error: bad trace: %s\n", Error.c_str());
+    return 1;
   }
 
   // 2. Replay against several policies -- note no WorkloadSpec needed.
@@ -57,16 +67,10 @@ int main(int Argc, char **Argv) {
   };
 
   for (const Policy &P : Policies) {
-    TraceBytes.clear();
-    TraceBytes.seekg(0);
-    TraceFileReader Reader(TraceBytes);
-    if (!Reader.valid()) {
-      std::fprintf(stderr, "error: bad trace\n");
-      return 1;
-    }
+    TraceCursor Cursor(Trace);
     core::ReactiveController C(P.Config, P.Label);
     BranchEvent E;
-    while (Reader.next(E))
+    while (Cursor.next(E))
       C.onBranch(E.Site, E.Taken, E.InstRet);
     std::printf("%-28s correct %6s  incorrect %8s  evictions %4llu\n",
                 P.Label, formatPercent(C.stats().correctRate()).c_str(),
@@ -74,4 +78,7 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(C.stats().Evictions));
   }
   return 0;
+} catch (const std::invalid_argument &E) {
+  std::fprintf(stderr, "error: %s\n", E.what());
+  return 1;
 }

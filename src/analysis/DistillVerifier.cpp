@@ -267,29 +267,14 @@ specctrl::analysis::verifyDistillation(const Function &Original,
   return R;
 }
 
-std::string specctrl::analysis::formatDiagnostic(const Diagnostic &D,
-                                                 const std::string &FnName) {
+std::string specctrl::analysis::formatDiagnostic(const Diagnostic &D) {
   std::ostringstream OS;
-  OS << FnName << ": [" << checkName(D.Kind) << "]";
+  OS << D.Function << ": [" << checkName(D.Kind) << "]";
   if (D.Site != InvalidSite)
     OS << " site " << D.Site;
   OS << " @ " << (D.InDistilled ? "distilled" : "original") << ":" << D.Block
      << "/" << D.Index << ": " << D.Message;
   return OS.str();
-}
-
-std::string specctrl::analysis::formatDiagnostic(const Diagnostic &D) {
-  return formatDiagnostic(D, D.Function);
-}
-
-std::string specctrl::analysis::formatDiagnostics(const VerifyResult &R,
-                                                  const std::string &FnName) {
-  std::string Out;
-  for (const Diagnostic &D : R.Diags) {
-    Out += formatDiagnostic(D, FnName);
-    Out += '\n';
-  }
-  return Out;
 }
 
 std::string specctrl::analysis::formatDiagnostics(const VerifyResult &R) {

@@ -127,17 +127,9 @@ std::string formatDiagnostics(const VerifyResult &R);
 /// (specctrl-lint --json).
 std::string formatDiagnosticJson(const Diagnostic &D);
 
-/// Deprecated: pre-Diagnostic::Function overloads that take the function
-/// name from the caller.  \p FnName overrides D.Function.
-std::string formatDiagnostic(const Diagnostic &D, const std::string &FnName);
-
-/// Deprecated: see formatDiagnostic(D, FnName).
-std::string formatDiagnostics(const VerifyResult &R,
-                              const std::string &FnName);
-
 /// True when RunConfig enables the deploy-time verification hooks
-/// (SPECCTRL_VERIFY=1 in the environment, SPECCTRL_VERIFY_DISTILL as a
-/// deprecated alias, or a CLI override via RunConfig::setGlobal).
+/// (SPECCTRL_VERIFY=1 in the environment, or a CLI override via
+/// RunConfig::setGlobal).
 bool verifyDistillEnabled();
 
 } // namespace analysis

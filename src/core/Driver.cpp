@@ -6,11 +6,8 @@
 
 #include "core/Driver.h"
 
-#include "support/RunConfig.h"
-#include "workload/MmapTraceStore.h"
 #include "workload/TraceFile.h"
 
-#include <fstream>
 #include <stdexcept>
 #include <vector>
 
@@ -138,30 +135,15 @@ const ControlStats &core::runTraceFile(SpeculationController &Controller,
                                        TraceObserver *Observer,
                                        size_t BatchEvents,
                                        TraceRunMetrics *Metrics) {
-  if (RunConfig::global().TraceMmap) {
-    std::string Error;
-    if (const std::unique_ptr<workload::MmapReplaySource> Cursor =
-            workload::MmapTraceStore::global().openCursor(Path, &Error)) {
-      const ControlStats &Stats =
-          runTrace(Controller, *Cursor, Observer, BatchEvents, Metrics);
-      if (Cursor->failed())
-        throw std::runtime_error("trace '" + Path + "': " + Cursor->error());
-      return Stats;
-    }
-    // v1 files are not mappable; fall through to the stream reader, which
-    // rejects anything genuinely malformed with a precise message.
-  }
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    throw std::runtime_error("cannot open trace '" + Path + "'");
-  workload::TraceFileReader Reader(In);
-  if (!Reader.valid())
-    throw std::runtime_error("'" + Path + "' is not a trace file");
+  std::string Error;
+  std::shared_ptr<const workload::MaterializedTrace> Trace =
+      workload::MaterializedTrace::mapFile(Path, &Error);
+  if (!Trace)
+    throw std::runtime_error("cannot replay trace " + Error);
+  workload::TraceCursor Cursor(std::move(Trace));
   const ControlStats &Stats =
-      runTrace(Controller, Reader, Observer, BatchEvents, Metrics);
-  if (Reader.failed())
-    throw std::runtime_error("trace '" + Path + "': " + Reader.error());
-  if (Reader.truncated())
-    throw std::runtime_error("trace '" + Path + "' is truncated");
+      runTrace(Controller, Cursor, Observer, BatchEvents, Metrics);
+  if (Cursor.failed())
+    throw std::runtime_error("trace '" + Path + "': " + Cursor.error());
   return Stats;
 }

@@ -149,15 +149,13 @@ runWorkload(SpeculationController &Controller,
             size_t BatchEvents = workload::DefaultBatchEvents,
             TraceRunMetrics *Metrics = nullptr);
 
-/// File-backed form: replays the recorded trace at \p Path under
-/// \p Controller.  v2 files go through the zero-copy mmap store when it
-/// is enabled (SPECCTRL_TRACE_MMAP, default on) -- blocks decode in place
-/// from a read-only mapping shared with every other process replaying the
-/// file, so resident memory stays bounded at any trace length; otherwise
-/// (and for v1 files) the trace streams through TraceFileReader.  The
-/// event stream, and therefore the resulting stats, is bit-identical
-/// either way.  Throws std::runtime_error when the file cannot be opened
-/// or fails validation mid-replay.
+/// File-backed form: replays the recorded SCT2 trace at \p Path under
+/// \p Controller.  The file is mapped read-only and blocks decode in place
+/// from a mapping shared with every other process replaying it, so
+/// resident memory stays bounded at any trace length; each block is
+/// verified on first read.  Throws std::runtime_error naming the path when
+/// the file cannot be mapped or indexed, or a block fails verification
+/// mid-replay.
 const ControlStats &
 runTraceFile(SpeculationController &Controller, const std::string &Path,
              TraceObserver *Observer = nullptr,

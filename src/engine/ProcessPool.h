@@ -8,9 +8,9 @@
 /// Executes an ExperimentPlan across forked worker processes instead of
 /// threads.  At SPEC run lengths a sweep cell is minutes of pure decode +
 /// controller work; processes sidestep any shared-allocator contention and
-/// -- through the mmap trace tier (workload/MmapTraceStore.h) -- replay
-/// one kernel page-cache copy of each materialized trace, so N workers
-/// cost one trace's worth of physical memory, not N.
+/// -- through the trace arena's mapped disk tier (workload/TraceArena.h)
+/// -- replay one kernel page-cache copy of each materialized trace, so N
+/// workers cost one trace's worth of physical memory, not N.
 ///
 /// Work distribution is a work-stealing shared index: a file containing
 /// the next unclaimed cell number, advanced under an exclusive flock.

@@ -48,10 +48,6 @@ private:
 
 } // namespace
 
-bool InterpreterEventSource::next(workload::BranchEvent &Event) {
-  return nextBatch(std::span(&Event, 1)) == 1;
-}
-
 size_t InterpreterEventSource::nextBatch(
     std::span<workload::BranchEvent> Buffer) {
   if (Done || Buffer.empty())

@@ -38,7 +38,6 @@ public:
   InterpreterEventSource(const InterpreterEventSource &) = delete;
   InterpreterEventSource &operator=(const InterpreterEventSource &) = delete;
 
-  bool next(workload::BranchEvent &Event) override;
   size_t nextBatch(std::span<workload::BranchEvent> Buffer) override;
 
   /// Why the most recent batch stopped producing events.  Streams that end

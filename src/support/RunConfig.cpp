@@ -13,31 +13,13 @@ using namespace specctrl;
 
 namespace {
 
-/// True when \p Name is set to anything but "" or "0".
-bool envFlag(const char *Name, bool &Present) {
+/// Reads a boolean knob: unset keeps \p Default; "" and "0" mean off,
+/// anything else on.
+bool envBool(const char *Name, bool Default) {
   const char *Env = std::getenv(Name);
-  Present = Env != nullptr;
-  return Env && *Env && !(Env[0] == '0' && Env[1] == '\0');
-}
-
-/// Reads a boolean knob: canonical name wins; the deprecated alias is
-/// honored only when the canonical name is unset, with a note.
-bool envBool(const char *Canonical, const char *Deprecated, bool Default,
-             std::string *Warnings) {
-  bool Present = false;
-  const bool Value = envFlag(Canonical, Present);
-  if (Present)
-    return Value;
-  const bool AliasValue = envFlag(Deprecated, Present);
-  if (!Present)
+  if (!Env)
     return Default;
-  if (Warnings) {
-    *Warnings += Deprecated;
-    *Warnings += " is deprecated; use ";
-    *Warnings += Canonical;
-    *Warnings += "\n";
-  }
-  return AliasValue;
+  return *Env && !(Env[0] == '0' && Env[1] == '\0');
 }
 
 /// Reads a positive integer knob; unset keeps \p Default, malformed or
@@ -63,29 +45,21 @@ uint64_t envCount(const char *Name, uint64_t Default, std::string *Warnings) {
 
 RunConfig RunConfig::fromEnv(std::string *Warnings) {
   RunConfig Out;
-  Out.VerifyDistill = envBool("SPECCTRL_VERIFY", "SPECCTRL_VERIFY_DISTILL",
-                              false, Warnings);
-  Out.ArenaVerbose = envBool("SPECCTRL_ARENA_VERBOSE", "SPECCTRL_ARENA_DEBUG",
-                             false, Warnings);
+  Out.VerifyDistill = envBool("SPECCTRL_VERIFY", Out.VerifyDistill);
+  Out.ArenaVerbose = envBool("SPECCTRL_ARENA_VERBOSE", Out.ArenaVerbose);
   Out.ServeEpochEvents =
       envCount("SPECCTRL_SERVE_EPOCH_EVENTS", Out.ServeEpochEvents, Warnings);
   Out.ServeRingEvents =
       envCount("SPECCTRL_SERVE_RING_EVENTS", Out.ServeRingEvents, Warnings);
-  {
-    // Default-on knob: unset keeps the mmap tier, "0" (or "") disables it.
-    bool Present = false;
-    const bool Value = envFlag("SPECCTRL_TRACE_MMAP", Present);
-    if (Present)
-      Out.TraceMmap = Value;
-  }
   Out.SweepProcs = envCount("SPECCTRL_SWEEP_PROCS", Out.SweepProcs, Warnings);
-  {
-    // Default-on knob: unset keeps the SpecLeak check, "0" opts out.
-    bool Present = false;
-    const bool Value = envFlag("SPECCTRL_VERIFY_SPECLEAK", Present);
-    if (Present)
-      Out.VerifySpecLeak = Value;
-  }
+  Out.VerifySpecLeak =
+      envBool("SPECCTRL_VERIFY_SPECLEAK", Out.VerifySpecLeak);
+  for (const char *Removed : {"SPECCTRL_VERIFY_DISTILL", "SPECCTRL_ARENA_DEBUG",
+                              "SPECCTRL_TRACE_MMAP"})
+    if (Warnings && std::getenv(Removed)) {
+      *Warnings += Removed;
+      *Warnings += " is no longer read; it has no effect\n";
+    }
   return Out;
 }
 

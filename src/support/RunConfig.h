@@ -5,14 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The single typed carrier for cross-cutting run knobs that used to be
-/// scattered env peeks (`SPECCTRL_VERIFY_DISTILL` in the distiller, code
-/// cache, and execution engine; `SPECCTRL_ARENA_DEBUG` in the trace
-/// arena).  The environment is parsed exactly once into
-/// RunConfig::global(); tool and bench mains may override it from the
-/// command line (BenchCommon's --verify-distill / --arena-verbose) before
-/// any work starts, and libraries read the parsed struct instead of
-/// calling getenv.
+/// The single typed carrier for cross-cutting run knobs.  The environment
+/// is parsed exactly once into RunConfig::global(); tool and bench mains
+/// may override it from the command line (BenchCommon's --verify-distill
+/// / --arena-verbose) before any work starts, and libraries read the
+/// parsed struct instead of calling getenv.
 ///
 /// Canonical environment variables:
 ///
@@ -20,13 +17,12 @@
 ///   SPECCTRL_ARENA_VERBOSE=1     per-materialization trace-arena logging
 ///   SPECCTRL_SERVE_EPOCH_EVENTS=N   serve-layer epoch length (events)
 ///   SPECCTRL_SERVE_RING_EVENTS=N    serve-layer ingest ring capacity
-///   SPECCTRL_TRACE_MMAP=0        disable the zero-copy mmap trace tier
 ///   SPECCTRL_SWEEP_PROCS=N       specctrl-sweep worker processes (0=cores)
 ///   SPECCTRL_VERIFY_SPECLEAK=0   opt out of the SpecLeak verifier check
 ///
-/// The pre-RunConfig spellings SPECCTRL_VERIFY_DISTILL and
-/// SPECCTRL_ARENA_DEBUG keep working as deprecated aliases (a one-line
-/// warning is printed once when one is honored).
+/// Removed variables (SPECCTRL_VERIFY_DISTILL, SPECCTRL_ARENA_DEBUG,
+/// SPECCTRL_TRACE_MMAP) are not read; a one-line warning says so when one
+/// is set, so a script relying on one learns it has no effect.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,11 +49,6 @@ struct RunConfig {
   /// Default per-stream ingest ring capacity, in events (rounded up to a
   /// power of two by the ring).
   uint64_t ServeRingEvents = 8192;
-  /// Zero-copy mmap trace tier: disk-cached traces replay in place from a
-  /// shared read-only mapping instead of being reloaded into memory
-  /// (workload/MmapTraceStore.h).  On by default; SPECCTRL_TRACE_MMAP=0
-  /// falls back to the resident load path.
-  bool TraceMmap = true;
   /// Worker-process count for multi-process sweeps (engine/ProcessPool.h,
   /// tools/specctrl-sweep); 0 selects the hardware concurrency.
   uint64_t SweepProcs = 0;
@@ -66,14 +57,13 @@ struct RunConfig {
   /// SPECCTRL_VERIFY_SPECLEAK=0 opts out while the check stabilizes.
   bool VerifySpecLeak = true;
 
-  /// Parses the environment (canonical names first, deprecated aliases
-  /// second).  Pure: no warnings are printed; when \p Warnings is non-null
-  /// any deprecated-alias notes are appended to it, one per line.
+  /// Parses the environment.  Pure: no warnings are printed; when
+  /// \p Warnings is non-null any notes (malformed values, removed
+  /// variables) are appended to it, one per line.
   static RunConfig fromEnv(std::string *Warnings = nullptr);
 
   /// The process-wide configuration.  First use parses the environment
-  /// (printing any deprecation warnings to stderr once); later reads are
-  /// plain loads.
+  /// (printing any warnings to stderr once); later reads are plain loads.
   static const RunConfig &global();
 
   /// Replaces the process-wide configuration (CLI override).  Call from

@@ -11,9 +11,3 @@ using namespace specctrl::workload;
 
 EventSource::~EventSource() = default;
 
-size_t EventSource::nextBatch(std::span<BranchEvent> Buffer) {
-  size_t N = 0;
-  while (N < Buffer.size() && next(Buffer[N]))
-    ++N;
-  return N;
-}

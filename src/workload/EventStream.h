@@ -6,11 +6,11 @@
 ///
 /// \file
 /// The branch-event record and the source interface every trace producer
-/// (synthetic generation, file replay) implements.  Sources are consumed
-/// either one event at a time (next) or -- the hot path -- in fixed-size
-/// chunks filled into a caller-owned arena buffer (nextBatch), which
+/// (synthetic generation, trace replay) implements.  Sources fill
+/// fixed-size chunks into a caller-owned buffer (nextBatch), which
 /// amortizes per-event call overhead across the whole pipeline: one
-/// virtual dispatch per chunk instead of one per event.
+/// virtual dispatch per chunk instead of one per event.  next() is the
+/// one-event convenience over the same path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,13 +53,12 @@ class EventSource {
 public:
   virtual ~EventSource();
 
-  /// Produces the next event.  Returns false when the stream is done.
-  virtual bool next(BranchEvent &Event) = 0;
-
   /// Fills \p Buffer with as many events as are available and returns the
-  /// count (0 = stream done).  The base implementation loops next();
-  /// concrete sources override it with a tight loop.
-  virtual size_t nextBatch(std::span<BranchEvent> Buffer);
+  /// count (0 = stream done).
+  virtual size_t nextBatch(std::span<BranchEvent> Buffer) = 0;
+
+  /// Produces the next event.  Returns false when the stream is done.
+  virtual bool next(BranchEvent &Event) { return nextBatch({&Event, 1}) == 1; }
 };
 
 } // namespace workload

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 using namespace specctrl;
 using namespace specctrl::workload;
@@ -40,11 +41,14 @@ const std::vector<BenchmarkProfile> &workload::suiteProfiles() {
 }
 
 const BenchmarkProfile &workload::profileByName(const std::string &Name) {
-  for (const BenchmarkProfile &P : suiteProfiles())
+  std::string Valid;
+  for (const BenchmarkProfile &P : suiteProfiles()) {
     if (P.Name == Name)
       return P;
-  assert(false && "unknown benchmark name");
-  return suiteProfiles().front();
+    Valid += (Valid.empty() ? "" : ", ") + P.Name;
+  }
+  throw std::invalid_argument("unknown benchmark '" + Name +
+                              "' (valid: " + Valid + ")");
 }
 
 namespace {

@@ -28,11 +28,6 @@ void SkipSource::skipPending() {
   Remaining = 0;
 }
 
-bool SkipSource::next(BranchEvent &Event) {
-  skipPending();
-  return Inner.next(Event);
-}
-
 size_t SkipSource::nextBatch(std::span<BranchEvent> Buffer) {
   skipPending();
   return Inner.nextBatch(Buffer);

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Producer-side adapters that feed any EventSource (TraceGenerator,
-/// ArenaReplaySource, file replay) into an SpscRing -- the client half of
+/// TraceCursor) into an SpscRing -- the client half of
 /// the streaming control-plane service.  Two pieces:
 ///
 ///  * SkipSource wraps a source and discards its first N events, which is
@@ -37,7 +37,6 @@ public:
   SkipSource(EventSource &Inner, uint64_t Skip)
       : Inner(Inner), Remaining(Skip) {}
 
-  bool next(BranchEvent &Event) override;
   size_t nextBatch(std::span<BranchEvent> Buffer) override;
 
 private:

@@ -1,4 +1,4 @@
-//===- workload/TraceFile.cpp - Binary trace record/replay ----------------===//
+//===- workload/TraceFile.cpp - SCT2 trace record/replay ------------------===//
 //
 // Part of the specctrl project (CGO 2005 reactive speculation reproduction).
 //
@@ -9,21 +9,30 @@
 #include "support/Hash.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cerrno>
 #include <cstring>
-#include <istream>
 #include <ostream>
+#include <streambuf>
+
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace specctrl;
 using namespace specctrl::workload;
 
 namespace {
 
-constexpr char MagicV1[4] = {'S', 'C', 'T', '1'};
-constexpr char MagicV2[4] = {'S', 'C', 'T', '2'};
+constexpr char Magic[4] = {'S', 'C', 'T', '2'};
 
-/// Worst-case encoded bytes per v2 event: 5-byte site-delta varint + the
+/// Worst-case encoded bytes per event: 5-byte site-delta varint + the
 /// packed taken/gap byte.
 constexpr size_t MaxEventBytes = 6;
+
+/// Largest BlockEvents a header may declare.
+constexpr uint32_t MaxBlockEvents = 1u << 20;
 
 void putU32(std::ostream &OS, uint32_t V) {
   // Little-endian, explicitly, so traces are portable.
@@ -39,23 +48,15 @@ void putU64(std::ostream &OS, uint64_t V) {
   putU32(OS, static_cast<uint32_t>(V >> 32));
 }
 
-bool getU32(std::istream &IS, uint32_t &V) {
-  unsigned char Bytes[4];
-  if (!IS.read(reinterpret_cast<char *>(Bytes), 4))
-    return false;
-  V = static_cast<uint32_t>(Bytes[0]) |
-      (static_cast<uint32_t>(Bytes[1]) << 8) |
-      (static_cast<uint32_t>(Bytes[2]) << 16) |
-      (static_cast<uint32_t>(Bytes[3]) << 24);
-  return true;
+uint32_t loadU32(const uint8_t *P) {
+  return static_cast<uint32_t>(P[0]) | (static_cast<uint32_t>(P[1]) << 8) |
+         (static_cast<uint32_t>(P[2]) << 16) |
+         (static_cast<uint32_t>(P[3]) << 24);
 }
 
-bool getU64(std::istream &IS, uint64_t &V) {
-  uint32_t Lo = 0, Hi = 0;
-  if (!getU32(IS, Lo) || !getU32(IS, Hi))
-    return false;
-  V = static_cast<uint64_t>(Hi) << 32 | Lo;
-  return true;
+uint64_t loadU64(const uint8_t *P) {
+  return static_cast<uint64_t>(loadU32(P)) |
+         (static_cast<uint64_t>(loadU32(P + 4)) << 32);
 }
 
 uint32_t zigzag(int64_t V) {
@@ -69,32 +70,7 @@ int64_t unzigzag(uint32_t V) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// v1 writer
-//===----------------------------------------------------------------------===//
-
-uint64_t workload::writeTrace(std::ostream &OS, TraceGenerator &Gen) {
-  OS.write(MagicV1, 4);
-  putU32(OS, Gen.spec().numSites());
-  const uint64_t Remaining = Gen.totalEvents() - Gen.eventsGenerated();
-  putU64(OS, Remaining);
-  putU32(OS, Gen.spec().MinGap);
-  putU32(OS, Gen.spec().MaxGap);
-
-  uint64_t Written = 0;
-  BranchEvent E;
-  while (Gen.next(E)) {
-    if (E.Site > TraceFileLimits::MaxSite || E.Gap > TraceFileLimits::MaxGap)
-      return 0;
-    const uint32_t Word = (E.Site << 8) |
-                          (static_cast<uint32_t>(E.Taken) << 7) | E.Gap;
-    putU32(OS, Word);
-    ++Written;
-  }
-  return OS.good() ? Written : 0;
-}
-
-//===----------------------------------------------------------------------===//
-// v2 writer
+// Writer
 //===----------------------------------------------------------------------===//
 
 TraceWriterV2::TraceWriterV2(std::ostream &OS, uint32_t NumSites,
@@ -103,7 +79,7 @@ TraceWriterV2::TraceWriterV2(std::ostream &OS, uint32_t NumSites,
                              uint32_t AlignBytes)
     : OS(OS), BlockEvents(BlockEvents ? BlockEvents : TraceV2BlockEvents),
       AlignBytes(AlignBytes) {
-  OS.write(MagicV2, 4);
+  OS.write(Magic, 4);
   putU32(OS, NumSites);
   putU64(OS, TotalEvents);
   putU32(OS, MinGap);
@@ -135,7 +111,6 @@ void TraceWriterV2::flushBlock() {
         Left -= N;
       }
       Offset += Gap;
-      PadBytes += Gap;
     }
   }
   putU32(OS, BlockCount);
@@ -144,9 +119,7 @@ void TraceWriterV2::flushBlock() {
   OS.write(reinterpret_cast<const char *>(Payload.data()),
            static_cast<std::streamsize>(PayloadBytes));
   Written += BlockCount;
-  EncodedBytes += TraceV2FrameBytes + PayloadBytes;
   Offset += TraceV2FrameBytes + PayloadBytes;
-  ++Blocks;
   BlockCount = 0;
   PrevSite = 0;
   PayloadBytes = 0;
@@ -213,14 +186,14 @@ uint64_t workload::writeTraceV2(std::ostream &OS, TraceGenerator &Gen,
 }
 
 //===----------------------------------------------------------------------===//
-// Block payload decoding (shared by the file reader and the trace arena)
+// Block payload decoding
 //===----------------------------------------------------------------------===//
 
 namespace {
 
 /// The checked decode loop: every bound and range validated, counters
-/// committed only on whole-block success (untrusted input -- the file
-/// reader, arena/mmap first-touch verification).
+/// committed only on whole-block success (untrusted input, on its first
+/// touch).
 ///
 /// Site arithmetic is done in uint32 like the trusted path: sites are
 /// < 2^24 and |unzigzag delta| <= 2^31, so a negative or overflowing
@@ -273,8 +246,7 @@ bool decodeBlockChecked(const uint8_t *P, const uint8_t *End,
 }
 
 /// One trusted event at \p P; returns the byte after it.  The scalar step
-/// shared by the scalar baseline decoder, the SWAR tail, and the SWAR
-/// rare-continuation path.
+/// shared by the SWAR tail and the SWAR rare-continuation path.
 ///
 /// Branchless 1/2-byte fast path.  Both loads are always in bounds: a
 /// one-byte varint is followed by the packed byte, so P[1] exists either
@@ -426,227 +398,384 @@ void workload::decodeTraceBlockPayloadTrusted(const uint8_t *Payload,
   InstRet = Inst;
 }
 
-void workload::decodeTraceBlockPayloadTrustedScalar(
-    const uint8_t *Payload, size_t PayloadBytes, uint32_t EventCount,
-    uint64_t &NextIndex, uint64_t &InstRet, BranchEvent *Out) {
-  const uint8_t *P = Payload;
-  (void)PayloadBytes; // delimits the encoding; trusted decode never checks
-  uint64_t Index = NextIndex;
-  uint64_t Inst = InstRet;
-  uint32_t PrevSite = 0;
-  for (uint32_t I = 0; I < EventCount; ++I)
-    P = decodeOneTrusted(P, PrevSite, Index, Inst, Out[I]);
-  NextIndex = Index;
-  InstRet = Inst;
-}
-
 //===----------------------------------------------------------------------===//
-// Reader (both formats)
+// MaterializedTrace
 //===----------------------------------------------------------------------===//
 
-TraceFileReader::TraceFileReader(std::istream &IS) : IS(IS) {
-  char Header[4];
-  if (!IS.read(Header, 4))
-    return;
-  if (std::equal(Header, Header + 4, MagicV1))
-    Version = 1;
-  else if (std::equal(Header, Header + 4, MagicV2))
-    Version = 2;
-  else
-    return;
-  if (!getU32(IS, NumSites) || !getU64(IS, TotalEvents) ||
-      !getU32(IS, MinGap) || !getU32(IS, MaxGap))
-    return;
-  if (Version == 2) {
-    if (!getU32(IS, BlockEvents) || BlockEvents == 0 ||
-        BlockEvents > (1u << 20))
-      return;
-    Block.reserve(BlockEvents);
+namespace {
+
+/// An ostream sink appending straight into a byte vector, so the writer
+/// encodes into a trace's own buffer with no intermediate copy.
+class VectorBuf final : public std::streambuf {
+public:
+  explicit VectorBuf(std::vector<uint8_t> &Out) : Out(Out) {}
+
+private:
+  int_type overflow(int_type Ch) override {
+    if (Ch != traits_type::eof())
+      Out.push_back(static_cast<uint8_t>(Ch));
+    return Ch;
   }
-  Valid = true;
+  std::streamsize xsputn(const char *S, std::streamsize N) override {
+    Out.insert(Out.end(), S, S + N);
+    return N;
+  }
+
+  std::vector<uint8_t> &Out;
+};
+
+} // namespace
+
+std::shared_ptr<const MaterializedTrace>
+MaterializedTrace::record(TraceGenerator &Gen, uint32_t BlockEvents) {
+  const uint64_t Events = Gen.totalEvents() - Gen.eventsGenerated();
+  std::vector<uint8_t> Bytes;
+  // Encoded events land near 2 B each; reserving ~3 B/event keeps the
+  // buffer's growth to one allocation in practice.
+  Bytes.reserve(TraceV2HeaderBytes + 3 * Events);
+  {
+    VectorBuf Buf(Bytes);
+    std::ostream OS(&Buf);
+    if (writeTraceV2(OS, Gen, BlockEvents) != Events)
+      return nullptr; // beyond the format limits
+  }
+  std::shared_ptr<const MaterializedTrace> Trace = fromBytes(std::move(Bytes));
+  assert(Trace && "freshly written SCT2 bytes failed to index");
+  // The writer enforced every limit: these blocks are trusted.
+  for (size_t B = 0; Trace && B < Trace->numBlocks(); ++B)
+    Trace->setVerified(B);
+  return Trace;
 }
 
-void TraceFileReader::fail(const std::string &Message) {
-  Error = Message;
-  Block.clear();
-  BlockPos = 0;
+std::shared_ptr<const MaterializedTrace>
+MaterializedTrace::fromBytes(std::vector<uint8_t> Bytes, std::string *Error) {
+  auto Trace = std::shared_ptr<MaterializedTrace>(new MaterializedTrace());
+  Trace->Owned = std::move(Bytes);
+  Trace->Base = Trace->Owned.data();
+  Trace->Len = Trace->Owned.size();
+  std::string Reason;
+  if (!Trace->index(Reason)) {
+    if (Error)
+      *Error = Reason;
+    return nullptr;
+  }
+  return Trace;
 }
 
-/// Loads, verifies, and decodes the next v2 block into the staging buffer.
-/// Returns false at clean end, on truncation, or on corruption -- in every
-/// failure case zero events of the offending block are staged.
-bool TraceFileReader::refillBlock() {
-  Block.clear();
-  BlockPos = 0;
-  if (NextIndex >= TotalEvents)
-    return false;
+std::shared_ptr<const MaterializedTrace>
+MaterializedTrace::mapFile(const std::string &Path, std::string *Error) {
+  const auto Fail = [&](const std::string &Reason) {
+    if (Error)
+      *Error = "'" + Path + "': " + Reason;
+    return std::shared_ptr<const MaterializedTrace>();
+  };
+  const int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
+    return Fail(std::string("cannot open: ") + std::strerror(errno));
+  struct stat St{};
+  if (::fstat(Fd, &St) != 0) {
+    const int Errno = errno;
+    ::close(Fd);
+    return Fail(std::string("cannot stat: ") + std::strerror(Errno));
+  }
+  const size_t Len = static_cast<size_t>(St.st_size);
+  if (Len < TraceV2HeaderBytes) {
+    ::close(Fd);
+    return Fail("too small for an SCT2 header");
+  }
+  void *Map = ::mmap(nullptr, Len, PROT_READ, MAP_SHARED, Fd, 0);
+  const int Errno = errno;
+  ::close(Fd); // the mapping keeps its own reference
+  if (Map == MAP_FAILED)
+    return Fail(std::string("cannot mmap: ") + std::strerror(Errno));
 
-  uint32_t BlockN = 0, PayloadBytes = 0;
-  uint64_t Checksum = 0;
-  for (;;) {
-    if (!getU32(IS, BlockN)) {
-      Truncated = true; // stream ended between blocks
-      return false;
-    }
-    if (!getU32(IS, PayloadBytes) || !getU64(IS, Checksum)) {
-      Truncated = true;
-      return false;
-    }
-    if (BlockN != 0) // a zero event count marks an alignment pad frame
-      break;
-    // A pad must carry the sentinel and an all-zero payload -- a corrupted
-    // real block (event count flipped to zero) is rejected here, never
-    // silently skipped.
-    if (Checksum != TraceV2PadMagic || PayloadBytes > TraceV2MaxPadBytes) {
-      fail("malformed trace pad frame");
-      return false;
-    }
-    Payload.resize(PayloadBytes);
-    if (!IS.read(reinterpret_cast<char *>(Payload.data()), PayloadBytes)) {
-      Truncated = true; // stream ended inside a pad
-      return false;
-    }
-    if (std::any_of(Payload.begin(), Payload.end(),
-                    [](uint8_t B) { return B != 0; })) {
-      fail("malformed trace pad frame");
-      return false;
-    }
+  auto Trace = std::shared_ptr<MaterializedTrace>(new MaterializedTrace());
+  Trace->Base = static_cast<const uint8_t *>(Map);
+  Trace->Len = Len;
+  Trace->Mapped = true; // unmapped by the destructor from here on
+#ifdef _SC_PAGESIZE
+  if (const long P = ::sysconf(_SC_PAGESIZE); P > 0)
+    Trace->PageSize = P;
+#endif
+  std::string Reason;
+  if (!Trace->index(Reason))
+    return Fail(Reason);
+  return Trace;
+}
+
+MaterializedTrace::~MaterializedTrace() {
+  if (Mapped)
+    ::munmap(const_cast<uint8_t *>(Base), // NOLINT
+             Len);
+}
+
+bool MaterializedTrace::index(std::string &Error) {
+  if (Len < TraceV2HeaderBytes || std::memcmp(Base, Magic, 4) != 0) {
+    Error = "not an SCT2 trace";
+    return false;
   }
-  if (BlockN > BlockEvents ||
-      BlockN > TotalEvents - NextIndex ||
-      PayloadBytes < 2 * static_cast<uint64_t>(BlockN) ||
-      PayloadBytes > MaxEventBytes * static_cast<uint64_t>(BlockN)) {
-    fail("malformed trace block header");
+  NumSites = loadU32(Base + 4);
+  TotalEvents = loadU64(Base + 8);
+  MinGap = loadU32(Base + 16);
+  MaxGap = loadU32(Base + 20);
+  const uint32_t BlockEvents = loadU32(Base + 24);
+  if (BlockEvents == 0 || BlockEvents > MaxBlockEvents) {
+    Error = "malformed SCT2 header";
     return false;
   }
 
-  Payload.resize(PayloadBytes);
-  if (!IS.read(reinterpret_cast<char *>(Payload.data()), PayloadBytes)) {
-    Truncated = true; // partially-written final block
+  // Structural walk: frame bounds, event accounting, pad sentinels.  No
+  // payload byte is read (that happens per block on first touch), so
+  // indexing a mapping faults only its frame pages -- and in the aligned
+  // layout, where every frame sits on its own page, those are dropped
+  // every few MB so the open-time resident set stays bounded too.
+  Blocks.reserve(static_cast<size_t>(
+      std::min<uint64_t>(TotalEvents / BlockEvents, Len / TraceV2FrameBytes) +
+      1));
+  uint64_t Indexed = 0;
+  uint64_t Pos = TraceV2HeaderBytes;
+  uint64_t Dropped = 0;
+  bool PadPending = false;
+  uint32_t PadBytes = 0;
+  while (Pos < Len) {
+    if (Pos - Dropped >= (1u << 22)) {
+      advise(Dropped, Pos, MADV_DONTNEED);
+      Dropped = Pos / static_cast<uint64_t>(PageSize) *
+                static_cast<uint64_t>(PageSize);
+    }
+    if (Len - Pos < TraceV2FrameBytes) {
+      Error = "truncated SCT2 block frame";
+      return false;
+    }
+    const uint32_t Events = loadU32(Base + Pos);
+    const uint32_t PayloadBytes = loadU32(Base + Pos + 4);
+    const uint64_t PayloadOffset = Pos + TraceV2FrameBytes;
+    if (PayloadBytes > Len - PayloadOffset) {
+      Error = "truncated SCT2 block payload";
+      return false;
+    }
+    Pos = PayloadOffset + PayloadBytes;
+    if (Events == 0) {
+      // A pad frame.  The sentinel is required, so a real block whose
+      // event count flipped to zero is rejected, never skipped; and one
+      // pad per block keeps every pad byte checked with its block.
+      if (PadPending || loadU64(Base + PayloadOffset - 8) != TraceV2PadMagic ||
+          PayloadBytes > TraceV2MaxPadBytes) {
+        Error = "malformed SCT2 pad frame";
+        return false;
+      }
+      PadPending = true;
+      PadBytes = PayloadBytes;
+      continue;
+    }
+    if (Events > BlockEvents || Events > TotalEvents - Indexed ||
+        PayloadBytes < 2 * static_cast<uint64_t>(Events) ||
+        PayloadBytes > MaxEventBytes * static_cast<uint64_t>(Events)) {
+      Error = "malformed SCT2 block header";
+      return false;
+    }
+    Blocks.push_back({PayloadOffset, PayloadBytes, Events, PadBytes});
+    PadPending = false;
+    PadBytes = 0;
+    Indexed += Events;
+    EncodedBlockBytes += TraceV2FrameBytes + PayloadBytes;
+  }
+  if (PadPending) {
+    Error = "malformed SCT2 pad frame";
     return false;
   }
-  if (hash64(Payload.data(), Payload.size()) != Checksum) {
-    fail("trace block checksum mismatch (corrupt or tampered trace)");
+  if (Indexed != TotalEvents) {
+    Error = "SCT2 trace is missing events (truncated)";
     return false;
   }
-
-  Block.resize(BlockN);
-  // The shared decoder commits NextIndex/InstRet only on success, so a
-  // rejected block leaves the accounting untouched and stages no events.
-  if (!decodeTraceBlockPayload(Payload.data(), Payload.size(), BlockN,
-                               NumSites, NextIndex, InstRet, Block.data())) {
-    fail("malformed event encoding in trace block");
-    return false;
-  }
+  Verified = std::unique_ptr<std::atomic<uint8_t>[]>(
+      new std::atomic<uint8_t>[(Blocks.size() + 7) / 8 + 1]());
+  // An opened mapping holds only its index resident until a cursor reads.
+  advise(0, Len, MADV_DONTNEED);
   return true;
 }
 
-bool TraceFileReader::next(BranchEvent &Event) {
-  if (!Valid || Truncated || failed())
-    return false;
+double MaterializedTrace::compressionVsV1() const {
+  return EncodedBlockBytes ? 4.0 * static_cast<double>(TotalEvents) /
+                                 static_cast<double>(EncodedBlockBytes)
+                           : 0.0;
+}
 
-  if (Version == 2) {
-    if (BlockPos >= Block.size() && !refillBlock())
-      return false;
-    Event = Block[BlockPos++];
+bool MaterializedTrace::decodeBlock(size_t B, uint64_t &NextIndex,
+                                    uint64_t &InstRet, BranchEvent *Out,
+                                    std::string &Error) const {
+  const Block &Ref = Blocks[B];
+  const uint8_t *Payload = Base + Ref.PayloadOffset;
+  if (isVerified(B)) {
+    decodeTraceBlockPayloadTrusted(Payload, Ref.PayloadBytes, Ref.Events,
+                                   NextIndex, InstRet, Out);
     return true;
   }
-
-  if (NextIndex >= TotalEvents)
-    return false;
-  uint32_t Word = 0;
-  if (!getU32(IS, Word)) {
-    Truncated = true;
+  // First touch of untrusted bytes: checksum, pad, then the checked
+  // decoder -- which commits the counters only on success, so a rejected
+  // block delivers nothing.
+  const uint8_t *Frame = Payload - TraceV2FrameBytes;
+  if (hash64(Payload, Ref.PayloadBytes) != loadU64(Frame + 8)) {
+    Error = "trace block checksum mismatch (corrupt or tampered trace)";
     return false;
   }
-  Event.Site = Word >> 8;
-  Event.Taken = (Word >> 7) & 1;
-  Event.Gap = Word & 0x7F;
-  Event.Index = NextIndex++;
-  InstRet += Event.Gap + 1;
-  Event.InstRet = InstRet;
+  if (std::any_of(Frame - Ref.PadBytes, Frame,
+                  [](uint8_t Byte) { return Byte != 0; })) {
+    Error = "malformed trace pad frame";
+    return false;
+  }
+  if (!decodeTraceBlockPayload(Payload, Ref.PayloadBytes, Ref.Events,
+                               NumSites, NextIndex, InstRet, Out)) {
+    Error = "malformed event encoding in trace block";
+    return false;
+  }
+  setVerified(B);
   return true;
 }
 
-size_t TraceFileReader::nextBatch(std::span<BranchEvent> Buffer) {
-  if (!Valid || Truncated || failed())
-    return 0;
+bool MaterializedTrace::fullyVerified() const {
+  for (size_t B = 0; B < Blocks.size(); ++B)
+    if (!isVerified(B))
+      return false;
+  return true;
+}
 
-  if (Version == 2) {
-    size_t Filled = 0;
-    while (Filled < Buffer.size()) {
-      if (BlockPos >= Block.size() && !refillBlock())
-        break;
-      const size_t Take =
-          std::min(Buffer.size() - Filled, Block.size() - BlockPos);
-      std::memcpy(Buffer.data() + Filled, Block.data() + BlockPos,
-                  Take * sizeof(BranchEvent));
-      BlockPos += Take;
-      Filled += Take;
+bool MaterializedTrace::verifyAllBlocks() const {
+  std::vector<BranchEvent> Scratch;
+  std::string Error;
+  uint64_t DroppedBelow = 0;
+  for (size_t B = 0; B < Blocks.size(); ++B) {
+    if (isVerified(B))
+      continue;
+    // Validity does not depend on the reconstruction counters, so each
+    // block verifies on its own.
+    uint64_t Index = 0, Inst = 0;
+    Scratch.resize(Blocks[B].Events);
+    if (!decodeBlock(B, Index, Inst, Scratch.data(), Error))
+      return false;
+    // Keep the scan's footprint bounded: drop the pages it has passed.
+    const uint64_t Done = Blocks[B].PayloadOffset - TraceV2FrameBytes;
+    if (Done - DroppedBelow >= (1u << 22)) {
+      advise(DroppedBelow, Done, MADV_DONTNEED);
+      DroppedBelow = Done;
     }
-    return Filled;
   }
+  advise(DroppedBelow, Len, MADV_DONTNEED);
+  return true;
+}
 
-  // v1: one bulk read per chunk instead of one 4-byte read per event.
-  const size_t Want = static_cast<size_t>(std::min<uint64_t>(
-      Buffer.size(), TotalEvents - NextIndex));
-  if (Want == 0)
-    return 0;
-  Payload.resize(Want * 4);
-  IS.read(reinterpret_cast<char *>(Payload.data()),
-          static_cast<std::streamsize>(Payload.size()));
-  const size_t Got = static_cast<size_t>(IS.gcount()) / 4;
-  if (Got < Want)
-    Truncated = true;
-  for (size_t I = 0; I < Got; ++I) {
-    // Stored little-endian; reassemble byte-wise for portability.
-    const uint8_t *B = Payload.data() + I * 4;
-    const uint32_t Word =
-        static_cast<uint32_t>(B[0]) | (static_cast<uint32_t>(B[1]) << 8) |
-        (static_cast<uint32_t>(B[2]) << 16) |
-        (static_cast<uint32_t>(B[3]) << 24);
-    BranchEvent &E = Buffer[I];
-    E.Site = Word >> 8;
-    E.Taken = (Word >> 7) & 1;
-    E.Gap = Word & 0x7F;
-    E.Index = NextIndex++;
-    InstRet += E.Gap + 1;
-    E.InstRet = InstRet;
+void MaterializedTrace::advise(uint64_t Begin, uint64_t End,
+                               int Advice) const {
+  if (!Mapped)
+    return;
+  const uint64_t Page = static_cast<uint64_t>(PageSize);
+  // Round the range out to page boundaries for WILLNEED (over-advising is
+  // harmless) but *in* for DONTNEED (never drop a page the range does not
+  // fully cover -- it may hold a neighboring block another cursor needs).
+  uint64_t B = Begin, E = std::min<uint64_t>(End, Len);
+  if (Advice == MADV_DONTNEED) {
+    B = (B + Page - 1) / Page * Page;
+    E = E / Page * Page;
+  } else {
+    B = B / Page * Page;
+    E = std::min<uint64_t>((E + Page - 1) / Page * Page,
+                           (Len + Page - 1) / Page * Page);
   }
-  return Got;
+  if (B >= E)
+    return;
+  // Advice is best-effort by definition; errors are deliberately ignored.
+  ::madvise(const_cast<uint8_t *>(Base) + B, // NOLINT
+            static_cast<size_t>(E - B), Advice);
 }
 
 //===----------------------------------------------------------------------===//
-// Migration
+// TraceCursor
 //===----------------------------------------------------------------------===//
 
-uint64_t workload::migrateTrace(std::istream &In, std::ostream &Out,
-                                uint32_t BlockEvents,
-                                TraceMigrateStats *Stats,
-                                uint32_t AlignBytes) {
-  TraceFileReader Reader(In);
-  if (!Reader.valid())
-    return 0;
-  TraceWriterV2 Writer(Out, Reader.numSites(), Reader.totalEvents(),
-                       Reader.minGap(), Reader.maxGap(), BlockEvents,
-                       AlignBytes);
-  std::vector<BranchEvent> Chunk(BlockEvents ? BlockEvents
-                                             : TraceV2BlockEvents);
-  while (const size_t N = Reader.nextBatch(Chunk))
-    if (!Writer.append(std::span<const BranchEvent>(Chunk.data(), N)))
-      return 0;
-  if (Reader.truncated() || Reader.failed())
-    return 0;
-  if (!Writer.finish())
-    return 0;
-  if (Writer.eventsWritten() != Reader.totalEvents())
-    return 0;
-  if (Stats) {
-    Stats->Events = Writer.eventsWritten();
-    Stats->Blocks = Writer.blocksWritten();
-    Stats->EncodedBytes = Writer.encodedBytes();
-    Stats->PadBytes = Writer.padBytes();
-    Stats->CompressionVsV1 = Writer.compressionVsV1();
+TraceCursor::TraceCursor(std::shared_ptr<const MaterializedTrace> Trace)
+    : Trace(std::move(Trace)) {
+  assert(this->Trace && "cursor needs a trace");
+}
+
+void TraceCursor::reset() {
+  NextBlock = 0;
+  NextIndex = 0;
+  InstRet = 0;
+  Error.clear();
+  Staged.clear();
+  StagedPos = 0;
+  DroppedBelow = 0;
+}
+
+void TraceCursor::adviseAround(size_t B) {
+  const std::span<const MaterializedTrace::Block> Blocks = Trace->blocks();
+  // Read ahead: the next few blocks the cursor will decode.
+  const size_t AheadFirst = B + 1;
+  if (AheadFirst < Blocks.size()) {
+    const size_t AheadLast =
+        std::min(AheadFirst + PrefetchAheadBlocks, Blocks.size()) - 1;
+    Trace->advise(Blocks[AheadFirst].PayloadOffset - TraceV2FrameBytes,
+                  Blocks[AheadLast].PayloadOffset +
+                      Blocks[AheadLast].PayloadBytes,
+                  MADV_WILLNEED);
   }
-  return Writer.eventsWritten();
+  // Drop behind: pages fully below the retain window are done for this
+  // cursor.  DONTNEED rounds inward, so a page shared with the retained
+  // region survives; another cursor that still needs a dropped page just
+  // refaults it from the page cache or disk.
+  if (B > RetainBehindBlocks) {
+    const uint64_t KeepFrom =
+        Blocks[B - RetainBehindBlocks].PayloadOffset - TraceV2FrameBytes;
+    if (KeepFrom > DroppedBelow) {
+      Trace->advise(DroppedBelow, KeepFrom, MADV_DONTNEED);
+      DroppedBelow = KeepFrom;
+    }
+  }
+}
+
+bool TraceCursor::decodeBlock(size_t B, BranchEvent *Out) {
+  if (!Trace->decodeBlock(B, NextIndex, InstRet, Out, Error))
+    return false;
+  if (Trace->mapped())
+    adviseAround(B);
+  return true;
+}
+
+size_t TraceCursor::nextBatch(std::span<BranchEvent> Buffer) {
+  if (failed())
+    return 0;
+  const size_t NumBlocks = Trace->numBlocks();
+  size_t Filled = 0;
+  while (Filled < Buffer.size()) {
+    // Drain any partially-consumed staged block first.
+    if (StagedPos < Staged.size()) {
+      const size_t Take =
+          std::min(Buffer.size() - Filled, Staged.size() - StagedPos);
+      std::memcpy(Buffer.data() + Filled, Staged.data() + StagedPos,
+                  Take * sizeof(BranchEvent));
+      StagedPos += Take;
+      Filled += Take;
+      continue;
+    }
+    if (NextBlock >= NumBlocks)
+      break;
+    const uint32_t BlockN = Trace->blocks()[NextBlock].Events;
+    if (Buffer.size() - Filled >= BlockN) {
+      // The zero-copy fast path: decode the whole block straight into the
+      // caller's buffer (the common case when the driver's chunk size
+      // matches the block size).
+      if (!decodeBlock(NextBlock, Buffer.data() + Filled))
+        break;
+      Filled += BlockN;
+    } else {
+      Staged.resize(BlockN);
+      StagedPos = 0;
+      if (!decodeBlock(NextBlock, Staged.data())) {
+        Staged.clear();
+        break;
+      }
+    }
+    ++NextBlock;
+  }
+  return Filled;
 }

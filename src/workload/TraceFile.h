@@ -1,4 +1,4 @@
-//===- workload/TraceFile.h - Binary trace record/replay --------*- C++ -*-===//
+//===- workload/TraceFile.h - SCT2 trace record/replay ----------*- C++ -*-===//
 //
 // Part of the specctrl project (CGO 2005 reactive speculation reproduction).
 //
@@ -10,25 +10,21 @@
 /// replay it against any number of controller configurations without
 /// paying generation cost (or needing the workload's seeds at all).
 ///
-/// Two on-disk formats:
-///
-///  * "SCT1" (v1): a 24-byte header (magic, site count, event count,
-///    min/max gap) followed by one 32-bit word per event
-///    (site:24 | taken:1 | gap:7).
-///
-///  * "SCT2" (v2): the same header fields plus a block-events count,
-///    followed by independently-decodable blocks.  Each block frames up to
-///    BlockEvents events as {u32 event count, u32 payload bytes, u64
-///    XXH64 payload checksum, payload}; the payload stores one event as a
-///    zigzag-varint site delta (from the previous event in the block) plus
-///    a packed taken/gap byte.  Blocks feed the batched replay path
-///    directly (one checksum + decode per chunk), and a corrupted or
-///    truncated block is rejected whole: no event of a bad block is ever
-///    delivered to observers.
-///
+/// The on-disk format, "SCT2": a 28-byte header (magic, site count, event
+/// count, min/max gap, block-events count) followed by independently
+/// decodable blocks.  Each block frames up to BlockEvents events as
+/// {u32 event count, u32 payload bytes, u64 XXH64 payload checksum,
+/// payload}; the payload stores one event as a zigzag-varint site delta
+/// (from the previous event in the block) plus a packed taken/gap byte.
 /// Event index and cumulative instruction counts are reconstructed during
-/// replay, so a replayed stream is bit-identical to the recorded one in
-/// either format.
+/// replay, so a replayed stream is bit-identical to the recorded one.
+///
+/// Replay has one reader: a MaterializedTrace (the bytes plus one block
+/// index) and any number of TraceCursor event sources over it.  Bytes the
+/// writer produced in this process are trusted; bytes from anywhere else
+/// (a file, a mapping, a caller's buffer) are checksummed and decoded with
+/// the checked decoder the first time each block is read, so a corrupt
+/// block is rejected whole: no event of a bad block is ever delivered.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,25 +33,27 @@
 
 #include "workload/TraceGenerator.h"
 
+#include <atomic>
 #include <iosfwd>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace specctrl {
 namespace workload {
 
-/// Hard limits of the on-disk formats.
+/// Hard limits of the on-disk format.
 struct TraceFileLimits {
   static constexpr uint32_t MaxSite = (1u << 24) - 1;
   static constexpr uint32_t MaxGap = (1u << 7) - 1;
 };
 
-/// Default events per v2 block (matches the pipeline's chunk size so one
+/// Default events per block (matches the pipeline's chunk size so one
 /// block decode fills one arena buffer).
 inline constexpr uint32_t TraceV2BlockEvents = 4096;
 
-/// SCT2 fixed-layout sizes, shared by every component that walks the
-/// format directly (file reader, trace arena, mmap store, --stats).
+/// SCT2 fixed-layout sizes.
 /// Header: magic + sites + total events + min/max gap + block events.
 inline constexpr size_t TraceV2HeaderBytes = 4 + 4 + 8 + 4 + 4 + 4;
 /// Per-block frame: event count + payload bytes + XXH64 checksum.
@@ -65,57 +63,40 @@ inline constexpr size_t TraceV2FrameBytes = 4 + 4 + 8;
 /// and in-place decode never straddle an unrelated block's pages.
 inline constexpr uint32_t TraceV2AlignBytes = 4096;
 
-/// A v2 frame whose event count is zero is a *pad frame*: PayloadBytes of
-/// zeros carrying no events.  Writers emit pads to page-align block
-/// frames; every reader skips them.  Pre-alignment files never contain
-/// pads, so the extension is backward compatible.  A pad's checksum field
-/// holds TraceV2PadMagic and its payload must be all zeros -- both are
-/// verified on read, so a bit flip that zeroes a real block's event count
-/// (or corrupts a pad into a block) is still rejected, never skipped.
+/// A frame whose event count is zero is a *pad frame*: PayloadBytes of
+/// zeros carrying no events.  Writers emit at most one pad directly before
+/// a block frame to page-align it; packed files contain none.  A pad's
+/// checksum field holds TraceV2PadMagic (checked when the trace is
+/// indexed) and its payload must be all zeros (checked with the block that
+/// follows it), so a bit flip that zeroes a real block's event count, or
+/// corrupts a pad, is rejected, never skipped.
 inline constexpr uint32_t TraceV2MaxPadBytes = 1u << 20;
 /// "SCT2PAD\0", little-endian: the sentinel a pad frame stores where a
 /// block frame stores its XXH64 payload checksum.
 inline constexpr uint64_t TraceV2PadMagic = 0x0044415032544353ull;
 
-/// Drains \p Gen to \p OS in SCT1 format.  Returns the number of events
-/// written, or 0 on failure (an event exceeded the format limits or the
-/// stream went bad).
-uint64_t writeTrace(std::ostream &OS, TraceGenerator &Gen);
-
-/// Decodes one SCT2 block payload of \p EventCount events into \p Out
+/// Decodes one block payload of \p EventCount events into \p Out
 /// (capacity >= EventCount), reconstructing Index/InstRet from the running
 /// counters, which are committed only when the whole block decodes cleanly.
 /// Returns false on malformed encoding, out-of-range site, or trailing
-/// payload bytes -- the all-or-nothing block contract shared by
-/// TraceFileReader and the in-memory trace arena.
+/// payload bytes: the all-or-nothing block contract for untrusted bytes.
 bool decodeTraceBlockPayload(const uint8_t *Payload, size_t PayloadBytes,
                              uint32_t EventCount, uint32_t NumSites,
                              uint64_t &NextIndex, uint64_t &InstRet,
                              BranchEvent *Out);
 
 /// Validation-free variant of decodeTraceBlockPayload for payloads already
-/// proven well-formed (the arena/mmap replay paths: images come straight
-/// from TraceWriterV2 or were fully decoded+checksummed before the first
-/// trusted decode).  Same event reconstruction, no bounds or range checks,
-/// cannot fail; the payload size only delimits the encoded bytes and is
-/// never re-validated.  Implementation is the SWAR batch decoder: four
-/// events per 8-byte load on the 1-byte varint fast path, falling back to
-/// the scalar step per event when a wide site delta breaks the lane
-/// layout (the scalar loop remains available below as the benchmark
-/// baseline).
+/// proven well-formed (written in this process, or verified by the checked
+/// decoder on first touch).  Same event reconstruction, no bounds or range
+/// checks, cannot fail; the payload size only delimits the encoded bytes
+/// and is never re-validated.  Implementation is the SWAR batch decoder:
+/// four events per 8-byte load on the 1-byte varint fast path, falling
+/// back to a scalar step per event when a wide site delta breaks the lane
+/// layout.
 void decodeTraceBlockPayloadTrusted(const uint8_t *Payload,
                                     size_t PayloadBytes, uint32_t EventCount,
                                     uint64_t &NextIndex, uint64_t &InstRet,
                                     BranchEvent *Out);
-
-/// The pre-SWAR scalar trusted decoder (branchless 1/2-byte fast path, one
-/// event per iteration).  Bit-identical output to the SWAR decoder; kept
-/// as the `bench/trace_decode` baseline and as the portability fallback.
-void decodeTraceBlockPayloadTrustedScalar(const uint8_t *Payload,
-                                          size_t PayloadBytes,
-                                          uint32_t EventCount,
-                                          uint64_t &NextIndex,
-                                          uint64_t &InstRet, BranchEvent *Out);
 
 /// Streaming SCT2 writer: construct with the header facts, append event
 /// chunks (any chunking -- block framing is internal), then finish().
@@ -137,19 +118,6 @@ public:
   bool finish();
 
   uint64_t eventsWritten() const { return Written; }
-  /// Block bytes emitted so far (framing + payload, header excluded;
-  /// alignment pads are accounted separately in padBytes()).
-  uint64_t encodedBytes() const { return EncodedBytes; }
-  uint64_t blocksWritten() const { return Blocks; }
-  /// Alignment pad bytes emitted so far (frames + zero payloads).
-  uint64_t padBytes() const { return PadBytes; }
-  /// Compression achieved vs the 4 B/event v1 encoding, averaged over the
-  /// blocks written so far (e.g. 2.0 = half the bytes).
-  double compressionVsV1() const {
-    return EncodedBytes ? 4.0 * static_cast<double>(Written) /
-                              static_cast<double>(EncodedBytes)
-                        : 0.0;
-  }
 
 private:
   void flushBlock();
@@ -162,10 +130,7 @@ private:
   uint32_t BlockCount = 0;        ///< events in the current block
   uint32_t PrevSite = 0;          ///< delta base within the current block
   uint64_t Written = 0;
-  uint64_t EncodedBytes = 0;
-  uint64_t PadBytes = 0;
   uint64_t Offset = 0;            ///< stream bytes emitted (header included)
-  uint64_t Blocks = 0;
   bool Ok = true;
 };
 
@@ -176,77 +141,163 @@ uint64_t writeTraceV2(std::ostream &OS, TraceGenerator &Gen,
                       uint32_t BlockEvents = TraceV2BlockEvents,
                       uint32_t AlignBytes = 0);
 
-/// Streams a recorded trace (either format, auto-detected) back as
-/// BranchEvents.  The batched nextBatch path decodes v2 one whole
-/// (checksum-verified) block at a time.
-class TraceFileReader : public EventSource {
+/// One immutable SCT2 trace: its bytes, owned by either a vector or a
+/// read-only file mapping, one structural block index built when the trace
+/// is opened, and one verified bit per block.  Shared (shared_ptr) by any
+/// number of TraceCursors, in any number of threads.
+///
+/// Blocks written by record() start verified and always replay through the
+/// SWAR decoder.  Blocks of fromBytes()/mapFile() traces start unverified:
+/// the first read of each checksums it and decodes it with the checked
+/// decoder, and only then flips its bit.  Opening never reads a payload,
+/// so a truncated or misframed trace is rejected at open while a corrupt
+/// payload is rejected when its block is first read.
+class MaterializedTrace {
 public:
-  /// Binds to \p IS and parses the header; valid() reports success.
-  explicit TraceFileReader(std::istream &IS);
+  /// One data block of the index (pad frames are not indexed).
+  struct Block {
+    uint64_t PayloadOffset = 0; ///< payload start within the bytes
+    uint32_t PayloadBytes = 0;  ///< encoded payload size
+    uint32_t Events = 0;        ///< events in this block
+    uint32_t PadBytes = 0;      ///< zero payload of the pad frame before it
+  };
 
-  bool valid() const { return Valid; }
-  /// Format version (1 or 2); meaningful when valid().
-  unsigned version() const { return Version; }
+  /// Encodes the rest of \p Gen's stream straight into the trace's own
+  /// buffer (trusted: every block starts verified).  Returns nullptr when
+  /// an event exceeds the format limits.
+  static std::shared_ptr<const MaterializedTrace>
+  record(TraceGenerator &Gen, uint32_t BlockEvents = TraceV2BlockEvents);
+
+  /// Adopts a caller's SCT2 bytes (untrusted).  Returns nullptr on a bad
+  /// header or a truncated or misframed trace, with the reason in
+  /// \p Error when non-null.
+  static std::shared_ptr<const MaterializedTrace>
+  fromBytes(std::vector<uint8_t> Bytes, std::string *Error = nullptr);
+
+  /// Maps the SCT2 file at \p Path read-only (untrusted).  Returns nullptr
+  /// when the file cannot be mapped or indexed, with a reason naming the
+  /// path in \p Error when non-null.
+  static std::shared_ptr<const MaterializedTrace>
+  mapFile(const std::string &Path, std::string *Error = nullptr);
+
+  ~MaterializedTrace();
+  MaterializedTrace(const MaterializedTrace &) = delete;
+  MaterializedTrace &operator=(const MaterializedTrace &) = delete;
+
   uint32_t numSites() const { return NumSites; }
   uint64_t totalEvents() const { return TotalEvents; }
   uint32_t minGap() const { return MinGap; }
   uint32_t maxGap() const { return MaxGap; }
+  /// Trace size in bytes (header + blocks + pads).
+  size_t bytes() const { return Len; }
+  const uint8_t *data() const { return Base; }
+  /// True when the bytes are a file mapping (replay advises the kernel).
+  bool mapped() const { return Mapped; }
+  std::span<const Block> blocks() const { return Blocks; }
+  size_t numBlocks() const { return Blocks.size(); }
+  /// Block framing + payload bytes; bytes() minus this minus the header
+  /// is pure alignment padding.
+  uint64_t encodedBlockBytes() const { return EncodedBlockBytes; }
+  /// Compression achieved vs a flat 4 B/event encoding.
+  double compressionVsV1() const;
 
-  /// Produces the next event; false at end or on any error (which
-  /// truncated()/failed() then distinguish).
-  bool next(BranchEvent &Event) override;
-
-  /// Bulk decode into \p Buffer; same stream as repeated next().
-  size_t nextBatch(std::span<BranchEvent> Buffer) override;
-
-  /// True if the stream ended before totalEvents() were read.
-  bool truncated() const { return Truncated; }
-  /// True if the trace payload was rejected (checksum mismatch, bad
-  /// encoding, out-of-range site).  error() carries the message.
-  bool failed() const { return !Error.empty(); }
-  const std::string &error() const { return Error; }
+  /// True once every block has been verified in this process.
+  bool fullyVerified() const;
+  /// Verifies every not-yet-verified block up front (resident cost: one
+  /// block buffer; a mapping's pages are dropped as the scan advances).
+  /// Returns false on the first rejected block.
+  bool verifyAllBlocks() const;
 
 private:
-  bool refillBlock();
-  void fail(const std::string &Message);
+  friend class TraceCursor;
 
-  std::istream &IS;
-  bool Valid = false;
-  bool Truncated = false;
-  unsigned Version = 1;
-  std::string Error;
+  MaterializedTrace() = default;
+
+  /// The one SCT2 frame walk: parses the header at Base and indexes every
+  /// block.  Returns false (reason in \p Error) on any structural problem.
+  bool index(std::string &Error);
+
+  /// Decodes block \p B into \p Out (capacity >= its event count),
+  /// advancing the Index/InstRet reconstruction counters.  An unverified
+  /// block is checksummed and decoded with the checked decoder first;
+  /// on rejection nothing is committed and the reason goes to \p Error.
+  bool decodeBlock(size_t B, uint64_t &NextIndex, uint64_t &InstRet,
+                   BranchEvent *Out, std::string &Error) const;
+
+  /// madvise over bytes [Begin, End) of a mapping, rounded out to pages
+  /// for WILLNEED and in for DONTNEED; a no-op for vector-owned bytes.
+  void advise(uint64_t Begin, uint64_t End, int Advice) const;
+
+  bool isVerified(size_t B) const {
+    return Verified[B >> 3].load(std::memory_order_acquire) &
+           (1u << (B & 7));
+  }
+  void setVerified(size_t B) const {
+    Verified[B >> 3].fetch_or(static_cast<uint8_t>(1u << (B & 7)),
+                              std::memory_order_release);
+  }
+
+  std::vector<uint8_t> Owned; ///< the bytes, unless they are mapped
+  const uint8_t *Base = nullptr;
+  size_t Len = 0;
+  bool Mapped = false;
+  std::vector<Block> Blocks;
+  /// One bit per block.  Mutable state of an immutable trace: bits only
+  /// ever go unverified -> verified, and a redundant re-verification by a
+  /// racing cursor is harmless.
+  std::unique_ptr<std::atomic<uint8_t>[]> Verified;
   uint32_t NumSites = 0;
   uint64_t TotalEvents = 0;
   uint32_t MinGap = 0;
   uint32_t MaxGap = 0;
-  uint32_t BlockEvents = 0; ///< v2 only: max events per block
+  uint64_t EncodedBlockBytes = 0;
+  long PageSize = 4096;
+};
+
+/// The replay cursor: an EventSource over one MaterializedTrace whose
+/// stream is bit-identical to the recorded one.  Cursors are independent
+/// (each holds only its own decode position); whole blocks decode straight
+/// into the caller's batch buffer whenever it has room for them.  On a
+/// rejected block the cursor fails: failed()/error() report it and no
+/// event of that block is delivered.  Over a mapping the cursor also keeps
+/// the resident set bounded at any trace length: it advises WILLNEED a few
+/// blocks ahead and DONTNEED the pages it has passed.
+class TraceCursor final : public EventSource {
+public:
+  explicit TraceCursor(std::shared_ptr<const MaterializedTrace> Trace);
+
+  size_t nextBatch(std::span<BranchEvent> Buffer) override;
+
+  /// Restarts the stream from the beginning (clears any failure).
+  void reset();
+
+  bool failed() const { return !Error.empty(); }
+  const std::string &error() const { return Error; }
+  const MaterializedTrace &trace() const { return *Trace; }
+
+  /// Blocks of WILLNEED read-ahead issued ahead of the cursor.
+  static constexpr size_t PrefetchAheadBlocks = 8;
+  /// Blocks kept mapped behind the cursor before DONTNEED drops them.
+  static constexpr size_t RetainBehindBlocks = 2;
+
+private:
+  /// Decodes block \p B into \p Out, failing the cursor on rejection.
+  bool decodeBlock(size_t B, BranchEvent *Out);
+  /// Issues the madvise window around the cursor at block \p B.
+  void adviseAround(size_t B);
+
+  std::shared_ptr<const MaterializedTrace> Trace;
+  size_t NextBlock = 0;
   uint64_t NextIndex = 0;
   uint64_t InstRet = 0;
-  // v2 staging: the current verified, decoded block.
-  std::vector<BranchEvent> Block;
-  size_t BlockPos = 0;
-  std::vector<uint8_t> Payload; ///< reused block read buffer
+  std::string Error;
+  /// Partial-consumption staging: filled when the caller's buffer cannot
+  /// hold the next whole block.
+  std::vector<BranchEvent> Staged;
+  size_t StagedPos = 0;
+  /// High-water mark of pages already dropped behind the cursor.
+  uint64_t DroppedBelow = 0;
 };
-
-/// Encoding accounting of one migration (optional out-param).
-struct TraceMigrateStats {
-  uint64_t Events = 0;       ///< events rewritten
-  uint64_t Blocks = 0;       ///< v2 blocks emitted
-  uint64_t EncodedBytes = 0; ///< block bytes (framing + payload)
-  uint64_t PadBytes = 0;     ///< alignment pad bytes (aligned layout only)
-  /// Compression vs the 4 B/event v1 encoding (per-block average).
-  double CompressionVsV1 = 0.0;
-};
-
-/// Reads a trace in either format from \p In and rewrites it as SCT2 to
-/// \p Out.  Returns events migrated, or 0 on failure (invalid, truncated,
-/// or corrupt input; write error).  \p Stats, when non-null, receives the
-/// encoding accounting of a successful migration.  Nonzero \p AlignBytes
-/// emits the pad-framed mmap-friendly layout.
-uint64_t migrateTrace(std::istream &In, std::ostream &Out,
-                      uint32_t BlockEvents = TraceV2BlockEvents,
-                      TraceMigrateStats *Stats = nullptr,
-                      uint32_t AlignBytes = 0);
 
 } // namespace workload
 } // namespace specctrl

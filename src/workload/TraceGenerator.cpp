@@ -68,43 +68,6 @@ void TraceGenerator::reset() {
   InstRet = 0;
 }
 
-bool TraceGenerator::next(BranchEvent &Event) {
-  if (NextIndex >= Input.Events)
-    return false;
-
-  unsigned Phase =
-      static_cast<unsigned>(NextIndex / EventsPerPhase);
-  if (Phase >= Spec.NumPhases)
-    Phase = Spec.NumPhases - 1; // remainder events stay in the last phase
-
-  const uint32_t Pick = PhaseTables[Phase].sample(R);
-  const SiteId Site = PhaseSites[Phase][Pick];
-  const SiteSpec &SS = Spec.Sites[Site];
-
-  const uint64_t Exec = ExecCounts[Site]++;
-  const bool GroupOn =
-      SS.Behavior.Kind == BehaviorKind::PhaseGroup
-          ? Spec.groupOnInPhase(SS.Behavior.GroupId, Phase)
-          : true;
-  const bool InputFlip = SS.Behavior.Kind == BehaviorKind::InputDependent &&
-                         Input.parameterBit(Site);
-  const bool Taken =
-      drawOutcome(SS.Behavior, Exec, GroupOn, InputFlip, States[Site], R);
-
-  const uint32_t Gap =
-      Spec.MinGap == Spec.MaxGap
-          ? Spec.MinGap
-          : static_cast<uint32_t>(R.nextInRange(Spec.MinGap, Spec.MaxGap));
-  InstRet += Gap + 1;
-
-  Event.Site = Site;
-  Event.Taken = Taken;
-  Event.Gap = Gap;
-  Event.Index = NextIndex++;
-  Event.InstRet = InstRet;
-  return true;
-}
-
 size_t TraceGenerator::nextBatch(std::span<BranchEvent> Buffer) {
   size_t Filled = 0;
   while (Filled < Buffer.size() && NextIndex < Input.Events) {
@@ -113,9 +76,8 @@ size_t TraceGenerator::nextBatch(std::span<BranchEvent> Buffer) {
       Phase = Spec.NumPhases - 1; // remainder events stay in the last phase
 
     // The run up to the next phase boundary draws from one alias table, so
-    // the phase lookup is hoisted out of the per-event loop.  RNG call
-    // order inside the loop matches next() exactly; the streams are
-    // identical event for event.
+    // the phase lookup is hoisted out of the per-event loop.  RNG calls
+    // happen in event order, so any chunking yields the same stream.
     uint64_t Boundary =
         Phase + 1 >= Spec.NumPhases
             ? Input.Events

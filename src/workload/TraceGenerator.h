@@ -30,11 +30,8 @@ class TraceGenerator : public EventSource {
 public:
   TraceGenerator(const WorkloadSpec &Spec, const InputConfig &In);
 
-  /// Produces the next event.  Returns false when the run is complete.
-  bool next(BranchEvent &Event) override;
-
   /// Fills \p Buffer in one tight pass (phase lookup hoisted out of the
-  /// per-event loop); the emitted stream is identical to repeated next().
+  /// per-event loop); the stream does not depend on the chunking.
   size_t nextBatch(std::span<BranchEvent> Buffer) override;
 
   /// Restarts the run from the beginning (identical stream).

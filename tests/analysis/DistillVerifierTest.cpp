@@ -95,7 +95,7 @@ TEST(DistillVerifierTest, AcceptsRealDistillation) {
   EXPECT_LT(DR.DistilledSize, DR.OriginalSize);
 
   const VerifyResult VR = verifyDistillation(Original, Request, DR.Distilled);
-  EXPECT_TRUE(VR.ok()) << formatDiagnostics(VR, "region");
+  EXPECT_TRUE(VR.ok()) << formatDiagnostics(VR);
 }
 
 TEST(DistillVerifierTest, AcceptsEmptyRequestCleanup) {
@@ -103,7 +103,7 @@ TEST(DistillVerifierTest, AcceptsEmptyRequestCleanup) {
   const DistillRequest Request;
   const DistillResult DR = distillFunction(Original, Request);
   const VerifyResult VR = verifyDistillation(Original, Request, DR.Distilled);
-  EXPECT_TRUE(VR.ok()) << formatDiagnostics(VR, "region");
+  EXPECT_TRUE(VR.ok()) << formatDiagnostics(VR);
 }
 
 TEST(DistillVerifierTest, FlagsWidenedStore) {
@@ -126,7 +126,7 @@ TEST(DistillVerifierTest, FlagsWidenedStore) {
   ASSERT_FALSE(VR.ok());
   EXPECT_TRUE(hasKind(VR, CheckKind::StoreWiden));
   // The diagnostic names the offending address.
-  EXPECT_NE(formatDiagnostics(VR, "region").find("999"), std::string::npos);
+  EXPECT_NE(formatDiagnostics(VR).find("999"), std::string::npos);
 }
 
 TEST(DistillVerifierTest, FlagsDroppedSpeculatedPathStore) {
@@ -151,7 +151,7 @@ TEST(DistillVerifierTest, FlagsDroppedSpeculatedPathStore) {
   const VerifyResult VR = verifyDistillation(Original, Request, Distilled);
   ASSERT_FALSE(VR.ok());
   EXPECT_TRUE(hasKind(VR, CheckKind::LiveOutDrop));
-  EXPECT_NE(formatDiagnostics(VR, "region").find("400"), std::string::npos);
+  EXPECT_NE(formatDiagnostics(VR).find("400"), std::string::npos);
 }
 
 TEST(DistillVerifierTest, FlagsBranchRemovedWithoutAssertion) {
@@ -207,7 +207,7 @@ TEST(DistillVerifierTest, FlagsStaleAssertionAndBadValueTarget) {
   const VerifyResult VR = verifyDistillation(Original, Request, Distilled);
   ASSERT_EQ(VR.Diags.size(), 2u);
   EXPECT_TRUE(hasKind(VR, CheckKind::SiteSpeculation));
-  const std::string Text = formatDiagnostics(VR, "region");
+  const std::string Text = formatDiagnostics(VR);
   EXPECT_NE(Text.find("999"), std::string::npos);
   EXPECT_NE(Text.find("not target a load"), std::string::npos);
 }
@@ -222,7 +222,7 @@ TEST(DistillVerifierTest, AcceptsValueSpeculatedDistillation) {
   EXPECT_GT(DR.SpeculatedLoads, 0u);
 
   const VerifyResult VR = verifyDistillation(Original, Request, DR.Distilled);
-  EXPECT_TRUE(VR.ok()) << formatDiagnostics(VR, "region");
+  EXPECT_TRUE(VR.ok()) << formatDiagnostics(VR);
 }
 
 TEST(DistillVerifierTest, DiagnosticFormatIsStable) {
@@ -233,7 +233,8 @@ TEST(DistillVerifierTest, DiagnosticFormatIsStable) {
   D.Index = 1;
   D.InDistilled = true;
   D.Message = "boom";
-  EXPECT_EQ(formatDiagnostic(D, "fn"),
+  D.Function = "fn";
+  EXPECT_EQ(formatDiagnostic(D),
             "fn: [store-widen] site 42 @ distilled:3/1: boom");
 }
 
@@ -273,7 +274,7 @@ TEST(DistillVerifierSuiteTest, SeedSuiteDistillationsVerifyClean) {
       const VerifyResult VR =
           verifyDistillation(Original, Request, DR.Distilled);
       EXPECT_TRUE(VR.ok()) << Profile.Name << ": "
-                           << formatDiagnostics(VR, Original.name());
+                           << formatDiagnostics(VR);
     }
   }
 }

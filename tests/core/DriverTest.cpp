@@ -3,7 +3,6 @@
 #include "core/Driver.h"
 
 #include "core/ReactiveController.h"
-#include "support/RunConfig.h"
 #include "workload/TraceFile.h"
 #include "workload/TraceGenerator.h"
 
@@ -12,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
@@ -161,10 +161,11 @@ TEST(DriverTest, RunTraceFileMatchesGeneratorViaBothTiers) {
   const std::string Path =
       (std::filesystem::temp_directory_path() / "drv_runtracefile.sct2")
           .string();
+  std::ostringstream Bytes;
   {
-    std::ofstream Out(Path, std::ios::binary);
     TraceGenerator Gen(Spec, Spec.refInput());
-    ASSERT_GT(writeTraceV2(Out, Gen), 0u);
+    ASSERT_GT(writeTraceV2(Bytes, Gen), 0u);
+    std::ofstream(Path, std::ios::binary) << Bytes.str();
   }
 
   ReactiveConfig Cfg;
@@ -173,20 +174,29 @@ TEST(DriverTest, RunTraceFileMatchesGeneratorViaBothTiers) {
   ReactiveController Reference(Cfg);
   const ControlStats Want = runWorkload(Reference, Spec, Spec.refInput());
 
-  // Zero-copy mmap tier (the default) and the stream-reader fallback must
-  // both reproduce the generator's stats exactly.
-  const RunConfig Saved = RunConfig::global();
-  for (const bool Mmap : {true, false}) {
-    RunConfig Override = Saved;
-    Override.TraceMmap = Mmap;
-    RunConfig::setGlobal(Override);
+  // The mapped tier (runTraceFile) and a resident copy of the same bytes
+  // must both reproduce the generator's stats exactly.
+  {
     ReactiveController C(Cfg);
-    EXPECT_EQ(runTraceFile(C, Path), Want) << "mmap=" << Mmap;
+    EXPECT_EQ(runTraceFile(C, Path), Want) << "mapped";
   }
-  RunConfig::setGlobal(Saved);
+  {
+    const std::string Image = Bytes.str();
+    TraceCursor Cursor(
+        MaterializedTrace::fromBytes({Image.begin(), Image.end()}));
+    ReactiveController C(Cfg);
+    EXPECT_EQ(runTrace(C, Cursor), Want) << "resident";
+  }
 
+  // A path that cannot be mapped is an error that names the path.
   ReactiveController C(Cfg);
-  EXPECT_THROW(runTraceFile(C, Path + ".does-not-exist"),
-               std::runtime_error);
+  const std::string Missing = Path + ".does-not-exist";
+  try {
+    runTraceFile(C, Missing);
+    ADD_FAILURE() << "runTraceFile accepted a missing file";
+  } catch (const std::runtime_error &E) {
+    EXPECT_NE(std::string(E.what()).find(Missing), std::string::npos)
+        << E.what();
+  }
   std::remove(Path.c_str());
 }

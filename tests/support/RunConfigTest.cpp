@@ -1,8 +1,7 @@
 //===- tests/support/RunConfigTest.cpp ------------------------------------===//
 //
-// The typed run configuration: canonical environment names, the
-// deprecated aliases (honored only when the canonical name is unset,
-// with a one-line note), and the numeric and default-on knobs.
+// The typed run configuration: the environment names, the numeric and
+// default-on knobs, and the one-line note for each removed variable.
 //
 //===----------------------------------------------------------------------===//
 
@@ -85,32 +84,20 @@ TEST(RunConfig, ZeroAndEmptyMeanOff) {
   EXPECT_FALSE(Cfg.ArenaVerbose);
 }
 
-TEST(RunConfig, DeprecatedAliasesWorkWithWarning) {
+TEST(RunConfig, RemovedVariablesAreReportedNotRead) {
   ScopedEnv Env;
   Env.set("SPECCTRL_VERIFY_DISTILL", "1");
   Env.set("SPECCTRL_ARENA_DEBUG", "1");
+  Env.set("SPECCTRL_TRACE_MMAP", "0");
   std::string Warnings;
   const RunConfig Cfg = RunConfig::fromEnv(&Warnings);
-  EXPECT_TRUE(Cfg.VerifyDistill);
-  EXPECT_TRUE(Cfg.ArenaVerbose);
-  EXPECT_NE(Warnings.find("SPECCTRL_VERIFY_DISTILL is deprecated"),
-            std::string::npos)
-      << Warnings;
-  EXPECT_NE(Warnings.find("SPECCTRL_ARENA_DEBUG is deprecated"),
-            std::string::npos)
-      << Warnings;
-}
-
-TEST(RunConfig, CanonicalNameWinsOverAlias) {
-  ScopedEnv Env;
-  Env.set("SPECCTRL_VERIFY", "0");
-  Env.set("SPECCTRL_VERIFY_DISTILL", "1");
-  std::string Warnings;
-  const RunConfig Cfg = RunConfig::fromEnv(&Warnings);
-  EXPECT_FALSE(Cfg.VerifyDistill)
-      << "a set canonical name must shadow the alias entirely";
-  EXPECT_TRUE(Warnings.empty())
-      << "no deprecation note when the alias is shadowed: " << Warnings;
+  EXPECT_FALSE(Cfg.VerifyDistill) << "only SPECCTRL_VERIFY enables it";
+  EXPECT_FALSE(Cfg.ArenaVerbose) << "only SPECCTRL_ARENA_VERBOSE enables it";
+  for (const char *Removed : {"SPECCTRL_VERIFY_DISTILL", "SPECCTRL_ARENA_DEBUG",
+                              "SPECCTRL_TRACE_MMAP"})
+    EXPECT_NE(Warnings.find(std::string(Removed) + " is no longer read"),
+              std::string::npos)
+        << Warnings;
 }
 
 TEST(RunConfig, ServeKnobsDefaultAndParse) {
@@ -143,17 +130,6 @@ TEST(RunConfig, ServeKnobsRejectMalformedValuesWithWarning) {
   EXPECT_NE(Warnings.find("SPECCTRL_SERVE_RING_EVENTS=lots"),
             std::string::npos)
       << Warnings;
-}
-
-TEST(RunConfig, TraceMmapDefaultsOnAndZeroDisables) {
-  ScopedEnv Env;
-  EXPECT_TRUE(RunConfig::fromEnv().TraceMmap) << "mmap tier defaults on";
-  Env.set("SPECCTRL_TRACE_MMAP", "0");
-  EXPECT_FALSE(RunConfig::fromEnv().TraceMmap);
-  Env.set("SPECCTRL_TRACE_MMAP", "1");
-  EXPECT_TRUE(RunConfig::fromEnv().TraceMmap);
-  Env.set("SPECCTRL_TRACE_MMAP", "");
-  EXPECT_FALSE(RunConfig::fromEnv().TraceMmap) << "explicit empty means off";
 }
 
 TEST(RunConfig, VerifySpecLeakDefaultsOnAndZeroOptsOut) {

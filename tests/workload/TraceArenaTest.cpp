@@ -1,12 +1,11 @@
 //===- tests/workload/TraceArenaTest.cpp ----------------------------------===//
 //
-// The trace arena's contract: an ArenaReplaySource streams events
-// bit-identical to the TraceGenerator for the same (spec, input) -- Index
-// and InstRet included -- at any consumer chunk size; a key materializes
-// exactly once no matter how many cursors open it; the disk tier
-// round-trips through ordinary v2 trace files and regenerates on
-// corruption; and traces beyond the SCT2 encoding limits fall back to a
-// private generator transparently.
+// The trace arena's contract: a key materializes exactly once no matter
+// how many cursors open it, and cursors are independent; the disk tier
+// round-trips through mapped SCT2 files and regenerates on corruption;
+// and traces beyond the SCT2 encoding limits fall back to a private
+// generator transparently.  Stream identity over every cursor source is
+// TraceReplayTest's.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,11 +31,6 @@ namespace {
 /// Small enough that the 12-benchmark x 2-input sweep runs in seconds,
 /// large enough for multi-block traces (see BatchEquivalenceTest).
 constexpr SuiteScale TestScale{3.0e3, 0.1};
-
-/// The consumer chunk sizes under test: the pipeline default (= the
-/// arena's block size, the zero-copy path) and an odd size that never
-/// divides a block (the staging path).
-constexpr size_t TestBatches[] = {DefaultBatchEvents, 257};
 
 /// Drains \p Source in chunks of \p Batch and compares every event --
 /// all fields -- against a fresh generator stream for (Spec, Input).
@@ -94,30 +88,6 @@ std::filesystem::path cachedFile(const TempDir &Dir) {
 
 } // namespace
 
-TEST(TraceArenaTest, ReplayMatchesGeneratorAcrossSuiteAndChunkSizes) {
-  TraceArena Arena;
-  for (const BenchmarkProfile &P : suiteProfiles()) {
-    const WorkloadSpec Spec = makeBenchmark(P, TestScale);
-    for (const InputConfig &Input : {Spec.refInput(), Spec.trainInput()})
-      for (const size_t Batch : TestBatches) {
-        const std::unique_ptr<EventSource> Source = Arena.open(Spec, Input);
-        expectStreamIdentity(*Source, Spec, Input, Batch);
-      }
-  }
-  // Every open above replayed the arena (no fallbacks), and each of the
-  // 12 x 2 (spec, input) keys materialized exactly once despite four
-  // opens apiece.
-  const TraceArenaStats S = Arena.stats();
-  EXPECT_EQ(S.Materializations, 24u);
-  EXPECT_EQ(S.CursorOpens, 48u);
-  EXPECT_EQ(S.Fallbacks, 0u);
-  EXPECT_EQ(S.DiskLoads, 0u);
-  EXPECT_EQ(S.DiskStores, 0u);
-  EXPECT_GT(S.ResidentEvents, 0u);
-  // The SCT2 encoding must actually compress vs the 4 B/event v1 format.
-  EXPECT_LT(S.ResidentBytes, 4 * S.ResidentEvents);
-}
-
 TEST(TraceArenaTest, PerEventNextMatchesGenerator) {
   const WorkloadSpec Spec = makeBenchmark("gzip", TestScale);
   const InputConfig Input = Spec.refInput();
@@ -142,7 +112,7 @@ TEST(TraceArenaTest, CursorResetRestartsTheStream) {
   const std::shared_ptr<const MaterializedTrace> Trace =
       Arena.materialize(Spec, Input);
   ASSERT_TRUE(Trace);
-  ArenaReplaySource Source(Trace);
+  TraceCursor Source(Trace);
 
   // Consume a ragged prefix, then reset: the stream must restart from
   // event zero with Index/InstRet reconstruction rewound too.
@@ -195,8 +165,8 @@ TEST(TraceArenaTest, DiskTierRoundTripsAcrossArenaInstances) {
   TempDir Dir;
 
   {
-    // Cold: the mmap tier stream-generates a page-aligned cache file and
-    // serves it zero-copy -- nothing is materialized resident.
+    // Cold: the disk tier stream-generates a page-aligned cache file and
+    // serves it mapped -- nothing is materialized resident.
     TraceArena::Config Cfg;
     Cfg.CacheDir = Dir.str();
     TraceArena Cold(std::move(Cfg));
@@ -221,85 +191,7 @@ TEST(TraceArenaTest, DiskTierRoundTripsAcrossArenaInstances) {
   EXPECT_EQ(S.MmapLoads, 1u);
   EXPECT_EQ(S.MmapStores, 0u);
   EXPECT_EQ(S.Materializations, 0u);
-  EXPECT_EQ(S.DiskLoads, 0u);
   EXPECT_EQ(S.ResidentBytes, 0u);
-}
-
-TEST(TraceArenaTest, DiskTierResidentPathStillWorksWithMmapOff) {
-  const WorkloadSpec Spec = makeBenchmark("gzip", TestScale);
-  const InputConfig Input = Spec.refInput();
-  TempDir Dir;
-
-  {
-    TraceArena::Config Cfg;
-    Cfg.CacheDir = Dir.str();
-    Cfg.UseMmap = false;
-    TraceArena Cold(std::move(Cfg));
-    const std::unique_ptr<EventSource> Source = Cold.open(Spec, Input);
-    expectStreamIdentity(*Source, Spec, Input, DefaultBatchEvents);
-    const TraceArenaStats S = Cold.stats();
-    EXPECT_EQ(S.Materializations, 1u);
-    EXPECT_EQ(S.DiskStores, 1u);
-    EXPECT_EQ(S.DiskLoads, 0u);
-    EXPECT_EQ(S.MmapStores, 0u);
-  }
-
-  TraceArena::Config Cfg;
-  Cfg.CacheDir = Dir.str();
-  Cfg.UseMmap = false;
-  TraceArena Warm(std::move(Cfg));
-  const std::unique_ptr<EventSource> Source = Warm.open(Spec, Input);
-  expectStreamIdentity(*Source, Spec, Input, DefaultBatchEvents);
-  const TraceArenaStats S = Warm.stats();
-  EXPECT_EQ(S.Materializations, 0u);
-  EXPECT_EQ(S.DiskLoads, 1u);
-  EXPECT_EQ(S.DiskStores, 0u);
-  EXPECT_EQ(S.MmapLoads, 0u);
-}
-
-TEST(TraceArenaTest, MmapTierReadsResidentTierFilesAndViceVersa) {
-  // The two tiers share one cache file per key: a packed file written by
-  // the resident path must serve zero-copy, and an aligned file written by
-  // the mmap path must load resident -- both bit-identical.
-  const WorkloadSpec Spec = makeBenchmark("gzip", TestScale);
-  const InputConfig Input = Spec.refInput();
-  TempDir Dir;
-
-  { // resident writes packed ...
-    TraceArena::Config Cfg;
-    Cfg.CacheDir = Dir.str();
-    Cfg.UseMmap = false;
-    TraceArena A(std::move(Cfg));
-    (void)A.materialize(Spec, Input);
-    EXPECT_EQ(A.stats().DiskStores, 1u);
-  }
-  { // ... mmap maps it
-    TraceArena::Config Cfg;
-    Cfg.CacheDir = Dir.str();
-    TraceArena B(std::move(Cfg));
-    const std::unique_ptr<EventSource> Source = B.open(Spec, Input);
-    expectStreamIdentity(*Source, Spec, Input, 257);
-    EXPECT_EQ(B.stats().MmapLoads, 1u);
-  }
-
-  TempDir Dir2;
-  { // mmap writes aligned ...
-    TraceArena::Config Cfg;
-    Cfg.CacheDir = Dir2.str();
-    TraceArena C(std::move(Cfg));
-    const std::unique_ptr<EventSource> Source = C.open(Spec, Input);
-    expectStreamIdentity(*Source, Spec, Input, DefaultBatchEvents);
-    EXPECT_EQ(C.stats().MmapStores, 1u);
-  }
-  { // ... resident loads it (pad frames skipped)
-    TraceArena::Config Cfg;
-    Cfg.CacheDir = Dir2.str();
-    Cfg.UseMmap = false;
-    TraceArena D(std::move(Cfg));
-    const std::unique_ptr<EventSource> Source = D.open(Spec, Input);
-    expectStreamIdentity(*Source, Spec, Input, DefaultBatchEvents);
-    EXPECT_EQ(D.stats().DiskLoads, 1u);
-  }
 }
 
 TEST(TraceArenaTest, CorruptCacheFileIsRegeneratedNotServed) {
@@ -314,11 +206,10 @@ TEST(TraceArenaTest, CorruptCacheFileIsRegeneratedNotServed) {
     (void)Cold.materialize(Spec, Input);
   }
 
-  // Flip one payload byte in the cached file: every block is
-  // checksum-verified before a stream is served (the mmap tier verifies
-  // the whole mapping up front), so the corruption must be detected and
-  // the trace regenerated (and re-stored), never replayed -- and never
-  // allowed to fail mid-replay.
+  // Flip one payload byte in the cached file: the whole mapped file is
+  // verified before a stream is served, so the corruption must be
+  // detected and the trace regenerated (and re-stored), never replayed --
+  // and never allowed to fail mid-replay.
   const std::filesystem::path Cached = cachedFile(Dir);
   {
     std::fstream F(Cached, std::ios::in | std::ios::out | std::ios::binary);
@@ -328,39 +219,15 @@ TEST(TraceArenaTest, CorruptCacheFileIsRegeneratedNotServed) {
     F.write(&Flip, 1);
   }
 
-  {
-    // Mmap tier: the mapped file fails verification, is rewritten
-    // page-aligned, and the fresh mapping serves the pristine stream.
-    TraceArena::Config Cfg;
-    Cfg.CacheDir = Dir.str();
-    TraceArena Arena(std::move(Cfg));
-    const std::unique_ptr<EventSource> Source = Arena.open(Spec, Input);
-    expectStreamIdentity(*Source, Spec, Input, DefaultBatchEvents);
-    const TraceArenaStats S = Arena.stats();
-    EXPECT_EQ(S.MmapLoads, 0u);
-    EXPECT_EQ(S.MmapStores, 1u); // the bad file was replaced
-    EXPECT_EQ(S.DiskLoads, 0u);
-    EXPECT_EQ(S.Materializations, 0u);
-  }
-
-  // Corrupt it again and take the resident path: same guarantee.
-  {
-    std::fstream F(Cached, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(F.is_open());
-    F.seekp(-1, std::ios::end);
-    const char Flip = static_cast<char>(F.peek() ^ 0x40);
-    F.write(&Flip, 1);
-  }
   TraceArena::Config Cfg;
   Cfg.CacheDir = Dir.str();
-  Cfg.UseMmap = false;
   TraceArena Arena(std::move(Cfg));
   const std::unique_ptr<EventSource> Source = Arena.open(Spec, Input);
   expectStreamIdentity(*Source, Spec, Input, DefaultBatchEvents);
   const TraceArenaStats S = Arena.stats();
-  EXPECT_EQ(S.DiskLoads, 0u);
-  EXPECT_EQ(S.Materializations, 1u);
-  EXPECT_EQ(S.DiskStores, 1u); // the bad file was replaced
+  EXPECT_EQ(S.MmapLoads, 0u);
+  EXPECT_EQ(S.MmapStores, 1u); // the bad file was replaced
+  EXPECT_EQ(S.Materializations, 0u);
 }
 
 TEST(TraceArenaTest, UnencodableTraceFallsBackToGenerator) {
@@ -401,6 +268,6 @@ TEST(TraceArenaTest, MaterializedTraceReportsCompression) {
   EXPECT_EQ(Trace->totalEvents(), Spec.RefEvents);
   EXPECT_EQ(Trace->numSites(), Spec.numSites());
   EXPECT_GT(Trace->numBlocks(), 1u);
-  // ~2 B/event vs v1's fixed 4 B/event.
+  // ~2 B/event vs a flat 4 B/event encoding.
   EXPECT_GT(Trace->compressionVsV1(), 1.5);
 }

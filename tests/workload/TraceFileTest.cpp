@@ -1,4 +1,9 @@
 //===- tests/workload/TraceFileTest.cpp -----------------------------------===//
+//
+// SCT2 recording and replay of caller-owned bytes: round trips, the
+// header facts, and rejection of garbage, truncation, and corruption.
+//
+//===----------------------------------------------------------------------===//
 
 #include "workload/TraceFile.h"
 
@@ -28,80 +33,80 @@ WorkloadSpec tinySpec() {
   return Spec;
 }
 
+/// tinySpec's ref run recorded with \p BlockEvents per block.
+std::vector<uint8_t> recordTiny(uint32_t BlockEvents = TraceV2BlockEvents) {
+  const WorkloadSpec Spec = tinySpec();
+  TraceGenerator Gen(Spec, Spec.refInput());
+  std::ostringstream OS;
+  EXPECT_EQ(writeTraceV2(OS, Gen, BlockEvents), Spec.RefEvents);
+  const std::string Bytes = OS.str();
+  return {Bytes.begin(), Bytes.end()};
+}
+
 } // namespace
 
 TEST(TraceFileTest, RoundTripsBitExactly) {
   const WorkloadSpec Spec = tinySpec();
-  std::stringstream File;
-  {
-    TraceGenerator Gen(Spec, Spec.refInput());
-    ASSERT_EQ(writeTrace(File, Gen), Spec.RefEvents);
-  }
+  std::string Error;
+  const std::shared_ptr<const MaterializedTrace> Trace =
+      MaterializedTrace::fromBytes(recordTiny(), &Error);
+  ASSERT_TRUE(Trace) << Error;
+  EXPECT_EQ(Trace->numSites(), Spec.numSites());
+  EXPECT_EQ(Trace->totalEvents(), Spec.RefEvents);
 
+  // One event at a time: EventSource::next over the batch path.
+  TraceCursor Cursor(Trace);
   TraceGenerator Reference(Spec, Spec.refInput());
-  TraceFileReader Reader(File);
-  ASSERT_TRUE(Reader.valid());
-  EXPECT_EQ(Reader.numSites(), Spec.numSites());
-  EXPECT_EQ(Reader.totalEvents(), Spec.RefEvents);
-
   BranchEvent FromFile, FromGen;
   uint64_t Count = 0;
-  while (Reader.next(FromFile)) {
+  while (Cursor.next(FromFile)) {
     ASSERT_TRUE(Reference.next(FromGen));
-    ASSERT_EQ(FromFile.Site, FromGen.Site);
-    ASSERT_EQ(FromFile.Taken, FromGen.Taken);
-    ASSERT_EQ(FromFile.Gap, FromGen.Gap);
-    ASSERT_EQ(FromFile.Index, FromGen.Index);
-    ASSERT_EQ(FromFile.InstRet, FromGen.InstRet);
+    ASSERT_EQ(FromFile, FromGen) << "event " << Count;
     ++Count;
   }
   EXPECT_EQ(Count, Spec.RefEvents);
-  EXPECT_FALSE(Reader.truncated());
+  EXPECT_FALSE(Cursor.failed()) << Cursor.error();
   EXPECT_FALSE(Reference.next(FromGen));
 }
 
 TEST(TraceFileTest, PartiallyConsumedGeneratorRecordsRemainder) {
   const WorkloadSpec Spec = tinySpec();
   TraceGenerator Gen(Spec, Spec.refInput());
-  BranchEvent E;
-  for (int I = 0; I < 5000; ++I)
-    ASSERT_TRUE(Gen.next(E));
+  std::vector<BranchEvent> Prefix(5000);
+  ASSERT_EQ(Gen.nextBatch(Prefix), 5000u);
 
-  std::stringstream File;
-  ASSERT_EQ(writeTrace(File, Gen), Spec.RefEvents - 5000);
-  TraceFileReader Reader(File);
-  ASSERT_TRUE(Reader.valid());
-  EXPECT_EQ(Reader.totalEvents(), Spec.RefEvents - 5000);
+  std::ostringstream OS;
+  ASSERT_EQ(writeTraceV2(OS, Gen), Spec.RefEvents - 5000);
+  const std::string Bytes = OS.str();
+  const std::shared_ptr<const MaterializedTrace> Trace =
+      MaterializedTrace::fromBytes({Bytes.begin(), Bytes.end()});
+  ASSERT_TRUE(Trace);
+  EXPECT_EQ(Trace->totalEvents(), Spec.RefEvents - 5000);
 }
 
 TEST(TraceFileTest, RejectsGarbageHeader) {
-  std::stringstream File("this is not a trace");
-  TraceFileReader Reader(File);
-  EXPECT_FALSE(Reader.valid());
-  BranchEvent E;
-  EXPECT_FALSE(Reader.next(E));
+  const std::string Garbage = "this is not a trace, though it is long";
+  std::string Error;
+  EXPECT_EQ(MaterializedTrace::fromBytes({Garbage.begin(), Garbage.end()},
+                                         &Error),
+            nullptr);
+  EXPECT_NE(Error.find("SCT2"), std::string::npos) << Error;
 }
 
 TEST(TraceFileTest, DetectsTruncation) {
-  const WorkloadSpec Spec = tinySpec();
-  std::stringstream File;
-  {
-    TraceGenerator Gen(Spec, Spec.refInput());
-    writeTrace(File, Gen);
+  // A header cut short and a file missing its final frame are both
+  // rejected at open.
+  const std::vector<uint8_t> Full = recordTiny();
+  for (const size_t Len : {size_t{0}, size_t{4}, TraceV2HeaderBytes - 1,
+                           TraceV2HeaderBytes, Full.size() - 1}) {
+    std::string Error;
+    EXPECT_EQ(MaterializedTrace::fromBytes(
+                  {Full.begin(), Full.begin() + static_cast<long>(Len)},
+                  &Error),
+              nullptr)
+        << "length " << Len;
+    EXPECT_FALSE(Error.empty());
   }
-  // Chop the last few bytes off.
-  std::string Bytes = File.str();
-  Bytes.resize(Bytes.size() - 6);
-  std::stringstream Chopped(Bytes);
-
-  TraceFileReader Reader(Chopped);
-  ASSERT_TRUE(Reader.valid());
-  BranchEvent E;
-  uint64_t Count = 0;
-  while (Reader.next(E))
-    ++Count;
-  EXPECT_LT(Count, Spec.RefEvents);
-  EXPECT_TRUE(Reader.truncated());
 }
 
 TEST(TraceFileTest, FormatLimitsDocumented) {
@@ -111,129 +116,57 @@ TEST(TraceFileTest, FormatLimitsDocumented) {
 
 TEST(TraceFileTest, V2RoundTripsBitExactly) {
   const WorkloadSpec Spec = tinySpec();
-  std::stringstream File;
-  {
-    TraceGenerator Gen(Spec, Spec.refInput());
-    ASSERT_EQ(writeTraceV2(File, Gen, /*BlockEvents=*/512), Spec.RefEvents);
-  }
-
-  TraceGenerator Reference(Spec, Spec.refInput());
-  TraceFileReader Reader(File);
-  ASSERT_TRUE(Reader.valid());
-  EXPECT_EQ(Reader.version(), 2u);
-  EXPECT_EQ(Reader.numSites(), Spec.numSites());
-  EXPECT_EQ(Reader.totalEvents(), Spec.RefEvents);
-  EXPECT_EQ(Reader.minGap(), Spec.MinGap);
-  EXPECT_EQ(Reader.maxGap(), Spec.MaxGap);
+  const std::shared_ptr<const MaterializedTrace> Trace =
+      MaterializedTrace::fromBytes(recordTiny(/*BlockEvents=*/512));
+  ASSERT_TRUE(Trace);
+  EXPECT_EQ(Trace->numSites(), Spec.numSites());
+  EXPECT_EQ(Trace->totalEvents(), Spec.RefEvents);
+  EXPECT_EQ(Trace->minGap(), Spec.MinGap);
+  EXPECT_EQ(Trace->maxGap(), Spec.MaxGap);
+  EXPECT_EQ(Trace->numBlocks(), (Spec.RefEvents + 511) / 512);
 
   // Odd-sized chunk buffer so reads straddle block boundaries.
-  std::vector<BranchEvent> Chunk(313);
-  BranchEvent FromGen;
+  TraceCursor Cursor(Trace);
+  TraceGenerator Reference(Spec, Spec.refInput());
+  std::vector<BranchEvent> Chunk(313), Expected(313);
   uint64_t Count = 0;
-  while (const size_t N = Reader.nextBatch(Chunk)) {
-    for (size_t I = 0; I < N; ++I) {
-      ASSERT_TRUE(Reference.next(FromGen));
-      ASSERT_EQ(Chunk[I], FromGen) << "event " << Count;
-      ++Count;
-    }
+  while (const size_t N = Cursor.nextBatch(Chunk)) {
+    ASSERT_EQ(Reference.nextBatch({Expected.data(), N}), N);
+    for (size_t I = 0; I < N; ++I)
+      ASSERT_EQ(Chunk[I], Expected[I]) << "event " << Count + I;
+    Count += N;
   }
   EXPECT_EQ(Count, Spec.RefEvents);
-  EXPECT_FALSE(Reader.truncated());
-  EXPECT_FALSE(Reader.failed());
-  EXPECT_FALSE(Reference.next(FromGen));
-}
-
-TEST(TraceFileTest, MigratesV1ToV2PreservingTheStream) {
-  const WorkloadSpec Spec = tinySpec();
-  std::stringstream V1;
-  {
-    TraceGenerator Gen(Spec, Spec.refInput());
-    ASSERT_EQ(writeTrace(V1, Gen), Spec.RefEvents);
-  }
-  std::stringstream V2;
-  ASSERT_EQ(migrateTrace(V1, V2), Spec.RefEvents);
-
-  TraceGenerator Reference(Spec, Spec.refInput());
-  TraceFileReader Reader(V2);
-  ASSERT_TRUE(Reader.valid());
-  EXPECT_EQ(Reader.version(), 2u);
-  BranchEvent FromFile, FromGen;
-  while (Reader.next(FromFile)) {
-    ASSERT_TRUE(Reference.next(FromGen));
-    ASSERT_EQ(FromFile, FromGen);
-  }
-  EXPECT_FALSE(Reader.truncated());
-  EXPECT_FALSE(Reader.failed());
-  EXPECT_FALSE(Reference.next(FromGen));
-}
-
-TEST(TraceFileTest, MigrationRefusesTruncatedInput) {
-  const WorkloadSpec Spec = tinySpec();
-  std::stringstream File;
-  {
-    TraceGenerator Gen(Spec, Spec.refInput());
-    writeTrace(File, Gen);
-  }
-  std::string Bytes = File.str();
-  Bytes.resize(Bytes.size() - 6);
-  std::stringstream Chopped(Bytes), Out;
-  EXPECT_EQ(migrateTrace(Chopped, Out), 0u);
+  EXPECT_FALSE(Cursor.failed()) << Cursor.error();
+  EXPECT_TRUE(Trace->fullyVerified());
 }
 
 TEST(TraceFileTest, V2RejectsCorruptedBlockChecksum) {
-  const WorkloadSpec Spec = tinySpec();
-  std::stringstream File;
-  {
-    TraceGenerator Gen(Spec, Spec.refInput());
-    writeTraceV2(File, Gen, /*BlockEvents=*/512);
-  }
-  std::string Bytes = File.str();
-  // Flip one payload byte in the second block: 28-byte file header, then
-  // walk one whole block frame ({u32, u32, u64 hash, payload}).
-  size_t FirstBlock = 28;
-  const auto PayloadBytes = [&](size_t Header) {
-    return static_cast<size_t>(
-        static_cast<uint8_t>(Bytes[Header + 4]) |
-        (static_cast<uint8_t>(Bytes[Header + 5]) << 8) |
-        (static_cast<uint8_t>(Bytes[Header + 6]) << 16) |
-        (static_cast<uint8_t>(Bytes[Header + 7]) << 24));
-  };
-  const size_t SecondBlock = FirstBlock + 16 + PayloadBytes(FirstBlock);
-  ASSERT_LT(SecondBlock + 20, Bytes.size());
-  Bytes[SecondBlock + 16 + 3] ^= 0x40;
+  std::vector<uint8_t> Bytes = recordTiny(/*BlockEvents=*/512);
+  // Flip one payload byte in the second block.
+  const uint64_t Second =
+      MaterializedTrace::fromBytes(Bytes)->blocks()[1].PayloadOffset;
+  Bytes[Second + 3] ^= 0x40;
 
-  std::stringstream Damaged(Bytes);
-  TraceFileReader Reader(Damaged);
-  ASSERT_TRUE(Reader.valid());
+  const std::shared_ptr<const MaterializedTrace> Trace =
+      MaterializedTrace::fromBytes(std::move(Bytes));
+  ASSERT_TRUE(Trace) << "payload damage must not fail the open";
+  TraceCursor Cursor(Trace);
   BranchEvent E;
   uint64_t Count = 0;
-  while (Reader.next(E))
+  while (Cursor.next(E))
     ++Count;
   // The first block replays; not one event of the damaged block does.
   EXPECT_EQ(Count, 512u);
-  EXPECT_TRUE(Reader.failed());
-  EXPECT_NE(Reader.error().find("checksum"), std::string::npos)
-      << Reader.error();
+  EXPECT_TRUE(Cursor.failed());
+  EXPECT_NE(Cursor.error().find("checksum"), std::string::npos)
+      << Cursor.error();
 }
 
 TEST(TraceFileTest, V2DetectsTruncationWithoutPartialBlocks) {
-  const WorkloadSpec Spec = tinySpec();
-  std::stringstream File;
-  {
-    TraceGenerator Gen(Spec, Spec.refInput());
-    writeTraceV2(File, Gen, /*BlockEvents=*/512);
-  }
-  std::string Bytes = File.str();
+  std::vector<uint8_t> Bytes = recordTiny(/*BlockEvents=*/512);
   Bytes.resize(Bytes.size() - 6); // cut into the final block
-  std::stringstream Chopped(Bytes);
-
-  TraceFileReader Reader(Chopped);
-  ASSERT_TRUE(Reader.valid());
-  BranchEvent E;
-  uint64_t Count = 0;
-  while (Reader.next(E))
-    ++Count;
-  EXPECT_LT(Count, Spec.RefEvents);
-  EXPECT_EQ(Count % 512, 0u) << "a partial block was delivered";
-  EXPECT_TRUE(Reader.truncated());
+  std::string Error;
+  EXPECT_EQ(MaterializedTrace::fromBytes(std::move(Bytes), &Error), nullptr);
+  EXPECT_NE(Error.find("truncated"), std::string::npos) << Error;
 }

@@ -1,19 +1,16 @@
 //===- tests/workload/TraceGoldenTest.cpp ---------------------------------===//
 //
-// Golden-file regression for the on-disk trace formats: checked-in v1 and
-// v2 recordings of gzip/train at a tiny scale, plus their SHA-256 digests.
-// Any change to the generator's event stream, either encoder, or the
-// digest implementation shows up as a mismatch here.
+// Golden-file regression for the on-disk trace format: a checked-in SCT2
+// recording of gzip/train at a tiny scale, plus its SHA-256 digest.  Any
+// change to the generator's event stream, the encoder, or the digest
+// implementation shows up as a mismatch here.
 //
-// Regenerating after an intentional format/generator change (from the
-// repo root, then update tests/data/golden.sha256 with sha256sum):
+// Regenerating after an intentional format/generator change (one command,
+// from the repo root; then update tests/data/golden.sha256 with sha256sum):
 //
-//   build/tools/specctrl-trace --bench=gzip --input=train \
-//     --events-per-billion=100 --site-scale=0.1 \
-//     --record=tests/data/golden-gzip-train.v1.sct --trace-format=v1
-//   build/tools/specctrl-trace --bench=gzip --input=train \
-//     --events-per-billion=100 --site-scale=0.1 \
-//     --record=tests/data/golden-gzip-train.v2.sct --trace-format=v2
+//   build/tools/specctrl-trace --bench=gzip --input=train
+//       --events-per-billion=100 --site-scale=0.1
+//       --record=tests/data/golden-gzip-train.v2.sct
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +32,7 @@ using namespace specctrl::workload;
 
 namespace {
 
-/// The scale the goldens were recorded at (see the header comment).
+/// The scale the golden was recorded at (see the header comment).
 constexpr SuiteScale GoldenScale{100.0, 0.1};
 
 std::string dataPath(const std::string &Name) {
@@ -61,11 +58,16 @@ std::map<std::string, std::string> readDigests() {
   return Digests;
 }
 
-std::vector<BranchEvent> drain(TraceFileReader &Reader) {
+const char *const GoldenV2 = "golden-gzip-train.v2.sct";
+
+std::vector<BranchEvent>
+drain(const std::shared_ptr<const MaterializedTrace> &Trace) {
+  TraceCursor Cursor(Trace);
   std::vector<BranchEvent> All;
   std::vector<BranchEvent> Chunk(257);
-  while (const size_t N = Reader.nextBatch(Chunk))
+  while (const size_t N = Cursor.nextBatch(Chunk))
     All.insert(All.end(), Chunk.begin(), Chunk.begin() + N);
+  EXPECT_FALSE(Cursor.failed()) << Cursor.error();
   return All;
 }
 
@@ -73,7 +75,7 @@ std::vector<BranchEvent> drain(TraceFileReader &Reader) {
 
 TEST(TraceGoldenTest, Sha256DigestsMatch) {
   const std::map<std::string, std::string> Digests = readDigests();
-  ASSERT_EQ(Digests.size(), 2u);
+  ASSERT_EQ(Digests.size(), 1u);
   for (const auto &[Name, Hex] : Digests) {
     const std::string Bytes = readFile(Name);
     ASSERT_FALSE(Bytes.empty());
@@ -83,52 +85,50 @@ TEST(TraceGoldenTest, Sha256DigestsMatch) {
 }
 
 TEST(TraceGoldenTest, BothFormatsReplayTheGeneratorStream) {
+  // The golden replays the generator's stream whether its bytes are a
+  // caller's buffer or a read-only file mapping.
   const WorkloadSpec Spec = makeBenchmark("gzip", GoldenScale);
-  std::vector<BranchEvent> Reference;
+  std::vector<BranchEvent> Reference(Spec.TrainEvents);
   {
     TraceGenerator Gen(Spec, Spec.trainInput());
-    BranchEvent E;
-    while (Gen.next(E))
-      Reference.push_back(E);
+    ASSERT_EQ(Gen.nextBatch(Reference), Reference.size());
   }
-  ASSERT_EQ(Reference.size(), Spec.TrainEvents);
 
-  for (const char *Name :
-       {"golden-gzip-train.v1.sct", "golden-gzip-train.v2.sct"}) {
-    std::istringstream IS(readFile(Name));
-    TraceFileReader Reader(IS);
-    ASSERT_TRUE(Reader.valid()) << Name;
-    EXPECT_EQ(Reader.numSites(), Spec.numSites());
-    EXPECT_EQ(Reader.totalEvents(), Reference.size());
-    EXPECT_EQ(drain(Reader), Reference)
-        << Name << ": the generator's stream changed -- regenerate the "
-                   "goldens (see this file's header)";
-    EXPECT_FALSE(Reader.truncated());
-    EXPECT_FALSE(Reader.failed());
+  const std::string Bytes = readFile(GoldenV2);
+  std::string Error;
+  for (const std::shared_ptr<const MaterializedTrace> &Trace :
+       {MaterializedTrace::fromBytes({Bytes.begin(), Bytes.end()}),
+        MaterializedTrace::mapFile(dataPath(GoldenV2), &Error)}) {
+    ASSERT_TRUE(Trace) << Error;
+    EXPECT_EQ(Trace->numSites(), Spec.numSites());
+    EXPECT_EQ(Trace->totalEvents(), Reference.size());
+    EXPECT_EQ(drain(Trace), Reference)
+        << "the generator's stream changed -- regenerate the golden (see "
+           "this file's header)";
   }
 }
 
-TEST(TraceGoldenTest, MigrationReproducesGoldenV2Bytes) {
-  std::istringstream V1(readFile("golden-gzip-train.v1.sct"));
-  const std::string V2 = readFile("golden-gzip-train.v2.sct");
-  std::ostringstream Migrated;
-  ASSERT_GT(migrateTrace(V1, Migrated), 0u);
-  EXPECT_EQ(Migrated.str(), V2);
+TEST(TraceGoldenTest, WriterReproducesGoldenV2Bytes) {
+  const WorkloadSpec Spec = makeBenchmark("gzip", GoldenScale);
+  TraceGenerator Gen(Spec, Spec.trainInput());
+  std::ostringstream Written;
+  ASSERT_EQ(writeTraceV2(Written, Gen), Spec.TrainEvents);
+  EXPECT_EQ(Written.str(), readFile(GoldenV2));
 }
 
 TEST(TraceGoldenTest, CorruptedBlockChecksumRejectedWithClearError) {
-  std::string V2 = readFile("golden-gzip-train.v2.sct");
-  // Flip a payload byte of the first block: file header (28 bytes) +
-  // block header (16 bytes) + a few bytes in.
-  ASSERT_GT(V2.size(), 50u);
-  V2[28 + 16 + 2] ^= 0x04;
+  std::string V2 = readFile(GoldenV2);
+  // Flip a payload byte of the first block.
+  ASSERT_GT(V2.size(), TraceV2HeaderBytes + TraceV2FrameBytes + 2);
+  V2[TraceV2HeaderBytes + TraceV2FrameBytes + 2] ^= 0x04;
 
-  std::istringstream IS(V2);
-  TraceFileReader Reader(IS);
-  ASSERT_TRUE(Reader.valid());
+  const std::shared_ptr<const MaterializedTrace> Trace =
+      MaterializedTrace::fromBytes({V2.begin(), V2.end()});
+  ASSERT_TRUE(Trace);
+  TraceCursor Cursor(Trace);
   BranchEvent E;
-  EXPECT_FALSE(Reader.next(E)) << "event delivered from a corrupt block";
-  EXPECT_TRUE(Reader.failed());
-  EXPECT_NE(Reader.error().find("checksum"), std::string::npos)
-      << "unhelpful error: " << Reader.error();
+  EXPECT_FALSE(Cursor.next(E)) << "event delivered from a corrupt block";
+  EXPECT_TRUE(Cursor.failed());
+  EXPECT_NE(Cursor.error().find("checksum"), std::string::npos)
+      << "unhelpful error: " << Cursor.error();
 }

@@ -1,10 +1,12 @@
 //===- tests/workload/TraceReplayFuzzTest.cpp -----------------------------===//
 //
-// Robustness of trace replay against damaged inputs: truncations, random
-// byte flips, and outright garbage must never crash the reader, and the
-// events it does deliver must be an exact prefix of the undamaged stream
-// (v2 additionally never delivers any event of a damaged block).  All
-// randomness is std::mt19937 with fixed seeds, so failures reproduce.
+// Robustness of trace replay against damaged inputs, on both untrusted
+// byte owners (a caller's buffer and a mapped file): truncations, random
+// byte flips, and outright garbage must never crash replay; the events it
+// does deliver must be an exact prefix of the undamaged stream, in whole
+// blocks; a truncated input delivers no event at all; and no event of a
+// damaged block reaches an observer.  All randomness is std::mt19937 with
+// fixed seeds, so failures reproduce.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,10 +17,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 using namespace specctrl;
 using namespace specctrl::workload;
@@ -46,19 +52,10 @@ WorkloadSpec fuzzSpec() {
 }
 
 std::vector<BranchEvent> referenceStream(const WorkloadSpec &Spec) {
-  std::vector<BranchEvent> All;
+  std::vector<BranchEvent> All(Spec.RefEvents);
   TraceGenerator Gen(Spec, Spec.refInput());
-  BranchEvent E;
-  while (Gen.next(E))
-    All.push_back(E);
+  EXPECT_EQ(Gen.nextBatch(All), All.size());
   return All;
-}
-
-std::string recordV1(const WorkloadSpec &Spec) {
-  std::ostringstream OS;
-  TraceGenerator Gen(Spec, Spec.refInput());
-  writeTrace(OS, Gen);
-  return OS.str();
 }
 
 std::string recordV2(const WorkloadSpec &Spec) {
@@ -68,20 +65,35 @@ std::string recordV2(const WorkloadSpec &Spec) {
   return OS.str();
 }
 
-/// Drains \p Bytes through a reader with an odd-sized chunk buffer,
-/// asserting every delivered event matches \p Reference at its index.
-/// \p Count receives the number of events delivered (void return so
-/// gtest's fatal assertions can be used inside).
-void drainCheckingPrefix(const std::string &Bytes,
+/// \p Bytes opened through each untrusted owner: a caller's buffer, then
+/// a read-only mapping of a file holding them (null where rejected).
+std::vector<std::shared_ptr<const MaterializedTrace>>
+openUntrusted(const std::string &Bytes) {
+  const std::string Path =
+      (std::filesystem::temp_directory_path() /
+       ("specctrl-fuzz-" + std::to_string(::getpid()) + ".sct2"))
+          .string();
+  std::ofstream(Path, std::ios::binary | std::ios::trunc) << Bytes;
+  std::vector<std::shared_ptr<const MaterializedTrace>> Traces = {
+      MaterializedTrace::fromBytes({Bytes.begin(), Bytes.end()}),
+      MaterializedTrace::mapFile(Path)};
+  std::filesystem::remove(Path); // the mapping outlives the name
+  return Traces;
+}
+
+/// Drains \p Trace (null = rejected at open: nothing delivered) with an
+/// odd-sized chunk buffer, asserting every delivered event matches
+/// \p Reference at its index.  \p Count receives the number of events
+/// delivered (void return so gtest's fatal assertions can be used inside).
+void drainCheckingPrefix(const std::shared_ptr<const MaterializedTrace> &Trace,
                          const std::vector<BranchEvent> &Reference,
                          size_t &Count) {
-  std::istringstream IS(Bytes);
-  TraceFileReader Reader(IS);
   Count = 0;
-  if (!Reader.valid())
+  if (!Trace)
     return;
+  TraceCursor Cursor(Trace);
   std::vector<BranchEvent> Chunk(257);
-  while (const size_t N = Reader.nextBatch(Chunk)) {
+  while (const size_t N = Cursor.nextBatch(Chunk)) {
     for (size_t I = 0; I < N; ++I) {
       ASSERT_LT(Count, Reference.size()) << "fabricated events past the end";
       ASSERT_EQ(Chunk[I], Reference[Count]) << "diverged at event " << Count;
@@ -89,8 +101,9 @@ void drainCheckingPrefix(const std::string &Bytes,
     }
   }
   // A short stream must say why it is short.
-  if (Count < Reference.size())
-    EXPECT_TRUE(Reader.truncated() || Reader.failed());
+  if (Count < Reference.size()) {
+    EXPECT_TRUE(Cursor.failed());
+  }
 }
 
 } // namespace
@@ -98,30 +111,26 @@ void drainCheckingPrefix(const std::string &Bytes,
 TEST(TraceReplayFuzzTest, TruncationsDeliverExactPrefixes) {
   const WorkloadSpec Spec = fuzzSpec();
   const std::vector<BranchEvent> Reference = referenceStream(Spec);
-  for (const std::string &Bytes : {recordV1(Spec), recordV2(Spec)}) {
-    const bool V2 = Bytes.compare(0, 4, "SCT2") == 0;
-    std::mt19937 Rng(1234);
-    std::uniform_int_distribution<size_t> Cut(0, Bytes.size() - 1);
-    // Every short length near the start (header truncations) plus a
-    // random sample of interior cuts.
-    std::vector<size_t> Lengths;
-    for (size_t L = 0; L < 40; ++L)
-      Lengths.push_back(L);
-    for (int I = 0; I < 60; ++I)
-      Lengths.push_back(Cut(Rng));
-    for (const size_t Len : Lengths) {
+  const std::string Bytes = recordV2(Spec);
+  std::mt19937 Rng(1234);
+  std::uniform_int_distribution<size_t> Cut(0, Bytes.size() - 1);
+  // Every short length near the start (header truncations) plus a random
+  // sample of interior cuts.
+  std::vector<size_t> Lengths;
+  for (size_t L = 0; L < 40; ++L)
+    Lengths.push_back(L);
+  for (int I = 0; I < 60; ++I)
+    Lengths.push_back(Cut(Rng));
+  for (const size_t Len : Lengths)
+    for (const auto &Trace : openUntrusted(Bytes.substr(0, Len))) {
       size_t Count = 0;
-      drainCheckingPrefix(Bytes.substr(0, Len), Reference, Count);
+      drainCheckingPrefix(Trace, Reference, Count);
       if (::testing::Test::HasFatalFailure())
         return;
-      EXPECT_LE(Count, Reference.size());
-      // v2 rejects damaged blocks whole: anything delivered is a whole
-      // number of full blocks (the final block is only partial-sized in
-      // the untruncated file, where Count == Reference.size()).
-      if (V2 && Count != Reference.size())
-        EXPECT_EQ(Count % FuzzBlockEvents, 0u) << "partial block at " << Len;
+      // The empty prefix: a truncated input is rejected at open.
+      EXPECT_EQ(Trace, nullptr) << "truncated at " << Len;
+      EXPECT_EQ(Count, 0u) << "truncated at " << Len;
     }
-  }
 }
 
 TEST(TraceReplayFuzzTest, ByteFlipsNeverCrashOrFabricate) {
@@ -136,15 +145,18 @@ TEST(TraceReplayFuzzTest, ByteFlipsNeverCrashOrFabricate) {
     std::string Damaged = V2;
     for (int F = Flips(Rng); F > 0; --F)
       Damaged[Pos(Rng)] ^= static_cast<char>(1 << Bit(Rng));
-    // The reader may reject the header, stop early, or (if the flips
+    // Replay may reject the trace at open, stop early, or (if the flips
     // cancelled out) deliver everything -- but whatever it delivers must
     // be an exact prefix of the true stream in whole blocks.
-    size_t Count = 0;
-    drainCheckingPrefix(Damaged, Reference, Count);
-    if (::testing::Test::HasFatalFailure())
-      return;
-    if (Count != Reference.size())
-      EXPECT_EQ(Count % FuzzBlockEvents, 0u) << "round " << Round;
+    for (const auto &Trace : openUntrusted(Damaged)) {
+      size_t Count = 0;
+      drainCheckingPrefix(Trace, Reference, Count);
+      if (::testing::Test::HasFatalFailure())
+        return;
+      if (Count != Reference.size()) {
+        EXPECT_EQ(Count % FuzzBlockEvents, 0u) << "round " << Round;
+      }
+    }
   }
 }
 
@@ -156,43 +168,32 @@ TEST(TraceReplayFuzzTest, GarbageInputsFailCleanly) {
     std::string Garbage(Len(Rng), '\0');
     for (char &C : Garbage)
       C = static_cast<char>(Byte(Rng));
-    std::istringstream IS(Garbage);
-    TraceFileReader Reader(IS);
-    BranchEvent E;
-    size_t Count = 0;
-    while (Reader.next(E))
-      ++Count;
-    // Nothing this short parses as a whole valid trace.
-    EXPECT_TRUE(!Reader.valid() || Reader.truncated() || Reader.failed() ||
-                Count == Reader.totalEvents());
+    // Nothing this short parses as a trace with events.
+    for (const auto &Trace : openUntrusted(Garbage))
+      EXPECT_EQ(Trace, nullptr) << "round " << Round;
   }
-  // A valid magic with a chopped header is still an invalid trace.
-  for (const char *Magic : {"SCT1", "SCT2"}) {
-    std::istringstream IS(std::string(Magic) + "\x01\x02");
-    TraceFileReader Reader(IS);
-    EXPECT_FALSE(Reader.valid());
-    BranchEvent E;
-    EXPECT_FALSE(Reader.next(E));
-  }
+  // A valid magic with a chopped header is still not a trace.
+  for (const auto &Trace : openUntrusted(std::string("SCT2") + "\x01\x02"))
+    EXPECT_EQ(Trace, nullptr);
 }
 
 TEST(TraceReplayFuzzTest, CorruptBlockDeliversNothingToObservers) {
   const WorkloadSpec Spec = fuzzSpec();
   std::string V2 = recordV2(Spec);
-  // Flip one payload byte inside the first block (past the 28-byte file
-  // header and 16-byte block header).
-  V2[28 + 16 + 3] ^= 0x10;
+  // Flip one payload byte inside the first block.
+  V2[TraceV2HeaderBytes + TraceV2FrameBytes + 3] ^= 0x10;
 
-  std::istringstream IS(V2);
-  TraceFileReader Reader(IS);
-  ASSERT_TRUE(Reader.valid());
-  core::StaticSelectionController C({false, false, false},
-                                    {false, false, false});
-  core::ProfileObserver Observer(Spec.numSites());
-  core::runTrace(C, Reader, &Observer);
-  // The first block is damaged, so not one event reaches the observer.
-  EXPECT_EQ(Observer.profile().totalExecutions(), 0u);
-  EXPECT_TRUE(Reader.failed());
-  EXPECT_NE(Reader.error().find("checksum"), std::string::npos)
-      << Reader.error();
+  for (const auto &Trace : openUntrusted(V2)) {
+    ASSERT_TRUE(Trace);
+    TraceCursor Cursor(Trace);
+    core::StaticSelectionController C({false, false, false},
+                                      {false, false, false});
+    core::ProfileObserver Observer(Spec.numSites());
+    core::runTrace(C, Cursor, &Observer);
+    // The first block is damaged, so not one event reaches the observer.
+    EXPECT_EQ(Observer.profile().totalExecutions(), 0u);
+    EXPECT_TRUE(Cursor.failed());
+    EXPECT_NE(Cursor.error().find("checksum"), std::string::npos)
+        << Cursor.error();
+  }
 }

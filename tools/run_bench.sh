@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Runs the perf-trajectory microbenches (MSSP simulator throughput +
 # trace pipeline + trace-arena sweep amortization + streaming-server
-# ingest + SCT2 decode tiers + sweep executors) and records
+# ingest + SCT2 decode and mapped replay + sweep executors) and records
 # google-benchmark JSON next to the build: BENCH_mssp.json,
 # BENCH_trace_pipe.json, BENCH_arena.json, BENCH_serve.json,
 # BENCH_decode.json, and BENCH_sweep.json.

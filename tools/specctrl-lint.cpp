@@ -140,16 +140,12 @@ struct Reporter {
       ++PerCheck[static_cast<size_t>(D.Kind)];
       ++Total;
       ++Shown;
-      if (Json) {
-        analysis::Diagnostic Copy = D;
-        if (!Qualified.empty())
-          Copy.Function = Qualified;
-        std::cout << analysis::formatDiagnosticJson(Copy) << '\n';
-      } else if (Qualified.empty()) {
-        std::cout << analysis::formatDiagnostic(D) << '\n';
-      } else {
-        std::cout << analysis::formatDiagnostic(D, Qualified) << '\n';
-      }
+      analysis::Diagnostic Copy = D;
+      if (!Qualified.empty())
+        Copy.Function = Qualified;
+      std::cout << (Json ? analysis::formatDiagnosticJson(Copy)
+                         : analysis::formatDiagnostic(Copy))
+                << '\n';
     }
     return Shown;
   }

@@ -13,9 +13,9 @@
 // worker count -- the cross-process determinism contract, pinned by the
 // RunCompare tests.
 //
-// With --trace-cache-dir the workers replay their traces through the
-// zero-copy mmap store, so N processes share one kernel page-cache copy
-// of each materialized trace instead of N resident decodes -- the
+// With --trace-cache-dir the workers replay their traces from read-only
+// mappings of the cache files, so N processes share one kernel page-cache
+// copy of each materialized trace instead of N resident decodes -- the
 // configuration for SPEC-length sweeps (see EXPERIMENTS.md).
 //
 //===----------------------------------------------------------------------===//
