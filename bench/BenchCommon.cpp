@@ -13,6 +13,10 @@
 using namespace specctrl;
 using namespace specctrl::bench;
 
+void bench::addCsvOption(OptionSet &Opts) {
+  Opts.addFlag("csv", "emit CSV instead of aligned text tables");
+}
+
 void bench::addScaleOptions(OptionSet &Opts) {
   Opts.addDouble("events-per-billion", 6.0e5,
                  "branch events generated per billion paper-run "
@@ -28,8 +32,17 @@ workload::SuiteScale bench::readScale(const OptionSet &Opts) {
   return Scale;
 }
 
-void bench::addStandardOptions(OptionSet &Opts) {
-  Opts.addFlag("csv", "emit CSV instead of aligned text tables");
+void bench::addBenchmarksOption(OptionSet &Opts) {
+  Opts.addString("benchmarks", "",
+                 "comma-separated benchmark subset (default: all twelve)");
+}
+
+void bench::addSuiteOptions(OptionSet &Opts) {
+  addScaleOptions(Opts);
+  addBenchmarksOption(Opts);
+}
+
+void bench::addBaselineOptions(OptionSet &Opts) {
   Opts.addInt("opt-latency", 10000,
               "re-optimization latency in dynamic instructions (Table 2's "
               "1M rescaled to the compressed default run lengths)");
@@ -37,84 +50,69 @@ void bench::addStandardOptions(OptionSet &Opts) {
               "unbiased-state wait period in executions (Table 2's 1M "
               "rescaled: at paper scale hot sites execute billions of "
               "times, here hundreds of thousands)");
+}
+
+void bench::addJobsOptions(OptionSet &Opts) {
   Opts.addInt("jobs", 0,
               "worker threads for experiment cells (0 = hardware "
               "concurrency; results are identical at any value)");
   Opts.addInt("seed", 0, "base seed mixed into every experiment cell");
-  Opts.addFlag("no-trace-arena",
-               "re-synthesize each sweep cell's trace instead of sharing "
-               "one materialization (results are identical either way)");
+}
+
+void bench::addTraceCacheOption(OptionSet &Opts) {
   Opts.addString("trace-cache-dir", "",
                  "disk tier for the trace arena: materialized traces are "
                  "written here as SCT2 files and replayed mapped across "
                  "invocations");
-  Opts.addFlag("verify-distill",
-               "verify every distilled code version before dispatch "
-               "(SPECCTRL_VERIFY)");
-  Opts.addFlag("arena-verbose",
-               "log each trace-arena materialization to stderr "
-               "(SPECCTRL_ARENA_VERBOSE)");
-  addScaleOptions(Opts);
-  Opts.addString("benchmarks", "",
-                 "comma-separated benchmark subset (default: all twelve)");
+}
+
+void bench::addSweepOptions(OptionSet &Opts) {
+  addCsvOption(Opts);
+  addSuiteOptions(Opts);
+  addBaselineOptions(Opts);
+  addJobsOptions(Opts);
+  addTraceCacheOption(Opts);
 }
 
 SuiteOptions bench::readSuiteOptions(const OptionSet &Opts) {
   SuiteOptions Out;
-  Out.Csv = Opts.getFlag("csv");
-  Out.Scale = readScale(Opts);
-  Out.Benchmarks = splitList(Opts.getString("benchmarks"));
-  for (const std::string &Name : Out.Benchmarks) {
-    try {
-      (void)workload::profileByName(Name);
-    } catch (const std::invalid_argument &E) {
-      std::fprintf(stderr, "error: --benchmarks: %s\n", E.what());
-      std::exit(1);
+  if (Opts.has("csv"))
+    Out.Csv = Opts.getFlag("csv");
+  if (Opts.has("events-per-billion"))
+    Out.Scale = readScale(Opts);
+  if (Opts.has("benchmarks")) {
+    Out.Benchmarks = splitList(Opts.getString("benchmarks"));
+    for (const std::string &Name : Out.Benchmarks) {
+      try {
+        (void)workload::profileByName(Name);
+      } catch (const std::invalid_argument &E) {
+        std::fprintf(stderr, "error: --benchmarks: %s\n", E.what());
+        std::exit(1);
+      }
     }
   }
-  const int64_t Jobs = Opts.getInt("jobs");
-  if (Jobs < 0) {
-    std::fprintf(stderr,
-                 "error: --jobs must be 0 (hardware concurrency) or a "
-                 "positive worker count, got %lld\n",
-                 static_cast<long long>(Jobs));
-    std::exit(1);
+  if (Opts.has("jobs")) {
+    const int64_t Jobs = Opts.getInt("jobs");
+    if (Jobs < 0) {
+      std::fprintf(stderr,
+                   "error: --jobs must be 0 (hardware concurrency) or a "
+                   "positive worker count, got %lld\n",
+                   static_cast<long long>(Jobs));
+      std::exit(1);
+    }
+    Out.Jobs = static_cast<unsigned>(Jobs);
+    Out.Seed = static_cast<uint64_t>(Opts.getInt("seed"));
   }
-  Out.Jobs = static_cast<unsigned>(Jobs);
-  Out.Seed = static_cast<uint64_t>(Opts.getInt("seed"));
-  Out.UseTraceArena = !Opts.getFlag("no-trace-arena");
-  Out.TraceCacheDir = Opts.getString("trace-cache-dir");
-
-  // CLI overrides layer on top of the environment-parsed RunConfig and
-  // are pushed back into the process-wide config so libraries that read
-  // RunConfig::global() (distill verifier, trace arena) see the same
-  // values as the bench.
-  RunConfig Cfg = RunConfig::global();
-  if (Opts.getFlag("verify-distill"))
-    Cfg.VerifyDistill = true;
-  if (Opts.getFlag("arena-verbose"))
-    Cfg.ArenaVerbose = true;
-  RunConfig::setGlobal(Cfg);
+  if (Opts.has("trace-cache-dir"))
+    Out.TraceCacheDir = Opts.getString("trace-cache-dir");
   return Out;
 }
 
 std::shared_ptr<workload::TraceArena>
 bench::makeArena(const SuiteOptions &Opt) {
-  if (!Opt.UseTraceArena)
-    return nullptr;
   workload::TraceArena::Config Cfg;
   Cfg.CacheDir = Opt.TraceCacheDir;
   return std::make_shared<workload::TraceArena>(std::move(Cfg));
-}
-
-const core::ControlStats &
-bench::runBenchWorkload(core::SpeculationController &Controller,
-                        const workload::WorkloadSpec &Spec,
-                        const workload::InputConfig &Input,
-                        workload::TraceArena *Arena) {
-  if (Arena)
-    return core::runWorkload(Controller, Spec, Input, *Arena);
-  return core::runWorkload(Controller, Spec, Input);
 }
 
 std::vector<workload::BenchmarkProfile>
@@ -178,6 +176,21 @@ workload::SynthSpec bench::msspSynthSpec(const engine::CellContext &Ctx,
   if (Ctx.BaseSeed != 0)
     Spec.Seed ^= Ctx.Seed;
   return Spec;
+}
+
+SuiteAverage bench::suiteAverage(const engine::RunReport &Report,
+                                 size_t NumBenchmarks, uint32_t Config) {
+  SuiteAverage A;
+  for (uint32_t B = 0; B < NumBenchmarks; ++B) {
+    const core::ControlStats &S = Report.cell(B, 0, Config).Stats;
+    A.Correct += S.correctRate();
+    A.Incorrect += S.incorrectRate();
+    A.Requests += S.DeployRequests + S.RevokeRequests;
+    A.Suppressed += S.SuppressedRequests;
+  }
+  A.Correct /= static_cast<double>(NumBenchmarks);
+  A.Incorrect /= static_cast<double>(NumBenchmarks);
+  return A;
 }
 
 bool bench::checkReport(const engine::RunReport &Report) {

@@ -10,11 +10,13 @@
 /// selection, parallelism), suite construction, experiment-plan helpers,
 /// and the profile-collection passes that several experiments share.
 ///
-/// Multi-run benches should describe their grid as an
-/// engine::ExperimentPlan (see suitePlan) and execute it with runSuite
-/// rather than hand-rolling nested benchmark/config loops; the engine
-/// parallelizes cells across --jobs workers with results bit-identical to
-/// a serial run.
+/// The standard options come in groups, one per reader; a bench registers
+/// only the groups it reads, so its --help lists nothing it ignores and
+/// an option it cannot honor is rejected as unknown.
+///
+/// Every suite bench describes its grid as an engine::ExperimentPlan (see
+/// suitePlan) and executes it with runSuite; the engine parallelizes cells
+/// across --jobs workers with results bit-identical to a serial run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +27,6 @@
 #include "engine/ExperimentRunner.h"
 #include "profile/BranchProfile.h"
 #include "support/Options.h"
-#include "support/RunConfig.h"
 #include "workload/ProgramSynthesizer.h"
 #include "workload/SpecSuite.h"
 #include "workload/TraceArena.h"
@@ -38,43 +39,68 @@
 namespace specctrl {
 namespace bench {
 
-/// Options every bench binary accepts.
+/// The standard options a bench registered, read back.  Fields of groups
+/// it did not register keep their defaults.
 struct SuiteOptions {
   workload::SuiteScale Scale;
   bool Csv = false;
   /// Benchmarks to run; empty = the full twelve.
   std::vector<std::string> Benchmarks;
-  /// Worker threads for engine-backed benches (0 = hardware concurrency).
+  /// Worker threads for runSuite (0 = hardware concurrency).
   unsigned Jobs = 0;
   /// Base seed mixed into every experiment cell's seed.
   uint64_t Seed = 0;
-  /// Share one trace materialization across sweep cells (the default;
-  /// --no-trace-arena regenerates per cell instead).
-  bool UseTraceArena = true;
-  /// Disk tier for the arena (--trace-cache-dir); empty = memory only.
+  /// Disk tier for the trace arena (--trace-cache-dir); empty = memory
+  /// only.
   std::string TraceCacheDir;
 };
 
-/// Registers the workload-scaling options (--events-per-billion,
-/// --site-scale) shared with the inspection tools.
+/// --csv: every report binary.
+void addCsvOption(OptionSet &Opts);
+
+/// The workload-scaling options (--events-per-billion, --site-scale):
+/// binaries that build workloads, and the inspection tools.
 void addScaleOptions(OptionSet &Opts);
 
 /// Reads the scale options back.
 workload::SuiteScale readScale(const OptionSet &Opts);
 
-/// Registers the standard bench options (includes addScaleOptions).
-void addStandardOptions(OptionSet &Opts);
+/// --benchmarks: binaries that select suite members.  The MSSP benches
+/// register it alone, since they synthesize programs from the selected
+/// profiles and never generate a scaled trace.
+void addBenchmarksOption(OptionSet &Opts);
+
+/// --benchmarks plus the scale options: binaries that build the scaled
+/// suite (selectedSuite, suitePlan).
+void addSuiteOptions(OptionSet &Opts);
+
+/// --opt-latency and --wait-period: callers of scaledBaseline.
+void addBaselineOptions(OptionSet &Opts);
+
+/// --jobs and --seed: callers of runSuite.
+void addJobsOptions(OptionSet &Opts);
+
+/// --trace-cache-dir: binaries whose plans carry a trace arena
+/// (suitePlan, makeArena).
+void addTraceCacheOption(OptionSet &Opts);
+
+/// Every group a trace-sweep bench reads (suitePlan + scaledBaseline +
+/// runSuite): --csv, the suite, the baseline, the jobs, and the
+/// trace-cache options.
+void addSweepOptions(OptionSet &Opts);
 
 /// Table 2's configuration with the optimization latency rescaled to the
 /// harness's compressed run lengths (the paper's 1,000,000 instructions is
 /// negligible against billion-instruction sites but would dominate our
 /// ~1/300-length runs; --opt-latency overrides, and the fig5/fig8 latency
-/// sweeps restore the paper's values explicitly).
+/// sweeps restore the paper's values explicitly).  Needs
+/// addBaselineOptions.
 core::ReactiveConfig scaledBaseline(const OptionSet &Opts);
 
-/// Reads the standard options back.  A value no run can honor (a
-/// negative --jobs) prints an `error:` line and exits with status 1, like
-/// the option parser's own errors.
+/// Reads back every standard option group that was registered.  A value
+/// no run can honor (a negative --jobs, an unknown --benchmarks name)
+/// prints an `error:` line and exits with status 1, like the option
+/// parser's own errors.
 SuiteOptions readSuiteOptions(const OptionSet &Opts);
 
 /// Builds the selected benchmarks (all twelve by default).
@@ -85,26 +111,15 @@ std::vector<workload::WorkloadSpec> selectedSuite(const SuiteOptions &Opt);
 std::vector<workload::BenchmarkProfile>
 selectedProfiles(const SuiteOptions &Opt);
 
-/// The suite's trace arena under the standard options: a fresh arena
-/// (with the --trace-cache-dir disk tier when set), or null under
-/// --no-trace-arena.  suitePlan installs it automatically; hand-rolled
-/// benches pass it to runBenchWorkload.
+/// A fresh trace arena, with the --trace-cache-dir disk tier when set.
+/// suitePlan installs one automatically.
 std::shared_ptr<workload::TraceArena> makeArena(const SuiteOptions &Opt);
 
-/// Runs (Spec, Input) under \p Controller through \p Arena when non-null
-/// (materialize-once replay), else via direct generation.  Bit-identical
-/// results either way -- the single-run analogue of the plan arena.
-const core::ControlStats &
-runBenchWorkload(core::SpeculationController &Controller,
-                 const workload::WorkloadSpec &Spec,
-                 const workload::InputConfig &Input,
-                 workload::TraceArena *Arena);
-
 /// Starts an experiment plan over the selected suite: one benchmark axis
-/// per selected workload (reference input), base seed from --seed, and --
-/// unless --no-trace-arena -- a per-plan trace arena so every config
-/// column replays one shared materialization per benchmark.  The bench
-/// adds its controller configs and runs it with runSuite.
+/// per selected workload (reference input), base seed from --seed, and a
+/// per-plan trace arena so every config column replays one shared
+/// materialization per benchmark.  The bench adds its controller configs
+/// and runs it with runSuite.
 engine::ExperimentPlan suitePlan(const SuiteOptions &Opt);
 
 /// Executes \p Plan with --jobs workers.
@@ -128,6 +143,21 @@ msspCellProfile(const engine::CellContext &Ctx);
 /// the synthesis per cell (Spec.Seed ^= cell seed).
 workload::SynthSpec msspSynthSpec(const engine::CellContext &Ctx,
                                   uint64_t Iterations);
+
+/// One controller column's suite averages over a plan's reference-input
+/// cells: rates summed in benchmark order and divided by the benchmark
+/// count, request counts summed.
+struct SuiteAverage {
+  double Correct = 0;
+  double Incorrect = 0;
+  uint64_t Requests = 0; ///< deploy + revoke requests
+  uint64_t Suppressed = 0;
+};
+
+/// The suite averages of column \p Config over the first \p NumBenchmarks
+/// benchmarks of \p Report.
+SuiteAverage suiteAverage(const engine::RunReport &Report,
+                          size_t NumBenchmarks, uint32_t Config);
 
 /// Prints any failed cells to stderr.  Returns true when every cell
 /// succeeded (bench mains typically `return checkReport(R) ? 0 : 1`

@@ -17,42 +17,43 @@ using namespace specctrl;
 using namespace specctrl::bench;
 using namespace specctrl::core;
 
+ReactiveConfig bench::withBaseLatency(const ReactiveConfig &Base,
+                                      ReactiveConfig Variant) {
+  Variant.OptLatency = Base.OptLatency;
+  // Keep the scaled wait period except where the variant itself changes
+  // it (frequent revisit = one order of magnitude below the baseline).
+  Variant.WaitPeriod = Variant.WaitPeriod == ReactiveConfig().WaitPeriod
+                           ? Base.WaitPeriod
+                           : Base.WaitPeriod / 10;
+  // Keep the sampling variant's 10% duty cycle but scale the window with
+  // the compressed site lifetimes.
+  if (Variant.EvictBySampling) {
+    Variant.EvictSampleWindow = 2000;
+    Variant.EvictSampleCount = 200;
+  }
+  return Variant;
+}
+
 std::vector<Table4Variant>
 bench::table4Variants(const ReactiveConfig &Base, bool NoOscillationLimit) {
-  auto WithBaseLatency = [&Base](ReactiveConfig C) {
-    C.OptLatency = Base.OptLatency;
-    // Keep the scaled wait period except where the variant itself changes
-    // it (frequent revisit = one order of magnitude below the baseline).
-    C.WaitPeriod = C.WaitPeriod == ReactiveConfig().WaitPeriod
-                       ? Base.WaitPeriod
-                       : Base.WaitPeriod / 10;
-    // Keep the sampling variant's 10% duty cycle but scale the window
-    // with the compressed site lifetimes.
-    if (C.EvictBySampling) {
-      C.EvictSampleWindow = 2000;
-      C.EvictSampleCount = 200;
-    }
-    return C;
-  };
-
   std::vector<Table4Variant> Variants = {
-      {"no revisit", WithBaseLatency(ReactiveConfig::noRevisit()), "35.8%",
-       "0.007%"},
+      {"no revisit", withBaseLatency(Base, ReactiveConfig::noRevisit()),
+       "35.8%", "0.007%"},
       {"lower eviction threshold",
-       WithBaseLatency(ReactiveConfig::lowerEvictionThreshold()), "42.9%",
-       "0.015%"},
+       withBaseLatency(Base, ReactiveConfig::lowerEvictionThreshold()),
+       "42.9%", "0.015%"},
       {"eviction by sampling",
-       WithBaseLatency(ReactiveConfig::evictionBySampling()), "43.6%",
+       withBaseLatency(Base, ReactiveConfig::evictionBySampling()), "43.6%",
        "0.021%"},
       {"baseline", Base, "44.8%", "0.023%"},
       {"sampling in monitor",
-       WithBaseLatency(ReactiveConfig::monitorSampling()), "44.8%",
+       withBaseLatency(Base, ReactiveConfig::monitorSampling()), "44.8%",
        "0.025%"},
       {"more frequent revisit (100k)",
-       WithBaseLatency(ReactiveConfig::frequentRevisit()), "46.1%",
+       withBaseLatency(Base, ReactiveConfig::frequentRevisit()), "46.1%",
        "0.033%"},
-      {"no eviction", WithBaseLatency(ReactiveConfig::noEviction()), "53.9%",
-       "1.979%"},
+      {"no eviction", withBaseLatency(Base, ReactiveConfig::noEviction()),
+       "53.9%", "1.979%"},
   };
   if (NoOscillationLimit) {
     ReactiveConfig C = Base;
@@ -67,7 +68,7 @@ bench::table4Plan(const SuiteOptions &Opt,
                   const std::vector<Table4Variant> &Variants) {
   // One engine cell per (benchmark, configuration); every cell builds its
   // own controller from the captured config, so parallel execution is
-  // bit-identical to serial -- across threads and processes alike.
+  // bit-identical to serial.
   engine::ExperimentPlan Plan = suitePlan(Opt);
   for (const Table4Variant &V : Variants)
     Plan.addConfig(V.Name,
@@ -83,10 +84,7 @@ struct Row {
   std::string Name;
   std::string PaperCorrect;
   std::string PaperIncorrect;
-  double Correct = 0;
-  double Incorrect = 0;
-  uint64_t Requests = 0;
-  uint64_t Suppressed = 0;
+  SuiteAverage Average;
 };
 
 } // namespace
@@ -97,25 +95,14 @@ void bench::printTable4Report(std::ostream &OS,
                               size_t NumBenchmarks, bool Csv) {
   std::vector<Row> Rows;
   for (uint32_t V = 0; V < Variants.size(); ++V) {
-    Row R;
-    R.Name = Variants[V].Name;
-    R.PaperCorrect = Variants[V].PaperCorrect;
-    R.PaperIncorrect = Variants[V].PaperIncorrect;
-    for (uint32_t B = 0; B < NumBenchmarks; ++B) {
-      const ControlStats &S = Report.cell(B, 0, V).Stats;
-      R.Correct += S.correctRate();
-      R.Incorrect += S.incorrectRate();
-      R.Requests += S.DeployRequests + S.RevokeRequests;
-      R.Suppressed += S.SuppressedRequests;
-    }
-    R.Correct /= static_cast<double>(NumBenchmarks);
-    R.Incorrect /= static_cast<double>(NumBenchmarks);
-    Rows.push_back(R);
+    Rows.push_back({Variants[V].Name, Variants[V].PaperCorrect,
+                    Variants[V].PaperIncorrect,
+                    suiteAverage(Report, NumBenchmarks, V)});
   }
 
   std::stable_sort(Rows.begin(), Rows.end(),
                    [](const Row &A, const Row &B) {
-                     return A.Correct < B.Correct;
+                     return A.Average.Correct < B.Average.Correct;
                    });
 
   Table Out({"configuration", "correct", "incorrect", "requests",
@@ -126,10 +113,10 @@ void bench::printTable4Report(std::ostream &OS,
                             ? " (" + R.PaperCorrect + "/" +
                                   R.PaperIncorrect + ")"
                             : ""))
-        .cellPercent(R.Correct)
-        .cellPercent(R.Incorrect, 4)
-        .cell(R.Requests)
-        .cell(R.Suppressed);
+        .cellPercent(R.Average.Correct)
+        .cellPercent(R.Average.Incorrect, 4)
+        .cell(R.Average.Requests)
+        .cell(R.Average.Suppressed);
 
   Out.print(OS, Csv);
 }

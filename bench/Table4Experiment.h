@@ -6,12 +6,10 @@
 ///
 /// \file
 /// The Table 4 model-sensitivity sweep as a reusable experiment: the
-/// variant list (paper values included), the plan construction, and the
-/// report formatting.  Two binaries execute it -- bench/table4_sensitivity
-/// (thread pool) and tools/specctrl-sweep (process pool) -- and because
-/// both build the grid and render the rows through these helpers, their
-/// output is byte-identical, which is what the cross-process determinism
-/// tests pin.
+/// variant list (paper values included), the rescaling every sensitivity
+/// variant shares with Fig. 5, the plan construction, and the report
+/// formatting.  bench/table4_sensitivity runs it through the engine;
+/// perfbench's sweep workload runs the same variants.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +38,15 @@ struct Table4Variant {
   const char *PaperCorrect;
   const char *PaperIncorrect;
 };
+
+/// A Sec. 3.3 sensitivity variant rescaled to \p Base, the scaled
+/// baseline: Base's optimization latency; Base's wait period, or a tenth
+/// of it where the variant itself shortens the wait (frequent revisit);
+/// and, for eviction by sampling, a window shrunk to the compressed site
+/// lifetimes at the paper's 10% duty cycle.  Table 4 and Fig. 5 build
+/// their variants through it.
+core::ReactiveConfig withBaseLatency(const core::ReactiveConfig &Base,
+                                     core::ReactiveConfig Variant);
 
 /// The Table 4 variant list under \p Base (the scaled baseline from the
 /// standard options).  \p NoOscillationLimit appends the Sec. 3.1

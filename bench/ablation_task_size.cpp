@@ -25,7 +25,7 @@ using namespace specctrl::workload;
 
 int main(int Argc, char **Argv) try {
   OptionSet Opts("ablation_task_size: MSSP task-granularity sweep");
-  addStandardOptions(Opts);
+  addCsvOption(Opts);
   Opts.addString("bench", "gzip", "benchmark-like program to run");
   Opts.addInt("iterations", 90000, "main-loop iterations per run");
   if (!Opts.parse(Argc, Argv))

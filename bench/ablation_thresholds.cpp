@@ -16,11 +16,12 @@
 
 #include "BenchCommon.h"
 
-#include "core/Driver.h"
 #include "core/ReactiveController.h"
 #include "support/Table.h"
 
 #include <iostream>
+#include <memory>
+#include <string>
 
 using namespace specctrl;
 using namespace specctrl::bench;
@@ -30,7 +31,7 @@ using namespace specctrl::workload;
 int main(int Argc, char **Argv) {
   OptionSet Opts("ablation_thresholds: selection-threshold and "
                  "monitor-period sweeps around the Table 2 defaults");
-  addStandardOptions(Opts);
+  addSweepOptions(Opts);
   if (!Opts.parse(Argc, Argv))
     return Opts.wasError() ? 1 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
@@ -39,43 +40,46 @@ int main(int Argc, char **Argv) {
               "suite-average rates while sweeping the selection threshold "
               "and the monitor period (all else Table 2)");
 
-  const std::vector<WorkloadSpec> Suite = selectedSuite(Opt);
   const ReactiveConfig Base = scaledBaseline(Opts);
+  const double Thresholds[] = {0.98, 0.99, 0.995, 0.998, 0.9995};
+  const uint64_t Periods[] = {1000, 3000, 10000, 30000, 100000};
 
-  // Ten sweep settings replay the same twelve reference traces, so the
-  // arena materializes each benchmark once and every setting after the
-  // first is pure replay.
-  const std::shared_ptr<workload::TraceArena> Arena = makeArena(Opt);
-  auto RunAverage = [&Suite, &Arena](const ReactiveConfig &Config,
-                                     double &Correct, double &Incorrect,
-                                     uint64_t &Requests) {
-    Correct = Incorrect = 0.0;
-    Requests = 0;
-    for (const WorkloadSpec &Spec : Suite) {
-      ReactiveController C(Config);
-      const ControlStats &S =
-          runBenchWorkload(C, Spec, Spec.refInput(), Arena.get());
-      Correct += S.correctRate();
-      Incorrect += S.incorrectRate();
-      Requests += S.DeployRequests + S.RevokeRequests;
-    }
-    Correct /= static_cast<double>(Suite.size());
-    Incorrect /= static_cast<double>(Suite.size());
+  // One plan, ten columns: the five selection thresholds, then the five
+  // monitor periods.  Every column replays the same reference traces, so
+  // the arena materializes each benchmark once and every other cell is
+  // pure replay.
+  engine::ExperimentPlan Plan = suitePlan(Opt);
+  auto AddColumn = [&Plan](const std::string &Name,
+                           const ReactiveConfig &Config) {
+    Plan.addConfig(Name, [Config](const engine::CellContext &) {
+      return std::make_unique<ReactiveController>(Config);
+    });
   };
+  for (double T : Thresholds) {
+    ReactiveConfig C = Base;
+    C.SelectThreshold = T;
+    AddColumn("select-" + std::to_string(T), C);
+  }
+  for (uint64_t Period : Periods) {
+    ReactiveConfig C = Base;
+    C.MonitorPeriod = Period;
+    AddColumn("monitor-" + std::to_string(Period), C);
+  }
+  const engine::RunReport Report = runSuite(Plan, Opt);
+  if (!checkReport(Report))
+    return 1;
 
+  const size_t NumBenchmarks = Plan.benchmarks().size();
+  uint32_t Column = 0;
   {
     Table Out({"selection threshold", "correct", "incorrect", "requests"});
-    for (double T : {0.98, 0.99, 0.995, 0.998, 0.9995}) {
-      ReactiveConfig C = Base;
-      C.SelectThreshold = T;
-      double Correct = 0, Incorrect = 0;
-      uint64_t Requests = 0;
-      RunAverage(C, Correct, Incorrect, Requests);
+    for (double T : Thresholds) {
+      const SuiteAverage A = suiteAverage(Report, NumBenchmarks, Column++);
       Out.row()
           .cellPercent(T, 2)
-          .cellPercent(Correct)
-          .cellPercent(Incorrect, 4)
-          .cell(Requests);
+          .cellPercent(A.Correct)
+          .cellPercent(A.Incorrect, 4)
+          .cell(A.Requests);
     }
     Out.print(std::cout, Opt.Csv);
   }
@@ -84,18 +88,13 @@ int main(int Argc, char **Argv) {
 
   {
     Table Out({"monitor period", "correct", "incorrect", "requests"});
-    for (uint64_t Period : {uint64_t(1000), uint64_t(3000), uint64_t(10000),
-                            uint64_t(30000), uint64_t(100000)}) {
-      ReactiveConfig C = Base;
-      C.MonitorPeriod = Period;
-      double Correct = 0, Incorrect = 0;
-      uint64_t Requests = 0;
-      RunAverage(C, Correct, Incorrect, Requests);
+    for (uint64_t Period : Periods) {
+      const SuiteAverage A = suiteAverage(Report, NumBenchmarks, Column++);
       Out.row()
           .cell(Period)
-          .cellPercent(Correct)
-          .cellPercent(Incorrect, 4)
-          .cell(Requests);
+          .cellPercent(A.Correct)
+          .cellPercent(A.Incorrect, 4)
+          .cell(A.Requests);
     }
     Out.print(std::cout, Opt.Csv);
   }

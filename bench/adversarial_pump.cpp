@@ -46,7 +46,10 @@ std::unique_ptr<SpeculationController> makeNullController() {
 int main(int Argc, char **Argv) {
   OptionSet Opts("adversarial_pump: oscillation-pump adversary vs the "
                  "reactive controller's oscillation limit");
-  addStandardOptions(Opts);
+  addCsvOption(Opts);
+  addBaselineOptions(Opts);
+  addJobsOptions(Opts);
+  addTraceCacheOption(Opts);
   Opts.addInt("pump-events", 20000000,
               "branch events in the pump workload's reference run");
   if (!Opts.parse(Argc, Argv))

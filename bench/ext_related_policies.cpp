@@ -20,12 +20,13 @@
 #include "BenchCommon.h"
 
 #include "core/AlternativeControllers.h"
-#include "core/Driver.h"
 #include "core/ReactiveController.h"
 #include "support/Table.h"
 
 #include <iostream>
+#include <iterator>
 #include <memory>
+#include <utility>
 
 using namespace specctrl;
 using namespace specctrl::bench;
@@ -35,7 +36,7 @@ using namespace specctrl::workload;
 int main(int Argc, char **Argv) {
   OptionSet Opts("ext_related_policies: Dynamo-style flushing and "
                  "hardware-style counters vs the paper's model (Sec. 5)");
-  addStandardOptions(Opts);
+  addSweepOptions(Opts);
   Opts.addInt("flush-interval", 25000000,
               "Dynamo flush interval in dynamic instructions");
   if (!Opts.parse(Argc, Argv))
@@ -54,40 +55,43 @@ int main(int Argc, char **Argv) {
   const uint64_t FlushInterval =
       static_cast<uint64_t>(Opts.getInt("flush-interval"));
 
-  struct Row {
-    const char *Name;
-    double Correct = 0;
-    double Incorrect = 0;
-    uint64_t Requests = 0;
-  } Rows[] = {{"open loop (one-shot)"},
-              {"dynamo-flush"},
-              {"closed loop (paper model)"},
-              {"hardware 2-bit (per-instance reference)"}};
+  // One column per policy; all four replay each benchmark's one shared
+  // materialization.
+  const std::pair<const char *, engine::ControllerFactory> Policies[] = {
+      {"open loop (one-shot)",
+       [Open](const engine::CellContext &) {
+         return std::make_unique<ReactiveController>(Open, "open");
+       }},
+      {"dynamo-flush",
+       [Base, FlushInterval](const engine::CellContext &) {
+         return std::make_unique<DynamoFlushController>(Base, FlushInterval);
+       }},
+      {"closed loop (paper model)",
+       [Base](const engine::CellContext &) {
+         return std::make_unique<ReactiveController>(Base, "closed");
+       }},
+      {"hardware 2-bit (per-instance reference)",
+       [](const engine::CellContext &) {
+         return std::make_unique<HardwareCounterController>();
+       }},
+  };
+  engine::ExperimentPlan Plan = suitePlan(Opt);
+  for (const auto &[Name, Make] : Policies)
+    Plan.addConfig(Name, Make);
+  const engine::RunReport Report = runSuite(Plan, Opt);
+  if (!checkReport(Report))
+    return 1;
 
-  const std::vector<WorkloadSpec> Suite = selectedSuite(Opt);
-  for (const WorkloadSpec &Spec : Suite) {
-    std::unique_ptr<SpeculationController> Policies[4];
-    Policies[0] = std::make_unique<ReactiveController>(Open, "open");
-    Policies[1] =
-        std::make_unique<DynamoFlushController>(Base, FlushInterval);
-    Policies[2] = std::make_unique<ReactiveController>(Base, "closed");
-    Policies[3] = std::make_unique<HardwareCounterController>();
-    for (int P = 0; P < 4; ++P) {
-      const ControlStats &S =
-          runWorkload(*Policies[P], Spec, Spec.refInput());
-      Rows[P].Correct += S.correctRate();
-      Rows[P].Incorrect += S.incorrectRate();
-      Rows[P].Requests += S.DeployRequests + S.RevokeRequests;
-    }
-  }
-
+  const size_t NumBenchmarks = Plan.benchmarks().size();
   Table Out({"policy", "correct", "incorrect", "code-change requests"});
-  for (Row &R : Rows)
+  for (uint32_t P = 0; P < std::size(Policies); ++P) {
+    const SuiteAverage A = suiteAverage(Report, NumBenchmarks, P);
     Out.row()
-        .cell(R.Name)
-        .cellPercent(R.Correct / Suite.size())
-        .cellPercent(R.Incorrect / Suite.size(), 4)
-        .cell(R.Requests);
+        .cell(Policies[P].first)
+        .cellPercent(A.Correct)
+        .cellPercent(A.Incorrect, 4)
+        .cell(A.Requests);
+  }
   Out.print(std::cout, Opt.Csv);
 
   std::cout << "\n(the hardware row's misspeculations cost ~a pipeline "

@@ -84,7 +84,9 @@ RunResult runPolicy(const WorkloadSpec &Spec, const ReactiveConfig &Config) {
 int main(int Argc, char **Argv) {
   OptionSet Opts("ext_value_speculation: the Fig. 4(b) FSM controlling "
                  "load-value speculation (Sec. 2's generalization claim)");
-  addStandardOptions(Opts);
+  addCsvOption(Opts);
+  addSuiteOptions(Opts);
+  addBaselineOptions(Opts);
   if (!Opts.parse(Argc, Argv))
     return Opts.wasError() ? 1 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);

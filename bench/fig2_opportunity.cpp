@@ -63,7 +63,10 @@ public:
 int main(int Argc, char **Argv) {
   OptionSet Opts("fig2_opportunity: Figure 2, the opportunity for software "
                  "speculation and the fragility of non-reactive selection");
-  addStandardOptions(Opts);
+  addCsvOption(Opts);
+  addSuiteOptions(Opts);
+  addJobsOptions(Opts);
+  addTraceCacheOption(Opts);
   Opts.addDouble("threshold", 0.99, "selection bias threshold");
   if (!Opts.parse(Argc, Argv))
     return Opts.wasError() ? 1 : 0;

@@ -25,7 +25,8 @@ using namespace specctrl::workload;
 int main(int Argc, char **Argv) try {
   OptionSet Opts("fig3_changing_branches: Figure 3, initially-invariant "
                  "branches that later change");
-  addStandardOptions(Opts);
+  addCsvOption(Opts);
+  addScaleOptions(Opts);
   Opts.addString("bench", "gap", "which benchmark to sample");
   Opts.addInt("tracks", 5, "number of changing branches to plot");
   Opts.addInt("block", 1000, "bias-averaging block size (executions)");

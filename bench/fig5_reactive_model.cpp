@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "Table4Experiment.h"
 
 #include "core/Driver.h"
 #include "core/ReactiveController.h"
@@ -50,7 +51,7 @@ std::unique_ptr<SpeculationController> makeNullController() {
 int main(int Argc, char **Argv) {
   OptionSet Opts("fig5_reactive_model: Figure 5, reactive control vs "
                  "self-training and the sensitivity variants");
-  addStandardOptions(Opts);
+  addSweepOptions(Opts);
   Opts.addFlag("latency-sweep",
                "also run the 0 / 100k / 1M instruction latency points");
   if (!Opts.parse(Argc, Argv))
@@ -62,31 +63,18 @@ int main(int Argc, char **Argv) {
               "(rates are fractions of all dynamic branches)");
 
   const ReactiveConfig Base = scaledBaseline(Opts);
-  auto WithBaseLatency = [&Base](ReactiveConfig C) {
-    C.OptLatency = Base.OptLatency;
-    // Keep the scaled wait period except where the variant itself changes
-    // it (frequent revisit = one order of magnitude below the baseline).
-    C.WaitPeriod = C.WaitPeriod == ReactiveConfig().WaitPeriod
-                       ? Base.WaitPeriod
-                       : Base.WaitPeriod / 10;
-    // Keep the sampling variant's 10% duty cycle but scale the window
-    // with the compressed site lifetimes.
-    if (C.EvictBySampling) {
-      C.EvictSampleWindow = 2000;
-      C.EvictSampleCount = 200;
-    }
-    return C;
-  };
-
   std::vector<Variant> Variants = {
       {"baseline", Base},
-      {"no-eviction", WithBaseLatency(ReactiveConfig::noEviction())},
-      {"no-revisit", WithBaseLatency(ReactiveConfig::noRevisit())},
+      {"no-eviction", withBaseLatency(Base, ReactiveConfig::noEviction())},
+      {"no-revisit", withBaseLatency(Base, ReactiveConfig::noRevisit())},
       {"lower-evict-1k",
-       WithBaseLatency(ReactiveConfig::lowerEvictionThreshold())},
-      {"evict-sampling", WithBaseLatency(ReactiveConfig::evictionBySampling())},
-      {"monitor-sampling", WithBaseLatency(ReactiveConfig::monitorSampling())},
-      {"revisit-100k", WithBaseLatency(ReactiveConfig::frequentRevisit())},
+       withBaseLatency(Base, ReactiveConfig::lowerEvictionThreshold())},
+      {"evict-sampling",
+       withBaseLatency(Base, ReactiveConfig::evictionBySampling())},
+      {"monitor-sampling",
+       withBaseLatency(Base, ReactiveConfig::monitorSampling())},
+      {"revisit-100k",
+       withBaseLatency(Base, ReactiveConfig::frequentRevisit())},
   };
   if (Opts.getFlag("latency-sweep")) {
     static const char *LatencyNames[] = {"latency-0", "latency-100k",

@@ -11,7 +11,6 @@
 
 #include "BenchCommon.h"
 
-#include "core/Driver.h"
 #include "core/ReactiveController.h"
 #include "support/Format.h"
 #include "support/Table.h"
@@ -19,6 +18,7 @@
 #include <algorithm>
 #include <iostream>
 #include <iterator>
+#include <memory>
 
 using namespace specctrl;
 using namespace specctrl::bench;
@@ -28,7 +28,7 @@ using namespace specctrl::workload;
 int main(int Argc, char **Argv) {
   OptionSet Opts("fig6_transition_bias: Figure 6, misprediction rate around "
                  "transitions out of the biased state");
-  addStandardOptions(Opts);
+  addSweepOptions(Opts);
   if (!Opts.parse(Argc, Argv))
     return Opts.wasError() ? 1 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
@@ -41,12 +41,18 @@ int main(int Argc, char **Argv) {
   // The arena shares each benchmark's materialized trace with any other
   // invocation via --trace-cache-dir (one config per benchmark here, so
   // in-process reuse alone has nothing to amortize).
-  const std::shared_ptr<workload::TraceArena> Arena = makeArena(Opt);
+  engine::ExperimentPlan Plan = suitePlan(Opt);
+  Plan.addConfig("baseline", [Base = scaledBaseline(Opts)](
+                                 const engine::CellContext &) {
+    return std::make_unique<ReactiveController>(Base);
+  });
+  const engine::RunReport Report = runSuite(Plan, Opt);
+  if (!checkReport(Report))
+    return 1;
+
   std::vector<double> WrongRates;
-  for (const WorkloadSpec &Spec : selectedSuite(Opt)) {
-    ReactiveController C(scaledBaseline(Opts));
-    const ControlStats &S =
-        runBenchWorkload(C, Spec, Spec.refInput(), Arena.get());
+  for (uint32_t B = 0; B < Plan.benchmarks().size(); ++B) {
+    const ControlStats &S = Report.cell(B, 0, 0).Stats;
     for (const TransitionRecord &T : S.Transitions)
       if (T.Observed > 0)
         WrongRates.push_back(static_cast<double>(T.AgainstOriginal) /

@@ -59,7 +59,9 @@ MsspResult runOne(const CellContext &Ctx, uint64_t Iterations, bool Eviction,
 int main(int Argc, char **Argv) {
   OptionSet Opts("fig7_mssp_reactivity: Figure 7, closed- vs open-loop "
                  "control in the MSSP timing simulation");
-  addStandardOptions(Opts);
+  addCsvOption(Opts);
+  addBenchmarksOption(Opts);
+  addJobsOptions(Opts);
   Opts.addInt("iterations", 90000,
               "main-loop iterations per run (~70 original instructions "
               "each)");

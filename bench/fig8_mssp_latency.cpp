@@ -31,7 +31,9 @@ using namespace specctrl::workload;
 int main(int Argc, char **Argv) {
   OptionSet Opts("fig8_mssp_latency: Figure 8, insensitivity to "
                  "optimization latency in the MSSP simulation");
-  addStandardOptions(Opts);
+  addCsvOption(Opts);
+  addBenchmarksOption(Opts);
+  addJobsOptions(Opts);
   Opts.addInt("iterations", 90000, "main-loop iterations per run");
   if (!Opts.parse(Argc, Argv))
     return Opts.wasError() ? 1 : 0;

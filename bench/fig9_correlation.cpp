@@ -27,7 +27,8 @@ using namespace specctrl::workload;
 int main(int Argc, char **Argv) try {
   OptionSet Opts("fig9_correlation: Figure 9, correlated behavioral changes "
                  "of vortex's flipping branches");
-  addStandardOptions(Opts);
+  addCsvOption(Opts);
+  addScaleOptions(Opts);
   Opts.addString("bench", "vortex", "which benchmark to analyze");
   if (!Opts.parse(Argc, Argv))
     return Opts.wasError() ? 1 : 0;

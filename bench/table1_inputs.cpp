@@ -22,7 +22,8 @@ using namespace specctrl::workload;
 int main(int Argc, char **Argv) {
   OptionSet Opts("table1_inputs: Table 1, simulation data sets and run "
                  "lengths (scaled; see DESIGN.md)");
-  addStandardOptions(Opts);
+  addCsvOption(Opts);
+  addSuiteOptions(Opts);
   if (!Opts.parse(Argc, Argv))
     return Opts.wasError() ? 1 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);

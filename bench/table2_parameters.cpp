@@ -18,7 +18,7 @@ using namespace specctrl::bench;
 
 int main(int Argc, char **Argv) {
   OptionSet Opts("table2_parameters: Table 2, model parameters");
-  Opts.addFlag("csv", "emit CSV instead of aligned text tables");
+  addCsvOption(Opts);
   if (!Opts.parse(Argc, Argv))
     return Opts.wasError() ? 1 : 0;
 

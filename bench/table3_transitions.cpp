@@ -11,12 +11,12 @@
 
 #include "BenchCommon.h"
 
-#include "core/Driver.h"
 #include "core/ReactiveController.h"
 #include "support/Format.h"
 #include "support/Table.h"
 
 #include <iostream>
+#include <memory>
 
 using namespace specctrl;
 using namespace specctrl::bench;
@@ -25,7 +25,7 @@ using namespace specctrl::workload;
 
 int main(int Argc, char **Argv) {
   OptionSet Opts("table3_transitions: Table 3, model transition data");
-  addStandardOptions(Opts);
+  addSweepOptions(Opts);
   if (!Opts.parse(Argc, Argv))
     return Opts.wasError() ? 1 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
@@ -34,6 +34,17 @@ int main(int Argc, char **Argv) {
               "model transition data, baseline reactive config (paper "
               "values in parentheses; statics scaled by --site-scale)");
 
+  // One baseline cell per benchmark, so the arena pays off across
+  // invocations (--trace-cache-dir) rather than within this one.
+  engine::ExperimentPlan Plan = suitePlan(Opt);
+  Plan.addConfig("baseline", [Base = scaledBaseline(Opts)](
+                                 const engine::CellContext &) {
+    return std::make_unique<ReactiveController>(Base);
+  });
+  const engine::RunReport Report = runSuite(Plan, Opt);
+  if (!checkReport(Report))
+    return 1;
+
   Table Out({"bench", "touch", "bias", "evict", "total evicts", "% spec.",
              "misspec dist.", "requests", "suppressed"});
 
@@ -41,13 +52,10 @@ int main(int Argc, char **Argv) {
   uint64_t SumEvicts = 0;
   unsigned N = 0;
 
-  // One config per benchmark, so the arena pays off across invocations
-  // (--trace-cache-dir) rather than within this one.
-  const std::shared_ptr<workload::TraceArena> Arena = makeArena(Opt);
-  for (const WorkloadSpec &Spec : selectedSuite(Opt)) {
-    ReactiveController C(scaledBaseline(Opts));
-    const ControlStats &S =
-        runBenchWorkload(C, Spec, Spec.refInput(), Arena.get());
+  const std::vector<engine::BenchmarkAxis> &Benchmarks = Plan.benchmarks();
+  for (uint32_t B = 0; B < Benchmarks.size(); ++B) {
+    const WorkloadSpec &Spec = Benchmarks[B].Spec;
+    const ControlStats &S = Report.cell(B, 0, 0).Stats;
     const workload::BenchmarkProfile &P = profileByName(Spec.Name);
     auto WithPaper = [](uint64_t Ours, uint32_t PaperValue) {
       return std::to_string(Ours) + " (" + std::to_string(PaperValue) + ")";

@@ -13,8 +13,7 @@
 // The (configuration x benchmark) grid is an ExperimentPlan executed by
 // the parallel engine; --jobs controls the worker count and any value
 // produces identical output.  The grid/formatting live in
-// Table4Experiment.h, shared with tools/specctrl-sweep (the multi-process
-// executor) so the two binaries' output is byte-identical.
+// Table4Experiment.h.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +27,7 @@ using namespace specctrl::bench;
 int main(int Argc, char **Argv) {
   OptionSet Opts("table4_sensitivity: Table 4, model sensitivity (suite "
                  "averages)");
-  addStandardOptions(Opts);
+  addSweepOptions(Opts);
   Opts.addFlag("no-oscillation-limit",
                "add an ablation row with the per-site optimization cap "
                "disabled");

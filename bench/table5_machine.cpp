@@ -19,9 +19,9 @@ using namespace specctrl::mssp;
 
 int main(int Argc, char **Argv) {
   OptionSet Opts("table5_machine: Table 5, simulation parameters");
-  // Standard option set for harness uniformity; the table reads the
-  // MachineConfig defaults, so only --csv affects the output.
-  addStandardOptions(Opts);
+  // The table reads the MachineConfig defaults, so --csv is its only
+  // option.
+  addCsvOption(Opts);
   if (!Opts.parse(Argc, Argv))
     return Opts.wasError() ? 1 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);

@@ -1,6 +1,6 @@
-//===- bench/trace_decode.cpp - Trace decode + sweep microbenches ---------===//
+//===- bench/trace_decode.cpp - Trace decode microbenches -----------------===//
 //
-// google-benchmark microbenches for SCT2 decode and the sweep executors:
+// google-benchmark microbenches for SCT2 decode and mapped replay:
 //
 //  * BM_Decode_* -- per-block payload decode over a recorded trace: the
 //    checked decoder (validation on every event; an untrusted block's
@@ -8,15 +8,9 @@
 //    load; every later read).
 //  * BM_Replay_Mmap -- whole-trace replay throughput of a TraceCursor over
 //    a page-aligned file mapped read-only.
-//  * BM_Sweep -- a table4-shaped plan through the in-process thread-pool
-//    executor vs the forked work-stealing process pool, at 1 and 4
-//    workers (the BENCH_sweep.json trajectory point).
 //
 //===----------------------------------------------------------------------===//
 
-#include "engine/ExperimentRunner.h"
-#include "engine/ProcessPool.h"
-#include "core/ReactiveController.h"
 #include "workload/SpecSuite.h"
 #include "workload/TraceFile.h"
 #include "workload/TraceGenerator.h"
@@ -144,56 +138,6 @@ void BM_Replay_Mmap(benchmark::State &State) {
       benchmark::Counter(static_cast<double>(Trace->bytes()));
 }
 BENCHMARK(BM_Replay_Mmap)->Unit(benchmark::kMillisecond);
-
-/// A table4-shaped sweep (two workloads x a reactive-config ladder)
-/// through the in-process thread pool (procs=0) vs the forked
-/// work-stealing process pool (procs=1).  The process pool adds fork +
-/// fragment-serialization overhead per run but isolates cells and shares
-/// the page cache; both produce bit-identical reports (pinned by
-/// ProcessPoolTest), so this measures pure executor overhead/scaling.
-void BM_Sweep(benchmark::State &State) {
-  const bool UseProcs = State.range(0) != 0;
-  const unsigned Workers = static_cast<unsigned>(State.range(1));
-
-  engine::ExperimentPlan Plan;
-  Plan.addBenchmark(workload::makeBenchmark("bzip2", DecodeScale));
-  Plan.addBenchmark(workload::makeBenchmark("bzip2", DecodeScale));
-  const double Ladder[] = {0.98, 0.99, 0.995, 0.998};
-  for (double T : Ladder)
-    Plan.addConfig("t" + std::to_string(T),
-                   [T](const engine::CellContext &) {
-                     core::ReactiveConfig C = core::ReactiveConfig::baseline();
-                     C.OptLatency = 10000;
-                     C.WaitPeriod = 50000;
-                     C.SelectThreshold = T;
-                     return std::make_unique<core::ReactiveController>(C);
-                   });
-
-  uint64_t Events = 0;
-  for (auto _ : State) {
-    engine::RunReport Report;
-    if (UseProcs) {
-      engine::ProcessRunOptions Options;
-      Options.Procs = Workers;
-      Report = engine::runPlanProcesses(Plan, Options);
-    } else {
-      Report = engine::runPlan(Plan, {.Jobs = Workers});
-    }
-    if (Report.failedCells() != 0)
-      State.SkipWithError("sweep cells failed");
-    Events = Report.totalEvents();
-    benchmark::DoNotOptimize(Events);
-  }
-  State.SetItemsProcessed(State.iterations() * static_cast<int64_t>(Events));
-}
-BENCHMARK(BM_Sweep)
-    ->ArgNames({"procs", "workers"})
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({0, 4})
-    ->Args({1, 4})
-    ->UseRealTime() // the workers' time, not the coordinating parent's
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

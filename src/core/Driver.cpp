@@ -8,6 +8,7 @@
 
 #include "workload/TraceFile.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -22,34 +23,6 @@ void TraceObserver::onBatch(std::span<const workload::BranchEvent> Events,
     onEvent(Events[I], Verdicts[I]);
 }
 
-namespace {
-
-/// The per-event reference path (BatchEvents <= 1): one controller (and
-/// observer) dispatch per event.  Kept as the oracle the batched path is
-/// equivalence-tested against.
-uint64_t runPerEvent(SpeculationController &Controller,
-                     workload::EventSource &Source,
-                     TraceObserver *Observer) {
-  workload::BranchEvent Event;
-  uint64_t Consumed = 0;
-  if (!Observer) {
-    while (Source.next(Event)) {
-      Controller.onBranch(Event.Site, Event.Taken, Event.InstRet);
-      ++Consumed;
-    }
-  } else {
-    while (Source.next(Event)) {
-      const BranchVerdict Verdict =
-          Controller.onBranch(Event.Site, Event.Taken, Event.InstRet);
-      Observer->onEvent(Event, Verdict);
-      ++Consumed;
-    }
-  }
-  return Consumed;
-}
-
-} // namespace
-
 const ControlStats &core::runTrace(SpeculationController &Controller,
                                    workload::EventSource &Source,
                                    TraceObserver *Observer,
@@ -57,23 +30,19 @@ const ControlStats &core::runTrace(SpeculationController &Controller,
                                    TraceRunMetrics *Metrics) {
   uint64_t Consumed = 0;
   uint64_t Batches = 0;
-  if (BatchEvents <= 1) {
-    Consumed = runPerEvent(Controller, Source, Observer);
-    Batches = Consumed;
-  } else {
-    // Reusable chunk arena: one events buffer, one verdicts buffer, both
-    // sized once and refilled per chunk.
-    std::vector<workload::BranchEvent> Events(BatchEvents);
-    std::vector<BranchVerdict> Verdicts(BatchEvents);
-    while (const size_t N = Source.nextBatch(Events)) {
-      const std::span<const workload::BranchEvent> Chunk(Events.data(), N);
-      Controller.onBatch(Chunk, Verdicts.data());
-      if (Observer)
-        Observer->onBatch(Chunk,
-                          std::span<const BranchVerdict>(Verdicts.data(), N));
-      Consumed += N;
-      ++Batches;
-    }
+  // Reusable chunk arena: one events buffer, one verdicts buffer, both
+  // sized once and refilled per chunk.
+  const size_t ChunkEvents = std::max<size_t>(BatchEvents, 1);
+  std::vector<workload::BranchEvent> Events(ChunkEvents);
+  std::vector<BranchVerdict> Verdicts(ChunkEvents);
+  while (const size_t N = Source.nextBatch(Events)) {
+    const std::span<const workload::BranchEvent> Chunk(Events.data(), N);
+    Controller.onBatch(Chunk, Verdicts.data());
+    if (Observer)
+      Observer->onBatch(Chunk,
+                        std::span<const BranchVerdict>(Verdicts.data(), N));
+    Consumed += N;
+    ++Batches;
   }
   ControlStats &Stats = Controller.stats();
   Stats.EventsConsumed += Consumed;
@@ -84,17 +53,6 @@ const ControlStats &core::runTrace(SpeculationController &Controller,
   return Stats;
 }
 
-const ControlStats &core::runTrace(SpeculationController &Controller,
-                                   workload::EventSource &Source,
-                                   const TraceHook &Hook,
-                                   size_t BatchEvents) {
-  if (!Hook)
-    return runTrace(Controller, Source, static_cast<TraceObserver *>(nullptr),
-                    BatchEvents);
-  LambdaTraceObserver Observer(Hook);
-  return runTrace(Controller, Source, &Observer, BatchEvents);
-}
-
 const ControlStats &core::runWorkload(SpeculationController &Controller,
                                       const workload::WorkloadSpec &Spec,
                                       const workload::InputConfig &Input,
@@ -103,19 +61,6 @@ const ControlStats &core::runWorkload(SpeculationController &Controller,
                                       TraceRunMetrics *Metrics) {
   workload::TraceGenerator Gen(Spec, Input);
   return runTrace(Controller, Gen, Observer, BatchEvents, Metrics);
-}
-
-const ControlStats &core::runWorkload(SpeculationController &Controller,
-                                      const workload::WorkloadSpec &Spec,
-                                      const workload::InputConfig &Input,
-                                      const TraceHook &Hook,
-                                      size_t BatchEvents) {
-  // Delegate so generator setup lives in one place (the observer overload).
-  if (!Hook)
-    return runWorkload(Controller, Spec, Input,
-                       static_cast<TraceObserver *>(nullptr), BatchEvents);
-  LambdaTraceObserver Observer(Hook);
-  return runWorkload(Controller, Spec, Input, &Observer, BatchEvents);
 }
 
 const ControlStats &core::runWorkload(SpeculationController &Controller,

@@ -9,15 +9,16 @@
 /// a trace to a controller (and optional per-event observers), the
 /// single-run primitive behind the abstract-model experiments (Figs.
 /// 2/5/6, Tables 3/4).  Multi-run experiments (suites, config sweeps)
-/// should go through engine::ExperimentRunner, which calls these
-/// primitives once per cell.
+/// go through engine::runPlan, which calls these primitives once per
+/// cell.
 ///
-/// The default run path is batched: events stream through a reusable
-/// chunk arena (workload::DefaultBatchEvents per chunk), the controller
-/// scores each chunk via one onBatch call, and observers see the same
-/// chunk through TraceObserver::onBatch.  BatchEvents <= 1 selects the
-/// per-event reference path; both produce bit-identical ControlStats and
-/// observer event sequences (the equivalence property tests pin this).
+/// There is one run path, batched: events stream through a reusable chunk
+/// arena (workload::DefaultBatchEvents per chunk by default), the
+/// controller scores each chunk via one onBatch call, and observers see
+/// the same chunk through TraceObserver::onBatch.  Every chunk size gives
+/// bit-identical ControlStats and observer event sequences; the
+/// equivalence property tests pin this against a per-event loop of their
+/// own.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,9 +29,6 @@
 #include "profile/BranchProfile.h"
 #include "workload/TraceArena.h"
 #include "workload/TraceGenerator.h"
-
-#include <functional>
-#include <utility>
 
 namespace specctrl {
 namespace core {
@@ -53,25 +51,6 @@ public:
   /// override it.
   virtual void onBatch(std::span<const workload::BranchEvent> Events,
                        std::span<const BranchVerdict> Verdicts);
-};
-
-/// The legacy hook form; kept for lambda-style call sites.
-using TraceHook =
-    std::function<void(const workload::BranchEvent &, const BranchVerdict &)>;
-
-/// Adapts a TraceHook lambda to the observer interface.
-class LambdaTraceObserver final : public TraceObserver {
-public:
-  explicit LambdaTraceObserver(TraceHook Hook) : Hook(std::move(Hook)) {}
-  LambdaTraceObserver(const LambdaTraceObserver &) = delete;
-  LambdaTraceObserver &operator=(const LambdaTraceObserver &) = delete;
-  void onEvent(const workload::BranchEvent &Event,
-               const BranchVerdict &Verdict) override {
-    Hook(Event, Verdict);
-  }
-
-private:
-  TraceHook Hook;
 };
 
 /// An observer that accumulates a whole-run branch profile (the common
@@ -99,26 +78,20 @@ private:
 /// Driver-level accounting for one runTrace call (optional out-param).
 struct TraceRunMetrics {
   uint64_t Events = 0;  ///< events fed to the controller
-  uint64_t Batches = 0; ///< onBatch dispatches (== Events per-event path)
+  uint64_t Batches = 0; ///< onBatch dispatches
 };
 
 /// Feeds the entire remaining stream of \p Source to \p Controller in
-/// chunks of \p BatchEvents, notifying \p Observer (when non-null) of
-/// every chunk.  BatchEvents <= 1 selects the per-event reference path.
-/// Records the number of events consumed into the controller's
-/// ControlStats::EventsConsumed (and, with \p Metrics, the chunk count)
-/// and returns the final stats (also available via Controller.stats()).
+/// chunks of \p BatchEvents (at least one event each), notifying
+/// \p Observer (when non-null) of every chunk.  Records the number of
+/// events consumed into the controller's ControlStats::EventsConsumed
+/// (and, with \p Metrics, the chunk count) and returns the final stats
+/// (also available via Controller.stats()).
 const ControlStats &
 runTrace(SpeculationController &Controller, workload::EventSource &Source,
          TraceObserver *Observer = nullptr,
          size_t BatchEvents = workload::DefaultBatchEvents,
          TraceRunMetrics *Metrics = nullptr);
-
-/// Legacy lambda form (adapts \p Hook to a TraceObserver).
-const ControlStats &
-runTrace(SpeculationController &Controller, workload::EventSource &Source,
-         const TraceHook &Hook,
-         size_t BatchEvents = workload::DefaultBatchEvents);
 
 /// Convenience: build the generator for (Spec, Input) and run it.
 const ControlStats &
@@ -128,13 +101,6 @@ runWorkload(SpeculationController &Controller,
             TraceObserver *Observer = nullptr,
             size_t BatchEvents = workload::DefaultBatchEvents,
             TraceRunMetrics *Metrics = nullptr);
-
-/// Legacy lambda form.
-const ControlStats &
-runWorkload(SpeculationController &Controller,
-            const workload::WorkloadSpec &Spec,
-            const workload::InputConfig &Input, const TraceHook &Hook,
-            size_t BatchEvents = workload::DefaultBatchEvents);
 
 /// Arena-backed form: replays (Spec, Input) out of \p Arena, which
 /// materializes the trace on first use and shares it across every

@@ -25,6 +25,7 @@
 #define SPECCTRL_CORE_REACTIVECONFIG_H
 
 #include <cstdint>
+#include <string>
 
 namespace specctrl {
 namespace core {
@@ -66,6 +67,21 @@ struct ReactiveConfig {
   uint64_t EvictSampleWindow = 10000;
   uint64_t EvictSampleCount = 1000;
   double EvictSampleBias = 0.98;
+
+  /// The first violated validity rule, as a message; empty when the
+  /// config is valid.  The one check behind the controller's constructor
+  /// and reconfigure, snapshot restore, and stream reconfiguration.
+  std::string validate() const {
+    if (MonitorPeriod == 0)
+      return "monitor period is zero";
+    if (!(SelectThreshold > 0.5) || !(SelectThreshold <= 1.0))
+      return "selection threshold out of (0.5, 1]";
+    if (MonitorSampleRate < 1)
+      return "monitor sample rate is zero";
+    if (EvictBySampling && EvictSampleCount > EvictSampleWindow)
+      return "eviction sample count exceeds the sampling window";
+    return {};
+  }
 
   // ---- Named variants (Fig. 5 / Table 4) ---------------------------------
 

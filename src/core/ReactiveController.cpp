@@ -7,31 +7,28 @@
 #include "core/ReactiveController.h"
 
 #include <cassert>
+#include <stdexcept>
 
 using namespace specctrl;
 using namespace specctrl::core;
 
-ReactiveController::ReactiveController(const ReactiveConfig &Config,
-                                       const char *Name)
-    : Config(Config), PolicyName(Name) {
-  assert(Config.MonitorPeriod > 0 && "monitor period must be positive");
-  assert(Config.SelectThreshold > 0.5 && Config.SelectThreshold <= 1.0 &&
-         "selection threshold out of range");
-  assert(Config.MonitorSampleRate >= 1 && "sample rate must be >= 1");
-  assert((!Config.EvictBySampling ||
-          Config.EvictSampleCount <= Config.EvictSampleWindow) &&
-         "sample count exceeds the sampling window");
+namespace {
+
+const ReactiveConfig &checked(const ReactiveConfig &Config) {
+  const std::string Violation = Config.validate();
+  if (!Violation.empty())
+    throw std::invalid_argument("invalid reactive config: " + Violation);
+  return Config;
 }
 
+} // namespace
+
+ReactiveController::ReactiveController(const ReactiveConfig &Config,
+                                       const char *Name)
+    : Config(checked(Config)), PolicyName(Name) {}
+
 void ReactiveController::reconfigure(const ReactiveConfig &NewConfig) {
-  assert(NewConfig.MonitorPeriod > 0 && "monitor period must be positive");
-  assert(NewConfig.SelectThreshold > 0.5 && NewConfig.SelectThreshold <= 1.0 &&
-         "selection threshold out of range");
-  assert(NewConfig.MonitorSampleRate >= 1 && "sample rate must be >= 1");
-  assert((!NewConfig.EvictBySampling ||
-          NewConfig.EvictSampleCount <= NewConfig.EvictSampleWindow) &&
-         "sample count exceeds the sampling window");
-  Config = NewConfig;
+  Config = checked(NewConfig);
 }
 
 ReactiveController::SiteState &ReactiveController::state(SiteId Site) {

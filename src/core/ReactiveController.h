@@ -45,6 +45,8 @@ struct ControllerSnapshotAccess;
 /// the one-shot/open-loop baselines).
 class ReactiveController : public SpeculationController {
 public:
+  /// Throws std::invalid_argument naming the violation when
+  /// Config.validate() reports one, in every build.
   explicit ReactiveController(const ReactiveConfig &Config = {},
                               const char *Name = "reactive");
 
@@ -53,8 +55,8 @@ public:
   /// boundary).  In-flight per-site state -- FSM states, monitor counts,
   /// eviction counters, pending requests -- is preserved, so the switch is
   /// equivalent to having fed the remaining events to a controller that
-  /// always had \p NewConfig from this point on.  The new config must
-  /// satisfy the constructor's invariants.
+  /// always had \p NewConfig from this point on.  An invalid config throws
+  /// std::invalid_argument, as in the constructor, and changes nothing.
   void reconfigure(const ReactiveConfig &NewConfig);
 
   /// Routes re-optimization requests to \p Sink instead of the built-in

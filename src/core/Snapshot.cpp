@@ -108,22 +108,9 @@ bool decodeConfig(ByteReader &R, ReactiveConfig &C, std::string &Error) {
     return false;
   }
   C.MonitorSampleRate = SampleRate;
-  // The constructor asserts these; asserts are compiled out in release
-  // builds, so a snapshot restore must check them for real.
-  if (C.MonitorPeriod == 0) {
-    Error = "snapshot config invalid: monitor period is zero";
-    return false;
-  }
-  if (!(C.SelectThreshold > 0.5) || !(C.SelectThreshold <= 1.0)) {
-    Error = "snapshot config invalid: selection threshold out of (0.5, 1]";
-    return false;
-  }
-  if (C.MonitorSampleRate < 1) {
-    Error = "snapshot config invalid: monitor sample rate is zero";
-    return false;
-  }
-  if (C.EvictBySampling && C.EvictSampleCount > C.EvictSampleWindow) {
-    Error = "snapshot config invalid: sample count exceeds window";
+  const std::string Violation = C.validate();
+  if (!Violation.empty()) {
+    Error = "snapshot config invalid: " + Violation;
     return false;
   }
   return true;

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The declarative multi-run experiment description executed by
-/// ExperimentRunner.  A plan is a grid of benchmark x input x
+/// engine::runPlan.  A plan is a grid of benchmark x input x
 /// controller-config cells -- exactly the shape of the paper's sensitivity
 /// methodology (Sec. 3, Tables 3-4), where every cell is an independent
 /// full-trace run.  Each cell names a *factory* for its

@@ -25,10 +25,14 @@ double secondsSince(Clock::time_point Start, Clock::time_point End) {
   return std::chrono::duration<double>(End - Start).count();
 }
 
-} // namespace
-
-void engine::runPlanCell(const ExperimentPlan &Plan, CellResult &Cell,
-                         size_t BatchEvents) {
+/// Runs one laid-out cell of \p Plan: constructs all per-cell state from
+/// the plan (controller, observer, event source), feeds the whole trace,
+/// and records stats/metrics into \p Cell.  Exceptions are captured into
+/// Cell.Failed/Error instead of propagating (failure isolation).  Safe to
+/// call from any worker: the only shared state touched is the plan's
+/// trace arena, which is internally synchronized.
+void runPlanCell(const ExperimentPlan &Plan, CellResult &Cell,
+                 size_t BatchEvents) {
   const Clock::time_point Start = Clock::now();
   try {
     const BenchmarkAxis &Bench = Plan.benchmarks()[Cell.Coord.Benchmark];
@@ -76,7 +80,10 @@ void engine::runPlanCell(const ExperimentPlan &Plan, CellResult &Cell,
   Cell.WallSeconds = secondsSince(Start, Clock::now());
 }
 
-std::vector<CellResult> engine::layoutPlanCells(const ExperimentPlan &Plan) {
+/// One CellResult slot per plan cell in the stable benchmark-major report
+/// order (benchmark, then input, then config), with names and the
+/// deterministic cell seed filled in and all run fields zeroed.
+std::vector<CellResult> layoutPlanCells(const ExperimentPlan &Plan) {
   const std::vector<BenchmarkAxis> &Benchmarks = Plan.benchmarks();
   const std::vector<ConfigAxis> &Configs = Plan.configs();
   std::vector<CellResult> Cells;
@@ -94,6 +101,8 @@ std::vector<CellResult> engine::layoutPlanCells(const ExperimentPlan &Plan) {
       }
   return Cells;
 }
+
+} // namespace
 
 size_t RunReport::failedCells() const {
   size_t N = 0;
@@ -129,10 +138,8 @@ const CellResult *RunReport::find(const std::string &Benchmark,
   return nullptr;
 }
 
-ExperimentRunner::ExperimentRunner(RunOptions Options)
-    : Options(Options) {}
-
-RunReport ExperimentRunner::run(const ExperimentPlan &Plan) const {
+RunReport engine::runPlan(const ExperimentPlan &Plan,
+                          const RunOptions &Options) {
   RunReport Report;
   Report.Jobs = ThreadPool::resolveJobs(Options.Jobs);
 
@@ -158,9 +165,4 @@ RunReport ExperimentRunner::run(const ExperimentPlan &Plan) const {
   }
   Report.WallSeconds = secondsSince(RunStart, Clock::now());
   return Report;
-}
-
-RunReport engine::runPlan(const ExperimentPlan &Plan,
-                          const RunOptions &Options) {
-  return ExperimentRunner(Options).run(Plan);
 }

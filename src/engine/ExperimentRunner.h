@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes an ExperimentPlan over a fixed-size thread pool.  This is the
-/// public entry point for multi-run experiments; core::runTrace /
-/// core::runWorkload remain the single-run primitives it calls per cell.
+/// Executes an ExperimentPlan over a fixed-size thread pool.  runPlan is
+/// the one way a multi-run experiment executes; core::runTrace is the
+/// single-run primitive it calls per cell, in batches, over the plan's
+/// trace arena when the plan carries one.
 ///
 /// Guarantees:
 ///  * Determinism -- every cell builds its own generator, controller, and
@@ -40,9 +41,8 @@ struct RunOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency.  Jobs == 1
   /// runs the cells inline on the calling thread (the serial reference).
   unsigned Jobs = 0;
-  /// Events per driver chunk inside each cell (see core::runTrace).
-  /// <= 1 selects the per-event reference path; results are identical at
-  /// any value.
+  /// Events per driver chunk inside each cell (see core::runTrace);
+  /// results are identical at any value.
   size_t BatchEvents = workload::DefaultBatchEvents;
 };
 
@@ -102,37 +102,8 @@ struct RunReport {
                          const std::string &Config) const;
 };
 
-/// Lays out one CellResult slot per plan cell in the stable benchmark-major
-/// report order (benchmark, then input, then config), with names and the
-/// deterministic cell seed filled in and all run fields zeroed.  Every plan
-/// executor -- serial, thread pool, process pool -- starts from this layout,
-/// which is what makes their reports structurally identical.
-std::vector<CellResult> layoutPlanCells(const ExperimentPlan &Plan);
-
-/// Runs one laid-out cell of \p Plan: constructs all per-cell state from
-/// the plan (controller, observer, event source), feeds the whole trace,
-/// and records stats/metrics into \p Cell.  Exceptions are captured into
-/// Cell.Failed/Error instead of propagating (failure isolation).  Safe to
-/// call from any thread or process: the only shared state touched is the
-/// plan's trace arena, which is internally synchronized.
-void runPlanCell(const ExperimentPlan &Plan, CellResult &Cell,
-                 size_t BatchEvents);
-
-/// Executes plans.  Stateless apart from its options; one runner can
-/// execute many plans.
-class ExperimentRunner {
-public:
-  explicit ExperimentRunner(RunOptions Options = {});
-
-  /// Runs every cell of \p Plan and returns the report.  The plan must
-  /// outlive the call (cell contexts reference it).
-  RunReport run(const ExperimentPlan &Plan) const;
-
-private:
-  RunOptions Options;
-};
-
-/// Convenience: ExperimentRunner(Options).run(Plan).
+/// Runs every cell of \p Plan and returns the report.  The plan must
+/// outlive the call (cell contexts reference it).
 RunReport runPlan(const ExperimentPlan &Plan, const RunOptions &Options = {});
 
 } // namespace engine

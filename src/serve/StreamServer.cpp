@@ -253,13 +253,9 @@ bool StreamServer::snapshotStream(StreamId Id, uint64_t AtEvents,
 bool StreamServer::reconfigureStream(StreamId Id, uint64_t AtEvents,
                                      const core::ReactiveConfig &NewControl,
                                      std::string &Error) {
-  if (NewControl.MonitorPeriod == 0 ||
-      !(NewControl.SelectThreshold > 0.5) ||
-      !(NewControl.SelectThreshold <= 1.0) ||
-      NewControl.MonitorSampleRate < 1 ||
-      (NewControl.EvictBySampling &&
-       NewControl.EvictSampleCount > NewControl.EvictSampleWindow)) {
-    Error = "reconfiguration rejected: parameters out of range";
+  const std::string Violation = NewControl.validate();
+  if (!Violation.empty()) {
+    Error = "reconfiguration rejected: " + Violation;
     return false;
   }
   auto Op = std::make_shared<PendingOp>();

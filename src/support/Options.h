@@ -53,6 +53,9 @@ public:
 
   bool wasError() const { return SawError; }
 
+  /// True if an option named \p Name was registered.
+  bool has(const std::string &Name) const { return find(Name) != nullptr; }
+
   bool getFlag(const std::string &Name) const;
   int64_t getInt(const std::string &Name) const;
   double getDouble(const std::string &Name) const;

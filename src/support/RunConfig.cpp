@@ -51,11 +51,10 @@ RunConfig RunConfig::fromEnv(std::string *Warnings) {
       envCount("SPECCTRL_SERVE_EPOCH_EVENTS", Out.ServeEpochEvents, Warnings);
   Out.ServeRingEvents =
       envCount("SPECCTRL_SERVE_RING_EVENTS", Out.ServeRingEvents, Warnings);
-  Out.SweepProcs = envCount("SPECCTRL_SWEEP_PROCS", Out.SweepProcs, Warnings);
   Out.VerifySpecLeak =
       envBool("SPECCTRL_VERIFY_SPECLEAK", Out.VerifySpecLeak);
   for (const char *Removed : {"SPECCTRL_VERIFY_DISTILL", "SPECCTRL_ARENA_DEBUG",
-                              "SPECCTRL_TRACE_MMAP"})
+                              "SPECCTRL_TRACE_MMAP", "SPECCTRL_SWEEP_PROCS"})
     if (Warnings && std::getenv(Removed)) {
       *Warnings += Removed;
       *Warnings += " is no longer read; it has no effect\n";

@@ -6,9 +6,7 @@
 ///
 /// \file
 /// The single typed carrier for cross-cutting run knobs.  The environment
-/// is parsed exactly once into RunConfig::global(); tool and bench mains
-/// may override it from the command line (BenchCommon's --verify-distill
-/// / --arena-verbose) before any work starts, and libraries read the
+/// is parsed exactly once into RunConfig::global(), and libraries read the
 /// parsed struct instead of calling getenv.
 ///
 /// Canonical environment variables:
@@ -17,12 +15,12 @@
 ///   SPECCTRL_ARENA_VERBOSE=1     per-materialization trace-arena logging
 ///   SPECCTRL_SERVE_EPOCH_EVENTS=N   serve-layer epoch length (events)
 ///   SPECCTRL_SERVE_RING_EVENTS=N    serve-layer ingest ring capacity
-///   SPECCTRL_SWEEP_PROCS=N       specctrl-sweep worker processes (0=cores)
 ///   SPECCTRL_VERIFY_SPECLEAK=0   opt out of the SpecLeak verifier check
 ///
 /// Removed variables (SPECCTRL_VERIFY_DISTILL, SPECCTRL_ARENA_DEBUG,
-/// SPECCTRL_TRACE_MMAP) are not read; a one-line warning says so when one
-/// is set, so a script relying on one learns it has no effect.
+/// SPECCTRL_TRACE_MMAP, SPECCTRL_SWEEP_PROCS) are not read; a one-line
+/// warning says so when one is set, so a script relying on one learns it
+/// has no effect.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,9 +47,6 @@ struct RunConfig {
   /// Default per-stream ingest ring capacity, in events (rounded up to a
   /// power of two by the ring).
   uint64_t ServeRingEvents = 8192;
-  /// Worker-process count for multi-process sweeps (engine/ProcessPool.h,
-  /// tools/specctrl-sweep); 0 selects the hardware concurrency.
-  uint64_t SweepProcs = 0;
   /// Run the speculative-leak check (analysis/SpecInterp.h) as part of
   /// deploy-time verification.  On by default when VerifyDistill is on;
   /// SPECCTRL_VERIFY_SPECLEAK=0 opts out while the check stabilizes.

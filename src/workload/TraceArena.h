@@ -29,11 +29,10 @@
 ///
 /// An optional disk tier (Config::CacheDir) persists materializations as
 /// page-aligned SCT2 files named by the key hash, so repeated tool
-/// invocations -- and the worker processes of one sweep -- amortize the
-/// same way sweep cells do.  With a disk tier, materialize() returns the
-/// cache file mapped read-only: cursors decode blocks in place from a
-/// mapping the kernel shares across every process replaying the same
-/// file, so the trace is never resident at all.  A miss stream-generates
+/// invocations amortize the same way sweep cells do.  With a disk tier,
+/// materialize() returns the cache file mapped read-only: cursors decode
+/// blocks in place from a mapping the kernel shares across every process
+/// replaying the same file, so the trace is never resident at all.  A miss stream-generates
 /// straight to the file; a hit verifies the whole file (checksums +
 /// checked decode, bounded by one block buffer) before serving it and
 /// regenerates it on any mismatch, so a stream never fails mid-replay on

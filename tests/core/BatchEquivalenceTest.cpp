@@ -1,12 +1,14 @@
 //===- tests/core/BatchEquivalenceTest.cpp --------------------------------===//
 //
 // The batched pipeline's core contract: driving a run in chunks of any
-// size produces results bit-identical to the per-event reference path.
-// Exercised as a property over the full twelve-benchmark paper suite on
-// both inputs, for the reactive controller and the static baselines, at
-// the default chunk size and a deliberately odd one (so final partial
-// chunks and chunk-boundary effects are covered), and through the engine
-// at several worker counts.
+// size produces results bit-identical to a per-event reference loop kept
+// here, independent of the driver (TraceGenerator::next, then onBranch,
+// one event at a time).  Exercised as a property over the full
+// twelve-benchmark paper suite on both inputs, for the reactive
+// controller and the static baselines, at the default chunk size, a
+// deliberately odd one (so final partial chunks and chunk-boundary
+// effects are covered), and chunks of one, and through the engine at
+// several worker counts.
 //
 // `ctest -R batch_equivalence` is the stable handle for this suite (see
 // tests/CMakeLists.txt).
@@ -41,10 +43,10 @@ namespace {
 /// evicts (the stats being compared are not all-zero).
 constexpr SuiteScale TestScale{3.0e3, 0.1};
 
-/// The chunk sizes under test: the pipeline default and an odd size that
+/// The chunk sizes under test: the pipeline default, an odd size that
 /// never divides the event count (so the final chunk is partial and chunk
-/// boundaries land mid-phase).
-constexpr size_t TestBatches[] = {workload::DefaultBatchEvents, 257};
+/// boundaries land mid-phase), and chunks of one event.
+constexpr size_t TestBatches[] = {workload::DefaultBatchEvents, 257, 1};
 
 ReactiveConfig scaledConfig(ReactiveConfig C) {
   C.MonitorPeriod = 100;
@@ -60,6 +62,26 @@ ControlStats runReactive(const WorkloadSpec &Spec, const InputConfig &Input,
   ReactiveController C(scaledConfig(ReactiveConfig::baseline()));
   runWorkload(C, Spec, Input, nullptr, BatchEvents);
   return C.stats();
+}
+
+/// The per-event reference: one generator event, one onBranch dispatch,
+/// no chunk anywhere; EventsConsumed is accounted as the driver does.
+ControlStats perEventReference(SpeculationController &C,
+                               const WorkloadSpec &Spec,
+                               const InputConfig &Input) {
+  TraceGenerator Gen(Spec, Input);
+  BranchEvent E;
+  while (Gen.next(E)) {
+    C.onBranch(E.Site, E.Taken, E.InstRet);
+    ++C.stats().EventsConsumed;
+  }
+  return C.stats();
+}
+
+ControlStats reactiveReference(const WorkloadSpec &Spec,
+                               const InputConfig &Input) {
+  ReactiveController C(scaledConfig(ReactiveConfig::baseline()));
+  return perEventReference(C, Spec, Input);
 }
 
 profile::BranchProfile selfProfile(const WorkloadSpec &Spec,
@@ -78,6 +100,13 @@ ControlStats runStatic(const WorkloadSpec &Spec, const InputConfig &Input,
   StaticSelectionController C(Profile, 0.95);
   runWorkload(C, Spec, Input, nullptr, BatchEvents);
   return C.stats();
+}
+
+ControlStats staticReference(const WorkloadSpec &Spec,
+                             const InputConfig &Input,
+                             const profile::BranchProfile &Profile) {
+  StaticSelectionController C(Profile, 0.95);
+  return perEventReference(C, Spec, Input);
 }
 
 ExperimentPlan fullSuitePlan() {
@@ -118,7 +147,7 @@ TEST(BatchEquivalenceTest, ReactiveSuiteMatchesPerEventOnBothInputs) {
   for (const BenchmarkProfile &P : suiteProfiles()) {
     const WorkloadSpec Spec = makeBenchmark(P, TestScale);
     for (const InputConfig &Input : {Spec.refInput(), Spec.trainInput()}) {
-      const ControlStats Reference = runReactive(Spec, Input, 1);
+      const ControlStats Reference = reactiveReference(Spec, Input);
       for (const size_t Batch : TestBatches)
         EXPECT_EQ(Reference, runReactive(Spec, Input, Batch))
             << Spec.Name << "/" << Input.Name << " batch=" << Batch;
@@ -136,7 +165,7 @@ TEST(BatchEquivalenceTest, StaticSuiteMatchesPerEventOnBothInputs) {
     const WorkloadSpec Spec = makeBenchmark(P, TestScale);
     for (const InputConfig &Input : {Spec.refInput(), Spec.trainInput()}) {
       const profile::BranchProfile Profile = selfProfile(Spec, Input);
-      const ControlStats Reference = runStatic(Spec, Input, Profile, 1);
+      const ControlStats Reference = staticReference(Spec, Input, Profile);
       for (const size_t Batch : TestBatches)
         EXPECT_EQ(Reference, runStatic(Spec, Input, Profile, Batch))
             << Spec.Name << "/" << Input.Name << " batch=" << Batch;
@@ -209,10 +238,16 @@ TEST(BatchEquivalenceTest, EngineReportsIdenticalAcrossJobsAndChunks) {
   const ExperimentPlan Plan = fullSuitePlan();
   ASSERT_EQ(Plan.numCells(), 12u);
 
-  RunOptions Reference;
-  Reference.Jobs = 1;
-  Reference.BatchEvents = 1; // per-event oracle
-  const std::string ReferenceCsv = reportCsv(runPlan(Plan, Reference));
+  // The reference report: a serial run whose every cell matches the
+  // per-event loop.
+  const RunReport Reference = runPlan(Plan, {.Jobs = 1});
+  for (const CellResult &Cell : Reference.Cells) {
+    const BenchmarkAxis &Bench = Plan.benchmarks()[Cell.Coord.Benchmark];
+    EXPECT_EQ(Cell.Stats,
+              reactiveReference(Bench.Spec, Bench.Inputs[Cell.Coord.Input]))
+        << Cell.Benchmark;
+  }
+  const std::string ReferenceCsv = reportCsv(Reference);
 
   for (const unsigned Jobs : {1u, 4u})
     for (const size_t Batch : TestBatches) {

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 using namespace specctrl;
 using namespace specctrl::core;
 
@@ -323,4 +326,35 @@ TEST(ReactiveControllerTest, StatsConservation) {
   // Speculated executions = correct + incorrect <= branches.
   EXPECT_LE(S.CorrectSpecs + S.IncorrectSpecs, S.Branches);
   EXPECT_EQ(S.LastInstRet, InstRet);
+}
+
+TEST(ReactiveControllerTest, InvalidConfigThrowsInEveryBuild) {
+  // One invalid field at a time; each must be rejected by the constructor
+  // and by reconfigure, which then leaves the running config untouched.
+  std::vector<ReactiveConfig> Invalid;
+  auto With = [&Invalid](auto Mutate) {
+    ReactiveConfig C = fastConfig();
+    Mutate(C);
+    Invalid.push_back(C);
+  };
+  With([](ReactiveConfig &C) { C.MonitorPeriod = 0; });
+  With([](ReactiveConfig &C) { C.SelectThreshold = 0.5; });
+  With([](ReactiveConfig &C) { C.SelectThreshold = 1.01; });
+  With([](ReactiveConfig &C) { C.MonitorSampleRate = 0; });
+  With([](ReactiveConfig &C) {
+    C.EvictBySampling = true;
+    C.EvictSampleCount = C.EvictSampleWindow + 1;
+  });
+
+  for (size_t I = 0; I < Invalid.size(); ++I) {
+    EXPECT_THROW(ReactiveController{Invalid[I]}, std::invalid_argument)
+        << "constructor accepted invalid config " << I;
+    ReactiveController C(fastConfig());
+    EXPECT_THROW(C.reconfigure(Invalid[I]), std::invalid_argument)
+        << "reconfigure accepted invalid config " << I;
+    EXPECT_EQ(C.config().MonitorPeriod, fastConfig().MonitorPeriod);
+    EXPECT_EQ(C.config().SelectThreshold, fastConfig().SelectThreshold);
+    EXPECT_EQ(C.config().MonitorSampleRate, fastConfig().MonitorSampleRate);
+    EXPECT_FALSE(C.config().EvictBySampling);
+  }
 }

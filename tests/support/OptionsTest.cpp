@@ -27,6 +27,9 @@ TEST(OptionsTest, Defaults) {
   EXPECT_EQ(Opts.getInt("scale"), 4);
   EXPECT_DOUBLE_EQ(Opts.getDouble("threshold"), 0.99);
   EXPECT_EQ(Opts.getString("bench"), "all");
+  EXPECT_TRUE(Opts.has("csv"));
+  EXPECT_TRUE(Opts.has("bench"));
+  EXPECT_FALSE(Opts.has("jobs"));
 }
 
 TEST(OptionsTest, EqualsAndSpaceForms) {

@@ -142,17 +142,17 @@ TEST(RunConfig, VerifySpecLeakDefaultsOnAndZeroOptsOut) {
   EXPECT_TRUE(RunConfig::fromEnv().VerifySpecLeak);
 }
 
-TEST(RunConfig, SweepProcsDefaultsAutoAndParses) {
+TEST(RunConfig, SweepWorkerVariableIsNoLongerRead) {
+  // Sweeps run on the in-process thread pool only; the worker-process
+  // count has no reader, whatever its value.
   ScopedEnv Env;
-  std::string Warnings;
-  EXPECT_EQ(RunConfig::fromEnv(&Warnings).SweepProcs, 0u) << "0 = auto";
-  Env.set("SPECCTRL_SWEEP_PROCS", "4");
-  EXPECT_EQ(RunConfig::fromEnv(&Warnings).SweepProcs, 4u);
-  EXPECT_TRUE(Warnings.empty()) << Warnings;
-  Env.set("SPECCTRL_SWEEP_PROCS", "many");
-  EXPECT_EQ(RunConfig::fromEnv(&Warnings).SweepProcs, 0u);
-  EXPECT_NE(Warnings.find("SPECCTRL_SWEEP_PROCS=many"), std::string::npos)
-      << Warnings;
+  for (const char *Value : {"4", "many"}) {
+    Env.set("SPECCTRL_SWEEP_PROCS", Value);
+    std::string Warnings;
+    (void)RunConfig::fromEnv(&Warnings);
+    EXPECT_EQ(Warnings,
+              "SPECCTRL_SWEEP_PROCS is no longer read; it has no effect\n");
+  }
 }
 
 TEST(RunConfig, SetGlobalOverrides) {

@@ -1,10 +1,9 @@
 #!/usr/bin/env sh
 # Runs the perf-trajectory microbenches (MSSP simulator throughput +
 # trace pipeline + trace-arena sweep amortization + streaming-server
-# ingest + SCT2 decode and mapped replay + sweep executors) and records
-# google-benchmark JSON next to the build: BENCH_mssp.json,
-# BENCH_trace_pipe.json, BENCH_arena.json, BENCH_serve.json,
-# BENCH_decode.json, and BENCH_sweep.json.
+# ingest + SCT2 decode and mapped replay) and records google-benchmark
+# JSON next to the build: BENCH_mssp.json, BENCH_trace_pipe.json,
+# BENCH_arena.json, BENCH_serve.json, and BENCH_decode.json.
 #
 # Usage: tools/run_bench.sh [build-dir] [output-json]
 #   build-dir    defaults to ./build
@@ -77,15 +76,6 @@ if [ -x "${DECODE_BIN}" ]; then
     --benchmark_counters_tabular=true
 
   echo "wrote ${DECODE_OUT}"
-
-  SWEEP_OUT="${BUILD_DIR}/BENCH_sweep.json"
-  "${DECODE_BIN}" \
-    --benchmark_filter=BM_Sweep \
-    --benchmark_out="${SWEEP_OUT}" \
-    --benchmark_out_format=json \
-    --benchmark_counters_tabular=true
-
-  echo "wrote ${SWEEP_OUT}"
 else
-  echo "note: ${DECODE_BIN} not built; skipped BENCH_decode.json, BENCH_sweep.json" >&2
+  echo "note: ${DECODE_BIN} not built; skipped BENCH_decode.json" >&2
 fi
