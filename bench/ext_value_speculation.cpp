@@ -15,6 +15,10 @@
 // site's current phase constant when the branch model says "biased
 // direction", and noise otherwise; behavior changes change the constant.
 //
+// The three policies are task columns of one suite plan, so each
+// benchmark's branch trace is materialized once in the plan's arena and
+// replayed by the other two cells, and --jobs spreads the cells.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -23,11 +27,14 @@
 #include "support/Format.h"
 #include "support/Table.h"
 
+#include <any>
 #include <iostream>
+#include <utility>
 
 using namespace specctrl;
 using namespace specctrl::bench;
 using namespace specctrl::core;
+using namespace specctrl::engine;
 using namespace specctrl::workload;
 
 namespace {
@@ -65,13 +72,18 @@ struct RunResult {
   uint64_t Evictions = 0;
 };
 
-RunResult runPolicy(const WorkloadSpec &Spec, const ReactiveConfig &Config) {
+/// One policy's cell: replays the cell's branch trace out of \p Arena.
+/// The execution counts and the noise Rng belong to the cell, so every
+/// policy sees the same value stream.
+RunResult runPolicy(TraceArena &Arena, const CellContext &Ctx,
+                    const ReactiveConfig &Config) {
+  const WorkloadSpec &Spec = Ctx.Spec;
   ValueInvarianceController C(Config);
-  TraceGenerator Gen(Spec, Spec.refInput());
+  const std::unique_ptr<EventSource> Source = Arena.open(Spec, Ctx.Input);
   std::vector<uint64_t> ExecCount(Spec.numSites(), 0);
   Rng Noise(Spec.Seed ^ 0x56414Cull);
   std::vector<BranchEvent> Chunk(DefaultBatchEvents);
-  while (const size_t N = Gen.nextBatch(Chunk))
+  while (const size_t N = Source->nextBatch(Chunk))
     for (size_t I = 0; I < N; ++I)
       C.onLoad(Chunk[I].Site, deriveValue(Spec, Chunk[I], ExecCount, Noise),
                Chunk[I].InstRet);
@@ -84,9 +96,7 @@ RunResult runPolicy(const WorkloadSpec &Spec, const ReactiveConfig &Config) {
 int main(int Argc, char **Argv) {
   OptionSet Opts("ext_value_speculation: the Fig. 4(b) FSM controlling "
                  "load-value speculation (Sec. 2's generalization claim)");
-  addCsvOption(Opts);
-  addSuiteOptions(Opts);
-  addBaselineOptions(Opts);
+  addSweepOptions(Opts);
   if (!Opts.parse(Argc, Argv))
     return Opts.wasError() ? 1 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
@@ -101,16 +111,31 @@ int main(int Argc, char **Argv) {
   ReactiveConfig OneShot = ReactiveConfig::oneShot(1000);
   OneShot.OptLatency = Base.OptLatency;
 
+  ExperimentPlan Plan = suitePlan(Opt);
+  const std::pair<const char *, ReactiveConfig> Policies[] = {
+      {"reactive", Base}, {"open-loop", Open}, {"one-shot-1k", OneShot}};
+  for (const auto &[Name, Config] : Policies)
+    Plan.addTaskConfig(Name, [Arena = Plan.traceArena(),
+                              Config](const CellContext &Ctx) {
+      return std::any(runPolicy(*Arena, Ctx, Config));
+    });
+  const RunReport Report = runSuite(Plan, Opt);
+  if (!checkReport(Report))
+    return 1;
+
   Table Out({"bench", "reactive corr/incorr", "open-loop corr/incorr",
              "one-shot-1k corr/incorr", "evictions"});
   double Sum[6] = {0, 0, 0, 0, 0, 0};
   unsigned N = 0;
-  for (const WorkloadSpec &Spec : selectedSuite(Opt)) {
-    const RunResult Reactive = runPolicy(Spec, Base);
-    const RunResult OpenLoop = runPolicy(Spec, Open);
-    const RunResult Shot = runPolicy(Spec, OneShot);
+  for (uint32_t B = 0; B < Plan.benchmarks().size(); ++B) {
+    const auto Result = [&Report, B](uint32_t Policy) {
+      return std::any_cast<RunResult>(Report.cell(B, 0, Policy).Value);
+    };
+    const RunResult Reactive = Result(0);
+    const RunResult OpenLoop = Result(1);
+    const RunResult Shot = Result(2);
     Out.row()
-        .cell(Spec.Name)
+        .cell(Plan.benchmarks()[B].Spec.Name)
         .cell(formatPercent(Reactive.Correct) + " / " +
               formatPercent(Reactive.Incorrect, 4))
         .cell(formatPercent(OpenLoop.Correct) + " / " +

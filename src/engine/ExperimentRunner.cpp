@@ -10,8 +10,10 @@
 #include "workload/TraceArena.h"
 #include "workload/TraceGenerator.h"
 
-#include <cassert>
+#include <algorithm>
 #include <chrono>
+#include <functional>
+#include <span>
 #include <stdexcept>
 
 using namespace specctrl;
@@ -80,6 +82,21 @@ void runPlanCell(const ExperimentPlan &Plan, CellResult &Cell,
   Cell.WallSeconds = secondsSince(Start, Clock::now());
 }
 
+/// Queues \p Cell on \p Pool; its queue wait runs from now, the moment it
+/// becomes ready.  \p Then, if set, runs on the worker once the cell ends,
+/// whether it succeeded or failed.
+void submitCell(ThreadPool &Pool, const ExperimentPlan &Plan,
+                CellResult &Cell, size_t BatchEvents,
+                std::function<void()> Then = {}) {
+  const Clock::time_point Ready = Clock::now();
+  Pool.submit([&Plan, &Cell, BatchEvents, Ready, Then = std::move(Then)] {
+    Cell.QueueWaitSeconds = secondsSince(Ready, Clock::now());
+    runPlanCell(Plan, Cell, BatchEvents);
+    if (Then)
+      Then();
+  });
+}
+
 /// One CellResult slot per plan cell in the stable benchmark-major report
 /// order (benchmark, then input, then config), with names and the
 /// deterministic cell seed filled in and all run fields zeroed.
@@ -124,8 +141,10 @@ const CellResult &RunReport::cell(uint32_t Benchmark, uint32_t Input,
   for (const CellResult &Cell : Cells)
     if (Cell.Coord == Want)
       return Cell;
-  assert(false && "no such cell");
-  return Cells.front();
+  throw std::out_of_range("RunReport::cell: no cell at (" +
+                          std::to_string(Benchmark) + ", " +
+                          std::to_string(Input) + ", " +
+                          std::to_string(Config) + ")");
 }
 
 const CellResult *RunReport::find(const std::string &Benchmark,
@@ -153,14 +172,31 @@ RunReport engine::runPlan(const ExperimentPlan &Plan,
     for (CellResult &Cell : Report.Cells)
       runPlanCell(Plan, Cell, BatchEvents);
   } else {
-    ThreadPool Pool(Report.Jobs);
-    for (CellResult &Cell : Report.Cells) {
-      const Clock::time_point Enqueued = Clock::now();
-      Pool.submit([&Plan, &Cell, BatchEvents, Enqueued] {
-        Cell.QueueWaitSeconds = secondsSince(Enqueued, Clock::now());
-        runPlanCell(Plan, Cell, BatchEvents);
+    // Each group starts with its first cell and releases the rest when
+    // that cell ends.  With an arena a group is one (benchmark, input)
+    // key, whose cells are contiguous with config column 0 first: the
+    // first cell materializes the trace, so no sibling blocks on it, and
+    // keys go longest first.  Without one every cell is its own group,
+    // in report order.
+    std::vector<std::span<CellResult>> Groups;
+    const size_t GroupSize = Plan.traceArena() ? Plan.configs().size() : 1;
+    for (size_t I = 0; I < Report.Cells.size(); I += GroupSize)
+      Groups.push_back(std::span(Report.Cells).subspan(I, GroupSize));
+    const auto Events = [&Plan](std::span<CellResult> Group) {
+      const CellCoord &C = Group.front().Coord;
+      return Plan.benchmarks()[C.Benchmark].Inputs[C.Input].Events;
+    };
+    if (Plan.traceArena())
+      std::stable_sort(Groups.begin(), Groups.end(), [&Events](auto A, auto B) {
+        return Events(A) > Events(B);
       });
-    }
+    ThreadPool Pool(Report.Jobs);
+    for (const std::span<CellResult> Group : Groups)
+      submitCell(Pool, Plan, Group.front(), BatchEvents,
+                 [&Pool, &Plan, Group, BatchEvents] {
+                   for (CellResult &Sibling : Group.subspan(1))
+                     submitCell(Pool, Plan, Sibling, BatchEvents);
+                 });
     Pool.wait();
   }
   Report.WallSeconds = secondsSince(RunStart, Clock::now());

@@ -20,6 +20,12 @@
 ///    normally and the run returns a full report.
 ///  * Stable report order -- cells appear benchmark-major (benchmark,
 ///    then input, then config) regardless of completion order.
+///  * No cell waits on a trace -- with a trace arena and more than one
+///    worker, each (benchmark, input) key's cell in config column 0 runs
+///    first, keys longest first (by InputConfig::Events); when it ends,
+///    failed or not, it releases the key's other cells, which then replay
+///    the trace it materialized.  Task and controller columns follow the
+///    same rule.  Serial runs and arena-less plans run in report order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,7 +76,9 @@ struct CellResult {
   uint64_t Events = 0;          ///< trace events consumed by the cell
   uint64_t Batches = 0;         ///< driver chunks dispatched by the cell
   double WallSeconds = 0.0;     ///< cell execution wall time
-  double QueueWaitSeconds = 0.0; ///< submit -> start latency
+  /// Ready -> start latency: a cell is ready when runPlan submits it, or
+  /// for an arena key's later cells, when the key's first cell ends.
+  double QueueWaitSeconds = 0.0;
 
   double eventsPerSecond() const {
     return WallSeconds > 0.0 ? static_cast<double>(Events) / WallSeconds
@@ -93,7 +101,7 @@ struct RunReport {
                              : 0.0;
   }
 
-  /// The cell at grid coordinates (asserts it exists).
+  /// The cell at grid coordinates; throws std::out_of_range when absent.
   const CellResult &cell(uint32_t Benchmark, uint32_t Input,
                          uint32_t Config) const;
   /// Lookup by names; nullptr when absent.

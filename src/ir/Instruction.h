@@ -66,7 +66,7 @@ struct Instruction {
 
   static Instruction makeBinary(Opcode Op, uint8_t Rd, uint8_t Ra,
                                 uint8_t Rb) {
-    assert(numRegSources(Op) == 2 && writesRegister(Op) &&
+    assert(numRegSources(Op) == 2 && ir::writesRegister(Op) &&
            "not a two-source ALU opcode");
     Instruction I;
     I.Op = Op;

@@ -1,12 +1,14 @@
 //===- tests/engine/ArenaRaceTest.cpp -------------------------------------===//
 //
-// The arena-backed engine contract under concurrency: when several worker
-// threads hit a cold arena key at once (one benchmark, many configs, so
-// every cell wants the same trace the moment the run starts), exactly one
-// materialization happens, every cell replays it, and the per-cell
-// ControlStats are bit-identical to an arena-less serial run.  Built to
-// run under TSAN (-DSPECCTRL_TSAN=ON): the call_once/mutex discipline in
-// TraceArena is what it exercises.
+// The arena-backed engine contract under concurrency.  Raw threads,
+// released together by one start latch, open the same cold arena key:
+// exactly one materialization happens, and every thread replays the
+// generator's exact stream.  (runPlan runs each key's first cell before
+// the rest, so it never races a cold key; the race is made here
+// directly.)  A parallel arena-backed runPlan must also match an
+// arena-less serial run cell for cell.  Built to run under TSAN
+// (-DSPECCTRL_TSAN=ON): the call_once/mutex discipline in TraceArena is
+// what it exercises.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,11 +17,14 @@
 #include "core/ReactiveController.h"
 #include "workload/SpecSuite.h"
 #include "workload/TraceArena.h"
+#include "workload/TraceGenerator.h"
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace specctrl;
@@ -41,7 +46,7 @@ ReactiveConfig scaledConfig(double SelectThreshold) {
 }
 
 /// One benchmark, eight configs: every cell needs the same (spec, input)
-/// trace, so a parallel run races all workers on one cold arena key.
+/// trace.
 ExperimentPlan contendedPlan() {
   ExperimentPlan Plan;
   Plan.setBaseSeed(42);
@@ -64,33 +69,70 @@ std::vector<ControlStats> cellStats(const RunReport &Report) {
   return Out;
 }
 
+/// Every event \p Source yields, in order.
+std::vector<BranchEvent> drain(EventSource &Source) {
+  std::vector<BranchEvent> Out;
+  std::vector<BranchEvent> Chunk(DefaultBatchEvents);
+  while (const size_t N = Source.nextBatch(Chunk))
+    Out.insert(Out.end(), Chunk.begin(), Chunk.begin() + N);
+  return Out;
+}
+
 } // namespace
 
 TEST(ArenaRaceTest, ColdKeyRaceMaterializesOnceAndMatchesSerialNoArena) {
-  ExperimentPlan Plan = contendedPlan();
+  const WorkloadSpec Spec = makeBenchmark("gzip", TestScale);
+  TraceGenerator Gen(Spec, Spec.refInput());
+  const std::vector<BranchEvent> Expected = drain(Gen);
+  ASSERT_FALSE(Expected.empty());
 
-  // The oracle: serial, no arena (every cell re-synthesizes its trace).
+  // The race: every thread opens the one cold key the moment the latch
+  // releases them.  Repeated to give it a few chances to interleave
+  // differently (esp. under TSAN).
+  constexpr unsigned NumThreads = 8;
+  for (unsigned Round = 0; Round < 3; ++Round) {
+    TraceArena Arena;
+    std::latch Start(NumThreads);
+    std::vector<std::vector<BranchEvent>> Streams(NumThreads);
+    std::vector<std::thread> Threads;
+    for (unsigned T = 0; T < NumThreads; ++T)
+      Threads.emplace_back([&, T] {
+        Start.arrive_and_wait();
+        Streams[T] = drain(*Arena.open(Spec, Spec.refInput()));
+      });
+    for (std::thread &Thread : Threads)
+      Thread.join();
+
+    for (unsigned T = 0; T < NumThreads; ++T)
+      EXPECT_TRUE(Streams[T] == Expected)
+          << "thread " << T << " round " << Round;
+    const TraceArenaStats S = Arena.stats();
+    EXPECT_EQ(S.Materializations, 1u) << "round " << Round;
+    EXPECT_EQ(S.CursorOpens, NumThreads) << "round " << Round;
+    EXPECT_EQ(S.Fallbacks, 0u) << "round " << Round;
+  }
+
+  // The engine half: a parallel arena-backed run == a serial run without
+  // an arena (every cell re-synthesizes its trace), cell for cell.
+  ExperimentPlan Plan = contendedPlan();
   RunOptions Serial;
   Serial.Jobs = 1;
   const std::vector<ControlStats> Reference =
       cellStats(runPlan(Plan, Serial));
   ASSERT_EQ(Reference.size(), 8u);
-
-  // Four workers race on the single cold key; repeated to give the race
-  // a few chances to interleave differently (esp. under TSAN).
   for (unsigned Round = 0; Round < 3; ++Round) {
     auto Arena = std::make_shared<TraceArena>();
     Plan.setTraceArena(Arena);
     RunOptions Parallel;
     Parallel.Jobs = 4;
-    const std::vector<ControlStats> Racy =
+    const std::vector<ControlStats> Replayed =
         cellStats(runPlan(Plan, Parallel));
     Plan.setTraceArena(nullptr);
 
-    ASSERT_EQ(Racy.size(), Reference.size());
+    ASSERT_EQ(Replayed.size(), Reference.size());
     for (size_t I = 0; I < Reference.size(); ++I)
-      EXPECT_EQ(Racy[I], Reference[I]) << "cell " << I << " round " << Round;
-
+      EXPECT_EQ(Replayed[I], Reference[I])
+          << "cell " << I << " round " << Round;
     const TraceArenaStats S = Arena->stats();
     EXPECT_EQ(S.Materializations, 1u) << "round " << Round;
     EXPECT_EQ(S.CursorOpens, 8u) << "round " << Round;

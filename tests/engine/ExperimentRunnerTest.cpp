@@ -1,8 +1,9 @@
 //===- tests/engine/ExperimentRunnerTest.cpp ------------------------------===//
 //
 // Runner behavior: report layout, per-cell seeding, observer plumbing,
-// throughput accounting, and failure isolation (a throwing cell must not
-// poison its siblings).
+// throughput accounting, failure isolation (a throwing cell must not
+// poison its siblings), and the arena schedule (a key's first cell ends
+// before any of its siblings starts).
 //
 //===----------------------------------------------------------------------===//
 
@@ -10,11 +11,14 @@
 
 #include "core/Driver.h"
 #include "core/ReactiveController.h"
+#include "workload/TraceArena.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 using namespace specctrl;
 using namespace specctrl::core;
@@ -81,6 +85,85 @@ public:
   }
   uint64_t Events = 0;
 };
+
+using Clock = std::chrono::steady_clock;
+
+/// Start and end stamps of every cell of one run, one slot per cell in
+/// report order; each cell writes only its own slots.
+struct CellStamps {
+  std::vector<Clock::time_point> Start, End;
+};
+
+/// Ends a controller cell: stamps its slot when the runner drops it.
+class StampedController final : public ReactiveController {
+public:
+  explicit StampedController(Clock::time_point &End)
+      : ReactiveController(fastConfig()), End(End) {}
+  ~StampedController() override { End = Clock::now(); }
+
+private:
+  Clock::time_point &End;
+};
+
+/// The arena schedule's fixture: three benchmarks of different lengths,
+/// the last under two inputs, so four (benchmark, input) keys; and four
+/// columns that alternate controller and task cells, starting with a task
+/// column when \p TaskFirst.  Every cell stamps its start and end into
+/// \p Stamps; a task cell replays its trace through the plan's arena.
+/// The plan's column 0 throws on benchmark \p FailBenchmark (none when
+/// out of range).
+ExperimentPlan schedulePlan(bool TaskFirst, CellStamps &Stamps,
+                            uint32_t FailBenchmark = ~0u) {
+  ExperimentPlan Plan;
+  auto Arena = std::make_shared<TraceArena>();
+  Plan.setTraceArena(Arena);
+  Plan.addBenchmark(smallSpec("alpha", 1, 20000));
+  Plan.addBenchmark(smallSpec("gamma", 3, 40000));
+  WorkloadSpec Beta = smallSpec("beta", 2, 60000);
+  Plan.addBenchmark(Beta, {Beta.refInput(), Beta.trainInput()});
+  constexpr uint32_t NumConfigs = 4;
+  Stamps.Start.assign(4 * NumConfigs, {});
+  Stamps.End.assign(4 * NumConfigs, {});
+  // Report-order slot of a cell; only the last benchmark has a second
+  // input.
+  const auto Slot = [](const CellCoord &C) {
+    return (C.Benchmark + C.Input) * NumConfigs + C.Config;
+  };
+  for (uint32_t Col = 0; Col < NumConfigs; ++Col) {
+    const auto Fails = [Col, FailBenchmark](const CellContext &Ctx) {
+      return Col == 0 && Ctx.Coord.Benchmark == FailBenchmark;
+    };
+    const std::string Name = "c" + std::to_string(Col);
+    if ((Col % 2 == 0) == TaskFirst) {
+      Plan.addTaskConfig(Name, [&Stamps, Slot, Arena, Fails](
+                                   const CellContext &Ctx) {
+        Stamps.Start[Slot(Ctx.Coord)] = Clock::now();
+        if (Fails(Ctx))
+          throw std::runtime_error("deliberate first-cell failure");
+        ReactiveController Controller(fastConfig());
+        const ControlStats Stats =
+            runTrace(Controller, *Arena->open(Ctx.Spec, Ctx.Input));
+        Stamps.End[Slot(Ctx.Coord)] = Clock::now();
+        return std::any(Stats);
+      });
+      continue;
+    }
+    Plan.addConfig(Name, [&Stamps, Slot, Fails](const CellContext &Ctx)
+                             -> std::unique_ptr<SpeculationController> {
+      Stamps.Start[Slot(Ctx.Coord)] = Clock::now();
+      if (Fails(Ctx))
+        return std::make_unique<ThrowingController>();
+      return std::make_unique<StampedController>(Stamps.End[Slot(Ctx.Coord)]);
+    });
+  }
+  return Plan;
+}
+
+/// A cell's result: a task cell's returned stats, else the runner's.
+ControlStats resultOf(const CellResult &Cell) {
+  return Cell.Value.has_value() ? std::any_cast<ControlStats>(Cell.Value)
+                                : Cell.Stats;
+}
 
 } // namespace
 
@@ -204,4 +287,68 @@ TEST(ExperimentRunnerTest, ObserverFactoryRunsPerCell) {
   EXPECT_EQ(Report.cell(1, 0, 0).Observer, nullptr);
   // Cells without an observer still count consumed events.
   EXPECT_EQ(Report.cell(1, 0, 0).Events, 15000u);
+}
+
+TEST(ExperimentRunnerTest, CellLookupThrowsWhenAbsent) {
+  ExperimentPlan Plan;
+  Plan.addBenchmark(smallSpec("alpha", 1, 2000));
+  Plan.addConfig("one", reactiveFactory());
+  const RunReport Report = runPlan(Plan, {.Jobs = 1});
+  EXPECT_NO_THROW(Report.cell(0, 0, 0));
+  EXPECT_THROW(Report.cell(0, 0, 1), std::out_of_range);
+  EXPECT_THROW(Report.cell(1, 0, 0), std::out_of_range);
+  EXPECT_THROW(RunReport().cell(0, 0, 0), std::out_of_range);
+}
+
+TEST(ExperimentRunnerTest, ArenaKeySiblingsStartAfterFirstCellEnds) {
+  for (const bool TaskFirst : {false, true}) {
+    CellStamps SerialStamps;
+    const RunReport Serial =
+        runPlan(schedulePlan(TaskFirst, SerialStamps), {.Jobs = 1});
+    ASSERT_EQ(Serial.failedCells(), 0u);
+    for (unsigned Round = 0; Round < 3; ++Round) {
+      CellStamps Stamps;
+      const ExperimentPlan Plan = schedulePlan(TaskFirst, Stamps);
+      const RunReport Report = runPlan(Plan, {.Jobs = 4});
+      ASSERT_EQ(Report.Cells.size(), Serial.Cells.size());
+      EXPECT_EQ(Report.failedCells(), 0u);
+      for (size_t I = 0; I < Report.Cells.size(); ++I) {
+        const CellResult &Cell = Report.Cells[I];
+        const size_t First = I - Cell.Coord.Config;
+        if (Cell.Coord.Config != 0) {
+          EXPECT_GE(Stamps.Start[I], Stamps.End[First])
+              << Cell.Benchmark << "/" << Cell.Input << "/" << Cell.Config
+              << " task-first " << TaskFirst << " round " << Round;
+        }
+        EXPECT_EQ(resultOf(Cell), resultOf(Serial.Cells[I]))
+            << Cell.Benchmark << "/" << Cell.Input << "/" << Cell.Config;
+      }
+      EXPECT_EQ(Plan.traceArena()->stats().Materializations, 4u);
+    }
+  }
+}
+
+TEST(ExperimentRunnerTest, FailedFirstCellStillReleasesSiblings) {
+  for (const bool TaskFirst : {false, true}) {
+    CellStamps SerialStamps;
+    const RunReport Serial =
+        runPlan(schedulePlan(TaskFirst, SerialStamps, 2), {.Jobs = 1});
+    CellStamps Stamps;
+    const RunReport Report =
+        runPlan(schedulePlan(TaskFirst, Stamps, 2), {.Jobs = 4});
+    ASSERT_EQ(Report.Cells.size(), 16u);
+    // Beta's two keys lose their first cell; every other cell succeeds
+    // with the serial run's result.
+    EXPECT_EQ(Report.failedCells(), 2u);
+    for (size_t I = 0; I < Report.Cells.size(); ++I) {
+      const CellResult &Cell = Report.Cells[I];
+      const bool Failing = Cell.Benchmark == "beta" && Cell.Coord.Config == 0;
+      EXPECT_EQ(Cell.Failed, Failing)
+          << Cell.Benchmark << "/" << Cell.Input << "/" << Cell.Config;
+      if (!Failing) {
+        EXPECT_EQ(resultOf(Cell), resultOf(Serial.Cells[I]))
+            << Cell.Benchmark << "/" << Cell.Input << "/" << Cell.Config;
+      }
+    }
+  }
 }
