@@ -38,8 +38,8 @@
 /// producer timing, drain chunk sizes, or consumer count.  Snapshots taken
 /// at a boundary serialize the complete controller state (core/Snapshot.h)
 /// plus the stream position; restoring into a fresh server and replaying
-/// the remaining tail (workload::SkipSource) reproduces the uninterrupted
-/// run's decisions bit-identically.
+/// the remaining tail (the serve tests' SkipSource) reproduces the
+/// uninterrupted run's decisions bit-identically.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -116,7 +116,7 @@ public:
   /// Opens a stream from a snapshot blob (snapshotStream output),
   /// restoring the controller state and stream position.  The producer
   /// must feed the stream's *tail* -- the events after processed(Id)
-  /// (workload::SkipSource does exactly this) -- and the subsequent
+  /// (the serve tests' SkipSource does exactly this) -- and the subsequent
   /// decisions are bit-identical to the uninterrupted run.  Returns a
   /// null handle with \p Error set on corrupt or truncated bytes.
   StreamHandle restoreStream(std::span<const uint8_t> Snapshot,

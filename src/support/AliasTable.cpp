@@ -13,6 +13,7 @@ void AliasTable::build(const std::vector<double> &Weights) {
   assert(N > 0 && "alias table needs at least one weight");
   Prob.assign(N, 0.0);
   Alias.assign(N, 0);
+  SlotDraw = BoundedDraw(N);
 
   double Total = 0.0;
   for (double W : Weights)

@@ -7,7 +7,9 @@
 /// \file
 /// Walker's alias method: O(n) construction, O(1) sampling from a discrete
 /// distribution.  The trace generator draws hundreds of millions of branch
-/// sites per experiment, so constant-time sampling matters.
+/// sites per experiment, so constant-time sampling matters; it reads each
+/// phase's slots (keepProbability, alias) into its own slot table and
+/// draws from that with the same RNG calls as sample().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,16 +40,23 @@ public:
   bool empty() const { return Prob.empty(); }
   size_t size() const { return Prob.size(); }
 
-  /// Draws one index.
+  /// Draws one index: a uniform slot (R.nextBelow(size()), without its
+  /// divisions), then the slot's own index with probability
+  /// keepProbability(Slot) and its alias otherwise.
   uint32_t sample(Rng &R) const {
     assert(!Prob.empty() && "sampling from an empty alias table");
-    const uint32_t Slot = static_cast<uint32_t>(R.nextBelow(Prob.size()));
+    const uint32_t Slot = static_cast<uint32_t>(SlotDraw.draw(R));
     return R.nextDouble() < Prob[Slot] ? Slot : Alias[Slot];
   }
+
+  /// The probability that sample() keeps \p Slot rather than its alias.
+  double keepProbability(uint32_t Slot) const { return Prob[Slot]; }
+  uint32_t alias(uint32_t Slot) const { return Alias[Slot]; }
 
 private:
   std::vector<double> Prob;
   std::vector<uint32_t> Alias;
+  BoundedDraw SlotDraw;
 };
 
 } // namespace specctrl

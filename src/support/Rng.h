@@ -85,21 +85,6 @@ public:
     return nextDouble() < P;
   }
 
-  /// Returns a geometrically distributed value >= 1 with success
-  /// probability \p P; the mean is 1/P.  Used for inter-branch instruction
-  /// gaps.  \p P must be in (0, 1].
-  uint64_t nextGeometric(double P) {
-    assert(P > 0.0 && P <= 1.0 && "geometric parameter out of range");
-    if (P >= 1.0)
-      return 1;
-    uint64_t N = 1;
-    // Direct inversion would need log(); an iterative draw keeps this
-    // dependency-free and is plenty fast for small means.
-    while (!nextBool(P) && N < (1ull << 20))
-      ++N;
-    return N;
-  }
-
   /// Forks a statistically independent generator for stream \p StreamId.
   /// Forking is deterministic: the same (parent seed, StreamId) pair always
   /// yields the same child stream, and the parent's own sequence is not
@@ -126,6 +111,48 @@ private:
   }
 
   uint64_t State[4];
+};
+
+/// Rng::nextBelow for a bound fixed up front.  The rejection threshold and
+/// an exact 128-bit reciprocal of the bound are computed once, so a draw
+/// costs no division: draw(R) reads the same words from R and returns the
+/// same value as R.nextBelow(Bound).
+class BoundedDraw {
+public:
+  explicit BoundedDraw(uint64_t Bound = 1) : Bound(Bound) {
+    assert(Bound != 0 && "BoundedDraw(0) is meaningless");
+    Threshold = -Bound % Bound;
+    // ceil(2^128 / Bound), which wraps to 0 for Bound == 1 (X % 1 == 0).
+    Reciprocal = ~U128(0) / Bound + 1;
+  }
+
+  /// X % Bound, exact for every 64-bit X (Lemire, Kaser & Kurz, "Faster
+  /// Remainder by Direct Computation", 2019: 128 fraction bits cover a
+  /// 64-bit numerator and a 64-bit divisor).  The low 128 bits of
+  /// Reciprocal * X are the fraction X / Bound; scaling it by Bound leaves
+  /// the remainder in bits 128..191.
+  uint64_t remainder(uint64_t X) const {
+    const U128 Fraction = Reciprocal * X;
+    const U128 Low = U128(static_cast<uint64_t>(Fraction)) * Bound >> 64;
+    const U128 High = U128(static_cast<uint64_t>(Fraction >> 64)) * Bound;
+    return static_cast<uint64_t>((Low + High) >> 64);
+  }
+
+  /// Returns R.nextBelow(Bound), consuming the same words of \p R.
+  uint64_t draw(Rng &R) const {
+    for (;;) {
+      const uint64_t X = R.next();
+      if (X >= Threshold)
+        return remainder(X);
+    }
+  }
+
+private:
+  using U128 = unsigned __int128;
+
+  U128 Reciprocal;
+  uint64_t Bound;
+  uint64_t Threshold;
 };
 
 } // namespace specctrl

@@ -154,8 +154,8 @@ struct BehaviorSpec {
   }
 };
 
-/// Per-site mutable behavior state (RandomWalk position, cached soften
-/// level).  Owned by the trace generator / tape builder.
+/// Per-site mutable behavior state (the RandomWalk position).  Owned by
+/// the trace generator and the program synthesizer's input-tape loop.
 struct BehaviorState {
   double WalkBias = 0.0;
   bool WalkInit = false;
@@ -173,6 +173,15 @@ double takenProbability(const BehaviorSpec &Spec, uint64_t Exec, bool GroupOn,
 /// InductionFlip bypasses the RNG entirely).
 bool drawOutcome(const BehaviorSpec &Spec, uint64_t Exec, bool GroupOn,
                  bool InputFlip, BehaviorState &State, Rng &R);
+
+/// True for the kinds whose taken probability reads neither the execution
+/// count nor the behavior state nor the RNG: FixedBias, PhaseGroup and
+/// InputDependent.  For them takenProbability is one constant per (phase,
+/// input), and drawOutcome is R.nextBool of that constant.
+constexpr bool fixedWithinPhase(BehaviorKind Kind) {
+  return Kind == BehaviorKind::FixedBias || Kind == BehaviorKind::PhaseGroup ||
+         Kind == BehaviorKind::InputDependent;
+}
 
 /// Whole-run expected taken-rate of \p Spec over \p TotalExecs executions,
 /// used for analytic weight calibration (no RNG).  GroupOn/InputFlip as in

@@ -6,11 +6,30 @@
 
 #include "workload/TraceGenerator.h"
 
+#include "support/AliasTable.h"
+
 #include <algorithm>
 #include <cassert>
 
 using namespace specctrl;
 using namespace specctrl::workload;
+
+namespace {
+
+/// The regime drawOutcome's PhaseGroup sites read in \p Phase.
+bool groupOn(const WorkloadSpec &Spec, const BehaviorSpec &B,
+             unsigned Phase) {
+  return B.Kind == BehaviorKind::PhaseGroup
+             ? Spec.groupOnInPhase(B.GroupId, Phase)
+             : true;
+}
+
+/// The input-parameter bit drawOutcome's InputDependent sites read.
+bool inputFlip(const InputConfig &In, const BehaviorSpec &B, SiteId Site) {
+  return B.Kind == BehaviorKind::InputDependent && In.parameterBit(Site);
+}
+
+} // namespace
 
 TraceGenerator::TraceGenerator(const WorkloadSpec &Spec,
                                const InputConfig &In)
@@ -21,36 +40,59 @@ TraceGenerator::TraceGenerator(const WorkloadSpec &Spec,
   assert(Spec.MinGap >= 1 && Spec.MinGap <= Spec.MaxGap &&
          "bad instruction-gap range");
   buildPhaseTables();
+  GapDraw = BoundedDraw(uint64_t(Spec.MaxGap) - Spec.MinGap + 1);
   reset();
 }
 
 void TraceGenerator::buildPhaseTables() {
-  PhaseSites.assign(Spec.NumPhases, {});
-  PhaseTables.assign(Spec.NumPhases, AliasTable());
+  Phases.assign(Spec.NumPhases, PhaseTable());
   // Reserve the whole-population upper bound up front so cold-start cost
   // is one allocation per table, not push_back growth.
   ExecCounts.reserve(Spec.numSites());
   States.reserve(Spec.numSites());
+  std::vector<SiteId> Sites;
   std::vector<double> Weights;
+  Sites.reserve(Spec.numSites());
   Weights.reserve(Spec.numSites());
+  // Per site, its taken probability in the phase being built, or
+  // VariesInPhase.  fixedWithinPhase kinds read neither the execution
+  // count, the state nor the RNG.
+  std::vector<double> SiteP(Spec.numSites());
+  BehaviorState Unused;
+  Rng Unread;
   for (unsigned P = 0; P < Spec.NumPhases; ++P) {
+    Sites.clear();
     Weights.clear();
-    PhaseSites[P].reserve(Spec.numSites());
     for (SiteId S = 0; S < Spec.numSites(); ++S) {
       if (!Spec.siteActive(S, Input, P))
         continue;
-      PhaseSites[P].push_back(S);
+      Sites.push_back(S);
       Weights.push_back(Spec.Sites[S].Weight);
     }
     // A phase with no active sites falls back to the whole site table so a
     // badly gated input still produces a full-length run.
-    if (PhaseSites[P].empty()) {
+    if (Sites.empty()) {
       for (SiteId S = 0; S < Spec.numSites(); ++S) {
-        PhaseSites[P].push_back(S);
+        Sites.push_back(S);
         Weights.push_back(Spec.Sites[S].Weight);
       }
     }
-    PhaseTables[P].build(Weights);
+    for (const SiteId S : Sites) {
+      const BehaviorSpec &B = Spec.Sites[S].Behavior;
+      SiteP[S] = fixedWithinPhase(B.Kind)
+                     ? takenProbability(B, 0, groupOn(Spec, B, P),
+                                        inputFlip(Input, B, S), Unused, Unread)
+                     : VariesInPhase;
+    }
+    const AliasTable Table(Weights);
+    PhaseTable &Phase = Phases[P];
+    Phase.Pick = BoundedDraw(Sites.size());
+    Phase.Slots.resize(Sites.size());
+    for (uint32_t I = 0; I < Sites.size(); ++I) {
+      const SiteId Own = Sites[I], Other = Sites[Table.alias(I)];
+      Phase.Slots[I] = {Table.keepProbability(I), {SiteP[Own], SiteP[Other]},
+                        {Own, Other}};
+    }
   }
   EventsPerPhase = Input.Events / Spec.NumPhases;
   if (EventsPerPhase == 0)
@@ -59,8 +101,7 @@ void TraceGenerator::buildPhaseTables() {
 
 void TraceGenerator::reset() {
   // The event stream must be identical across resets and independent of the
-  // input's parameter bits, so seed from (workload, input name length,
-  // input seed).
+  // input's parameter bits, so seed from (workload seed, input seed) only.
   R.reseed(Spec.Seed ^ (Input.Seed * 0x9E3779B97F4A7C15ull));
   ExecCounts.assign(Spec.numSites(), 0);
   States.assign(Spec.numSites(), BehaviorState());
@@ -69,13 +110,21 @@ void TraceGenerator::reset() {
 }
 
 size_t TraceGenerator::nextBatch(std::span<BranchEvent> Buffer) {
+  const bool FixedGap = Spec.MinGap == Spec.MaxGap;
+  const uint32_t MinGap = Spec.MinGap;
+  uint64_t Index = NextIndex;
+  uint64_t Retired = InstRet;
+  // The loop draws from a copy of R that no store through Buffer or
+  // ExecCounts can alias, so its state stays in registers; R is synced
+  // around drawOutcome and at the end.
+  Rng Draws = R;
   size_t Filled = 0;
-  while (Filled < Buffer.size() && NextIndex < Input.Events) {
-    unsigned Phase = static_cast<unsigned>(NextIndex / EventsPerPhase);
+  while (Filled < Buffer.size() && Index < Input.Events) {
+    unsigned Phase = static_cast<unsigned>(Index / EventsPerPhase);
     if (Phase >= Spec.NumPhases)
       Phase = Spec.NumPhases - 1; // remainder events stay in the last phase
 
-    // The run up to the next phase boundary draws from one alias table, so
+    // The run up to the next phase boundary draws from one slot table, so
     // the phase lookup is hoisted out of the per-event loop.  RNG calls
     // happen in event order, so any chunking yields the same stream.
     uint64_t Boundary =
@@ -84,41 +133,47 @@ size_t TraceGenerator::nextBatch(std::span<BranchEvent> Buffer) {
             : (static_cast<uint64_t>(Phase) + 1) * EventsPerPhase;
     Boundary = std::min(Boundary, Input.Events);
     const size_t Segment = static_cast<size_t>(std::min<uint64_t>(
-        Buffer.size() - Filled, Boundary - NextIndex));
+        Buffer.size() - Filled, Boundary - Index));
 
-    const AliasTable &Table = PhaseTables[Phase];
-    const std::vector<SiteId> &Sites = PhaseSites[Phase];
-    const bool FixedGap = Spec.MinGap == Spec.MaxGap;
+    const PhaseTable &Table = Phases[Phase];
+    const Slot *Slots = Table.Slots.data();
+    BranchEvent *Out = Buffer.data() + Filled;
     for (size_t I = 0; I < Segment; ++I) {
-      const uint32_t Pick = Table.sample(R);
-      const SiteId Site = Sites[Pick];
-      const SiteSpec &SS = Spec.Sites[Site];
+      // AliasTable::sample's two draws; the keep-or-alias choice indexes
+      // the slot rather than branching on a coin flip.
+      const Slot &S = Slots[Table.Pick.draw(Draws)];
+      const unsigned Which = Draws.nextDouble() < S.Keep ? 0 : 1;
+      const SiteId Site = S.Site[Which];
+      const double P = S.P[Which];
 
       const uint64_t Exec = ExecCounts[Site]++;
-      const bool GroupOn =
-          SS.Behavior.Kind == BehaviorKind::PhaseGroup
-              ? Spec.groupOnInPhase(SS.Behavior.GroupId, Phase)
-              : true;
-      const bool InputFlip =
-          SS.Behavior.Kind == BehaviorKind::InputDependent &&
-          Input.parameterBit(Site);
-      const bool Taken =
-          drawOutcome(SS.Behavior, Exec, GroupOn, InputFlip, States[Site], R);
+      bool Taken;
+      if (P >= 0.0) {
+        Taken = Draws.nextBool(P); // drawOutcome of a fixedWithinPhase kind
+      } else {
+        const BehaviorSpec &B = Spec.Sites[Site].Behavior;
+        R = Draws;
+        Taken = drawOutcome(B, Exec, groupOn(Spec, B, Phase),
+                            inputFlip(Input, B, Site), States[Site], R);
+        Draws = R;
+      }
 
       const uint32_t Gap =
-          FixedGap ? Spec.MinGap
-                   : static_cast<uint32_t>(
-                         R.nextInRange(Spec.MinGap, Spec.MaxGap));
-      InstRet += Gap + 1;
+          FixedGap ? MinGap
+                   : MinGap + static_cast<uint32_t>(GapDraw.draw(Draws));
+      Retired += Gap + 1;
 
-      BranchEvent &Event = Buffer[Filled + I];
+      BranchEvent &Event = Out[I];
       Event.Site = Site;
       Event.Taken = Taken;
       Event.Gap = Gap;
-      Event.Index = NextIndex++;
-      Event.InstRet = InstRet;
+      Event.Index = Index++;
+      Event.InstRet = Retired;
     }
     Filled += Segment;
   }
+  R = Draws;
+  NextIndex = Index;
+  InstRet = Retired;
   return Filled;
 }

@@ -16,7 +16,7 @@
 #ifndef SPECCTRL_WORKLOAD_TRACEGENERATOR_H
 #define SPECCTRL_WORKLOAD_TRACEGENERATOR_H
 
-#include "support/AliasTable.h"
+#include "support/Rng.h"
 #include "workload/EventStream.h"
 #include "workload/Workload.h"
 
@@ -47,16 +47,39 @@ public:
   const std::vector<uint64_t> &siteExecCounts() const { return ExecCounts; }
 
 private:
+  /// Marks a slot site whose taken probability changes within the phase.
+  /// The loop sends every probability that fails `P >= 0` -- this one, or
+  /// a fixed site's negative or NaN bias -- through drawOutcome, which is
+  /// exact for every kind.
+  static constexpr double VariesInPhase = -1.0;
+
+  /// One slot of a phase's alias table, holding both sites a draw of the
+  /// slot may pick -- [0] the slot's own, [1] its alias -- and, for sites
+  /// whose kind is fixedWithinPhase, their taken probability in the phase
+  /// (VariesInPhase otherwise).
+  struct Slot {
+    double Keep; ///< AliasTable::keepProbability: P(Site[0], not Site[1])
+    double P[2];
+    SiteId Site[2];
+  };
+
+  /// One phase's site sampler: a uniform slot, then keep-or-alias -- the
+  /// RNG calls of AliasTable::sample over the phase's active sites.
+  struct PhaseTable {
+    BoundedDraw Pick;
+    std::vector<Slot> Slots;
+  };
+
   void buildPhaseTables();
 
   const WorkloadSpec &Spec;
   InputConfig Input;
   Rng R;
 
-  /// Per phase: the active site list and an alias table over its weights.
-  std::vector<std::vector<SiteId>> PhaseSites;
-  std::vector<AliasTable> PhaseTables;
+  std::vector<PhaseTable> Phases;
   uint64_t EventsPerPhase = 0;
+  /// Draws Gap - MinGap (unused when MinGap == MaxGap).
+  BoundedDraw GapDraw;
 
   std::vector<uint64_t> ExecCounts;
   std::vector<BehaviorState> States;

@@ -10,7 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "serve/ClientFleet.h"
+#include "ClientFleet.h"
 #include "serve/StreamServer.h"
 #include "workload/SpecSuite.h"
 #include "workload/SpscRing.h"

@@ -15,7 +15,7 @@
 
 #include "core/Driver.h"
 #include "core/ReactiveController.h"
-#include "serve/ClientFleet.h"
+#include "ClientFleet.h"
 #include "serve/StreamServer.h"
 #include "workload/SpecSuite.h"
 

@@ -12,7 +12,7 @@
 #include "core/Driver.h"
 #include "core/ReactiveController.h"
 #include "core/Snapshot.h"
-#include "serve/ClientFleet.h"
+#include "ClientFleet.h"
 #include "serve/StreamServer.h"
 #include "support/Rng.h"
 #include "workload/SpecSuite.h"

@@ -58,3 +58,24 @@ TEST(AliasTableTest, LargeTableDistribution) {
   // Top-10 mass of Zipf(1) over 1000 entries is ~39%.
   EXPECT_NEAR(Head / static_cast<double>(N), 0.39, 0.03);
 }
+
+TEST(AliasTableTest, SampleMatchesNextBelowReference) {
+  // sample() is the textbook draw -- a uniform slot from nextBelow, then
+  // keep the slot with its probability or take its alias -- word for word.
+  std::vector<double> W(71);
+  for (size_t I = 0; I < W.size(); ++I)
+    W[I] = static_cast<double>((I * 37) % 11) + (I % 3 == 0 ? 0.0 : 0.5);
+  for (const std::vector<double> &Weights :
+       {W, std::vector<double>{1.0}, std::vector<double>{3.0, 1.0},
+        std::vector<double>(8, 2.0)}) {
+    const AliasTable T(Weights);
+    Rng A(123), B(123);
+    for (int I = 0; I < 20000; ++I) {
+      const uint32_t Slot = static_cast<uint32_t>(B.nextBelow(T.size()));
+      const uint32_t Expected =
+          B.nextDouble() < T.keepProbability(Slot) ? Slot : T.alias(Slot);
+      ASSERT_EQ(T.sample(A), Expected) << "draw " << I;
+    }
+    EXPECT_EQ(A.next(), B.next());
+  }
+}

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 using namespace specctrl;
 
@@ -82,15 +83,6 @@ TEST(RngTest, NextBoolMatchesProbability) {
   EXPECT_TRUE(R.nextBool(1.0));
 }
 
-TEST(RngTest, GeometricMeanMatches) {
-  Rng R(17);
-  double Sum = 0.0;
-  const int N = 20000;
-  for (int I = 0; I < N; ++I)
-    Sum += static_cast<double>(R.nextGeometric(0.2));
-  EXPECT_NEAR(Sum / N, 5.0, 0.2);
-}
-
 TEST(RngTest, ForkIsDeterministicAndIndependent) {
   Rng Parent(21);
   Rng C1 = Parent.fork(1);
@@ -107,4 +99,51 @@ TEST(RngTest, ForkIsDeterministicAndIndependent) {
   for (int I = 0; I < 100; ++I)
     Equal += C1.next() == C2.next();
   EXPECT_LT(Equal, 3);
+}
+
+namespace {
+
+/// Bounds around every edge of the 128-bit reciprocal: 1 (it wraps to 0),
+/// small primes and powers of two, the largest suite alias table, and
+/// both sides of 2^31 and 2^32.
+const std::vector<uint64_t> DrawBounds = {
+    1, 2, 3, 5, 8, 71, 1986, (1ull << 31) - 1, 1ull << 31, (1ull << 32) - 1};
+
+} // namespace
+
+TEST(RngTest, BoundedDrawMatchesNextBelow) {
+  for (const uint64_t N : DrawBounds) {
+    const BoundedDraw Draw(N);
+    Rng A(N * 31 + 7), B(N * 31 + 7);
+    for (int I = 0; I < 100000; ++I)
+      ASSERT_EQ(Draw.draw(A), B.nextBelow(N)) << "N=" << N << " draw " << I;
+    // Both consumed the same words, rejections included.
+    EXPECT_EQ(A.next(), B.next()) << "N=" << N;
+  }
+}
+
+TEST(RngTest, BoundedDrawRejectsLikeNextBelow) {
+  // A bound just above 2^63 rejects almost half of all words, so about
+  // half the draws loop at least once.
+  const uint64_t N = (1ull << 63) + 12345;
+  const BoundedDraw Draw(N);
+  Rng A(77), B(77);
+  for (int I = 0; I < 10000; ++I)
+    ASSERT_EQ(Draw.draw(A), B.nextBelow(N)) << "draw " << I;
+  EXPECT_EQ(A.next(), B.next());
+}
+
+TEST(RngTest, BoundedDrawRemainderIsExact) {
+  std::vector<uint64_t> Bounds = DrawBounds;
+  Bounds.insert(Bounds.end(), {1ull << 32, (1ull << 63) - 1, 1ull << 63,
+                               (1ull << 63) + 1, ~0ull - 1, ~0ull});
+  Rng R(2019);
+  for (const uint64_t N : Bounds) {
+    const BoundedDraw Draw(N);
+    std::vector<uint64_t> Xs = {0, 1, N - 1, N, N + 1, 1ull << 63, ~0ull};
+    for (int I = 0; I < 10000; ++I)
+      Xs.push_back(R.next());
+    for (const uint64_t X : Xs)
+      ASSERT_EQ(Draw.remainder(X), X % N) << "X=" << X << " N=" << N;
+  }
 }

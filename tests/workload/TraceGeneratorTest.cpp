@@ -74,12 +74,14 @@ TEST(TraceGeneratorTest, ResetReplaysIdentically) {
     ASSERT_TRUE(Gen.next(E));
     First.push_back(E);
   }
+  const std::vector<uint64_t> Counts = Gen.siteExecCounts();
   Gen.reset();
+  EXPECT_EQ(Gen.eventsGenerated(), 0u);
   for (int I = 0; I < 1000; ++I) {
     ASSERT_TRUE(Gen.next(E));
-    EXPECT_EQ(E.Site, First[I].Site);
-    EXPECT_EQ(E.Taken, First[I].Taken);
+    EXPECT_EQ(E, First[I]);
   }
+  EXPECT_EQ(Gen.siteExecCounts(), Counts);
 }
 
 TEST(TraceGeneratorTest, WeightsShapeFrequencies) {
