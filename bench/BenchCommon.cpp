@@ -6,6 +6,7 @@
 
 #include "BenchCommon.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -56,7 +57,9 @@ void bench::addJobsOptions(OptionSet &Opts) {
   Opts.addInt("jobs", 0,
               "worker threads for experiment cells (0 = hardware "
               "concurrency; results are identical at any value)");
-  Opts.addInt("seed", 0, "base seed mixed into every experiment cell");
+  Opts.addInt("seed", 0,
+              "base seed mixed into every experiment cell and workload "
+              "(0 = the reference streams)");
 }
 
 void bench::addTraceCacheOption(OptionSet &Opts) {
@@ -115,28 +118,43 @@ bench::makeArena(const SuiteOptions &Opt) {
   return std::make_shared<workload::TraceArena>(std::move(Cfg));
 }
 
+namespace {
+
+/// Whether --benchmarks selects \p Name (every benchmark when empty).
+bool isSelected(const SuiteOptions &Opt, const std::string &Name) {
+  return Opt.Benchmarks.empty() ||
+         std::find(Opt.Benchmarks.begin(), Opt.Benchmarks.end(), Name) !=
+             Opt.Benchmarks.end();
+}
+
+} // namespace
+
 std::vector<workload::BenchmarkProfile>
 bench::selectedProfiles(const SuiteOptions &Opt) {
   std::vector<workload::BenchmarkProfile> Out;
-  for (const workload::BenchmarkProfile &P : workload::suiteProfiles()) {
-    if (Opt.Benchmarks.empty()) {
+  for (const workload::BenchmarkProfile &P : workload::suiteProfiles())
+    if (isSelected(Opt, P.Name))
       Out.push_back(P);
-      continue;
-    }
-    for (const std::string &Name : Opt.Benchmarks)
-      if (Name == P.Name) {
-        Out.push_back(P);
-        break;
-      }
-  }
   return Out;
+}
+
+void bench::seedWorkload(workload::WorkloadSpec &Spec, uint64_t Seed,
+                         uint32_t Index) {
+  if (Seed != 0)
+    Spec.Seed ^= engine::ExperimentPlan::cellSeed(Seed, {Index, 0, 0});
 }
 
 std::vector<workload::WorkloadSpec>
 bench::selectedSuite(const SuiteOptions &Opt) {
+  const std::vector<workload::BenchmarkProfile> &Profiles =
+      workload::suiteProfiles();
   std::vector<workload::WorkloadSpec> Suite;
-  for (const workload::BenchmarkProfile &P : selectedProfiles(Opt))
-    Suite.push_back(workload::makeBenchmark(P, Opt.Scale));
+  for (uint32_t I = 0; I < Profiles.size(); ++I) {
+    if (!isSelected(Opt, Profiles[I].Name))
+      continue;
+    Suite.push_back(workload::makeBenchmark(Profiles[I], Opt.Scale));
+    seedWorkload(Suite.back(), Opt.Seed, I);
+  }
   return Suite;
 }
 

@@ -48,7 +48,8 @@ struct SuiteOptions {
   std::vector<std::string> Benchmarks;
   /// Worker threads for runSuite (0 = hardware concurrency).
   unsigned Jobs = 0;
-  /// Base seed mixed into every experiment cell's seed.
+  /// Base seed mixed into every experiment cell's seed and every
+  /// selected workload's seed (seedWorkload).
   uint64_t Seed = 0;
   /// Disk tier for the trace arena (--trace-cache-dir); empty = memory
   /// only.
@@ -103,7 +104,16 @@ core::ReactiveConfig scaledBaseline(const OptionSet &Opts);
 /// parser's own errors.
 SuiteOptions readSuiteOptions(const OptionSet &Opts);
 
-/// Builds the selected benchmarks (all twelve by default).
+/// Mixes --seed into \p Spec's workload seed, so a nonzero seed changes
+/// the generated streams.  \p Index is the benchmark's position in
+/// workload::suiteProfiles() (0 for a workload outside the suite), so a
+/// stream does not depend on which other benchmarks run.  Seed 0 leaves
+/// the spec unchanged.
+void seedWorkload(workload::WorkloadSpec &Spec, uint64_t Seed,
+                  uint32_t Index);
+
+/// Builds the selected benchmarks (all twelve by default), each seeded by
+/// seedWorkload.
 std::vector<workload::WorkloadSpec> selectedSuite(const SuiteOptions &Opt);
 
 /// The selected calibration profiles (for benches that work from profiles

@@ -84,7 +84,9 @@ int main(int Argc, char **Argv) {
   engine::ExperimentPlan Plan;
   Plan.setBaseSeed(Opt.Seed);
   Plan.setTraceArena(makeArena(Opt));
-  Plan.addBenchmark(makeOscillationPump(Pump));
+  WorkloadSpec PumpSpec = makeOscillationPump(Pump);
+  seedWorkload(PumpSpec, Opt.Seed, 0);
+  Plan.addBenchmark(std::move(PumpSpec));
 
   Plan.addConfig(SelfTrainingName, [](const engine::CellContext &) {
     return makeNullController();

@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Driver.h"
 #include "core/ReactiveController.h"
 #include "support/Format.h"
 #include "workload/SpecSuite.h"
@@ -69,9 +70,13 @@ int main(int Argc, char **Argv) try {
   for (const Policy &P : Policies) {
     TraceCursor Cursor(Trace);
     core::ReactiveController C(P.Config, P.Label);
-    BranchEvent E;
-    while (Cursor.next(E))
-      C.onBranch(E.Site, E.Taken, E.InstRet);
+    core::runTrace(C, Cursor);
+    // A block that fails verification ends the replay early; its stats
+    // would cover only part of the trace.
+    if (Cursor.failed()) {
+      std::fprintf(stderr, "error: bad trace: %s\n", Cursor.error().c_str());
+      return 1;
+    }
     std::printf("%-28s correct %6s  incorrect %8s  evictions %4llu\n",
                 P.Label, formatPercent(C.stats().correctRate()).c_str(),
                 formatPercent(C.stats().incorrectRate(), 4).c_str(),

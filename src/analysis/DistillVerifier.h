@@ -100,8 +100,8 @@ struct VerifyResult {
 /// Per-call switches for verifyDistillation.
 struct VerifyOptions {
   /// Run the SpecLeak two-trace check (the other four always run).  The
-  /// deploy-time hooks wire this to RunConfig's SPECCTRL_VERIFY_SPECLEAK
-  /// opt-out knob.
+  /// deploy-time hooks always run it; specctrl-lint --no-spec-leak turns
+  /// it off.
   bool SpecLeak = true;
 };
 
@@ -128,8 +128,7 @@ std::string formatDiagnostics(const VerifyResult &R);
 std::string formatDiagnosticJson(const Diagnostic &D);
 
 /// True when RunConfig enables the deploy-time verification hooks
-/// (SPECCTRL_VERIFY=1 in the environment, or a CLI override via
-/// RunConfig::setGlobal).
+/// (SPECCTRL_VERIFY=1 in the environment).
 bool verifyDistillEnabled();
 
 } // namespace analysis

@@ -75,23 +75,15 @@ private:
   profile::BranchProfile Profile;
 };
 
-/// Driver-level accounting for one runTrace call (optional out-param).
-struct TraceRunMetrics {
-  uint64_t Events = 0;  ///< events fed to the controller
-  uint64_t Batches = 0; ///< onBatch dispatches
-};
-
 /// Feeds the entire remaining stream of \p Source to \p Controller in
 /// chunks of \p BatchEvents (at least one event each), notifying
 /// \p Observer (when non-null) of every chunk.  Records the number of
-/// events consumed into the controller's ControlStats::EventsConsumed
-/// (and, with \p Metrics, the chunk count) and returns the final stats
-/// (also available via Controller.stats()).
+/// events consumed into the controller's ControlStats::EventsConsumed and
+/// returns the final stats (also available via Controller.stats()).
 const ControlStats &
 runTrace(SpeculationController &Controller, workload::EventSource &Source,
          TraceObserver *Observer = nullptr,
-         size_t BatchEvents = workload::DefaultBatchEvents,
-         TraceRunMetrics *Metrics = nullptr);
+         size_t BatchEvents = workload::DefaultBatchEvents);
 
 /// Convenience: build the generator for (Spec, Input) and run it.
 const ControlStats &
@@ -99,8 +91,7 @@ runWorkload(SpeculationController &Controller,
             const workload::WorkloadSpec &Spec,
             const workload::InputConfig &Input,
             TraceObserver *Observer = nullptr,
-            size_t BatchEvents = workload::DefaultBatchEvents,
-            TraceRunMetrics *Metrics = nullptr);
+            size_t BatchEvents = workload::DefaultBatchEvents);
 
 /// Arena-backed form: replays (Spec, Input) out of \p Arena, which
 /// materializes the trace on first use and shares it across every
@@ -112,21 +103,7 @@ runWorkload(SpeculationController &Controller,
             const workload::WorkloadSpec &Spec,
             const workload::InputConfig &Input, workload::TraceArena &Arena,
             TraceObserver *Observer = nullptr,
-            size_t BatchEvents = workload::DefaultBatchEvents,
-            TraceRunMetrics *Metrics = nullptr);
-
-/// File-backed form: replays the recorded SCT2 trace at \p Path under
-/// \p Controller.  The file is mapped read-only and blocks decode in place
-/// from a mapping shared with every other process replaying it, so
-/// resident memory stays bounded at any trace length; each block is
-/// verified on first read.  Throws std::runtime_error naming the path when
-/// the file cannot be mapped or indexed, or a block fails verification
-/// mid-replay.
-const ControlStats &
-runTraceFile(SpeculationController &Controller, const std::string &Path,
-             TraceObserver *Observer = nullptr,
-             size_t BatchEvents = workload::DefaultBatchEvents,
-             TraceRunMetrics *Metrics = nullptr);
+            size_t BatchEvents = workload::DefaultBatchEvents);
 
 } // namespace core
 } // namespace specctrl

@@ -9,7 +9,6 @@
 #include "analysis/DistillVerifier.h"
 #include "ir/CFG.h"
 #include "ir/Verifier.h"
-#include "support/RunConfig.h"
 
 #include <cassert>
 #include <cstdio>
@@ -429,12 +428,9 @@ DistillResult distill::distillFunction(const Function &Original,
   // Deploy-time safety gate (SPECCTRL_VERIFY): statically prove
   // the distillation stays within the bounds task-level recovery can
   // handle.  Any finding here is a distiller bug, so fail loudly.
-  // SPECCTRL_VERIFY_SPECLEAK=0 opts out of the speculative-leak check.
   if (analysis::verifyDistillEnabled()) {
-    analysis::VerifyOptions Options;
-    Options.SpecLeak = RunConfig::global().VerifySpecLeak;
     const analysis::VerifyResult VR =
-        analysis::verifyDistillation(Original, Request, F, Options);
+        analysis::verifyDistillation(Original, Request, F);
     if (!VR.ok()) {
       std::fprintf(
           stderr,

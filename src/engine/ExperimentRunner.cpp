@@ -33,8 +33,7 @@ double secondsSince(Clock::time_point Start, Clock::time_point End) {
 /// Cell.Failed/Error instead of propagating (failure isolation).  Safe to
 /// call from any worker: the only shared state touched is the plan's
 /// trace arena, which is internally synchronized.
-void runPlanCell(const ExperimentPlan &Plan, CellResult &Cell,
-                 size_t BatchEvents) {
+void runPlanCell(const ExperimentPlan &Plan, CellResult &Cell) {
   const Clock::time_point Start = Clock::now();
   try {
     const BenchmarkAxis &Bench = Plan.benchmarks()[Cell.Coord.Benchmark];
@@ -65,12 +64,10 @@ void runPlanCell(const ExperimentPlan &Plan, CellResult &Cell,
         Plan.traceArena()
             ? Plan.traceArena()->open(Bench.Spec, Input)
             : std::make_unique<workload::TraceGenerator>(Bench.Spec, Input);
-    core::TraceRunMetrics Metrics;
-    const core::ControlStats &Stats = core::runTrace(
-        *Controller, *Source, Observer.get(), BatchEvents, &Metrics);
+    const core::ControlStats &Stats =
+        core::runTrace(*Controller, *Source, Observer.get());
     Cell.Stats = Stats;
     Cell.Events = Stats.EventsConsumed;
-    Cell.Batches = Metrics.Batches;
     Cell.Observer = std::move(Observer);
   } catch (const std::exception &E) {
     Cell.Failed = true;
@@ -86,12 +83,11 @@ void runPlanCell(const ExperimentPlan &Plan, CellResult &Cell,
 /// becomes ready.  \p Then, if set, runs on the worker once the cell ends,
 /// whether it succeeded or failed.
 void submitCell(ThreadPool &Pool, const ExperimentPlan &Plan,
-                CellResult &Cell, size_t BatchEvents,
-                std::function<void()> Then = {}) {
+                CellResult &Cell, std::function<void()> Then = {}) {
   const Clock::time_point Ready = Clock::now();
-  Pool.submit([&Plan, &Cell, BatchEvents, Ready, Then = std::move(Then)] {
+  Pool.submit([&Plan, &Cell, Ready, Then = std::move(Then)] {
     Cell.QueueWaitSeconds = secondsSince(Ready, Clock::now());
-    runPlanCell(Plan, Cell, BatchEvents);
+    runPlanCell(Plan, Cell);
     if (Then)
       Then();
   });
@@ -167,10 +163,9 @@ RunReport engine::runPlan(const ExperimentPlan &Plan,
   Report.Cells = layoutPlanCells(Plan);
 
   const Clock::time_point RunStart = Clock::now();
-  const size_t BatchEvents = Options.BatchEvents;
   if (Report.Jobs <= 1 || Report.Cells.size() <= 1) {
     for (CellResult &Cell : Report.Cells)
-      runPlanCell(Plan, Cell, BatchEvents);
+      runPlanCell(Plan, Cell);
   } else {
     // Each group starts with its first cell and releases the rest when
     // that cell ends.  With an arena a group is one (benchmark, input)
@@ -192,11 +187,10 @@ RunReport engine::runPlan(const ExperimentPlan &Plan,
       });
     ThreadPool Pool(Report.Jobs);
     for (const std::span<CellResult> Group : Groups)
-      submitCell(Pool, Plan, Group.front(), BatchEvents,
-                 [&Pool, &Plan, Group, BatchEvents] {
-                   for (CellResult &Sibling : Group.subspan(1))
-                     submitCell(Pool, Plan, Sibling, BatchEvents);
-                 });
+      submitCell(Pool, Plan, Group.front(), [&Pool, &Plan, Group] {
+        for (CellResult &Sibling : Group.subspan(1))
+          submitCell(Pool, Plan, Sibling);
+      });
     Pool.wait();
   }
   Report.WallSeconds = secondsSince(RunStart, Clock::now());

@@ -47,9 +47,6 @@ struct RunOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency.  Jobs == 1
   /// runs the cells inline on the calling thread (the serial reference).
   unsigned Jobs = 0;
-  /// Events per driver chunk inside each cell (see core::runTrace);
-  /// results are identical at any value.
-  size_t BatchEvents = workload::DefaultBatchEvents;
 };
 
 /// The outcome of one grid cell.
@@ -73,9 +70,8 @@ struct CellResult {
   std::string Error;   ///< its message (Failed only)
 
   // ---- Timing / throughput ----------------------------------------------
-  uint64_t Events = 0;          ///< trace events consumed by the cell
-  uint64_t Batches = 0;         ///< driver chunks dispatched by the cell
-  double WallSeconds = 0.0;     ///< cell execution wall time
+  uint64_t Events = 0;      ///< trace events consumed by the cell
+  double WallSeconds = 0.0; ///< cell execution wall time
   /// Ready -> start latency: a cell is ready when runPlan submits it, or
   /// for an arena key's later cells, when the key's first cell ends.
   double QueueWaitSeconds = 0.0;

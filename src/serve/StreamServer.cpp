@@ -8,11 +8,11 @@
 
 #include "core/ReactiveController.h"
 #include "core/Snapshot.h"
-#include "support/RunConfig.h"
 
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
+#include <stdexcept>
 #include <thread>
 
 using namespace specctrl;
@@ -100,14 +100,12 @@ struct StreamServer::Shard {
 };
 
 StreamServer::StreamServer(ServeConfig Config) : Cfg(Config) {
-  const RunConfig &Run = RunConfig::global();
+  if (Cfg.EpochEvents == 0)
+    throw std::invalid_argument("ServeConfig::EpochEvents must be nonzero");
+  if (Cfg.RingEvents == 0)
+    throw std::invalid_argument("ServeConfig::RingEvents must be nonzero");
   if (Cfg.Consumers == 0)
     Cfg.Consumers = 1;
-  if (Cfg.EpochEvents == 0)
-    Cfg.EpochEvents = Run.ServeEpochEvents;
-  if (Cfg.RingEvents == 0)
-    Cfg.RingEvents = static_cast<uint32_t>(
-        Run.ServeRingEvents > UINT32_MAX ? UINT32_MAX : Run.ServeRingEvents);
   if (Cfg.DrainChunkEvents == 0)
     Cfg.DrainChunkEvents = workload::DefaultBatchEvents;
 

@@ -71,11 +71,11 @@ struct ServeConfig {
   /// each consumer exclusively services its shard's controllers.
   unsigned Consumers = 1;
   /// Events per epoch: control operations (snapshot, reconfigure) land
-  /// exactly on multiples of this.  0 means RunConfig ServeEpochEvents.
-  uint64_t EpochEvents = 0;
+  /// exactly on multiples of this.  Must be nonzero.
+  uint64_t EpochEvents = 8192;
   /// Per-stream ingest ring capacity in events (rounded up to a power of
-  /// two).  0 means RunConfig ServeRingEvents.
-  uint32_t RingEvents = 0;
+  /// two).  Must be nonzero.
+  uint32_t RingEvents = 8192;
   /// Upper bound on one consumer drain chunk (one onBatch call).
   size_t DrainChunkEvents = workload::DefaultBatchEvents;
 };
@@ -101,6 +101,8 @@ public:
     workload::SpscRing *Ring = nullptr;
   };
 
+  /// Throws std::invalid_argument when Config.EpochEvents or
+  /// Config.RingEvents is zero.
   explicit StreamServer(ServeConfig Config = {});
   ~StreamServer();
 

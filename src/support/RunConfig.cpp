@@ -22,39 +22,17 @@ bool envBool(const char *Name, bool Default) {
   return *Env && !(Env[0] == '0' && Env[1] == '\0');
 }
 
-/// Reads a positive integer knob; unset keeps \p Default, malformed or
-/// zero values keep it too (with a note).
-uint64_t envCount(const char *Name, uint64_t Default, std::string *Warnings) {
-  const char *Env = std::getenv(Name);
-  if (!Env || !*Env)
-    return Default;
-  char *End = nullptr;
-  const unsigned long long Value = std::strtoull(Env, &End, 10);
-  if (End && *End == '\0' && Value > 0)
-    return Value;
-  if (Warnings) {
-    *Warnings += Name;
-    *Warnings += "=";
-    *Warnings += Env;
-    *Warnings += " is not a positive integer; keeping the default\n";
-  }
-  return Default;
-}
-
 } // namespace
 
 RunConfig RunConfig::fromEnv(std::string *Warnings) {
   RunConfig Out;
   Out.VerifyDistill = envBool("SPECCTRL_VERIFY", Out.VerifyDistill);
   Out.ArenaVerbose = envBool("SPECCTRL_ARENA_VERBOSE", Out.ArenaVerbose);
-  Out.ServeEpochEvents =
-      envCount("SPECCTRL_SERVE_EPOCH_EVENTS", Out.ServeEpochEvents, Warnings);
-  Out.ServeRingEvents =
-      envCount("SPECCTRL_SERVE_RING_EVENTS", Out.ServeRingEvents, Warnings);
-  Out.VerifySpecLeak =
-      envBool("SPECCTRL_VERIFY_SPECLEAK", Out.VerifySpecLeak);
-  for (const char *Removed : {"SPECCTRL_VERIFY_DISTILL", "SPECCTRL_ARENA_DEBUG",
-                              "SPECCTRL_TRACE_MMAP", "SPECCTRL_SWEEP_PROCS"})
+  for (const char *Removed :
+       {"SPECCTRL_VERIFY_DISTILL", "SPECCTRL_ARENA_DEBUG",
+        "SPECCTRL_TRACE_MMAP", "SPECCTRL_SWEEP_PROCS",
+        "SPECCTRL_SERVE_EPOCH_EVENTS", "SPECCTRL_SERVE_RING_EVENTS",
+        "SPECCTRL_VERIFY_SPECLEAK"})
     if (Warnings && std::getenv(Removed)) {
       *Warnings += Removed;
       *Warnings += " is no longer read; it has no effect\n";
@@ -62,10 +40,8 @@ RunConfig RunConfig::fromEnv(std::string *Warnings) {
   return Out;
 }
 
-namespace {
-
-RunConfig &globalSlot() {
-  static RunConfig Config = [] {
+const RunConfig &RunConfig::global() {
+  static const RunConfig Config = [] {
     std::string Warnings;
     RunConfig Parsed = RunConfig::fromEnv(&Warnings);
     if (!Warnings.empty())
@@ -74,9 +50,3 @@ RunConfig &globalSlot() {
   }();
   return Config;
 }
-
-} // namespace
-
-const RunConfig &RunConfig::global() { return globalSlot(); }
-
-void RunConfig::setGlobal(const RunConfig &Config) { globalSlot() = Config; }

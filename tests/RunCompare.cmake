@@ -3,11 +3,12 @@
 #
 # Usage:
 #   cmake -DBIN=<exe> -DARGS="<args>" [-DGOLDEN=<file>] [-DARGS2="<args>"]
-#         -P RunCompare.cmake
+#         [-DDIFFERENT_FROM=<file>] -P RunCompare.cmake
 #
 # ARGS/ARGS2 are whitespace-separated argument strings.  With GOLDEN set,
 # the first run's output must equal the file byte-for-byte; with ARGS2
-# set, the second run's output must equal the first's.
+# set, the second run's output must equal the first's; with
+# DIFFERENT_FROM set, the first run's output must differ from the file.
 
 if(NOT DEFINED BIN)
   message(FATAL_ERROR "RunCompare.cmake: BIN not set")
@@ -25,6 +26,14 @@ if(DEFINED GOLDEN)
   if(NOT Out1 STREQUAL Want)
     message(FATAL_ERROR
             "output of ${BIN} ${ARGS} differs from golden ${GOLDEN}")
+  endif()
+endif()
+
+if(DEFINED DIFFERENT_FROM)
+  file(READ "${DIFFERENT_FROM}" Other)
+  if(Out1 STREQUAL Other)
+    message(FATAL_ERROR
+            "output of ${BIN} ${ARGS} equals ${DIFFERENT_FROM}")
   endif()
 endif()
 

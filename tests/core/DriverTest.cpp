@@ -8,11 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -138,34 +134,20 @@ TEST(DriverTest, DefaultOnBatchForwardsPerEventInOrder) {
 
 TEST(DriverTest, MetricsCountEventsAndChunks) {
   const WorkloadSpec Spec = twoSiteSpec();
-  {
+  for (const size_t Batch : {size_t{4096}, size_t{1}}) {
     ReactiveController C(ReactiveConfig{});
-    TraceRunMetrics Metrics;
-    runWorkload(C, Spec, Spec.refInput(), nullptr, /*BatchEvents=*/4096,
-                &Metrics);
-    EXPECT_EQ(Metrics.Events, Spec.RefEvents);
-    EXPECT_EQ(Metrics.Batches, (Spec.RefEvents + 4095) / 4096);
-  }
-  {
-    ReactiveController C(ReactiveConfig{});
-    TraceRunMetrics Metrics;
-    runWorkload(C, Spec, Spec.refInput(), nullptr, /*BatchEvents=*/1,
-                &Metrics);
-    EXPECT_EQ(Metrics.Events, Spec.RefEvents);
-    EXPECT_EQ(Metrics.Batches, Spec.RefEvents); // a chunk of one is a chunk
+    const ControlStats &S =
+        runWorkload(C, Spec, Spec.refInput(), nullptr, Batch);
+    EXPECT_EQ(S.EventsConsumed, Spec.RefEvents) << "batch=" << Batch;
   }
 }
 
-TEST(DriverTest, RunTraceFileMatchesGeneratorViaBothTiers) {
+TEST(DriverTest, ResidentTraceReplayMatchesGenerator) {
   const WorkloadSpec Spec = twoSiteSpec();
-  const std::string Path =
-      (std::filesystem::temp_directory_path() / "drv_runtracefile.sct2")
-          .string();
   std::ostringstream Bytes;
   {
     TraceGenerator Gen(Spec, Spec.refInput());
     ASSERT_GT(writeTraceV2(Bytes, Gen), 0u);
-    std::ofstream(Path, std::ios::binary) << Bytes.str();
   }
 
   ReactiveConfig Cfg;
@@ -174,29 +156,12 @@ TEST(DriverTest, RunTraceFileMatchesGeneratorViaBothTiers) {
   ReactiveController Reference(Cfg);
   const ControlStats Want = runWorkload(Reference, Spec, Spec.refInput());
 
-  // The mapped tier (runTraceFile) and a resident copy of the same bytes
-  // must both reproduce the generator's stats exactly.
-  {
-    ReactiveController C(Cfg);
-    EXPECT_EQ(runTraceFile(C, Path), Want) << "mapped";
-  }
-  {
-    const std::string Image = Bytes.str();
-    TraceCursor Cursor(
-        MaterializedTrace::fromBytes({Image.begin(), Image.end()}));
-    ReactiveController C(Cfg);
-    EXPECT_EQ(runTrace(C, Cursor), Want) << "resident";
-  }
-
-  // A path that cannot be mapped is an error that names the path.
+  // A resident copy of the recorded bytes reproduces the generator's
+  // stats exactly.
+  const std::string Image = Bytes.str();
+  TraceCursor Cursor(
+      MaterializedTrace::fromBytes({Image.begin(), Image.end()}));
   ReactiveController C(Cfg);
-  const std::string Missing = Path + ".does-not-exist";
-  try {
-    runTraceFile(C, Missing);
-    ADD_FAILURE() << "runTraceFile accepted a missing file";
-  } catch (const std::runtime_error &E) {
-    EXPECT_NE(std::string(E.what()).find(Missing), std::string::npos)
-        << E.what();
-  }
-  std::remove(Path.c_str());
+  EXPECT_EQ(runTrace(C, Cursor), Want);
+  EXPECT_FALSE(Cursor.failed()) << Cursor.error();
 }

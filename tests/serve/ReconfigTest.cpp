@@ -5,8 +5,9 @@
 // or reordered -- the stream's final stats equal a reference controller
 // fed the same events with reconfigure() called at the same position.
 // Plus the rejection rules (passed boundary, non-boundary, bad
-// parameters, finished stream) and the no-hang guarantee for operations
-// a stream finishes before reaching.
+// parameters, finished stream), the no-hang guarantee for operations a
+// stream finishes before reaching, and the server's own rejection of a
+// zero epoch or ring capacity.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -211,4 +213,19 @@ TEST(ReconfigTest, PendingOperationFailsWhenStreamFinishesFirst) {
   ReactiveController Reference(configA());
   feed(Reference, {Events.data(), Prefix});
   EXPECT_EQ(Server.streamStats(Handle.Id), Reference.stats());
+}
+
+TEST(ReconfigTest, ServerRejectsZeroEpochOrRingCapacity) {
+  // A zero epoch has no boundaries to land operations on, and a zero ring
+  // holds no events; both are configuration errors, not defaults.
+  ServeConfig ZeroEpoch = smallServe();
+  ZeroEpoch.EpochEvents = 0;
+  EXPECT_THROW(StreamServer{ZeroEpoch}, std::invalid_argument);
+  ServeConfig ZeroRing = smallServe();
+  ZeroRing.RingEvents = 0;
+  EXPECT_THROW(StreamServer{ZeroRing}, std::invalid_argument);
+
+  const StreamServer Default;
+  EXPECT_EQ(Default.config().EpochEvents, 8192u);
+  EXPECT_EQ(Default.config().RingEvents, 8192u);
 }

@@ -1,7 +1,7 @@
 //===- tests/support/RunConfigTest.cpp ------------------------------------===//
 //
-// The typed run configuration: the environment names, the numeric and
-// default-on knobs, and the one-line note for each removed variable.
+// The typed run configuration: the environment names, and the one-line
+// note for each removed variable.
 //
 //===----------------------------------------------------------------------===//
 
@@ -86,60 +86,20 @@ TEST(RunConfig, ZeroAndEmptyMeanOff) {
 
 TEST(RunConfig, RemovedVariablesAreReportedNotRead) {
   ScopedEnv Env;
-  Env.set("SPECCTRL_VERIFY_DISTILL", "1");
-  Env.set("SPECCTRL_ARENA_DEBUG", "1");
-  Env.set("SPECCTRL_TRACE_MMAP", "0");
+  const char *const Removed[] = {
+      "SPECCTRL_VERIFY_DISTILL",    "SPECCTRL_ARENA_DEBUG",
+      "SPECCTRL_TRACE_MMAP",        "SPECCTRL_SERVE_EPOCH_EVENTS",
+      "SPECCTRL_SERVE_RING_EVENTS", "SPECCTRL_VERIFY_SPECLEAK"};
+  for (const char *Name : Removed)
+    Env.set(Name, "1");
   std::string Warnings;
   const RunConfig Cfg = RunConfig::fromEnv(&Warnings);
   EXPECT_FALSE(Cfg.VerifyDistill) << "only SPECCTRL_VERIFY enables it";
   EXPECT_FALSE(Cfg.ArenaVerbose) << "only SPECCTRL_ARENA_VERBOSE enables it";
-  for (const char *Removed : {"SPECCTRL_VERIFY_DISTILL", "SPECCTRL_ARENA_DEBUG",
-                              "SPECCTRL_TRACE_MMAP"})
-    EXPECT_NE(Warnings.find(std::string(Removed) + " is no longer read"),
+  for (const char *Name : Removed)
+    EXPECT_NE(Warnings.find(std::string(Name) + " is no longer read"),
               std::string::npos)
         << Warnings;
-}
-
-TEST(RunConfig, ServeKnobsDefaultAndParse) {
-  ScopedEnv Env;
-  {
-    const RunConfig Cfg = RunConfig::fromEnv(nullptr);
-    EXPECT_EQ(Cfg.ServeEpochEvents, 8192u);
-    EXPECT_EQ(Cfg.ServeRingEvents, 8192u);
-  }
-  Env.set("SPECCTRL_SERVE_EPOCH_EVENTS", "1024");
-  Env.set("SPECCTRL_SERVE_RING_EVENTS", "65536");
-  std::string Warnings;
-  const RunConfig Cfg = RunConfig::fromEnv(&Warnings);
-  EXPECT_EQ(Cfg.ServeEpochEvents, 1024u);
-  EXPECT_EQ(Cfg.ServeRingEvents, 65536u);
-  EXPECT_TRUE(Warnings.empty()) << Warnings;
-}
-
-TEST(RunConfig, ServeKnobsRejectMalformedValuesWithWarning) {
-  ScopedEnv Env;
-  Env.set("SPECCTRL_SERVE_EPOCH_EVENTS", "0");
-  Env.set("SPECCTRL_SERVE_RING_EVENTS", "lots");
-  std::string Warnings;
-  const RunConfig Cfg = RunConfig::fromEnv(&Warnings);
-  EXPECT_EQ(Cfg.ServeEpochEvents, 8192u) << "zero must keep the default";
-  EXPECT_EQ(Cfg.ServeRingEvents, 8192u) << "junk must keep the default";
-  EXPECT_NE(Warnings.find("SPECCTRL_SERVE_EPOCH_EVENTS=0"),
-            std::string::npos)
-      << Warnings;
-  EXPECT_NE(Warnings.find("SPECCTRL_SERVE_RING_EVENTS=lots"),
-            std::string::npos)
-      << Warnings;
-}
-
-TEST(RunConfig, VerifySpecLeakDefaultsOnAndZeroOptsOut) {
-  ScopedEnv Env;
-  EXPECT_TRUE(RunConfig::fromEnv().VerifySpecLeak)
-      << "the SpecLeak check defaults on";
-  Env.set("SPECCTRL_VERIFY_SPECLEAK", "0");
-  EXPECT_FALSE(RunConfig::fromEnv().VerifySpecLeak);
-  Env.set("SPECCTRL_VERIFY_SPECLEAK", "1");
-  EXPECT_TRUE(RunConfig::fromEnv().VerifySpecLeak);
 }
 
 TEST(RunConfig, SweepWorkerVariableIsNoLongerRead) {
@@ -153,15 +113,4 @@ TEST(RunConfig, SweepWorkerVariableIsNoLongerRead) {
     EXPECT_EQ(Warnings,
               "SPECCTRL_SWEEP_PROCS is no longer read; it has no effect\n");
   }
-}
-
-TEST(RunConfig, SetGlobalOverrides) {
-  const RunConfig Before = RunConfig::global();
-  RunConfig Override = Before;
-  Override.ServeEpochEvents = Before.ServeEpochEvents + 1;
-  RunConfig::setGlobal(Override);
-  EXPECT_EQ(RunConfig::global().ServeEpochEvents,
-            Before.ServeEpochEvents + 1);
-  RunConfig::setGlobal(Before); // restore for the rest of the binary
-  EXPECT_EQ(RunConfig::global().ServeEpochEvents, Before.ServeEpochEvents);
 }

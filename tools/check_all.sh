@@ -1,0 +1,49 @@
+#!/bin/sh
+# Runs every check the repository has, in order, and stops at the first
+# failure:
+#
+#   1. tier-1: configure and build build/ (RelWithDebInfo, asserts on),
+#      then the full ctest;
+#   2. the fast ctest label in an AddressSanitizer tree (build-asan/) and
+#      in an UndefinedBehaviorSanitizer tree (build-ubsan/);
+#   3. the engine and serve concurrency tests in a ThreadSanitizer tree
+#      (build-tsan/);
+#   4. perfbench's own tests.
+#
+# Usage: tools/check_all.sh   (from anywhere; takes no options)
+
+set -eu
+
+cd "$(dirname "$0")/.."
+JOBS=$(nproc)
+
+# configure <dir> [cmake options...]: configures and builds one tree.
+configure() {
+  Dir=$1
+  shift
+  cmake -B "$Dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo "$@"
+  cmake --build "$Dir" -j "$JOBS"
+}
+
+echo "== tier-1 (build/)"
+configure build
+(cd build && ctest --output-on-failure -j "$JOBS")
+
+echo "== ASan, fast label (build-asan/)"
+configure build-asan -DSPECCTRL_ASAN=ON
+(cd build-asan && ctest -L fast --output-on-failure -j "$JOBS")
+
+echo "== UBSan, fast label (build-ubsan/)"
+configure build-ubsan -DSPECCTRL_UBSAN=ON
+(cd build-ubsan && ctest -L fast --output-on-failure -j "$JOBS")
+
+echo "== TSan, engine and serve concurrency (build-tsan/)"
+configure build-tsan -DSPECCTRL_TSAN=ON
+(cd build-tsan &&
+  ctest -R 'ExperimentRunner|ArenaRace|Determinism|RingBuffer' \
+    --output-on-failure -j "$JOBS")
+
+echo "== perfbench self-test"
+python3 perfbench/test_perfbench.py
+
+echo "check_all: every check passed"
