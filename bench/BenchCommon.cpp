@@ -90,7 +90,7 @@ SuiteOptions bench::readSuiteOptions(const OptionSet &Opts) {
         (void)workload::profileByName(Name);
       } catch (const std::invalid_argument &E) {
         std::fprintf(stderr, "error: --benchmarks: %s\n", E.what());
-        std::exit(1);
+        std::exit(2);
       }
     }
   }
@@ -101,7 +101,7 @@ SuiteOptions bench::readSuiteOptions(const OptionSet &Opts) {
                    "error: --jobs must be 0 (hardware concurrency) or a "
                    "positive worker count, got %lld\n",
                    static_cast<long long>(Jobs));
-      std::exit(1);
+      std::exit(2);
     }
     Out.Jobs = static_cast<unsigned>(Jobs);
     Out.Seed = static_cast<uint64_t>(Opts.getInt("seed"));

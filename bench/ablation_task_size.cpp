@@ -29,7 +29,7 @@ int main(int Argc, char **Argv) try {
   Opts.addString("bench", "gzip", "benchmark-like program to run");
   Opts.addInt("iterations", 90000, "main-loop iterations per run");
   if (!Opts.parse(Argc, Argv))
-    return Opts.wasError() ? 1 : 0;
+    return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
 
   const workload::BenchmarkProfile &Profile =
@@ -75,5 +75,5 @@ int main(int Argc, char **Argv) try {
   return 0;
 } catch (const std::invalid_argument &E) {
   std::fprintf(stderr, "error: %s\n", E.what());
-  return 1;
+  return 2;
 }

@@ -33,7 +33,7 @@ int main(int Argc, char **Argv) {
                  "monitor-period sweeps around the Table 2 defaults");
   addSweepOptions(Opts);
   if (!Opts.parse(Argc, Argv))
-    return Opts.wasError() ? 1 : 0;
+    return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
 
   printBanner("Ablation: thresholds",

@@ -53,7 +53,7 @@ int main(int Argc, char **Argv) {
   Opts.addInt("pump-events", 20000000,
               "branch events in the pump workload's reference run");
   if (!Opts.parse(Argc, Argv))
-    return Opts.wasError() ? 1 : 0;
+    return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
 
   printBanner("Adversarial pump",

@@ -40,7 +40,7 @@ int main(int Argc, char **Argv) {
   Opts.addInt("flush-interval", 25000000,
               "Dynamo flush interval in dynamic instructions");
   if (!Opts.parse(Argc, Argv))
-    return Opts.wasError() ? 1 : 0;
+    return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
 
   printBanner("Extension: related-work policies",

@@ -98,7 +98,7 @@ int main(int Argc, char **Argv) {
                  "load-value speculation (Sec. 2's generalization claim)");
   addSweepOptions(Opts);
   if (!Opts.parse(Argc, Argv))
-    return Opts.wasError() ? 1 : 0;
+    return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
 
   printBanner("Extension: value speculation",

@@ -69,7 +69,7 @@ int main(int Argc, char **Argv) {
   addTraceCacheOption(Opts);
   Opts.addDouble("threshold", 0.99, "selection bias threshold");
   if (!Opts.parse(Argc, Argv))
-    return Opts.wasError() ? 1 : 0;
+    return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
   const double Threshold = Opts.getDouble("threshold");
 

@@ -31,7 +31,7 @@ int main(int Argc, char **Argv) try {
   Opts.addInt("tracks", 5, "number of changing branches to plot");
   Opts.addInt("block", 1000, "bias-averaging block size (executions)");
   if (!Opts.parse(Argc, Argv))
-    return Opts.wasError() ? 1 : 0;
+    return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
 
   const WorkloadSpec Spec =
@@ -83,5 +83,5 @@ int main(int Argc, char **Argv) try {
   return 0;
 } catch (const std::invalid_argument &E) {
   std::fprintf(stderr, "error: %s\n", E.what());
-  return 1;
+  return 2;
 }

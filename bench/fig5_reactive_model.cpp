@@ -55,7 +55,7 @@ int main(int Argc, char **Argv) {
   Opts.addFlag("latency-sweep",
                "also run the 0 / 100k / 1M instruction latency points");
   if (!Opts.parse(Argc, Argv))
-    return Opts.wasError() ? 1 : 0;
+    return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
 
   printBanner("Figure 5",

@@ -30,7 +30,7 @@ int main(int Argc, char **Argv) {
                  "transitions out of the biased state");
   addSweepOptions(Opts);
   if (!Opts.parse(Argc, Argv))
-    return Opts.wasError() ? 1 : 0;
+    return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
 
   printBanner("Figure 6",

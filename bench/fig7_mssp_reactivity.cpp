@@ -68,7 +68,7 @@ int main(int Argc, char **Argv) {
   Opts.addFlag("value-spec",
                "also control load-value speculation reactively");
   if (!Opts.parse(Argc, Argv))
-    return Opts.wasError() ? 1 : 0;
+    return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
   const uint64_t Iterations =
       static_cast<uint64_t>(Opts.getInt("iterations"));

@@ -36,7 +36,7 @@ int main(int Argc, char **Argv) {
   addJobsOptions(Opts);
   Opts.addInt("iterations", 90000, "main-loop iterations per run");
   if (!Opts.parse(Argc, Argv))
-    return Opts.wasError() ? 1 : 0;
+    return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
   const uint64_t Iterations =
       static_cast<uint64_t>(Opts.getInt("iterations"));

@@ -31,7 +31,7 @@ int main(int Argc, char **Argv) try {
   addScaleOptions(Opts);
   Opts.addString("bench", "vortex", "which benchmark to analyze");
   if (!Opts.parse(Argc, Argv))
-    return Opts.wasError() ? 1 : 0;
+    return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
 
   const WorkloadSpec Spec =
@@ -86,5 +86,5 @@ int main(int Argc, char **Argv) try {
   return 0;
 } catch (const std::invalid_argument &E) {
   std::fprintf(stderr, "error: %s\n", E.what());
-  return 1;
+  return 2;
 }

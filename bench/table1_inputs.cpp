@@ -25,7 +25,7 @@ int main(int Argc, char **Argv) {
   addCsvOption(Opts);
   addSuiteOptions(Opts);
   if (!Opts.parse(Argc, Argv))
-    return Opts.wasError() ? 1 : 0;
+    return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
 
   printBanner("Table 1",

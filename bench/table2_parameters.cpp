@@ -20,7 +20,7 @@ int main(int Argc, char **Argv) {
   OptionSet Opts("table2_parameters: Table 2, model parameters");
   addCsvOption(Opts);
   if (!Opts.parse(Argc, Argv))
-    return Opts.wasError() ? 1 : 0;
+    return Opts.wasError() ? 2 : 0;
 
   printBanner("Table 2", "reactive control model parameters (defaults of "
                          "core::ReactiveConfig)");

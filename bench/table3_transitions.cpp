@@ -27,7 +27,7 @@ int main(int Argc, char **Argv) {
   OptionSet Opts("table3_transitions: Table 3, model transition data");
   addSweepOptions(Opts);
   if (!Opts.parse(Argc, Argv))
-    return Opts.wasError() ? 1 : 0;
+    return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
 
   printBanner("Table 3",

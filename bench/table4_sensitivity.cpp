@@ -32,7 +32,7 @@ int main(int Argc, char **Argv) {
                "add an ablation row with the per-site optimization cap "
                "disabled");
   if (!Opts.parse(Argc, Argv))
-    return Opts.wasError() ? 1 : 0;
+    return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
 
   printBanner(Table4Title, Table4Detail);

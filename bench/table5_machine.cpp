@@ -23,7 +23,7 @@ int main(int Argc, char **Argv) {
   // option.
   addCsvOption(Opts);
   if (!Opts.parse(Argc, Argv))
-    return Opts.wasError() ? 1 : 0;
+    return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
 
   printBanner("Table 5", "simulated CMP parameters (defaults of "

@@ -64,9 +64,9 @@ struct StreamServer::PendingOp {
 /// ring; the control plane touches only Ops (under Mutex).
 struct StreamServer::Stream {
   Stream(StreamId Id, uint32_t RingEvents, uint64_t EpochEvents,
-         const core::ReactiveConfig &Control, size_t DrainChunk)
+         const core::ReactiveConfig &Control)
       : Id(Id), Ring(RingEvents), Controller(Control),
-        EpochEvents(EpochEvents), Scratch(DrainChunk), Verdicts(DrainChunk) {}
+        EpochEvents(EpochEvents) {}
 
   const StreamId Id;
   workload::SpscRing Ring;
@@ -83,20 +83,20 @@ struct StreamServer::Stream {
   /// Guards Ops and the finish transition.
   std::mutex Mutex;
   std::vector<std::shared_ptr<PendingOp>> Ops;
-
-  /// Consumer-owned drain buffers (one onBatch call each).
-  std::vector<workload::BranchEvent> Scratch;
-  std::vector<core::BranchVerdict> Verdicts;
 };
 
 /// One consumer shard: the streams it owns and the thread draining them.
 struct StreamServer::Shard {
+  explicit Shard(size_t RingCapacity) : Verdicts(RingCapacity) {}
   std::mutex Mutex; ///< guards Streams (append-only)
   std::vector<std::unique_ptr<Stream>> Streams;
   std::thread Worker;
   /// Raw-pointer snapshot reused across service passes; refreshed under
   /// Mutex when the size changed (streams are never removed).
   std::vector<Stream *> Scan;
+  /// Verdicts of one onBatch call, reused for every stream of the shard;
+  /// a drain chunk never spans more than a ring's capacity.
+  std::vector<core::BranchVerdict> Verdicts;
 };
 
 StreamServer::StreamServer(ServeConfig Config) : Cfg(Config) {
@@ -106,12 +106,11 @@ StreamServer::StreamServer(ServeConfig Config) : Cfg(Config) {
     throw std::invalid_argument("ServeConfig::RingEvents must be nonzero");
   if (Cfg.Consumers == 0)
     Cfg.Consumers = 1;
-  if (Cfg.DrainChunkEvents == 0)
-    Cfg.DrainChunkEvents = workload::DefaultBatchEvents;
 
   Shards.reserve(Cfg.Consumers);
   for (unsigned I = 0; I < Cfg.Consumers; ++I)
-    Shards.push_back(std::make_unique<Shard>());
+    Shards.push_back(std::make_unique<Shard>(
+        workload::SpscRing::capacityFor(Cfg.RingEvents)));
   for (auto &S : Shards)
     S->Worker = std::thread([this, Raw = S.get()] { consumerLoop(*Raw); });
 }
@@ -153,8 +152,8 @@ StreamServer::openStream(const core::ReactiveConfig &Control) {
     std::lock_guard<std::mutex> Lock(MapMutex);
     Id = NextId++;
   }
-  return registerStream(std::make_unique<Stream>(
-      Id, Cfg.RingEvents, Cfg.EpochEvents, Control, Cfg.DrainChunkEvents));
+  return registerStream(
+      std::make_unique<Stream>(Id, Cfg.RingEvents, Cfg.EpochEvents, Control));
 }
 
 StreamServer::StreamHandle
@@ -191,27 +190,55 @@ StreamServer::restoreStream(std::span<const uint8_t> Snapshot,
     Id = NextId++;
   }
   auto NewStream = std::make_unique<Stream>(Id, Cfg.RingEvents, EpochEvents,
-                                            Restored->config(),
-                                            Cfg.DrainChunkEvents);
+                                            Restored->config());
   NewStream->Controller = std::move(*Restored);
   NewStream->Processed = Processed;
   NewStream->ProcessedPublic.store(Processed, std::memory_order_relaxed);
   return registerStream(std::move(NewStream));
 }
 
-StreamServer::Stream &StreamServer::streamRef(StreamId Id) const {
+StreamServer::Stream *StreamServer::findStream(StreamId Id) const {
   std::lock_guard<std::mutex> Lock(MapMutex);
   auto It = ById.find(Id);
-  assert(It != ById.end() && "unknown stream id");
-  return *It->second;
+  return It == ById.end() ? nullptr : It->second;
+}
+
+StreamServer::Stream &StreamServer::streamRef(StreamId Id) const {
+  if (Stream *S = findStream(Id))
+    return *S;
+  throw std::out_of_range("StreamServer: unknown stream id " +
+                          std::to_string(Id));
 }
 
 StreamServer::StreamHandle StreamServer::handleOf(StreamId Id) const {
-  std::lock_guard<std::mutex> Lock(MapMutex);
-  auto It = ById.find(Id);
-  if (It == ById.end())
-    return {};
-  return {Id, &It->second->Ring};
+  Stream *S = findStream(Id);
+  return S ? StreamHandle{Id, &S->Ring} : StreamHandle{};
+}
+
+bool StreamServer::postOp(StreamId Id, std::shared_ptr<PendingOp> Op,
+                          std::vector<uint8_t> *Out, std::string &Error) {
+  Stream *S = findStream(Id);
+  if (!S) {
+    Error = "unknown stream id";
+    return false;
+  }
+  if (Op->AtEvents % S->EpochEvents != 0) {
+    Error = "requested position is not an epoch boundary";
+    return false;
+  }
+  {
+    std::lock_guard<std::mutex> Lock(S->Mutex);
+    if (S->Finished.load(std::memory_order_acquire)) {
+      Error = "stream already finished";
+      return false;
+    }
+    if (S->ProcessedPublic.load(std::memory_order_acquire) > Op->AtEvents) {
+      Error = "epoch boundary already passed";
+      return false;
+    }
+    S->Ops.push_back(Op);
+  }
+  return Op->wait(Out, Error);
 }
 
 bool StreamServer::snapshotStream(StreamId Id, uint64_t AtEvents,
@@ -220,32 +247,7 @@ bool StreamServer::snapshotStream(StreamId Id, uint64_t AtEvents,
   auto Op = std::make_shared<PendingOp>();
   Op->K = PendingOp::Kind::Snapshot;
   Op->AtEvents = AtEvents;
-  {
-    std::lock_guard<std::mutex> Lock(MapMutex);
-    auto It = ById.find(Id);
-    if (It == ById.end()) {
-      Error = "unknown stream id";
-      return false;
-    }
-  }
-  Stream &S = streamRef(Id);
-  if (AtEvents % S.EpochEvents != 0) {
-    Error = "snapshot point is not an epoch boundary";
-    return false;
-  }
-  {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    if (S.Finished.load(std::memory_order_acquire)) {
-      Error = "stream already finished";
-      return false;
-    }
-    if (S.ProcessedPublic.load(std::memory_order_acquire) > AtEvents) {
-      Error = "epoch boundary already passed";
-      return false;
-    }
-    S.Ops.push_back(Op);
-  }
-  return Op->wait(&Out, Error);
+  return postOp(Id, std::move(Op), &Out, Error);
 }
 
 bool StreamServer::reconfigureStream(StreamId Id, uint64_t AtEvents,
@@ -260,31 +262,7 @@ bool StreamServer::reconfigureStream(StreamId Id, uint64_t AtEvents,
   Op->K = PendingOp::Kind::Reconfig;
   Op->AtEvents = AtEvents;
   Op->NewControl = NewControl;
-  {
-    std::lock_guard<std::mutex> Lock(MapMutex);
-    if (!ById.count(Id)) {
-      Error = "unknown stream id";
-      return false;
-    }
-  }
-  Stream &S = streamRef(Id);
-  if (AtEvents % S.EpochEvents != 0) {
-    Error = "reconfiguration point is not an epoch boundary";
-    return false;
-  }
-  {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    if (S.Finished.load(std::memory_order_acquire)) {
-      Error = "stream already finished";
-      return false;
-    }
-    if (S.ProcessedPublic.load(std::memory_order_acquire) > AtEvents) {
-      Error = "epoch boundary already passed";
-      return false;
-    }
-    S.Ops.push_back(Op);
-  }
-  return Op->wait(nullptr, Error);
+  return postOp(Id, std::move(Op), nullptr, Error);
 }
 
 void StreamServer::waitFinished(StreamId Id) {
@@ -385,28 +363,29 @@ void StreamServer::finishStream(Stream &S) {
   StreamsFinished.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool StreamServer::serviceStream(Stream &S) {
+bool StreamServer::serviceStream(Stream &S, Shard &Home) {
   // Control operations may be due while the stream idles exactly on a
   // boundary (including before the first event).
   if (S.Processed % S.EpochEvents == 0)
     applyDueOps(S);
 
   // Budget one ring's worth of events per service pass so a fast producer
-  // cannot starve the shard's other streams.
+  // cannot starve the shard's other streams.  A chunk ends at the next
+  // epoch boundary, the ring's wrap point, or the end of the budget.
   size_t Budget = S.Ring.capacity();
   size_t Drained = 0;
   while (Budget > 0) {
     const uint64_t ToBoundary =
         S.EpochEvents - (S.Processed % S.EpochEvents);
-    size_t Want = S.Scratch.size();
-    if (ToBoundary < Want)
-      Want = static_cast<size_t>(ToBoundary);
-    if (Budget < Want)
-      Want = Budget;
-    const size_t Got = S.Ring.pop({S.Scratch.data(), Want});
+    const std::span<const workload::BranchEvent> Chunk = S.Ring.peek(
+        ToBoundary < Budget ? static_cast<size_t>(ToBoundary) : Budget);
+    const size_t Got = Chunk.size();
     if (Got == 0)
       break;
-    S.Controller.onBatch({S.Scratch.data(), Got}, S.Verdicts.data());
+    // The controller reads the ring's slots in place; they go back to the
+    // producer only once onBatch has returned.
+    S.Controller.onBatch(Chunk, Home.Verdicts.data());
+    S.Ring.consume(Got);
     // The driver accounts EventsConsumed outside onBatch (core::runTrace
     // does the same), keeping live stats comparable to batch runs.
     S.Controller.stats().EventsConsumed += Got;
@@ -437,7 +416,7 @@ void StreamServer::consumerLoop(Shard &Home) {
     bool DidWork = false;
     for (Stream *S : Home.Scan)
       if (!S->Finished.load(std::memory_order_acquire))
-        DidWork |= serviceStream(*S);
+        DidWork |= serviceStream(*S, Home);
     if (DidWork) {
       IdleSpins = 0;
       continue;

@@ -25,17 +25,21 @@
 ///
 /// Streams are sharded by id over the consumer threads; each consumer
 /// exclusively owns its streams' controllers, so the event hot path takes
-/// no locks (the ring is the only producer/consumer contact point).  The
-/// control plane (snapshot, live reconfiguration) posts operations under a
-/// per-stream mutex; the consumer applies them exactly at the requested
-/// epoch boundary (a multiple of EpochEvents processed), which gives every
+/// no locks (the ring is the only producer/consumer contact point).  A
+/// consumer runs onBatch on ring slots in place and releases them to the
+/// producer after onBatch returns: nothing is copied on the way, and a
+/// stream's footprint is its ring plus its controller.  The control plane
+/// (snapshot, live reconfiguration) posts operations under a per-stream
+/// mutex; the consumer applies them exactly at the requested epoch
+/// boundary (a multiple of EpochEvents processed), which gives every
 /// control operation a deterministic position in the event stream.
 ///
 /// Determinism contract: a controller only ever sees onBatch calls, and
 /// onBatch is chunking-invariant (core BatchEquivalenceTest), so the final
 /// ControlStats of a live-streamed run are byte-identical to batch
 /// core::runWorkload over the same trace -- regardless of ring capacity,
-/// producer timing, drain chunk sizes, or consumer count.  Snapshots taken
+/// producer timing, where a drain chunk ends (epoch boundary, ring wrap
+/// point, or service budget), or consumer count.  Snapshots taken
 /// at a boundary serialize the complete controller state (core/Snapshot.h)
 /// plus the stream position; restoring into a fresh server and replaying
 /// the remaining tail (the serve tests' SkipSource) reproduces the
@@ -76,8 +80,6 @@ struct ServeConfig {
   /// Per-stream ingest ring capacity in events (rounded up to a power of
   /// two).  Must be nonzero.
   uint32_t RingEvents = 8192;
-  /// Upper bound on one consumer drain chunk (one onBatch call).
-  size_t DrainChunkEvents = workload::DefaultBatchEvents;
 };
 
 /// Server-wide counters (metrics()).
@@ -142,6 +144,9 @@ public:
                          const core::ReactiveConfig &NewControl,
                          std::string &Error);
 
+  /// The per-stream accessors below throw std::out_of_range on an unknown
+  /// id.
+
   /// Blocks until stream \p Id's ring is closed and fully drained.
   void waitFinished(StreamId Id);
 
@@ -165,9 +170,12 @@ private:
   struct Shard;
   struct PendingOp;
 
+  Stream *findStream(StreamId Id) const;
   Stream &streamRef(StreamId Id) const;
+  bool postOp(StreamId Id, std::shared_ptr<PendingOp> Op,
+              std::vector<uint8_t> *Out, std::string &Error);
   void consumerLoop(Shard &S);
-  bool serviceStream(Stream &S);
+  bool serviceStream(Stream &S, Shard &Home);
   void applyDueOps(Stream &S);
   void finishStream(Stream &S);
   static std::vector<uint8_t> serializeStream(const Stream &S);

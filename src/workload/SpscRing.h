@@ -9,12 +9,15 @@
 /// BranchEvent batches -- the per-stream ingest queue of the streaming
 /// control-plane service (src/serve).  The design follows the classic
 /// per-producer buffering split of tracing frameworks: exactly one thread
-/// pushes (the stream's producer/client) and exactly one thread pops (the
+/// pushes (the stream's producer/client) and exactly one thread reads (the
 /// consumer shard that owns the stream's controller), so the only shared
 /// state is a pair of monotonic positions published with release stores and
 /// read with acquire loads.  Each side additionally caches the other side's
 /// last observed position, so steady-state batch transfers touch the remote
-/// cache line only when the cached bound is insufficient.
+/// cache line only when the cached bound is insufficient.  Nothing is
+/// copied out: the serve consumer runs onBatch on a peek()ed span and
+/// consume()s it afterwards, so no slot is overwritten while still being
+/// read, and a stream's footprint is its ring plus its controller.
 ///
 /// Positions are unwrapped 64-bit counters (they never wrap in practice);
 /// the buffer index is position & Mask with a power-of-two capacity.
@@ -27,6 +30,7 @@
 #include "workload/EventStream.h"
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -35,19 +39,20 @@ namespace specctrl {
 namespace workload {
 
 /// A bounded SPSC ring of BranchEvents.  Thread contract: push/close are
-/// producer-side (one thread at a time), pop/drained are consumer-side (one
-/// thread at a time); the two sides may run concurrently.
+/// producer-side (one thread at a time), peek/consume/drained are
+/// consumer-side (one thread at a time); the two sides may run
+/// concurrently.
 class SpscRing {
 public:
-  /// Creates a ring holding at least \p MinEvents events (rounded up to a
-  /// power of two, minimum 2).
-  explicit SpscRing(uint32_t MinEvents) {
-    size_t Cap = 2;
-    while (Cap < MinEvents)
-      Cap <<= 1;
-    Buf.resize(Cap);
-    Mask = Cap - 1;
+  /// The capacity of a ring built for \p MinEvents events: the next power
+  /// of two, minimum 2.
+  static size_t capacityFor(uint32_t MinEvents) {
+    return std::bit_ceil(MinEvents < 2 ? size_t{2} : size_t{MinEvents});
   }
+
+  /// Creates a ring holding capacityFor(MinEvents) events.
+  explicit SpscRing(uint32_t MinEvents)
+      : Buf(capacityFor(MinEvents)), Mask(Buf.size() - 1) {}
 
   SpscRing(const SpscRing &) = delete;
   SpscRing &operator=(const SpscRing &) = delete;
@@ -72,21 +77,28 @@ public:
     return N;
   }
 
-  /// Consumer: removes up to Out.size() events into \p Out and returns the
-  /// count (0 when the ring is empty).
-  size_t pop(std::span<BranchEvent> Out) {
+  /// Consumer: the oldest unconsumed events, at most \p Max, as a span of
+  /// the ring's own slots (empty when the ring is empty).  The span stops
+  /// at the wrap point; the next peek returns the rest.  The producer
+  /// cannot overwrite these slots until consume() releases them.
+  std::span<const BranchEvent> peek(size_t Max) {
     const uint64_t H = Head.load(std::memory_order_relaxed);
+    const size_t First = static_cast<size_t>(H) & Mask;
+    if (Max > capacity() - First)
+      Max = capacity() - First;
     size_t Avail = static_cast<size_t>(CachedTail - H);
-    if (Avail < Out.size()) {
+    if (Avail < Max) {
       CachedTail = Tail.load(std::memory_order_acquire);
       Avail = static_cast<size_t>(CachedTail - H);
     }
-    const size_t N = Out.size() < Avail ? Out.size() : Avail;
-    for (size_t I = 0; I < N; ++I)
-      Out[I] = Buf[static_cast<size_t>(H + I) & Mask];
-    if (N)
-      Head.store(H + N, std::memory_order_release);
-    return N;
+    return {Buf.data() + First, Avail < Max ? Avail : Max};
+  }
+
+  /// Consumer: hands the first \p N events of the last peek back to the
+  /// producer.  Call it only once nothing reads those slots any more.
+  void consume(size_t N) {
+    Head.store(Head.load(std::memory_order_relaxed) + N,
+               std::memory_order_release);
   }
 
   /// Producer: marks the stream complete.  Must follow the final push.
@@ -95,7 +107,7 @@ public:
   bool closed() const { return Closed.load(std::memory_order_acquire); }
 
   /// Consumer: true once the producer closed the ring and every pushed
-  /// event has been popped.  The acquire load of Closed orders the final
+  /// event has been consumed.  The acquire load of Closed orders the final
   /// Tail publication, so a true result is final.
   bool drained() const {
     if (!Closed.load(std::memory_order_acquire))
@@ -120,7 +132,7 @@ private:
   size_t Mask = 0;
   /// Producer-published write position (events ever pushed).
   alignas(64) std::atomic<uint64_t> Tail{0};
-  /// Consumer-published read position (events ever popped).
+  /// Consumer-published read position (events ever consumed).
   alignas(64) std::atomic<uint64_t> Head{0};
   std::atomic<bool> Closed{false};
   /// Producer-owned cache of Head; refreshed only when the ring looks full.

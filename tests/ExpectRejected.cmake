@@ -1,6 +1,6 @@
 # Runs each binary with each bad argument string and requires every run
-# to start, fail (nonzero exit), and say "error" on stderr -- bad input
-# must never be silently accepted.
+# to start, exit 2 (the usage-error code every binary shares), and say
+# "error" on stderr -- bad input must never be silently accepted.
 #
 # Usage:
 #   cmake "-DBINS=<exe>;<exe>..." "-DBAD_ARGS=<args>|<args>..."
@@ -22,10 +22,11 @@ foreach(Bin IN LISTS BINS)
     separate_arguments(ArgList UNIX_COMMAND "${Args}")
     execute_process(COMMAND "${Bin}" ${ArgList}
                     OUTPUT_QUIET ERROR_VARIABLE Err RESULT_VARIABLE Rc)
-    # A non-numeric result means the binary did not run at all.
-    if(NOT Rc MATCHES "^[0-9]+$" OR Rc EQUAL 0)
+    # A non-numeric result means the binary did not run at all.  Exit 1
+    # is for runtime failures, so it does not count as a rejection.
+    if(NOT Rc STREQUAL "2")
       message(FATAL_ERROR
-              "${Bin} ${Args} returned '${Rc}'; it must reject the input")
+              "${Bin} ${Args} returned '${Rc}'; a usage error exits 2")
     endif()
     if(NOT Err MATCHES "error")
       message(FATAL_ERROR "${Bin} ${Args} failed without an error message")

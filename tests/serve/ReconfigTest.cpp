@@ -6,8 +6,9 @@
 // fed the same events with reconfigure() called at the same position.
 // Plus the rejection rules (passed boundary, non-boundary, bad
 // parameters, finished stream), the no-hang guarantee for operations a
-// stream finishes before reaching, and the server's own rejection of a
-// zero epoch or ring capacity.
+// stream finishes before reaching, the server's own rejection of a zero
+// epoch or ring capacity, and std::out_of_range from every per-stream
+// accessor on an unknown id.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -96,6 +98,25 @@ ServeConfig smallServe() {
   C.EpochEvents = Epoch;
   C.RingEvents = 1024;
   return C;
+}
+
+/// Calls \p Access on a server holding one finished stream, with an id the
+/// server never assigned, and checks that it throws std::out_of_range
+/// naming that id.
+template <typename AccessFn> void expectUnknownIdRejected(AccessFn Access) {
+  StreamServer Server(smallServe());
+  const StreamServer::StreamHandle Handle = Server.openStream(configA());
+  Handle.Ring->close();
+  Server.waitFinished(Handle.Id);
+  const StreamId Unknown = Handle.Id + 1000;
+  try {
+    Access(Server, Unknown);
+    ADD_FAILURE() << "unknown stream id accepted";
+  } catch (const std::out_of_range &E) {
+    EXPECT_NE(std::string(E.what()).find(std::to_string(Unknown)),
+              std::string::npos)
+        << E.what();
+  }
 }
 
 } // namespace
@@ -228,4 +249,29 @@ TEST(ReconfigTest, ServerRejectsZeroEpochOrRingCapacity) {
   const StreamServer Default;
   EXPECT_EQ(Default.config().EpochEvents, 8192u);
   EXPECT_EQ(Default.config().RingEvents, 8192u);
+}
+
+TEST(ReconfigTest, ProcessedRejectsUnknownId) {
+  expectUnknownIdRejected(
+      [](StreamServer &S, StreamId Id) { (void)S.processed(Id); });
+}
+
+TEST(ReconfigTest, FinishedRejectsUnknownId) {
+  expectUnknownIdRejected(
+      [](StreamServer &S, StreamId Id) { (void)S.finished(Id); });
+}
+
+TEST(ReconfigTest, WaitFinishedRejectsUnknownId) {
+  expectUnknownIdRejected(
+      [](StreamServer &S, StreamId Id) { S.waitFinished(Id); });
+}
+
+TEST(ReconfigTest, StreamStatsRejectsUnknownId) {
+  expectUnknownIdRejected(
+      [](StreamServer &S, StreamId Id) { (void)S.streamStats(Id); });
+}
+
+TEST(ReconfigTest, StreamControlRejectsUnknownId) {
+  expectUnknownIdRejected(
+      [](StreamServer &S, StreamId Id) { (void)S.streamControl(Id); });
 }

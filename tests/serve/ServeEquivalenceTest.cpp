@@ -1,12 +1,14 @@
 //===- tests/serve/ServeEquivalenceTest.cpp -------------------------------===//
 //
 // The serve layer's correctness bar: every stream hosted by a live
-// StreamServer -- events arriving through lock-free rings, drained by
-// consumer shards in epoch-capped chunks -- finishes with ControlStats
-// byte-identical to batch core::runWorkload over the same trace.
-// Exercised over the full twelve-benchmark paper suite on both inputs,
-// at one and four consumer threads, with the default producer batch and
-// a deliberately odd one (partial pushes, ragged ring occupancy).
+// StreamServer -- events arriving through lock-free rings, read in place
+// by consumer shards in chunks cut at epoch boundaries and ring wrap
+// points -- finishes with ControlStats byte-identical to batch
+// core::runWorkload over the same trace.  Exercised over the full
+// twelve-benchmark paper suite on both inputs, at one and four consumer
+// threads, with the default producer batch and a deliberately odd one
+// (partial pushes, ragged ring occupancy), and with an epoch that does
+// not divide the ring.
 //
 // `ctest -R serve_equivalence` is the stable handle for this suite (see
 // tests/CMakeLists.txt).
@@ -34,9 +36,23 @@ namespace {
 /// yet large enough for classification, deployment, and eviction.
 constexpr SuiteScale TestScale{3.0e3, 0.1};
 
-/// Producer-side staging batches: the pipeline default and an odd size so
-/// ring pushes are ragged and partial pushes occur.
-constexpr size_t TestBatches[] = {workload::DefaultBatchEvents, 257};
+/// One server and producer configuration of the live runs.
+struct Shape {
+  uint64_t EpochEvents;
+  uint32_t RingEvents;
+  size_t Batch; ///< producer-side staging batch
+};
+
+/// A small epoch and ring so boundary-capped drains and producer
+/// backpressure both happen many times per stream, fed with the pipeline
+/// default batch and with an odd one so ring pushes are ragged and partial
+/// pushes occur; then an epoch that does not divide the ring, so one
+/// service pass splits at both wrap points and epoch boundaries.
+constexpr Shape TestShapes[] = {
+    {1024, 2048, workload::DefaultBatchEvents},
+    {1024, 2048, 257},
+    {1000, 1024, workload::DefaultBatchEvents},
+};
 
 ReactiveConfig scaledConfig() {
   ReactiveConfig C = ReactiveConfig::baseline();
@@ -74,13 +90,11 @@ TEST(ServeEquivalenceTest, LiveStreamsMatchBatchAcrossSuiteAndShards) {
 
   uint64_t NonTrivialRuns = 0;
   for (const unsigned Consumers : {1u, 4u}) {
-    for (const size_t Batch : TestBatches) {
+    for (const Shape &Sh : TestShapes) {
       ServeConfig Config;
       Config.Consumers = Consumers;
-      // Small epoch and ring so boundary-capped drains and producer
-      // backpressure both happen many times per stream.
-      Config.EpochEvents = 1024;
-      Config.RingEvents = 2048;
+      Config.EpochEvents = Sh.EpochEvents;
+      Config.RingEvents = Sh.RingEvents;
       StreamServer Server(Config);
 
       // All 24 runs live in the server concurrently: the multi-tenant
@@ -91,7 +105,7 @@ TEST(ServeEquivalenceTest, LiveStreamsMatchBatchAcrossSuiteAndShards) {
         Client.Spec = SpecOf[I];
         Client.Input = Inputs[I];
         Client.Control = scaledConfig();
-        Client.BatchEvents = Batch;
+        Client.BatchEvents = Sh.Batch;
         Clients.push_back(Client);
       }
       const FleetResult Fleet = driveFleet(Server, Clients,
@@ -102,7 +116,8 @@ TEST(ServeEquivalenceTest, LiveStreamsMatchBatchAcrossSuiteAndShards) {
       for (size_t I = 0; I < Reference.size(); ++I) {
         EXPECT_EQ(Server.streamStats(Fleet.Streams[I]), Reference[I])
             << SpecOf[I]->Name << "/" << Inputs[I].Name
-            << " consumers=" << Consumers << " batch=" << Batch;
+            << " consumers=" << Consumers << " epoch=" << Sh.EpochEvents
+            << " ring=" << Sh.RingEvents << " batch=" << Sh.Batch;
         EXPECT_EQ(Server.processed(Fleet.Streams[I]),
                   Reference[I].EventsConsumed);
         ExpectedEvents += Reference[I].EventsConsumed;

@@ -6,8 +6,9 @@
 #      then the full ctest;
 #   2. the fast ctest label in an AddressSanitizer tree (build-asan/) and
 #      in an UndefinedBehaviorSanitizer tree (build-ubsan/);
-#   3. the engine and serve concurrency tests in a ThreadSanitizer tree
-#      (build-tsan/);
+#   3. the engine concurrency tests and every serve test in a
+#      ThreadSanitizer tree (build-tsan/): serve consumers read ring slots
+#      in place while producers fill the others;
 #   4. perfbench's own tests.
 #
 # Usage: tools/check_all.sh   (from anywhere; takes no options)
@@ -37,10 +38,10 @@ echo "== UBSan, fast label (build-ubsan/)"
 configure build-ubsan -DSPECCTRL_UBSAN=ON
 (cd build-ubsan && ctest -L fast --output-on-failure -j "$JOBS")
 
-echo "== TSan, engine and serve concurrency (build-tsan/)"
+echo "== TSan, engine concurrency and the serve layer (build-tsan/)"
 configure build-tsan -DSPECCTRL_TSAN=ON
 (cd build-tsan &&
-  ctest -R 'ExperimentRunner|ArenaRace|Determinism|RingBuffer' \
+  ctest -R 'ExperimentRunner|ArenaRace|Determinism|RingBuffer|ReconfigTest|ServeEquivalenceTest|SnapshotRestoreTest' \
     --output-on-failure -j "$JOBS")
 
 echo "== perfbench self-test"

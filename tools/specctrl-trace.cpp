@@ -59,13 +59,13 @@ int main(int Argc, char **Argv) try {
   Opts.addInt("head", 0, "print the first N branch events");
   bench::addScaleOptions(Opts); // shared with the bench harnesses
   if (!Opts.parse(Argc, Argv))
-    return Opts.wasError() ? 1 : 0;
+    return Opts.wasError() ? 2 : 0;
 
   const std::string &InputName = Opts.getString("input");
   if (InputName != "ref" && InputName != "train") {
     std::cerr << "error: --input must be ref or train, got '" << InputName
               << "'\n";
-    return 1;
+    return 2;
   }
   const SuiteScale Scale = bench::readScale(Opts);
   const WorkloadSpec Spec = makeBenchmark(Opts.getString("bench"), Scale);
@@ -237,5 +237,5 @@ int main(int Argc, char **Argv) try {
   return 0;
 } catch (const std::invalid_argument &E) {
   std::cerr << "error: " << E.what() << '\n';
-  return 1;
+  return 2;
 }
