@@ -19,37 +19,6 @@ using namespace specctrl::ir;
 
 namespace {
 
-/// ALU evaluation with the interpreter's exact semantics (wrap-around
-/// 64-bit arithmetic, signed compares, shift counts masked to 6 bits).
-/// Mirrors the interpreter and analysis/ConstProp.cpp bit for bit.
-uint64_t evalBinaryExact(Opcode Op, uint64_t A, uint64_t B) {
-  switch (Op) {
-  case Opcode::Add:
-    return A + B;
-  case Opcode::Sub:
-    return A - B;
-  case Opcode::Mul:
-    return A * B;
-  case Opcode::And:
-    return A & B;
-  case Opcode::Or:
-    return A | B;
-  case Opcode::Xor:
-    return A ^ B;
-  case Opcode::Shl:
-    return A << (B & 63);
-  case Opcode::Shr:
-    return A >> (B & 63);
-  case Opcode::CmpLt:
-    return static_cast<int64_t>(A) < static_cast<int64_t>(B) ? 1 : 0;
-  case Opcode::CmpEq:
-    return A == B ? 1 : 0;
-  default:
-    assert(false && "not a two-source ALU opcode");
-    return 0;
-  }
-}
-
 uint64_t absDiff(uint64_t A, uint64_t B) { return A > B ? A - B : B - A; }
 
 /// Joins would otherwise grow Count without bound; past this the range
@@ -184,7 +153,7 @@ AbsVal specctrl::analysis::absBinary(Opcode Op, const AbsVal &A,
   if (A.isBottom() || B.isBottom())
     return AbsVal::bottom();
   if (A.isConst() && B.isConst())
-    return AbsVal::constant(evalBinaryExact(Op, A.Base, B.Base));
+    return AbsVal::constant(evalBinary(Op, A.Base, B.Base));
   switch (Op) {
   case Opcode::Add:
     if (A.isConst())
@@ -275,20 +244,13 @@ void specctrl::analysis::applyAddrInstruction(const Instruction &I,
         absBinary(Opcode::Add, Regs[I.SrcA],
                   AbsVal::constant(static_cast<uint64_t>(I.Imm)));
     break;
-  case Opcode::CmpLtImm: {
-    const AbsVal &A = Regs[I.SrcA];
-    Regs[I.Dest] =
-        A.isConst()
-            ? AbsVal::constant(static_cast<int64_t>(A.Base) < I.Imm ? 1 : 0)
-            : (A.isBottom() ? AbsVal::bottom() : boolRange());
-    break;
-  }
+  case Opcode::CmpLtImm:
   case Opcode::CmpEqImm: {
     const AbsVal &A = Regs[I.SrcA];
     Regs[I.Dest] =
-        A.isConst()
-            ? AbsVal::constant(A.Base == static_cast<uint64_t>(I.Imm) ? 1 : 0)
-            : (A.isBottom() ? AbsVal::bottom() : boolRange());
+        A.isConst() ? AbsVal::constant(evalBinary(
+                          I.Op, A.Base, static_cast<uint64_t>(I.Imm)))
+                    : (A.isBottom() ? AbsVal::bottom() : boolRange());
     break;
   }
   case Opcode::Load:

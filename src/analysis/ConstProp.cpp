@@ -6,43 +6,11 @@
 
 #include "analysis/ConstProp.h"
 
-#include <cassert>
-
 using namespace specctrl;
 using namespace specctrl::analysis;
 using namespace specctrl::ir;
 
 namespace {
-
-/// ALU evaluation with the interpreter's exact semantics (wrap-around
-/// 64-bit arithmetic, signed compares, shift counts masked to 6 bits).
-uint64_t evalBinary(Opcode Op, uint64_t A, uint64_t B) {
-  switch (Op) {
-  case Opcode::Add:
-    return A + B;
-  case Opcode::Sub:
-    return A - B;
-  case Opcode::Mul:
-    return A * B;
-  case Opcode::And:
-    return A & B;
-  case Opcode::Or:
-    return A | B;
-  case Opcode::Xor:
-    return A ^ B;
-  case Opcode::Shl:
-    return A << (B & 63);
-  case Opcode::Shr:
-    return A >> (B & 63);
-  case Opcode::CmpLt:
-    return static_cast<int64_t>(A) < static_cast<int64_t>(B) ? 1 : 0;
-  case Opcode::CmpEq:
-    return A == B ? 1 : 0;
-  default:
-    assert(false && "not a two-source ALU opcode");
-    return 0;
-  }
-}
 
 ConstVal meet(const ConstVal &A, const ConstVal &B) {
   if (A.K == ConstVal::Bottom)
@@ -80,28 +48,13 @@ void applyInstruction(const Instruction &I, std::vector<ConstVal> &Regs) {
                        : ConstVal::top();
     break;
   }
-  case Opcode::AddImm: {
-    const ConstVal &A = Regs[I.SrcA];
-    Regs[I.Dest] =
-        A.isConst()
-            ? ConstVal::constant(A.Value + static_cast<uint64_t>(I.Imm))
-            : ConstVal::top();
-    break;
-  }
-  case Opcode::CmpLtImm: {
-    const ConstVal &A = Regs[I.SrcA];
-    Regs[I.Dest] =
-        A.isConst()
-            ? ConstVal::constant(
-                  static_cast<int64_t>(A.Value) < I.Imm ? 1 : 0)
-            : ConstVal::top();
-    break;
-  }
+  case Opcode::AddImm:
+  case Opcode::CmpLtImm:
   case Opcode::CmpEqImm: {
     const ConstVal &A = Regs[I.SrcA];
     Regs[I.Dest] = A.isConst()
-                       ? ConstVal::constant(
-                             A.Value == static_cast<uint64_t>(I.Imm) ? 1 : 0)
+                       ? ConstVal::constant(evalBinary(
+                             I.Op, A.Value, static_cast<uint64_t>(I.Imm)))
                        : ConstVal::top();
     break;
   }

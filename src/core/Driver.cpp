@@ -51,14 +51,3 @@ const ControlStats &core::runWorkload(SpeculationController &Controller,
   workload::TraceGenerator Gen(Spec, Input);
   return runTrace(Controller, Gen, Observer, BatchEvents);
 }
-
-const ControlStats &core::runWorkload(SpeculationController &Controller,
-                                      const workload::WorkloadSpec &Spec,
-                                      const workload::InputConfig &Input,
-                                      workload::TraceArena &Arena,
-                                      TraceObserver *Observer,
-                                      size_t BatchEvents) {
-  const std::unique_ptr<workload::EventSource> Source =
-      Arena.open(Spec, Input);
-  return runTrace(Controller, *Source, Observer, BatchEvents);
-}

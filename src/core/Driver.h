@@ -27,7 +27,6 @@
 
 #include "core/Controller.h"
 #include "profile/BranchProfile.h"
-#include "workload/TraceArena.h"
 #include "workload/TraceGenerator.h"
 
 namespace specctrl {
@@ -90,18 +89,6 @@ const ControlStats &
 runWorkload(SpeculationController &Controller,
             const workload::WorkloadSpec &Spec,
             const workload::InputConfig &Input,
-            TraceObserver *Observer = nullptr,
-            size_t BatchEvents = workload::DefaultBatchEvents);
-
-/// Arena-backed form: replays (Spec, Input) out of \p Arena, which
-/// materializes the trace on first use and shares it across every
-/// subsequent run of the same key (sweep cells, repeated configs).  The
-/// event stream -- and therefore the resulting ControlStats -- is
-/// bit-identical to the generator-backed overloads.
-const ControlStats &
-runWorkload(SpeculationController &Controller,
-            const workload::WorkloadSpec &Spec,
-            const workload::InputConfig &Input, workload::TraceArena &Arena,
             TraceObserver *Observer = nullptr,
             size_t BatchEvents = workload::DefaultBatchEvents);
 

@@ -9,15 +9,67 @@
 #include "analysis/DistillVerifier.h"
 #include "ir/CFG.h"
 #include "ir/Verifier.h"
+#include "support/Options.h"
 
 #include <cassert>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <string_view>
 
 using namespace specctrl;
 using namespace specctrl::distill;
 using namespace specctrl::ir;
+
+namespace {
+
+/// Parses all of \p S as one decimal number: no whitespace, no sign on
+/// an unsigned type, no overflow.
+template <typename T> bool parseWhole(std::string_view S, T &Out) {
+  const char *const End = S.data() + S.size();
+  const auto [Ptr, Ec] = std::from_chars(S.data(), End, Out);
+  return Ec == std::errc() && Ptr == End;
+}
+
+} // namespace
+
+bool distill::parseBranchAssertions(const std::string &List,
+                                    std::map<SiteId, bool> &Out) {
+  for (const std::string &Item : splitList(List)) {
+    const std::string_view View(Item);
+    const size_t Colon = View.find(':');
+    if (Colon == std::string_view::npos)
+      return false;
+    const std::string_view Dir = View.substr(Colon + 1);
+    SiteId Site = 0;
+    if ((Dir != "t" && Dir != "n") || !parseWhole(View.substr(0, Colon), Site))
+      return false;
+    Out[Site] = Dir == "t";
+  }
+  return true;
+}
+
+bool distill::parseValueConstants(const std::string &List,
+                                  std::map<LocKey, int64_t> &Out) {
+  for (const std::string &Item : splitList(List)) {
+    const std::string_view View(Item);
+    const size_t C1 = View.find(':');
+    const size_t C2 = C1 == std::string_view::npos
+                          ? std::string_view::npos
+                          : View.find(':', C1 + 1);
+    if (C2 == std::string_view::npos)
+      return false;
+    LocKey Key;
+    int64_t Value = 0;
+    if (!parseWhole(View.substr(0, C1), Key.Block) ||
+        !parseWhole(View.substr(C1 + 1, C2 - C1 - 1), Key.Index) ||
+        !parseWhole(View.substr(C2 + 1), Value))
+      return false;
+    Out[Key] = Value;
+  }
+  return true;
+}
 
 uint32_t distill::applyValueSpeculation(
     Function &F, const std::map<LocKey, int64_t> &Constants) {
@@ -170,36 +222,6 @@ bool dropUnreachable(Function &F) {
   return true;
 }
 
-/// Evaluates a register-writing ALU opcode on constant operands with the
-/// interpreter's exact semantics.
-uint64_t evalBinary(Opcode Op, uint64_t A, uint64_t B) {
-  switch (Op) {
-  case Opcode::Add:
-    return A + B;
-  case Opcode::Sub:
-    return A - B;
-  case Opcode::Mul:
-    return A * B;
-  case Opcode::And:
-    return A & B;
-  case Opcode::Or:
-    return A | B;
-  case Opcode::Xor:
-    return A ^ B;
-  case Opcode::Shl:
-    return A << (B & 63);
-  case Opcode::Shr:
-    return A >> (B & 63);
-  case Opcode::CmpLt:
-    return static_cast<int64_t>(A) < static_cast<int64_t>(B) ? 1 : 0;
-  case Opcode::CmpEq:
-    return A == B ? 1 : 0;
-  default:
-    assert(false && "not a foldable binary opcode");
-    return 0;
-  }
-}
-
 } // namespace
 
 bool distill::straightenFunction(Function &F) {
@@ -280,30 +302,11 @@ bool distill::foldConstants(Function &F) {
         }
         break;
       case Opcode::AddImm:
-        if (Const[I.SrcA]) {
-          const uint64_t V = *Const[I.SrcA] + static_cast<uint64_t>(I.Imm);
-          I = Instruction::makeMovImm(I.Dest, static_cast<int64_t>(V));
-          Const[I.Dest] = V;
-          Changed = true;
-        } else {
-          Const[I.Dest] = std::nullopt;
-        }
-        break;
       case Opcode::CmpLtImm:
-        if (Const[I.SrcA]) {
-          const uint64_t V =
-              static_cast<int64_t>(*Const[I.SrcA]) < I.Imm ? 1 : 0;
-          I = Instruction::makeMovImm(I.Dest, static_cast<int64_t>(V));
-          Const[I.Dest] = V;
-          Changed = true;
-        } else {
-          Const[I.Dest] = std::nullopt;
-        }
-        break;
       case Opcode::CmpEqImm:
         if (Const[I.SrcA]) {
-          const uint64_t V =
-              *Const[I.SrcA] == static_cast<uint64_t>(I.Imm) ? 1 : 0;
+          const uint64_t V = evalBinary(I.Op, *Const[I.SrcA],
+                                        static_cast<uint64_t>(I.Imm));
           I = Instruction::makeMovImm(I.Dest, static_cast<int64_t>(V));
           Const[I.Dest] = V;
           Changed = true;

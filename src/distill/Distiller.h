@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 namespace specctrl {
@@ -59,6 +60,18 @@ struct DistillRequest {
   /// Value-speculated loads (original-function coordinates) -> constant.
   std::map<LocKey, int64_t> ValueConstants;
 };
+
+/// Parses a SITE:t|n[,...] list (the --assert option of specctrl-opt and
+/// specctrl-lint) into \p Out.  Returns false on a malformed item: SITE
+/// must be an unsigned 32-bit decimal and the direction t or n.
+bool parseBranchAssertions(const std::string &List,
+                           std::map<ir::SiteId, bool> &Out);
+
+/// Parses a BB:IDX:CONST[,...] list (the --value option) into \p Out.
+/// Returns false on a malformed item: BB and IDX must be unsigned 32-bit
+/// decimals and CONST a signed 64-bit decimal.
+bool parseValueConstants(const std::string &List,
+                         std::map<LocKey, int64_t> &Out);
 
 /// The distillation outcome.
 struct DistillResult {

@@ -15,6 +15,7 @@
 #ifndef SPECCTRL_IR_OPCODE_H
 #define SPECCTRL_IR_OPCODE_H
 
+#include <cassert>
 #include <cstdint>
 
 namespace specctrl {
@@ -91,6 +92,42 @@ inline bool hasSideEffects(Opcode Op) {
 /// Number of register *source* operands the opcode reads (0..2).  Operand A
 /// is counted for single-source forms.
 unsigned numRegSources(Opcode Op);
+
+/// Evaluates a two-source ALU opcode on known operands with the
+/// interpreter's exact semantics: wrap-around 64-bit arithmetic, signed
+/// less-than, shift counts masked to 6 bits.  An immediate form (AddImm,
+/// CmpLtImm, CmpEqImm) takes its immediate as \p B.  The one constant
+/// evaluator of the distiller and the analyses.
+inline uint64_t evalBinary(Opcode Op, uint64_t A, uint64_t B) {
+  switch (Op) {
+  case Opcode::Add:
+  case Opcode::AddImm:
+    return A + B;
+  case Opcode::Sub:
+    return A - B;
+  case Opcode::Mul:
+    return A * B;
+  case Opcode::And:
+    return A & B;
+  case Opcode::Or:
+    return A | B;
+  case Opcode::Xor:
+    return A ^ B;
+  case Opcode::Shl:
+    return A << (B & 63);
+  case Opcode::Shr:
+    return A >> (B & 63);
+  case Opcode::CmpLt:
+  case Opcode::CmpLtImm:
+    return static_cast<int64_t>(A) < static_cast<int64_t>(B) ? 1 : 0;
+  case Opcode::CmpEq:
+  case Opcode::CmpEqImm:
+    return A == B ? 1 : 0;
+  default:
+    assert(false && "not a two-source ALU opcode");
+    return 0;
+  }
+}
 
 } // namespace ir
 } // namespace specctrl

@@ -168,9 +168,9 @@ TraceArena::mapCached(const std::string &Key, const WorkloadSpec &Spec,
   if (std::shared_ptr<const MaterializedTrace> Trace = Serve(/*Stored=*/false))
     return Trace;
 
-  // Miss (or a stale/corrupt file): stream-generate straight to an
-  // aligned file -- the trace is never resident -- then map that.  Temp
-  // name + rename keeps concurrent processes from seeing a partial file.
+  // Miss (or a stale/corrupt file): stream-generate straight to the
+  // file -- the trace is never resident -- then map that.  Temp name +
+  // rename keeps concurrent processes from seeing a partial file.
   std::error_code EC;
   fs::create_directories(fs::path(Path).parent_path(), EC);
   const std::string Tmp =
@@ -181,9 +181,7 @@ TraceArena::mapCached(const std::string &Key, const WorkloadSpec &Spec,
     if (!Out)
       return nullptr;
     TraceGenerator Gen(Spec, Input);
-    if (writeTraceV2(Out, Gen, Cfg.BlockEvents, TraceV2AlignBytes) !=
-            Input.Events ||
-        !Out) {
+    if (writeTraceV2(Out, Gen) != Input.Events || !Out) {
       Out.close();
       fs::remove(Tmp, EC);
       return nullptr;
@@ -207,7 +205,7 @@ TraceArena::materializeKey(const std::string &Key, const WorkloadSpec &Spec,
 
   TraceGenerator Gen(Spec, Input);
   std::shared_ptr<const MaterializedTrace> Trace =
-      MaterializedTrace::record(Gen, Cfg.BlockEvents);
+      MaterializedTrace::record(Gen);
   if (!Trace)
     return nullptr; // beyond SCT2 limits: the key stays a fallback
   {

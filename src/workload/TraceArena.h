@@ -28,15 +28,15 @@
 ///    correctness.
 ///
 /// An optional disk tier (Config::CacheDir) persists materializations as
-/// page-aligned SCT2 files named by the key hash, so repeated tool
-/// invocations amortize the same way sweep cells do.  With a disk tier,
-/// materialize() returns the cache file mapped read-only: cursors decode
-/// blocks in place from a mapping the kernel shares across every process
-/// replaying the same file, so the trace is never resident at all.  A miss stream-generates
-/// straight to the file; a hit verifies the whole file (checksums +
-/// checked decode, bounded by one block buffer) before serving it and
-/// regenerates it on any mismatch, so a stream never fails mid-replay on
-/// stale corruption.
+/// SCT2 files named by the key hash, so repeated tool invocations
+/// amortize the same way sweep cells do.  With a disk tier, materialize()
+/// returns the cache file mapped read-only: cursors decode blocks in
+/// place from a mapping the kernel shares across every process replaying
+/// the same file, so the trace is never resident at all.  A miss
+/// stream-generates straight to the file; a hit verifies the whole file
+/// (checksums + checked decode, bounded by one block buffer) before
+/// serving it and regenerates it on any mismatch, so a stream never fails
+/// mid-replay on stale corruption.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,8 +73,6 @@ public:
   struct Config {
     /// Disk tier directory; empty keeps every trace resident.
     std::string CacheDir;
-    /// Events per SCT2 block (default matches the pipeline chunk size).
-    uint32_t BlockEvents = TraceV2BlockEvents;
     /// Log materializations (events, encoded bytes, per-block compression
     /// ratio, tier) to stderr.  Also enabled by SPECCTRL_ARENA_VERBOSE=1 (RunConfig).
     bool Verbose = false;

@@ -75,17 +75,14 @@ int64_t unzigzag(uint32_t V) {
 
 TraceWriterV2::TraceWriterV2(std::ostream &OS, uint32_t NumSites,
                              uint64_t TotalEvents, uint32_t MinGap,
-                             uint32_t MaxGap, uint32_t BlockEvents,
-                             uint32_t AlignBytes)
-    : OS(OS), BlockEvents(BlockEvents ? BlockEvents : TraceV2BlockEvents),
-      AlignBytes(AlignBytes) {
+                             uint32_t MaxGap, uint32_t BlockEvents)
+    : OS(OS), BlockEvents(BlockEvents ? BlockEvents : TraceV2BlockEvents) {
   OS.write(Magic, 4);
   putU32(OS, NumSites);
   putU64(OS, TotalEvents);
   putU32(OS, MinGap);
   putU32(OS, MaxGap);
   putU32(OS, this->BlockEvents);
-  Offset = TraceV2HeaderBytes;
   // Sized for the worst-case block up front so append() can emit through a
   // raw pointer with no per-byte capacity checks.
   Payload.resize(static_cast<size_t>(this->BlockEvents) * MaxEventBytes);
@@ -94,32 +91,12 @@ TraceWriterV2::TraceWriterV2(std::ostream &OS, uint32_t NumSites,
 void TraceWriterV2::flushBlock() {
   if (BlockCount == 0)
     return;
-  if (AlignBytes) {
-    // Pad so this block's frame starts on an AlignBytes boundary.  A gap
-    // too small to hold the 16-byte pad frame spills to the next boundary.
-    uint64_t Gap = (AlignBytes - Offset % AlignBytes) % AlignBytes;
-    if (Gap != 0 && Gap < TraceV2FrameBytes)
-      Gap += AlignBytes;
-    if (Gap != 0) {
-      putU32(OS, 0); // event count 0 marks a pad frame
-      putU32(OS, static_cast<uint32_t>(Gap - TraceV2FrameBytes));
-      putU64(OS, TraceV2PadMagic);
-      static constexpr char Zeros[512] = {};
-      for (uint64_t Left = Gap - TraceV2FrameBytes; Left != 0;) {
-        const uint64_t N = std::min<uint64_t>(Left, sizeof(Zeros));
-        OS.write(Zeros, static_cast<std::streamsize>(N));
-        Left -= N;
-      }
-      Offset += Gap;
-    }
-  }
   putU32(OS, BlockCount);
   putU32(OS, static_cast<uint32_t>(PayloadBytes));
   putU64(OS, hash64(Payload.data(), PayloadBytes));
   OS.write(reinterpret_cast<const char *>(Payload.data()),
            static_cast<std::streamsize>(PayloadBytes));
   Written += BlockCount;
-  Offset += TraceV2FrameBytes + PayloadBytes;
   BlockCount = 0;
   PrevSite = 0;
   PayloadBytes = 0;
@@ -172,11 +149,10 @@ bool TraceWriterV2::finish() {
 }
 
 uint64_t workload::writeTraceV2(std::ostream &OS, TraceGenerator &Gen,
-                                uint32_t BlockEvents, uint32_t AlignBytes) {
+                                uint32_t BlockEvents) {
   TraceWriterV2 Writer(OS, Gen.spec().numSites(),
                        Gen.totalEvents() - Gen.eventsGenerated(),
-                       Gen.spec().MinGap, Gen.spec().MaxGap, BlockEvents,
-                       AlignBytes);
+                       Gen.spec().MinGap, Gen.spec().MaxGap, BlockEvents);
   std::vector<BranchEvent> Chunk(BlockEvents ? BlockEvents
                                              : TraceV2BlockEvents);
   while (const size_t N = Gen.nextBatch(Chunk))
@@ -427,7 +403,7 @@ private:
 } // namespace
 
 std::shared_ptr<const MaterializedTrace>
-MaterializedTrace::record(TraceGenerator &Gen, uint32_t BlockEvents) {
+MaterializedTrace::record(TraceGenerator &Gen) {
   const uint64_t Events = Gen.totalEvents() - Gen.eventsGenerated();
   std::vector<uint8_t> Bytes;
   // Encoded events land near 2 B each; reserving ~3 B/event keeps the
@@ -436,7 +412,7 @@ MaterializedTrace::record(TraceGenerator &Gen, uint32_t BlockEvents) {
   {
     VectorBuf Buf(Bytes);
     std::ostream OS(&Buf);
-    if (writeTraceV2(OS, Gen, BlockEvents) != Events)
+    if (writeTraceV2(OS, Gen) != Events)
       return nullptr; // beyond the format limits
   }
   std::shared_ptr<const MaterializedTrace> Trace = fromBytes(std::move(Bytes));
@@ -524,25 +500,19 @@ bool MaterializedTrace::index(std::string &Error) {
     return false;
   }
 
-  // Structural walk: frame bounds, event accounting, pad sentinels.  No
-  // payload byte is read (that happens per block on first touch), so
-  // indexing a mapping faults only its frame pages -- and in the aligned
-  // layout, where every frame sits on its own page, those are dropped
-  // every few MB so the open-time resident set stays bounded too.
+  // Structural walk: frame bounds and event accounting.  No payload byte
+  // is read (that happens per block on first touch), so indexing a
+  // mapping faults only the pages its frames sit on, and those are
+  // dropped every few MB so the open-time resident set stays bounded too.
   Blocks.reserve(static_cast<size_t>(
       std::min<uint64_t>(TotalEvents / BlockEvents, Len / TraceV2FrameBytes) +
       1));
   uint64_t Indexed = 0;
   uint64_t Pos = TraceV2HeaderBytes;
   uint64_t Dropped = 0;
-  bool PadPending = false;
-  uint32_t PadBytes = 0;
   while (Pos < Len) {
-    if (Pos - Dropped >= (1u << 22)) {
-      advise(Dropped, Pos, MADV_DONTNEED);
-      Dropped = Pos / static_cast<uint64_t>(PageSize) *
-                static_cast<uint64_t>(PageSize);
-    }
+    if (Pos - Dropped >= (1u << 22))
+      dropBehind(Dropped, Pos);
     if (Len - Pos < TraceV2FrameBytes) {
       Error = "truncated SCT2 block frame";
       return false;
@@ -556,17 +526,12 @@ bool MaterializedTrace::index(std::string &Error) {
     }
     Pos = PayloadOffset + PayloadBytes;
     if (Events == 0) {
-      // A pad frame.  The sentinel is required, so a real block whose
-      // event count flipped to zero is rejected, never skipped; and one
-      // pad per block keeps every pad byte checked with its block.
-      if (PadPending || loadU64(Base + PayloadOffset - 8) != TraceV2PadMagic ||
-          PayloadBytes > TraceV2MaxPadBytes) {
-        Error = "malformed SCT2 pad frame";
-        return false;
-      }
-      PadPending = true;
-      PadBytes = PayloadBytes;
-      continue;
+      // Every block holds events, so a real block whose event count
+      // flipped to zero is rejected, never skipped.  So is every file of
+      // the retired page-aligned layout, whose pad frames held none.
+      Error = "malformed SCT2 block frame: zero events (the page-aligned "
+              "layout is no longer read)";
+      return false;
     }
     if (Events > BlockEvents || Events > TotalEvents - Indexed ||
         PayloadBytes < 2 * static_cast<uint64_t>(Events) ||
@@ -574,15 +539,8 @@ bool MaterializedTrace::index(std::string &Error) {
       Error = "malformed SCT2 block header";
       return false;
     }
-    Blocks.push_back({PayloadOffset, PayloadBytes, Events, PadBytes});
-    PadPending = false;
-    PadBytes = 0;
+    Blocks.push_back({PayloadOffset, PayloadBytes, Events});
     Indexed += Events;
-    EncodedBlockBytes += TraceV2FrameBytes + PayloadBytes;
-  }
-  if (PadPending) {
-    Error = "malformed SCT2 pad frame";
-    return false;
   }
   if (Indexed != TotalEvents) {
     Error = "SCT2 trace is missing events (truncated)";
@@ -591,14 +549,15 @@ bool MaterializedTrace::index(std::string &Error) {
   Verified = std::unique_ptr<std::atomic<uint8_t>[]>(
       new std::atomic<uint8_t>[(Blocks.size() + 7) / 8 + 1]());
   // An opened mapping holds only its index resident until a cursor reads.
-  advise(0, Len, MADV_DONTNEED);
+  dropBehind(Dropped, Len);
   return true;
 }
 
 double MaterializedTrace::compressionVsV1() const {
-  return EncodedBlockBytes ? 4.0 * static_cast<double>(TotalEvents) /
-                                 static_cast<double>(EncodedBlockBytes)
-                           : 0.0;
+  const uint64_t Encoded = encodedBlockBytes();
+  return Encoded ? 4.0 * static_cast<double>(TotalEvents) /
+                       static_cast<double>(Encoded)
+                 : 0.0;
 }
 
 bool MaterializedTrace::decodeBlock(size_t B, uint64_t &NextIndex,
@@ -611,17 +570,11 @@ bool MaterializedTrace::decodeBlock(size_t B, uint64_t &NextIndex,
                                    NextIndex, InstRet, Out);
     return true;
   }
-  // First touch of untrusted bytes: checksum, pad, then the checked
-  // decoder -- which commits the counters only on success, so a rejected
-  // block delivers nothing.
-  const uint8_t *Frame = Payload - TraceV2FrameBytes;
-  if (hash64(Payload, Ref.PayloadBytes) != loadU64(Frame + 8)) {
+  // First touch of untrusted bytes: checksum, then the checked decoder
+  // -- which commits the counters only on success, so a rejected block
+  // delivers nothing.
+  if (hash64(Payload, Ref.PayloadBytes) != loadU64(Payload - 8)) {
     Error = "trace block checksum mismatch (corrupt or tampered trace)";
-    return false;
-  }
-  if (std::any_of(Frame - Ref.PadBytes, Frame,
-                  [](uint8_t Byte) { return Byte != 0; })) {
-    Error = "malformed trace pad frame";
     return false;
   }
   if (!decodeTraceBlockPayload(Payload, Ref.PayloadBytes, Ref.Events,
@@ -655,37 +608,36 @@ bool MaterializedTrace::verifyAllBlocks() const {
       return false;
     // Keep the scan's footprint bounded: drop the pages it has passed.
     const uint64_t Done = Blocks[B].PayloadOffset - TraceV2FrameBytes;
-    if (Done - DroppedBelow >= (1u << 22)) {
-      advise(DroppedBelow, Done, MADV_DONTNEED);
-      DroppedBelow = Done;
-    }
+    if (Done - DroppedBelow >= (1u << 22))
+      dropBehind(DroppedBelow, Done);
   }
-  advise(DroppedBelow, Len, MADV_DONTNEED);
+  dropBehind(DroppedBelow, Len);
   return true;
 }
 
-void MaterializedTrace::advise(uint64_t Begin, uint64_t End,
-                               int Advice) const {
+// Advice is best-effort by definition: madvise errors are ignored.
+
+void MaterializedTrace::prefetch(uint64_t Begin, uint64_t End) const {
   if (!Mapped)
     return;
+  // Round out to whole pages: over-advising is harmless.
   const uint64_t Page = static_cast<uint64_t>(PageSize);
-  // Round the range out to page boundaries for WILLNEED (over-advising is
-  // harmless) but *in* for DONTNEED (never drop a page the range does not
-  // fully cover -- it may hold a neighboring block another cursor needs).
-  uint64_t B = Begin, E = std::min<uint64_t>(End, Len);
-  if (Advice == MADV_DONTNEED) {
-    B = (B + Page - 1) / Page * Page;
-    E = E / Page * Page;
-  } else {
-    B = B / Page * Page;
-    E = std::min<uint64_t>((E + Page - 1) / Page * Page,
-                           (Len + Page - 1) / Page * Page);
-  }
-  if (B >= E)
+  const uint64_t B = Begin / Page * Page;
+  const uint64_t E = (std::min<uint64_t>(End, Len) + Page - 1) / Page * Page;
+  if (B < E)
+    ::madvise(const_cast<uint8_t *>(Base) + B, // NOLINT
+              static_cast<size_t>(E - B), MADV_WILLNEED);
+}
+
+void MaterializedTrace::dropBehind(uint64_t &Mark, uint64_t Upto) const {
+  const uint64_t Page = static_cast<uint64_t>(PageSize);
+  const uint64_t Floor = Upto / Page * Page;
+  if (Floor <= Mark)
     return;
-  // Advice is best-effort by definition; errors are deliberately ignored.
-  ::madvise(const_cast<uint8_t *>(Base) + B, // NOLINT
-            static_cast<size_t>(E - B), Advice);
+  if (Mapped)
+    ::madvise(const_cast<uint8_t *>(Base) + Mark, // NOLINT
+              static_cast<size_t>(Floor - Mark), MADV_DONTNEED);
+  Mark = Floor;
 }
 
 //===----------------------------------------------------------------------===//
@@ -714,22 +666,17 @@ void TraceCursor::adviseAround(size_t B) {
   if (AheadFirst < Blocks.size()) {
     const size_t AheadLast =
         std::min(AheadFirst + PrefetchAheadBlocks, Blocks.size()) - 1;
-    Trace->advise(Blocks[AheadFirst].PayloadOffset - TraceV2FrameBytes,
-                  Blocks[AheadLast].PayloadOffset +
-                      Blocks[AheadLast].PayloadBytes,
-                  MADV_WILLNEED);
+    Trace->prefetch(Blocks[AheadFirst].PayloadOffset - TraceV2FrameBytes,
+                    Blocks[AheadLast].PayloadOffset +
+                        Blocks[AheadLast].PayloadBytes);
   }
   // Drop behind: pages fully below the retain window are done for this
-  // cursor.  DONTNEED rounds inward, so a page shared with the retained
-  // region survives; another cursor that still needs a dropped page just
-  // refaults it from the page cache or disk.
+  // cursor.  The page the window's first frame starts on survives until
+  // the window moves past it; another cursor that still needs a dropped
+  // page just refaults it from the page cache or disk.
   if (B > RetainBehindBlocks) {
-    const uint64_t KeepFrom =
-        Blocks[B - RetainBehindBlocks].PayloadOffset - TraceV2FrameBytes;
-    if (KeepFrom > DroppedBelow) {
-      Trace->advise(DroppedBelow, KeepFrom, MADV_DONTNEED);
-      DroppedBelow = KeepFrom;
-    }
+    const MaterializedTrace::Block &Keep = Blocks[B - RetainBehindBlocks];
+    Trace->dropBehind(DroppedBelow, Keep.PayloadOffset - TraceV2FrameBytes);
   }
 }
 

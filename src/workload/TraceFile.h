@@ -58,22 +58,6 @@ inline constexpr uint32_t TraceV2BlockEvents = 4096;
 inline constexpr size_t TraceV2HeaderBytes = 4 + 4 + 8 + 4 + 4 + 4;
 /// Per-block frame: event count + payload bytes + XXH64 checksum.
 inline constexpr size_t TraceV2FrameBytes = 4 + 4 + 8;
-/// Default alignment for mmap-friendly files: each block frame starts on
-/// a page boundary (pad frames fill the gaps), so block-granular madvise
-/// and in-place decode never straddle an unrelated block's pages.
-inline constexpr uint32_t TraceV2AlignBytes = 4096;
-
-/// A frame whose event count is zero is a *pad frame*: PayloadBytes of
-/// zeros carrying no events.  Writers emit at most one pad directly before
-/// a block frame to page-align it; packed files contain none.  A pad's
-/// checksum field holds TraceV2PadMagic (checked when the trace is
-/// indexed) and its payload must be all zeros (checked with the block that
-/// follows it), so a bit flip that zeroes a real block's event count, or
-/// corrupts a pad, is rejected, never skipped.
-inline constexpr uint32_t TraceV2MaxPadBytes = 1u << 20;
-/// "SCT2PAD\0", little-endian: the sentinel a pad frame stores where a
-/// block frame stores its XXH64 payload checksum.
-inline constexpr uint64_t TraceV2PadMagic = 0x0044415032544353ull;
 
 /// Decodes one block payload of \p EventCount events into \p Out
 /// (capacity >= EventCount), reconstructing Index/InstRet from the running
@@ -100,15 +84,12 @@ void decodeTraceBlockPayloadTrusted(const uint8_t *Payload,
 
 /// Streaming SCT2 writer: construct with the header facts, append event
 /// chunks (any chunking -- block framing is internal), then finish().
-/// With \p AlignBytes nonzero every block frame is preceded by a pad
-/// frame sized to start it on an AlignBytes boundary (the mmap-friendly
-/// layout; see TraceV2AlignBytes).
+/// Block frames follow one another with no gap between them.
 class TraceWriterV2 {
 public:
   TraceWriterV2(std::ostream &OS, uint32_t NumSites, uint64_t TotalEvents,
                 uint32_t MinGap, uint32_t MaxGap,
-                uint32_t BlockEvents = TraceV2BlockEvents,
-                uint32_t AlignBytes = 0);
+                uint32_t BlockEvents = TraceV2BlockEvents);
 
   /// Appends events to the current block, flushing full blocks.  Returns
   /// false if an event exceeded format limits or the stream went bad.
@@ -124,22 +105,18 @@ private:
 
   std::ostream &OS;
   uint32_t BlockEvents;
-  uint32_t AlignBytes;            ///< 0 = packed layout (no pad frames)
   std::vector<uint8_t> Payload;   ///< worst-case-sized block encode buffer
   size_t PayloadBytes = 0;        ///< encoded bytes in the current block
   uint32_t BlockCount = 0;        ///< events in the current block
   uint32_t PrevSite = 0;          ///< delta base within the current block
   uint64_t Written = 0;
-  uint64_t Offset = 0;            ///< stream bytes emitted (header included)
   bool Ok = true;
 };
 
 /// Drains \p Gen to \p OS in SCT2 format via the batched generator path.
-/// Returns events written, or 0 on failure.  Nonzero \p AlignBytes emits
-/// the pad-framed mmap-friendly layout.
+/// Returns events written, or 0 on failure.
 uint64_t writeTraceV2(std::ostream &OS, TraceGenerator &Gen,
-                      uint32_t BlockEvents = TraceV2BlockEvents,
-                      uint32_t AlignBytes = 0);
+                      uint32_t BlockEvents = TraceV2BlockEvents);
 
 /// One immutable SCT2 trace: its bytes, owned by either a vector or a
 /// read-only file mapping, one structural block index built when the trace
@@ -154,19 +131,17 @@ uint64_t writeTraceV2(std::ostream &OS, TraceGenerator &Gen,
 /// payload is rejected when its block is first read.
 class MaterializedTrace {
 public:
-  /// One data block of the index (pad frames are not indexed).
+  /// One block of the index.
   struct Block {
     uint64_t PayloadOffset = 0; ///< payload start within the bytes
     uint32_t PayloadBytes = 0;  ///< encoded payload size
     uint32_t Events = 0;        ///< events in this block
-    uint32_t PadBytes = 0;      ///< zero payload of the pad frame before it
   };
 
   /// Encodes the rest of \p Gen's stream straight into the trace's own
   /// buffer (trusted: every block starts verified).  Returns nullptr when
   /// an event exceeds the format limits.
-  static std::shared_ptr<const MaterializedTrace>
-  record(TraceGenerator &Gen, uint32_t BlockEvents = TraceV2BlockEvents);
+  static std::shared_ptr<const MaterializedTrace> record(TraceGenerator &Gen);
 
   /// Adopts a caller's SCT2 bytes (untrusted).  Returns nullptr on a bad
   /// header or a truncated or misframed trace, with the reason in
@@ -188,16 +163,15 @@ public:
   uint64_t totalEvents() const { return TotalEvents; }
   uint32_t minGap() const { return MinGap; }
   uint32_t maxGap() const { return MaxGap; }
-  /// Trace size in bytes (header + blocks + pads).
+  /// Trace size in bytes (header + blocks).
   size_t bytes() const { return Len; }
   const uint8_t *data() const { return Base; }
   /// True when the bytes are a file mapping (replay advises the kernel).
   bool mapped() const { return Mapped; }
   std::span<const Block> blocks() const { return Blocks; }
   size_t numBlocks() const { return Blocks.size(); }
-  /// Block framing + payload bytes; bytes() minus this minus the header
-  /// is pure alignment padding.
-  uint64_t encodedBlockBytes() const { return EncodedBlockBytes; }
+  /// Block framing + payload bytes: everything after the header.
+  uint64_t encodedBlockBytes() const { return Len - TraceV2HeaderBytes; }
   /// Compression achieved vs a flat 4 B/event encoding.
   double compressionVsV1() const;
 
@@ -224,9 +198,16 @@ private:
   bool decodeBlock(size_t B, uint64_t &NextIndex, uint64_t &InstRet,
                    BranchEvent *Out, std::string &Error) const;
 
-  /// madvise over bytes [Begin, End) of a mapping, rounded out to pages
-  /// for WILLNEED and in for DONTNEED; a no-op for vector-owned bytes.
-  void advise(uint64_t Begin, uint64_t End, int Advice) const;
+  /// Read-ahead: madvise WILLNEED over bytes [Begin, End) of a mapping,
+  /// rounded out to pages; a no-op for vector-owned bytes.
+  void prefetch(uint64_t Begin, uint64_t End) const;
+
+  /// The one drop-behind rule of a mapping: madvise DONTNEED over the
+  /// whole pages in [Mark, Upto), then move \p Mark (page-aligned,
+  /// starting at 0) to the page floor of Upto -- the first byte it did
+  /// not release.  The page that straddles Upto may hold a block still
+  /// being read; it stays until a later sweep's Upto has passed it.
+  void dropBehind(uint64_t &Mark, uint64_t Upto) const;
 
   bool isVerified(size_t B) const {
     return Verified[B >> 3].load(std::memory_order_acquire) &
@@ -250,7 +231,6 @@ private:
   uint64_t TotalEvents = 0;
   uint32_t MinGap = 0;
   uint32_t MaxGap = 0;
-  uint64_t EncodedBlockBytes = 0;
   long PageSize = 4096;
 };
 
@@ -295,7 +275,7 @@ private:
   /// hold the next whole block.
   std::vector<BranchEvent> Staged;
   size_t StagedPos = 0;
-  /// High-water mark of pages already dropped behind the cursor.
+  /// Page floor below which the cursor has dropped every page.
   uint64_t DroppedBelow = 0;
 };
 

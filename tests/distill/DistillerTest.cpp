@@ -183,3 +183,18 @@ TEST(DistillerTest, PartialAssertionKeepsOtherBranches) {
       Branches += I.Op == Opcode::Br;
   EXPECT_EQ(Branches, 1u); // site 1's branch survives
 }
+
+TEST(DistillerTest, RequestListParsersRejectWhatTheyCannotRepresent) {
+  std::map<SiteId, bool> Asserts;
+  EXPECT_TRUE(parseBranchAssertions("7:n,12:t", Asserts));
+  EXPECT_EQ(Asserts, (std::map<SiteId, bool>{{7, false}, {12, true}}));
+  std::map<LocKey, int64_t> Values;
+  EXPECT_TRUE(parseValueConstants("1:2:-3", Values));
+  EXPECT_EQ(Values, (std::map<LocKey, int64_t>{{LocKey{1, 2}, -3}}));
+
+  for (const char *Bad : {"abc:t", "7", "7:x", "-1:t", " 7:t", "4294967296:t"})
+    EXPECT_FALSE(parseBranchAssertions(Bad, Asserts)) << Bad;
+  for (const char *Bad : {"1:x:3", "1:2:abc", "1:2", "-1:2:3", "1:2:+3",
+                          "1:2:9223372036854775808"})
+    EXPECT_FALSE(parseValueConstants(Bad, Values)) << Bad;
+}

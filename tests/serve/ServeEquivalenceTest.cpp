@@ -4,7 +4,7 @@
 // StreamServer -- events arriving through lock-free rings, read in place
 // by consumer shards in chunks cut at epoch boundaries and ring wrap
 // points -- finishes with ControlStats byte-identical to batch
-// core::runWorkload over the same trace.  Exercised over the full
+// core::runTrace over the same trace.  Exercised over the full
 // twelve-benchmark paper suite on both inputs, at one and four consumer
 // threads, with the default producer batch and a deliberately odd one
 // (partial pushes, ragged ring occupancy), and with an epoch that does
@@ -20,6 +20,7 @@
 #include "ClientFleet.h"
 #include "serve/StreamServer.h"
 #include "workload/SpecSuite.h"
+#include "workload/TraceArena.h"
 
 #include <gtest/gtest.h>
 
@@ -67,7 +68,7 @@ ReactiveConfig scaledConfig() {
 TEST(ServeEquivalenceTest, LiveStreamsMatchBatchAcrossSuiteAndShards) {
   TraceArena Arena;
 
-  // Batch oracle: one runWorkload per (benchmark, input), arena-backed so
+  // Batch oracle: one runTrace per (benchmark, input), arena-backed so
   // the live runs below replay the identical event stream.
   std::vector<WorkloadSpec> Specs;
   Specs.reserve(12);
@@ -80,7 +81,7 @@ TEST(ServeEquivalenceTest, LiveStreamsMatchBatchAcrossSuiteAndShards) {
   for (const WorkloadSpec &Spec : Specs) {
     for (const InputConfig &Input : {Spec.refInput(), Spec.trainInput()}) {
       ReactiveController C(scaledConfig());
-      runWorkload(C, Spec, Input, Arena);
+      runTrace(C, *Arena.open(Spec, Input));
       Reference.push_back(C.stats());
       Inputs.push_back(Input);
       SpecOf.push_back(&Spec);

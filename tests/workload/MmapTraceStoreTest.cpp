@@ -4,10 +4,10 @@
 // bytes stay untrusted until their block's first-touch checksum + checked
 // decode passes, so corruption is rejected whole-block with zero
 // fabricated events and truncation or misframing is rejected at open; any
-// number of cursors, in any threads, share one mapping; the aligned
-// layout starts every block on a page; and the SWAR trusted decoder is
-// bit-identical to the checked decoder.  Stream identity across the suite
-// is TraceReplayTest's.
+// number of cursors, in any threads, share one mapping; a replay keeps only
+// the cursor's window of the mapping resident; and the SWAR trusted
+// decoder is bit-identical to the checked decoder.  Stream identity
+// across the suite is TraceReplayTest's.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -26,6 +28,8 @@
 #include <sstream>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 using namespace specctrl;
 using namespace specctrl::workload;
@@ -52,15 +56,36 @@ public:
   std::filesystem::path Path;
 };
 
-/// gzip's ref trace recorded page-aligned into \p Dir.
-std::string recordGzip(const TempDir &Dir) {
-  const WorkloadSpec Spec = makeBenchmark("gzip", TestScale);
+/// gzip's ref trace at \p Scale recorded into \p Dir.
+std::string recordGzip(const TempDir &Dir, SuiteScale Scale = TestScale) {
+  const WorkloadSpec Spec = makeBenchmark("gzip", Scale);
   const std::string Path = (Dir.Path / "gzip.sct2").string();
   std::ofstream OS(Path, std::ios::binary | std::ios::trunc);
   TraceGenerator Gen(Spec, Spec.refInput());
-  EXPECT_EQ(writeTraceV2(OS, Gen, TraceV2BlockEvents, TraceV2AlignBytes),
-            Spec.RefEvents);
+  EXPECT_EQ(writeTraceV2(OS, Gen), Spec.RefEvents);
   return Path;
+}
+
+/// Resident kB of the mapping that holds \p Addr, from its Rss: line in
+/// /proc/self/smaps: -1 when that file cannot be read, -2 when no mapping
+/// holds the address.
+long residentKb(const void *Addr) {
+  std::ifstream Smaps("/proc/self/smaps");
+  if (!Smaps)
+    return -1;
+  const unsigned long Want = reinterpret_cast<unsigned long>(Addr);
+  bool Holds = false;
+  std::string Line;
+  while (std::getline(Smaps, Line)) {
+    // A mapping's header line starts "lo-hi" in hex; its field lines
+    // ("Rss:   20 kB") follow it.
+    unsigned long Lo = 0, Hi = 0;
+    if (std::sscanf(Line.c_str(), "%lx-%lx", &Lo, &Hi) == 2)
+      Holds = Lo <= Want && Want < Hi;
+    else if (Holds && Line.rfind("Rss:", 0) == 0)
+      return std::stol(Line.substr(4));
+  }
+  return -2;
 }
 
 /// XORs \p Mask into the byte at \p Offset of the file at \p Path.
@@ -142,7 +167,7 @@ TEST(MmapTraceStoreTest, MappingIsSharedAndIndexIsLean) {
   EXPECT_EQ(Trace->bytes(), std::filesystem::file_size(Path));
   EXPECT_EQ(Trace->totalEvents(), Spec.RefEvents);
   EXPECT_EQ(Trace->numSites(), Spec.numSites());
-  // One index entry per data block; pads are not indexed.
+  // One index entry per block.
   EXPECT_EQ(Trace->numBlocks(),
             (Spec.RefEvents + TraceV2BlockEvents - 1) / TraceV2BlockEvents);
 
@@ -209,31 +234,6 @@ TEST(MmapTraceStoreTest, PayloadCorruptionIsRejectedWholeBlock) {
   EXPECT_FALSE(Source.next(E)); // and the cursor stays failed
 }
 
-TEST(MmapTraceStoreTest, PadCorruptionIsRejectedWithItsBlock) {
-  TempDir Dir;
-  const std::string Path = recordGzip(Dir);
-  std::string Error;
-  uint64_t PadByte = 0;
-  {
-    const std::shared_ptr<const MaterializedTrace> Trace =
-        MaterializedTrace::mapFile(Path, &Error);
-    ASSERT_TRUE(Trace) << Error;
-    const MaterializedTrace::Block &Second = Trace->blocks()[1];
-    ASSERT_GT(Second.PadBytes, 0u);
-    PadByte = Second.PayloadOffset - TraceV2FrameBytes - 1;
-  }
-  // A nonzero byte in the pad before the second block: the first block
-  // replays, the second is rejected whole.
-  flipByte(Path, PadByte, 0x01);
-  const std::shared_ptr<const MaterializedTrace> Trace =
-      MaterializedTrace::mapFile(Path, &Error);
-  ASSERT_TRUE(Trace) << Error;
-  TraceCursor Source(Trace);
-  EXPECT_EQ(drainMatching(Source, DefaultBatchEvents),
-            Trace->blocks()[0].Events);
-  EXPECT_NE(Source.error().find("pad"), std::string::npos) << Source.error();
-}
-
 TEST(MmapTraceStoreTest, TruncatedFileIsRejectedAtOpen) {
   TempDir Dir;
   const std::string Path = recordGzip(Dir);
@@ -250,19 +250,29 @@ TEST(MmapTraceStoreTest, TruncatedFileIsRejectedAtOpen) {
 TEST(MmapTraceStoreTest, ZeroedEventCountDoesNotBecomeAPad) {
   TempDir Dir;
   const std::string Path = recordGzip(Dir);
-  // Zero the second block's event count (the first frame after the first
-  // aligned boundary).  Without the pad-frame sentinel check this would
-  // silently skip a real block; it must instead fail the open.
+  std::string Error;
+  uint64_t SecondFrame = 0;
+  {
+    const std::shared_ptr<const MaterializedTrace> Trace =
+        MaterializedTrace::mapFile(Path, &Error);
+    ASSERT_TRUE(Trace) << Error;
+    ASSERT_GT(Trace->numBlocks(), 1u);
+    SecondFrame = Trace->blocks()[1].PayloadOffset - TraceV2FrameBytes;
+  }
+  // Zero the second block's event count.  Skipping the frame would drop a
+  // real block's events in silence; it must instead fail the open, and
+  // the reason names the page-aligned layout, whose pad frames were the
+  // only frames without events.
   {
     std::fstream F(Path, std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(F.is_open());
-    F.seekp(TraceV2AlignBytes, std::ios::beg);
+    F.seekp(static_cast<std::streamoff>(SecondFrame), std::ios::beg);
     const char Zeros[4] = {0, 0, 0, 0};
     F.write(Zeros, 4);
   }
-  std::string Error;
   EXPECT_EQ(MaterializedTrace::mapFile(Path, &Error), nullptr);
-  EXPECT_FALSE(Error.empty());
+  EXPECT_NE(Error.find("aligned layout is no longer read"), std::string::npos)
+      << Error;
 }
 
 TEST(MmapTraceStoreTest, NonTraceFilesAreRejected) {
@@ -328,18 +338,42 @@ TEST(MmapTraceStoreTest, SwarDecoderMatchesCheckedDecoder) {
   }
 }
 
-TEST(MmapTraceStoreTest, AlignedLayoutStartsBlocksOnPageBoundaries) {
+TEST(MmapTraceStoreTest, ReplayKeepsOnlyTheCursorWindowResident) {
+  // A packed file's block frames start mid-page.  Over a long replay the
+  // drop-behind mark must release the page each block boundary straddles
+  // once the window has passed it; a mark that never reaches that page
+  // leaves one page per block resident, growing with the trace.
   TempDir Dir;
   std::string Error;
   const std::shared_ptr<const MaterializedTrace> Trace =
-      MaterializedTrace::mapFile(recordGzip(Dir), &Error);
+      MaterializedTrace::mapFile(recordGzip(Dir, {2.0e5, 0.1}), &Error);
   ASSERT_TRUE(Trace) << Error;
-  // Every block frame starts on a page boundary: the layout contract
-  // madvise relies on.
-  ASSERT_GT(Trace->numBlocks(), 1u);
+  ASSERT_GE(Trace->numBlocks(), 500u);
+  TraceCursor Cursor(Trace);
+  std::vector<BranchEvent> Chunk(DefaultBatchEvents);
+  uint64_t Events = 0;
+  while (const size_t N = Cursor.nextBatch(Chunk))
+    Events += N;
+  ASSERT_FALSE(Cursor.failed()) << Cursor.error();
+  ASSERT_EQ(Events, Trace->totalEvents());
+
+  const long Kb = residentKb(Trace->data());
+  if (Kb == -1)
+    GTEST_SKIP() << "/proc/self/smaps cannot be read";
+  ASSERT_GE(Kb, 0) << "no mapping in /proc/self/smaps holds the trace";
+  // What may stay mapped: the cursor's window (the blocks it retains
+  // behind, the last one it decoded, the ones it prefetched), a page at
+  // each end, and one fault-around span (64 KiB by default).
+  uint64_t MaxBlockBytes = 0;
   for (const MaterializedTrace::Block &B : Trace->blocks())
-    EXPECT_EQ((B.PayloadOffset - TraceV2FrameBytes) % TraceV2AlignBytes, 0u)
-        << "block at offset " << B.PayloadOffset - TraceV2FrameBytes;
-  const MaterializedTrace::Block &Last = Trace->blocks().back();
-  EXPECT_EQ(Last.PayloadOffset + Last.PayloadBytes, Trace->bytes());
+    MaxBlockBytes =
+        std::max<uint64_t>(MaxBlockBytes, TraceV2FrameBytes + B.PayloadBytes);
+  const uint64_t Page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+  const uint64_t Window = (TraceCursor::RetainBehindBlocks + 1 +
+                           TraceCursor::PrefetchAheadBlocks) *
+                              MaxBlockBytes +
+                          2 * Page + (64u << 10);
+  EXPECT_LE(static_cast<uint64_t>(Kb) << 10, Window)
+      << Kb << " kB of a " << (Trace->bytes() >> 10) << " kB mapping of "
+      << Trace->numBlocks() << " blocks stayed resident";
 }

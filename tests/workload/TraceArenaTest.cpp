@@ -165,8 +165,8 @@ TEST(TraceArenaTest, DiskTierRoundTripsAcrossArenaInstances) {
   TempDir Dir;
 
   {
-    // Cold: the disk tier stream-generates a page-aligned cache file and
-    // serves it mapped -- nothing is materialized resident.
+    // Cold: the disk tier stream-generates a cache file and serves it
+    // mapped -- nothing is materialized resident.
     TraceArena::Config Cfg;
     Cfg.CacheDir = Dir.str();
     TraceArena Cold(std::move(Cfg));

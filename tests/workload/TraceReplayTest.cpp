@@ -2,11 +2,11 @@
 //
 // The one replay contract, over every way to get a TraceCursor: the trace
 // arena's resident image (trusted), a caller's bytes (untrusted), and a
-// mapped file in the packed and the page-aligned layout (untrusted).  For
-// every suite benchmark, both inputs, and consumer chunk sizes 4096 (one
-// block, the zero-copy path), 257 (never divides a block, the staging
-// path), and 1 (per event), the replayed stream must equal the
-// generator's event for event, Index and InstRet included.
+// mapped file (untrusted).  For every suite benchmark, both inputs, and
+// consumer chunk sizes 4096 (one block, the zero-copy path), 257 (never
+// divides a block, the staging path), and 1 (per event), the replayed
+// stream must equal the generator's event for event, Index and InstRet
+// included.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +36,7 @@ constexpr SuiteScale TestScale{3.0e3, 0.1};
 
 constexpr size_t TestBatches[] = {DefaultBatchEvents, 257, 1};
 
-enum class Origin { ArenaImage, CallerBytes, MappedPacked, MappedAligned };
+enum class Origin { ArenaImage, CallerBytes, MappedPacked };
 
 struct ReplayCase {
   Origin From;
@@ -44,7 +44,7 @@ struct ReplayCase {
 };
 
 std::string nameOf(const ReplayCase &Case) {
-  static const char *const Names[] = {"arena", "bytes", "packed", "aligned"};
+  static const char *const Names[] = {"arena", "bytes", "packed"};
   return std::string(Names[static_cast<int>(Case.From)]) + "_" + Case.Bench;
 }
 
@@ -57,8 +57,8 @@ std::string caseName(const ::testing::TestParamInfo<ReplayCase> &Info) {
 
 std::vector<ReplayCase> allCases() {
   std::vector<ReplayCase> Cases;
-  for (const Origin From : {Origin::ArenaImage, Origin::CallerBytes,
-                            Origin::MappedPacked, Origin::MappedAligned})
+  for (const Origin From :
+       {Origin::ArenaImage, Origin::CallerBytes, Origin::MappedPacked})
     for (const BenchmarkProfile &P : suiteProfiles())
       Cases.push_back({From, P.Name});
   return Cases;
@@ -109,12 +109,9 @@ TEST_P(TraceReplayTest, MatchesGenerator) {
     if (Case.From == Origin::ArenaImage) {
       Trace = Arena.materialize(Spec, Input);
     } else {
-      const uint32_t Align =
-          Case.From == Origin::MappedAligned ? TraceV2AlignBytes : 0;
       std::ostringstream OS;
       TraceGenerator Gen(Spec, Input);
-      ASSERT_EQ(writeTraceV2(OS, Gen, TraceV2BlockEvents, Align),
-                Input.Events);
+      ASSERT_EQ(writeTraceV2(OS, Gen), Input.Events);
       const std::string Bytes = OS.str();
       if (Case.From == Origin::CallerBytes) {
         Trace = MaterializedTrace::fromBytes({Bytes.begin(), Bytes.end()},

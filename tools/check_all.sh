@@ -6,9 +6,11 @@
 #      then the full ctest;
 #   2. the fast ctest label in an AddressSanitizer tree (build-asan/) and
 #      in an UndefinedBehaviorSanitizer tree (build-ubsan/);
-#   3. the engine concurrency tests and every serve test in a
-#      ThreadSanitizer tree (build-tsan/): serve consumers read ring slots
-#      in place while producers fill the others;
+#   3. the engine concurrency tests, the mapped trace store's tests and
+#      every serve test in a ThreadSanitizer tree (build-tsan/): cursors in
+#      several threads race on one mapping's per-block verified bits, and
+#      serve consumers read ring slots in place while producers fill the
+#      others;
 #   4. perfbench's own tests.
 #
 # Usage: tools/check_all.sh   (from anywhere; takes no options)
@@ -38,10 +40,10 @@ echo "== UBSan, fast label (build-ubsan/)"
 configure build-ubsan -DSPECCTRL_UBSAN=ON
 (cd build-ubsan && ctest -L fast --output-on-failure -j "$JOBS")
 
-echo "== TSan, engine concurrency and the serve layer (build-tsan/)"
+echo "== TSan, engine concurrency, the trace store and the serve layer (build-tsan/)"
 configure build-tsan -DSPECCTRL_TSAN=ON
 (cd build-tsan &&
-  ctest -R 'ExperimentRunner|ArenaRace|Determinism|RingBuffer|ReconfigTest|ServeEquivalenceTest|SnapshotRestoreTest' \
+  ctest -R 'ExperimentRunner|ArenaRace|Determinism|MmapTraceStore|RingBuffer|ReconfigTest|ServeEquivalenceTest|SnapshotRestoreTest' \
     --output-on-failure -j "$JOBS")
 
 echo "== perfbench self-test"

@@ -49,7 +49,6 @@
 #include "workload/SpecSuite.h"
 
 #include <array>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -58,65 +57,6 @@ using namespace specctrl;
 using namespace specctrl::ir;
 
 namespace {
-
-/// Non-throwing full-string number parsers so a malformed list always
-/// exits 2 with a diagnostic instead of terminating on std::stoul.
-bool parseU32(const std::string &S, uint32_t &Out) {
-  if (S.empty())
-    return false;
-  char *End = nullptr;
-  const unsigned long long V = std::strtoull(S.c_str(), &End, 10);
-  if (End != S.c_str() + S.size() || V > UINT32_MAX)
-    return false;
-  Out = static_cast<uint32_t>(V);
-  return true;
-}
-
-bool parseI64(const std::string &S, int64_t &Out) {
-  if (S.empty())
-    return false;
-  char *End = nullptr;
-  const long long V = std::strtoll(S.c_str(), &End, 10);
-  if (End != S.c_str() + S.size())
-    return false;
-  Out = V;
-  return true;
-}
-
-bool parseAssertions(const std::string &Spec, std::map<SiteId, bool> &Out) {
-  for (const std::string &Item : splitList(Spec)) {
-    const size_t Colon = Item.find(':');
-    if (Colon == std::string::npos)
-      return false;
-    const std::string Dir = Item.substr(Colon + 1);
-    if (Dir != "t" && Dir != "n")
-      return false;
-    uint32_t Site = 0;
-    if (!parseU32(Item.substr(0, Colon), Site))
-      return false;
-    Out[static_cast<SiteId>(Site)] = Dir == "t";
-  }
-  return true;
-}
-
-bool parseValueSpecs(const std::string &Spec,
-                     std::map<distill::LocKey, int64_t> &Out) {
-  for (const std::string &Item : splitList(Spec)) {
-    const size_t C1 = Item.find(':');
-    const size_t C2 =
-        C1 == std::string::npos ? std::string::npos : Item.find(':', C1 + 1);
-    if (C2 == std::string::npos)
-      return false;
-    distill::LocKey Key;
-    int64_t Value = 0;
-    if (!parseU32(Item.substr(0, C1), Key.Block) ||
-        !parseU32(Item.substr(C1 + 1, C2 - C1 - 1), Key.Index) ||
-        !parseI64(Item.substr(C2 + 1), Value))
-      return false;
-    Out[Key] = Value;
-  }
-  return true;
-}
 
 /// Routes findings to stdout (lint lines or JSON) and keeps the per-check
 /// tallies for the end-of-run summary.
@@ -347,11 +287,13 @@ int main(int Argc, char **Argv) {
     return runSuite(R, VOpts) == 0 ? 0 : 1;
 
   distill::DistillRequest Request;
-  if (!parseAssertions(Opts.getString("assert"), Request.BranchAssertions)) {
+  if (!distill::parseBranchAssertions(Opts.getString("assert"),
+                                      Request.BranchAssertions)) {
     std::cerr << "error: malformed --assert list\n";
     return 2;
   }
-  if (!parseValueSpecs(Opts.getString("value"), Request.ValueConstants)) {
+  if (!distill::parseValueConstants(Opts.getString("value"),
+                                    Request.ValueConstants)) {
     std::cerr << "error: malformed --value list\n";
     return 2;
   }

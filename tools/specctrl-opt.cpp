@@ -13,6 +13,10 @@
 //     --function=N                      operate on function N only
 //     --verify                          verify and exit
 //
+// Exit codes: 0 success, 1 unreadable or invalid input, 2 usage error
+// (unknown option, malformed --assert/--value list, --function out of
+// range), 3 internal error (the output does not verify).
+//
 //===----------------------------------------------------------------------===//
 
 #include "distill/Distiller.h"
@@ -28,42 +32,6 @@
 using namespace specctrl;
 using namespace specctrl::ir;
 
-namespace {
-
-bool parseAssertions(const std::string &Spec,
-                     std::map<SiteId, bool> &Out) {
-  for (const std::string &Item : splitList(Spec)) {
-    const size_t Colon = Item.find(':');
-    if (Colon == std::string::npos)
-      return false;
-    const std::string Dir = Item.substr(Colon + 1);
-    if (Dir != "t" && Dir != "n")
-      return false;
-    Out[static_cast<SiteId>(std::stoul(Item.substr(0, Colon)))] =
-        Dir == "t";
-  }
-  return true;
-}
-
-bool parseValueSpecs(const std::string &Spec,
-                     std::map<distill::LocKey, int64_t> &Out) {
-  for (const std::string &Item : splitList(Spec)) {
-    const size_t C1 = Item.find(':');
-    const size_t C2 = C1 == std::string::npos ? std::string::npos
-                                              : Item.find(':', C1 + 1);
-    if (C2 == std::string::npos)
-      return false;
-    distill::LocKey Key;
-    Key.Block = static_cast<uint32_t>(std::stoul(Item.substr(0, C1)));
-    Key.Index =
-        static_cast<uint32_t>(std::stoul(Item.substr(C1 + 1, C2 - C1 - 1)));
-    Out[Key] = std::stoll(Item.substr(C2 + 1));
-  }
-  return true;
-}
-
-} // namespace
-
 int main(int Argc, char **Argv) {
   OptionSet Opts("specctrl-opt: apply speculative/cleanup passes to "
                  "textual SimIR");
@@ -76,7 +44,19 @@ int main(int Argc, char **Argv) {
   Opts.addFlag("verify", "verify the input and exit");
   Opts.addInt("function", -1, "function id to transform (-1 = all)");
   if (!Opts.parse(Argc, Argv))
-    return Opts.wasError() ? 1 : 0;
+    return Opts.wasError() ? 2 : 0;
+
+  distill::DistillRequest Request;
+  if (!distill::parseBranchAssertions(Opts.getString("assert"),
+                                      Request.BranchAssertions)) {
+    std::cerr << "error: malformed --assert list\n";
+    return 2;
+  }
+  if (!distill::parseValueConstants(Opts.getString("value"),
+                                    Request.ValueConstants)) {
+    std::cerr << "error: malformed --value list\n";
+    return 2;
+  }
 
   // Read input (positional file or stdin).
   std::string Text;
@@ -114,6 +94,13 @@ int main(int Argc, char **Argv) {
     Slot.blocks() = std::move(F->blocks());
   }
 
+  const int64_t Only = Opts.getInt("function");
+  if (Only < -1 || Only >= static_cast<int64_t>(M->numFunctions())) {
+    std::cerr << "error: --function " << Only << " names no function (the "
+              << "input has " << M->numFunctions() << "; -1 means all)\n";
+    return 2;
+  }
+
   std::string VerifyError;
   if (!verifyModule(*M, &VerifyError)) {
     std::cerr << "error: input does not verify: " << VerifyError << '\n';
@@ -124,21 +111,9 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  distill::DistillRequest Request;
-  if (!parseAssertions(Opts.getString("assert"),
-                       Request.BranchAssertions)) {
-    std::cerr << "error: malformed --assert list\n";
-    return 1;
-  }
-  if (!parseValueSpecs(Opts.getString("value"), Request.ValueConstants)) {
-    std::cerr << "error: malformed --value list\n";
-    return 1;
-  }
-
   const bool FullPipeline = Opts.getFlag("distill") ||
                             !Request.BranchAssertions.empty() ||
                             !Request.ValueConstants.empty();
-  const int64_t Only = Opts.getInt("function");
 
   for (uint32_t FId = 0; FId < M->numFunctions(); ++FId) {
     if (Only >= 0 && FId != static_cast<uint32_t>(Only))
@@ -164,7 +139,7 @@ int main(int Argc, char **Argv) {
   if (!verifyModule(*M, &VerifyError)) {
     std::cerr << "internal error: output does not verify: " << VerifyError
               << '\n';
-    return 2;
+    return 3;
   }
   printModule(*M, std::cout);
   return 0;

@@ -8,12 +8,10 @@
 //     --synthesize            print the benchmark-like SimIR program
 //     --head=N                print the first N branch events
 //     --record=FILE           record the run as an SCT2 trace
-//     --align                 page-align the blocks --record writes (the
-//                             exact-madvise layout for mapped replay)
 //     --replay=FILE           replay a recorded trace zero-copy from a
 //                             read-only mapping and report peak RSS
-//     --stats=FILE            structural stats: blocks, pad bytes,
-//                             bytes/event, layout
+//     --stats=FILE            structural stats: events, blocks, bytes,
+//                             bytes/event
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,11 +48,8 @@ int main(int Argc, char **Argv) try {
                  "replay a recorded trace from a read-only mapping and "
                  "report peak resident memory");
   Opts.addString("stats", "",
-                 "print structural stats for this trace file (blocks, pad "
-                 "bytes, bytes/event, layout)");
-  Opts.addFlag("align",
-               "page-align the blocks --record writes so mapped replay's "
-               "madvise windows are exact");
+                 "print structural stats for this trace file (events, "
+                 "blocks, bytes, bytes/event)");
   Opts.addFlag("synthesize", "print the benchmark-like SimIR program");
   Opts.addInt("head", 0, "print the first N branch events");
   bench::addScaleOptions(Opts); // shared with the bench harnesses
@@ -109,8 +104,6 @@ int main(int Argc, char **Argv) try {
       std::cerr << "error: " << Error << '\n';
       return 1;
     }
-    const uint64_t PadBytes = Trace->bytes() - TraceV2HeaderBytes -
-                              Trace->encodedBlockBytes();
     char PerEvent[32];
     std::snprintf(PerEvent, sizeof(PerEvent), "%.2f",
                   Trace->totalEvents()
@@ -123,9 +116,7 @@ int main(int Argc, char **Argv) try {
     Out.row().cell("blocks").cell(static_cast<uint64_t>(Trace->numBlocks()));
     Out.row().cell("file bytes").cell(static_cast<uint64_t>(Trace->bytes()));
     Out.row().cell("encoded bytes").cell(Trace->encodedBlockBytes());
-    Out.row().cell("pad bytes").cell(PadBytes);
     Out.row().cell("bytes/event").cell(PerEvent);
-    Out.row().cell("layout").cell(PadBytes != 0 ? "aligned" : "packed");
     Out.printText(std::cout);
     return 0;
   }
@@ -177,9 +168,7 @@ int main(int Argc, char **Argv) try {
       return 1;
     }
     TraceGenerator Gen(Spec, Input);
-    const uint32_t Align = Opts.getFlag("align") ? TraceV2AlignBytes : 0;
-    const uint64_t N =
-        writeTraceV2(OutFile, Gen, TraceV2BlockEvents, Align);
+    const uint64_t N = writeTraceV2(OutFile, Gen);
     if (N == 0) {
       std::cerr << "error: trace write failed\n";
       return 1;
