@@ -7,6 +7,7 @@
 #include "BenchCommon.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -27,9 +28,19 @@ void bench::addScaleOptions(OptionSet &Opts) {
 }
 
 workload::SuiteScale bench::readScale(const OptionSet &Opts) {
+  const auto Positive = [&Opts](const char *Name) {
+    const double Value = Opts.getDouble(Name);
+    if (!std::isfinite(Value) || !(Value > 0.0)) {
+      std::fprintf(stderr,
+                   "error: --%s must be a finite number > 0, got %g\n", Name,
+                   Value);
+      std::exit(2);
+    }
+    return Value;
+  };
   workload::SuiteScale Scale;
-  Scale.EventsPerBillion = Opts.getDouble("events-per-billion");
-  Scale.SiteScale = Opts.getDouble("site-scale");
+  Scale.EventsPerBillion = Positive("events-per-billion");
+  Scale.SiteScale = Positive("site-scale");
   return Scale;
 }
 

@@ -63,7 +63,9 @@ void addCsvOption(OptionSet &Opts);
 /// binaries that build workloads, and the inspection tools.
 void addScaleOptions(OptionSet &Opts);
 
-/// Reads the scale options back.
+/// Reads the scale options back.  A value that is not a finite number
+/// > 0 prints an `error:` line and exits with status 2, the usage-error
+/// code.
 workload::SuiteScale readScale(const OptionSet &Opts);
 
 /// --benchmarks: binaries that select suite members.  The MSSP benches
@@ -99,9 +101,9 @@ void addSweepOptions(OptionSet &Opts);
 core::ReactiveConfig scaledBaseline(const OptionSet &Opts);
 
 /// Reads back every standard option group that was registered.  A value
-/// no run can honor (a negative --jobs, an unknown --benchmarks name)
-/// prints an `error:` line and exits with status 1, like the option
-/// parser's own errors.
+/// no run can honor (a negative --jobs, an unknown --benchmarks name, a
+/// scale readScale rejects) prints an `error:` line and exits with status
+/// 2, like the option parser's own errors.
 SuiteOptions readSuiteOptions(const OptionSet &Opts);
 
 /// Mixes --seed into \p Spec's workload seed, so a nonzero seed changes

@@ -49,9 +49,10 @@ int main(int Argc, char **Argv) try {
   BiasSeriesCollector Collector(Tracked, 1000);
   TraceGenerator Gen(Spec, Spec.refInput());
   std::vector<BranchEvent> Chunk(DefaultBatchEvents);
-  while (const size_t N = Gen.nextBatch(Chunk))
+  for (uint64_t Position = 0; const size_t N = Gen.nextBatch(Chunk);
+       Position += N)
     for (size_t I = 0; I < N; ++I)
-      Collector.addOutcome(Chunk[I].Site, Chunk[I].Taken, Chunk[I].Index);
+      Collector.addOutcome(Chunk[I].Site, Chunk[I].Taken, Position + I);
   Collector.finish(Gen.eventsGenerated());
 
   const double Total = static_cast<double>(Gen.eventsGenerated());

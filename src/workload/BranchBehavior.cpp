@@ -7,7 +7,6 @@
 #include "workload/BranchBehavior.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 using namespace specctrl;
@@ -48,7 +47,6 @@ double workload::takenProbability(const BehaviorSpec &Spec, uint64_t Exec,
   case BehaviorKind::Soften: {
     if (Exec < Spec.ChangeAt)
       return Spec.BiasA;
-    assert(Spec.Period > 0 && "soften requires a time constant");
     const double T = static_cast<double>(Exec - Spec.ChangeAt) /
                      static_cast<double>(Spec.Period);
     const double Blend = std::exp(-T);
@@ -59,7 +57,6 @@ double workload::takenProbability(const BehaviorSpec &Spec, uint64_t Exec,
     return Exec >= Spec.ChangeAt ? 1.0 : 0.0;
 
   case BehaviorKind::Periodic: {
-    assert(Spec.Period > 0 && "periodic requires a period");
     const bool HighRegime = (Exec / Spec.Period) % 2 == 0;
     return HighRegime ? Spec.BiasA : Spec.BiasB;
   }
@@ -69,7 +66,6 @@ double workload::takenProbability(const BehaviorSpec &Spec, uint64_t Exec,
       State.WalkBias = Spec.BiasA;
       State.WalkInit = true;
     }
-    assert(Spec.Period > 0 && "random walk requires a time constant");
     const double Step = 1.0 / static_cast<double>(Spec.Period);
     State.WalkBias += R.nextBool(0.5) ? Step : -Step;
     // Reflect into a band that never looks highly biased.

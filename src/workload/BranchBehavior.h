@@ -165,7 +165,8 @@ struct BehaviorState {
 /// \p GroupOn tells PhaseGroup sites whether their group is in the "on"
 /// regime for the current global phase; \p InputFlip is the site's
 /// input-parameter bit (InputDependent only).  RandomWalk advances \p State
-/// using \p R.
+/// using \p R.  Soften, Periodic and RandomWalk divide by Period, so it
+/// must be nonzero (WorkloadSpec::validate checks every site).
 double takenProbability(const BehaviorSpec &Spec, uint64_t Exec, bool GroupOn,
                         bool InputFlip, BehaviorState &State, Rng &R);
 

@@ -29,23 +29,27 @@ namespace workload {
 /// has no heavyweight includes.)
 using SiteId = uint32_t;
 
-/// One dynamic execution of a static branch site.
+/// One dynamic execution of a static branch site: 16 bytes, so rings,
+/// batch buffers and staged blocks hold four events per cache line.  An
+/// event does not store its position in the stream; a reader that needs
+/// it counts the events it has seen.
 struct BranchEvent {
   SiteId Site = 0;
   bool Taken = false;
-  /// Non-branch instructions retired since the previous branch.
-  uint32_t Gap = 0;
-  /// 0-based index of this event in the run.
-  uint64_t Index = 0;
-  /// Dynamic instructions retired up to and including this branch.
+  /// Non-branch instructions retired since the previous branch
+  /// (WorkloadSpec::validate bounds MaxGap by the field).
+  uint16_t Gap = 0;
+  /// Dynamic instructions retired up to and including this branch,
+  /// counted from the start of the run.
   uint64_t InstRet = 0;
 
   bool operator==(const BranchEvent &) const = default;
 };
+static_assert(sizeof(BranchEvent) == 16, "BranchEvent is 16 bytes");
 
 /// Default number of events per chunk in the batched pipeline.  Sized so
-/// the chunk buffer (events + verdicts) stays comfortably inside L2 while
-/// amortizing per-batch dispatch to noise.
+/// the chunk buffer (64 KiB of events + 8 KiB of verdicts) stays
+/// comfortably inside L2 while amortizing per-batch dispatch to noise.
 inline constexpr size_t DefaultBatchEvents = 4096;
 
 /// A stream of branch events.

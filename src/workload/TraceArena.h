@@ -17,8 +17,9 @@
 ///
 /// Guarantees:
 ///  * Stream identity -- a cursor's event stream is bit-identical to the
-///    TraceGenerator stream for the same (spec, input), including Index and
-///    InstRet (the SCT2 round-trip property; pinned by TraceArenaTest).
+///    TraceGenerator stream for the same (spec, input), including the
+///    derived InstRet (the SCT2 round-trip property; pinned by
+///    TraceArenaTest).
 ///  * Generate-once under concurrency -- the first thread to request a key
 ///    materializes under a per-key std::call_once; racing threads block on
 ///    that key only, then share the immutable encoded trace.

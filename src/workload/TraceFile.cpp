@@ -167,9 +167,19 @@ uint64_t workload::writeTraceV2(std::ostream &OS, TraceGenerator &Gen,
 
 namespace {
 
-/// The checked decode loop: every bound and range validated, counters
-/// committed only on whole-block success (untrusted input, on its first
-/// touch).
+/// The event of \p Site and its packed taken/gap byte, built whole so
+/// each decoder writes it with one store; advances the running
+/// instruction count \p Inst past the gap and the branch.
+inline BranchEvent unpackEvent(uint32_t Site, uint32_t Packed,
+                               uint64_t &Inst) {
+  const uint16_t Gap = static_cast<uint16_t>(Packed & 0x7F);
+  Inst += Gap + 1u;
+  return BranchEvent{Site, (Packed >> 7) != 0, Gap, Inst};
+}
+
+/// The checked decode loop: every bound and range validated, the
+/// instruction count committed only on whole-block success (untrusted
+/// input, on its first touch).
 ///
 /// Site arithmetic is done in uint32 like the trusted path: sites are
 /// < 2^24 and |unzigzag delta| <= 2^31, so a negative or overflowing
@@ -177,9 +187,7 @@ namespace {
 /// unsigned compare is exactly equivalent to the signed range pair.
 bool decodeBlockChecked(const uint8_t *P, const uint8_t *End,
                         uint32_t EventCount, uint32_t NumSites,
-                        uint64_t &NextIndex, uint64_t &InstRet,
-                        BranchEvent *Out) {
-  uint64_t Index = NextIndex;
+                        uint64_t &InstRet, BranchEvent *Out) {
   uint64_t Inst = InstRet;
   uint32_t PrevSite = 0;
   for (uint32_t I = 0; I < EventCount; ++I) {
@@ -204,19 +212,11 @@ bool decodeBlockChecked(const uint8_t *P, const uint8_t *End,
         PrevSite + static_cast<uint32_t>(unzigzag(Delta));
     if (Site >= NumSites)
       return false;
-    const uint32_t Packed = *P++;
-    BranchEvent &E = Out[I];
-    E.Site = Site;
-    E.Taken = (Packed >> 7) != 0;
-    E.Gap = Packed & 0x7F;
-    E.Index = Index++;
-    Inst += (Packed & 0x7F) + 1;
-    E.InstRet = Inst;
+    Out[I] = unpackEvent(Site, *P++, Inst);
     PrevSite = Site;
   }
   if (P != End)
     return false;
-  NextIndex = Index;
   InstRet = Inst;
   return true;
 }
@@ -230,8 +230,7 @@ bool decodeBlockChecked(const uint8_t *P, const uint8_t *End,
 /// which the predictor cannot learn -- masking the second byte in
 /// unconditionally beats a mispredicting length branch.
 inline const uint8_t *decodeOneTrusted(const uint8_t *P, uint32_t &PrevSite,
-                                       uint64_t &Index, uint64_t &Inst,
-                                       BranchEvent &E) {
+                                       uint64_t &Inst, BranchEvent &E) {
   const uint32_t B0 = P[0];
   const uint32_t B1 = P[1];
   const uint32_t More = B0 >> 7;
@@ -247,13 +246,7 @@ inline const uint8_t *decodeOneTrusted(const uint8_t *P, uint32_t &PrevSite,
     } while (Byte & 0x80);
   }
   const uint32_t Site = PrevSite + static_cast<uint32_t>(unzigzag(Delta));
-  const uint32_t Packed = *P++;
-  E.Site = Site;
-  E.Taken = (Packed >> 7) != 0;
-  E.Gap = Packed & 0x7F;
-  E.Index = Index++;
-  Inst += (Packed & 0x7F) + 1;
-  E.InstRet = Inst;
+  E = unpackEvent(Site, *P++, Inst);
   PrevSite = Site;
   return P;
 }
@@ -275,21 +268,18 @@ inline uint64_t load64le(const uint8_t *P) {
 bool workload::decodeTraceBlockPayload(const uint8_t *Payload,
                                        size_t PayloadBytes,
                                        uint32_t EventCount, uint32_t NumSites,
-                                       uint64_t &NextIndex, uint64_t &InstRet,
-                                       BranchEvent *Out) {
+                                       uint64_t &InstRet, BranchEvent *Out) {
   return decodeBlockChecked(Payload, Payload + PayloadBytes, EventCount,
-                            NumSites, NextIndex, InstRet, Out);
+                            NumSites, InstRet, Out);
 }
 
 void workload::decodeTraceBlockPayloadTrusted(const uint8_t *Payload,
                                               size_t PayloadBytes,
                                               uint32_t EventCount,
-                                              uint64_t &NextIndex,
                                               uint64_t &InstRet,
                                               BranchEvent *Out) {
   const uint8_t *P = Payload;
   const uint8_t *const End = Payload + PayloadBytes;
-  uint64_t Index = NextIndex;
   uint64_t Inst = InstRet;
   uint32_t PrevSite = 0;
   uint32_t I = 0;
@@ -322,38 +312,13 @@ void workload::decodeTraceBlockPayloadTrusted(const uint8_t *Payload,
       const uint32_t S3 =
           S2 + static_cast<uint32_t>(
                    unzigzag(static_cast<uint32_t>(W >> 48) & 0x7F));
-      const uint32_t Pk0 = static_cast<uint32_t>(W >> 8) & 0xFF;
-      const uint32_t Pk1 = static_cast<uint32_t>(W >> 24) & 0xFF;
-      const uint32_t Pk2 = static_cast<uint32_t>(W >> 40) & 0xFF;
-      const uint32_t Pk3 = static_cast<uint32_t>(W >> 56) & 0xFF;
-      BranchEvent &E0 = Out[I];
-      E0.Site = S0;
-      E0.Taken = (Pk0 >> 7) != 0;
-      E0.Gap = Pk0 & 0x7F;
-      E0.Index = Index++;
-      Inst += (Pk0 & 0x7F) + 1;
-      E0.InstRet = Inst;
-      BranchEvent &E1 = Out[I + 1];
-      E1.Site = S1;
-      E1.Taken = (Pk1 >> 7) != 0;
-      E1.Gap = Pk1 & 0x7F;
-      E1.Index = Index++;
-      Inst += (Pk1 & 0x7F) + 1;
-      E1.InstRet = Inst;
-      BranchEvent &E2 = Out[I + 2];
-      E2.Site = S2;
-      E2.Taken = (Pk2 >> 7) != 0;
-      E2.Gap = Pk2 & 0x7F;
-      E2.Index = Index++;
-      Inst += (Pk2 & 0x7F) + 1;
-      E2.InstRet = Inst;
-      BranchEvent &E3 = Out[I + 3];
-      E3.Site = S3;
-      E3.Taken = (Pk3 >> 7) != 0;
-      E3.Gap = Pk3 & 0x7F;
-      E3.Index = Index++;
-      Inst += (Pk3 & 0x7F) + 1;
-      E3.InstRet = Inst;
+      Out[I] = unpackEvent(S0, static_cast<uint32_t>(W >> 8) & 0xFF, Inst);
+      Out[I + 1] =
+          unpackEvent(S1, static_cast<uint32_t>(W >> 24) & 0xFF, Inst);
+      Out[I + 2] =
+          unpackEvent(S2, static_cast<uint32_t>(W >> 40) & 0xFF, Inst);
+      Out[I + 3] =
+          unpackEvent(S3, static_cast<uint32_t>(W >> 56) & 0xFF, Inst);
       PrevSite = S3;
       P += 8;
       I += 4;
@@ -364,13 +329,12 @@ void workload::decodeTraceBlockPayloadTrusted(const uint8_t *Payload,
     // wide-site traces this degenerates to the scalar decoder's speed
     // rather than paying a variable-shift lane extraction that is slower
     // than the scalar step on every tested host.
-    P = decodeOneTrusted(P, PrevSite, Index, Inst, Out[I]);
+    P = decodeOneTrusted(P, PrevSite, Inst, Out[I]);
     ++I;
   }
   // Scalar tail: the final events the 16-byte guard excluded.
   for (; I < EventCount; ++I)
-    P = decodeOneTrusted(P, PrevSite, Index, Inst, Out[I]);
-  NextIndex = Index;
+    P = decodeOneTrusted(P, PrevSite, Inst, Out[I]);
   InstRet = Inst;
 }
 
@@ -560,25 +524,25 @@ double MaterializedTrace::compressionVsV1() const {
                  : 0.0;
 }
 
-bool MaterializedTrace::decodeBlock(size_t B, uint64_t &NextIndex,
-                                    uint64_t &InstRet, BranchEvent *Out,
+bool MaterializedTrace::decodeBlock(size_t B, uint64_t &InstRet,
+                                    BranchEvent *Out,
                                     std::string &Error) const {
   const Block &Ref = Blocks[B];
   const uint8_t *Payload = Base + Ref.PayloadOffset;
   if (isVerified(B)) {
     decodeTraceBlockPayloadTrusted(Payload, Ref.PayloadBytes, Ref.Events,
-                                   NextIndex, InstRet, Out);
+                                   InstRet, Out);
     return true;
   }
   // First touch of untrusted bytes: checksum, then the checked decoder
-  // -- which commits the counters only on success, so a rejected block
-  // delivers nothing.
+  // -- which commits the instruction count only on success, so a rejected
+  // block delivers nothing.
   if (hash64(Payload, Ref.PayloadBytes) != loadU64(Payload - 8)) {
     Error = "trace block checksum mismatch (corrupt or tampered trace)";
     return false;
   }
   if (!decodeTraceBlockPayload(Payload, Ref.PayloadBytes, Ref.Events,
-                               NumSites, NextIndex, InstRet, Out)) {
+                               NumSites, InstRet, Out)) {
     Error = "malformed event encoding in trace block";
     return false;
   }
@@ -600,11 +564,11 @@ bool MaterializedTrace::verifyAllBlocks() const {
   for (size_t B = 0; B < Blocks.size(); ++B) {
     if (isVerified(B))
       continue;
-    // Validity does not depend on the reconstruction counters, so each
-    // block verifies on its own.
-    uint64_t Index = 0, Inst = 0;
+    // Validity does not depend on the instruction count, so each block
+    // verifies on its own.
+    uint64_t Inst = 0;
     Scratch.resize(Blocks[B].Events);
-    if (!decodeBlock(B, Index, Inst, Scratch.data(), Error))
+    if (!decodeBlock(B, Inst, Scratch.data(), Error))
       return false;
     // Keep the scan's footprint bounded: drop the pages it has passed.
     const uint64_t Done = Blocks[B].PayloadOffset - TraceV2FrameBytes;
@@ -651,7 +615,6 @@ TraceCursor::TraceCursor(std::shared_ptr<const MaterializedTrace> Trace)
 
 void TraceCursor::reset() {
   NextBlock = 0;
-  NextIndex = 0;
   InstRet = 0;
   Error.clear();
   Staged.clear();
@@ -681,7 +644,7 @@ void TraceCursor::adviseAround(size_t B) {
 }
 
 bool TraceCursor::decodeBlock(size_t B, BranchEvent *Out) {
-  if (!Trace->decodeBlock(B, NextIndex, InstRet, Out, Error))
+  if (!Trace->decodeBlock(B, InstRet, Out, Error))
     return false;
   if (Trace->mapped())
     adviseAround(B);

@@ -16,8 +16,9 @@
 /// {u32 event count, u32 payload bytes, u64 XXH64 payload checksum,
 /// payload}; the payload stores one event as a zigzag-varint site delta
 /// (from the previous event in the block) plus a packed taken/gap byte.
-/// Event index and cumulative instruction counts are reconstructed during
-/// replay, so a replayed stream is bit-identical to the recorded one.
+/// The cumulative instruction count (InstRet) is reconstructed from the
+/// gaps during replay, so a replayed stream is bit-identical to the
+/// recorded one.
 ///
 /// Replay has one reader: a MaterializedTrace (the bytes plus one block
 /// index) and any number of TraceCursor event sources over it.  Bytes the
@@ -50,7 +51,7 @@ struct TraceFileLimits {
 };
 
 /// Default events per block (matches the pipeline's chunk size so one
-/// block decode fills one arena buffer).
+/// block decode fills one arena buffer: 4096 events of 16 B, 64 KiB).
 inline constexpr uint32_t TraceV2BlockEvents = 4096;
 
 /// SCT2 fixed-layout sizes.
@@ -60,14 +61,14 @@ inline constexpr size_t TraceV2HeaderBytes = 4 + 4 + 8 + 4 + 4 + 4;
 inline constexpr size_t TraceV2FrameBytes = 4 + 4 + 8;
 
 /// Decodes one block payload of \p EventCount events into \p Out
-/// (capacity >= EventCount), reconstructing Index/InstRet from the running
-/// counters, which are committed only when the whole block decodes cleanly.
-/// Returns false on malformed encoding, out-of-range site, or trailing
-/// payload bytes: the all-or-nothing block contract for untrusted bytes.
+/// (capacity >= EventCount), reconstructing InstRet from the running
+/// instruction count \p InstRet, which is committed only when the whole
+/// block decodes cleanly.  Returns false on malformed encoding,
+/// out-of-range site, or trailing payload bytes: the all-or-nothing block
+/// contract for untrusted bytes.
 bool decodeTraceBlockPayload(const uint8_t *Payload, size_t PayloadBytes,
                              uint32_t EventCount, uint32_t NumSites,
-                             uint64_t &NextIndex, uint64_t &InstRet,
-                             BranchEvent *Out);
+                             uint64_t &InstRet, BranchEvent *Out);
 
 /// Validation-free variant of decodeTraceBlockPayload for payloads already
 /// proven well-formed (written in this process, or verified by the checked
@@ -79,8 +80,7 @@ bool decodeTraceBlockPayload(const uint8_t *Payload, size_t PayloadBytes,
 /// layout.
 void decodeTraceBlockPayloadTrusted(const uint8_t *Payload,
                                     size_t PayloadBytes, uint32_t EventCount,
-                                    uint64_t &NextIndex, uint64_t &InstRet,
-                                    BranchEvent *Out);
+                                    uint64_t &InstRet, BranchEvent *Out);
 
 /// Streaming SCT2 writer: construct with the header facts, append event
 /// chunks (any chunking -- block framing is internal), then finish().
@@ -192,11 +192,11 @@ private:
   bool index(std::string &Error);
 
   /// Decodes block \p B into \p Out (capacity >= its event count),
-  /// advancing the Index/InstRet reconstruction counters.  An unverified
+  /// advancing the running instruction count \p InstRet.  An unverified
   /// block is checksummed and decoded with the checked decoder first;
   /// on rejection nothing is committed and the reason goes to \p Error.
-  bool decodeBlock(size_t B, uint64_t &NextIndex, uint64_t &InstRet,
-                   BranchEvent *Out, std::string &Error) const;
+  bool decodeBlock(size_t B, uint64_t &InstRet, BranchEvent *Out,
+                   std::string &Error) const;
 
   /// Read-ahead: madvise WILLNEED over bytes [Begin, End) of a mapping,
   /// rounded out to pages; a no-op for vector-owned bytes.
@@ -268,11 +268,11 @@ private:
 
   std::shared_ptr<const MaterializedTrace> Trace;
   size_t NextBlock = 0;
-  uint64_t NextIndex = 0;
   uint64_t InstRet = 0;
   std::string Error;
   /// Partial-consumption staging: filled when the caller's buffer cannot
-  /// hold the next whole block.
+  /// hold the next whole block (at most one block of 16-byte events,
+  /// 64 KiB at the default block size).
   std::vector<BranchEvent> Staged;
   size_t StagedPos = 0;
   /// Page floor below which the cursor has dropped every page.

@@ -9,7 +9,7 @@
 #include "support/AliasTable.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 using namespace specctrl;
 using namespace specctrl::workload;
@@ -34,11 +34,10 @@ bool inputFlip(const InputConfig &In, const BehaviorSpec &B, SiteId Site) {
 TraceGenerator::TraceGenerator(const WorkloadSpec &Spec,
                                const InputConfig &In)
     : Spec(Spec), Input(In), R(0) {
-  assert(Spec.numSites() > 0 && "workload has no branch sites");
-  assert(Spec.NumPhases >= 1 && Spec.NumPhases <= 16 &&
-         "phase count out of range");
-  assert(Spec.MinGap >= 1 && Spec.MinGap <= Spec.MaxGap &&
-         "bad instruction-gap range");
+  const std::string Violation = Spec.validate();
+  if (!Violation.empty())
+    throw std::invalid_argument("invalid workload spec '" + Spec.Name +
+                                "': " + Violation);
   buildPhaseTables();
   GapDraw = BoundedDraw(uint64_t(Spec.MaxGap) - Spec.MinGap + 1);
   reset();
@@ -105,22 +104,22 @@ void TraceGenerator::reset() {
   R.reseed(Spec.Seed ^ (Input.Seed * 0x9E3779B97F4A7C15ull));
   ExecCounts.assign(Spec.numSites(), 0);
   States.assign(Spec.numSites(), BehaviorState());
-  NextIndex = 0;
+  Generated = 0;
   InstRet = 0;
 }
 
 size_t TraceGenerator::nextBatch(std::span<BranchEvent> Buffer) {
   const bool FixedGap = Spec.MinGap == Spec.MaxGap;
   const uint32_t MinGap = Spec.MinGap;
-  uint64_t Index = NextIndex;
+  uint64_t Position = Generated;
   uint64_t Retired = InstRet;
   // The loop draws from a copy of R that no store through Buffer or
   // ExecCounts can alias, so its state stays in registers; R is synced
   // around drawOutcome and at the end.
   Rng Draws = R;
   size_t Filled = 0;
-  while (Filled < Buffer.size() && Index < Input.Events) {
-    unsigned Phase = static_cast<unsigned>(Index / EventsPerPhase);
+  while (Filled < Buffer.size() && Position < Input.Events) {
+    unsigned Phase = static_cast<unsigned>(Position / EventsPerPhase);
     if (Phase >= Spec.NumPhases)
       Phase = Spec.NumPhases - 1; // remainder events stay in the last phase
 
@@ -133,7 +132,7 @@ size_t TraceGenerator::nextBatch(std::span<BranchEvent> Buffer) {
             : (static_cast<uint64_t>(Phase) + 1) * EventsPerPhase;
     Boundary = std::min(Boundary, Input.Events);
     const size_t Segment = static_cast<size_t>(std::min<uint64_t>(
-        Buffer.size() - Filled, Boundary - Index));
+        Buffer.size() - Filled, Boundary - Position));
 
     const PhaseTable &Table = Phases[Phase];
     const Slot *Slots = Table.Slots.data();
@@ -162,18 +161,14 @@ size_t TraceGenerator::nextBatch(std::span<BranchEvent> Buffer) {
           FixedGap ? MinGap
                    : MinGap + static_cast<uint32_t>(GapDraw.draw(Draws));
       Retired += Gap + 1;
-
-      BranchEvent &Event = Out[I];
-      Event.Site = Site;
-      Event.Taken = Taken;
-      Event.Gap = Gap;
-      Event.Index = Index++;
-      Event.InstRet = Retired;
+      // One whole-value store: validate() bounds MaxGap by the u16 field.
+      Out[I] = BranchEvent{Site, Taken, static_cast<uint16_t>(Gap), Retired};
     }
+    Position += Segment;
     Filled += Segment;
   }
   R = Draws;
-  NextIndex = Index;
+  Generated = Position;
   InstRet = Retired;
   return Filled;
 }

@@ -28,6 +28,8 @@ namespace workload {
 /// Streams the branch events of one (workload, input) run.
 class TraceGenerator : public EventSource {
 public:
+  /// Throws std::invalid_argument naming the violation when
+  /// Spec.validate() reports one, in every build.
   TraceGenerator(const WorkloadSpec &Spec, const InputConfig &In);
 
   /// Fills \p Buffer in one tight pass (phase lookup hoisted out of the
@@ -38,7 +40,7 @@ public:
   void reset();
 
   uint64_t totalEvents() const { return Input.Events; }
-  uint64_t eventsGenerated() const { return NextIndex; }
+  uint64_t eventsGenerated() const { return Generated; }
   uint64_t instructionsRetired() const { return InstRet; }
   const WorkloadSpec &spec() const { return Spec; }
   const InputConfig &input() const { return Input; }
@@ -83,7 +85,7 @@ private:
 
   std::vector<uint64_t> ExecCounts;
   std::vector<BehaviorState> States;
-  uint64_t NextIndex = 0;
+  uint64_t Generated = 0;
   uint64_t InstRet = 0;
 };
 

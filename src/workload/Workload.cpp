@@ -6,8 +6,11 @@
 
 #include "workload/Workload.h"
 
+#include "workload/EventStream.h"
+
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 using namespace specctrl;
 using namespace specctrl::workload;
@@ -33,6 +36,30 @@ bool InputConfig::parameterBit(SiteId Site) const {
 bool InputConfig::covers(SiteId Site) const {
   const uint64_t H = mix(Seed ^ (0xC3C3C3C3ull + Site));
   return static_cast<double>(H >> 11) * 0x1.0p-53 < CoverProb;
+}
+
+std::string WorkloadSpec::validate() const {
+  if (Sites.empty())
+    return "workload has no branch sites";
+  if (NumPhases < 1 || NumPhases > 16)
+    return "phase count " + std::to_string(NumPhases) + " is outside 1-16";
+  if (MinGap < 1 || MinGap > MaxGap)
+    return "instruction-gap range " + std::to_string(MinGap) + "-" +
+           std::to_string(MaxGap) + " needs 1 <= MinGap <= MaxGap";
+  constexpr unsigned GapLimit =
+      std::numeric_limits<decltype(BranchEvent::Gap)>::max();
+  if (MaxGap > GapLimit)
+    return "MaxGap " + std::to_string(MaxGap) + " exceeds " +
+           std::to_string(GapLimit) + ", the event's gap field";
+  for (SiteId S = 0; S < numSites(); ++S) {
+    const BehaviorSpec &B = Sites[S].Behavior;
+    if ((B.Kind == BehaviorKind::Soften || B.Kind == BehaviorKind::Periodic ||
+         B.Kind == BehaviorKind::RandomWalk) &&
+        B.Period == 0)
+      return "site " + std::to_string(S) + " (" + behaviorKindName(B.Kind) +
+             ") has period 0";
+  }
+  return {};
 }
 
 InputConfig WorkloadSpec::refInput() const {

@@ -80,6 +80,14 @@ struct WorkloadSpec {
     return static_cast<unsigned>(GroupOn.size());
   }
 
+  /// The first violated rule of a spec the trace generator can run, as a
+  /// message; empty when the spec is valid.  The rules: at least one
+  /// site, 1-16 phases, 1 <= MinGap <= MaxGap <= 65535 (the event's gap
+  /// field is 16 bits), and a nonzero Period for every Soften, Periodic
+  /// and RandomWalk site.  TraceGenerator's constructor checks it in
+  /// every build.
+  std::string validate() const;
+
   /// The evaluation input (run length RefEvents).
   InputConfig refInput() const;
   /// The differing profiling input (run length TrainEvents, different

@@ -1,7 +1,8 @@
 # Drives specctrl-trace's file paths end to end: --record with the command
 # that made the golden trace must write the golden byte for byte, and
 # --stats and --replay on the recorded file must exit 0 and report its
-# event count.
+# event count.  --head 5 with the same command must print the stream's
+# first five events: index, site, taken, instret.
 #
 # Usage:
 #   cmake -DBIN=<specctrl-trace> -DGOLDEN=<file> -DOUT=<file> -DEVENTS=<n>
@@ -13,10 +14,11 @@ foreach(Var IN ITEMS BIN GOLDEN OUT EVENTS)
   endif()
 endforeach()
 
+set(GOLDEN_COMMAND --bench=gzip --input=train --events-per-billion=100
+                   --site-scale=0.1)
+
 file(REMOVE "${OUT}")
-execute_process(COMMAND "${BIN}" --bench=gzip --input=train
-                        --events-per-billion=100 --site-scale=0.1
-                        "--record=${OUT}"
+execute_process(COMMAND "${BIN}" ${GOLDEN_COMMAND} "--record=${OUT}"
                 RESULT_VARIABLE Rc)
 if(NOT Rc EQUAL 0)
   message(FATAL_ERROR "${BIN} --record exited with ${Rc}")
@@ -46,3 +48,16 @@ foreach(Mode IN ITEMS stats replay)
                         "${Out}")
   endif()
 endforeach()
+
+execute_process(COMMAND "${BIN}" ${GOLDEN_COMMAND} --head 5
+                OUTPUT_VARIABLE Out RESULT_VARIABLE Rc)
+if(NOT Rc EQUAL 0)
+  message(FATAL_ERROR "${BIN} --head 5 exited with ${Rc}")
+endif()
+set(Want "^index +site +taken +instret\n-+\n"
+         "0 +5 +T +9\n1 +14 +N +14\n2 +13 +N +21\n"
+         "3 +14 +N +23\n4 +10 +T +25\n$")
+string(CONCAT Want ${Want})
+if(NOT Out MATCHES "${Want}")
+  message(FATAL_ERROR "${BIN} --head 5 printed other events:\n${Out}")
+endif()

@@ -96,12 +96,10 @@ class RecordingObserver final : public TraceObserver {
 public:
   void onEvent(const BranchEvent &Event,
                const BranchVerdict &Verdict) override {
-    Sites.push_back(Event.Site);
-    Indices.push_back(Event.Index);
+    Events.push_back(Event);
     Speculated.push_back(Verdict.Speculated);
   }
-  std::vector<SiteId> Sites;
-  std::vector<uint64_t> Indices;
+  std::vector<BranchEvent> Events;
   std::vector<bool> Speculated;
 };
 
@@ -123,13 +121,16 @@ TEST(DriverTest, DefaultOnBatchForwardsPerEventInOrder) {
     ReactiveController C(Cfg);
     runWorkload(C, Spec, Spec.refInput(), &Batched, /*BatchEvents=*/257);
   }
-  ASSERT_EQ(PerEvent.Sites.size(), Spec.RefEvents);
-  EXPECT_EQ(PerEvent.Sites, Batched.Sites);
-  EXPECT_EQ(PerEvent.Indices, Batched.Indices);
+  ASSERT_EQ(PerEvent.Events.size(), Spec.RefEvents);
+  EXPECT_EQ(PerEvent.Events, Batched.Events);
   EXPECT_EQ(PerEvent.Speculated, Batched.Speculated);
-  // Indices arrive in stream order.
-  for (size_t I = 0; I < Batched.Indices.size(); ++I)
-    EXPECT_EQ(Batched.Indices[I], I);
+  // Events arrive in stream order.
+  TraceGenerator Gen(Spec, Spec.refInput());
+  BranchEvent E;
+  for (size_t I = 0; I < Batched.Events.size(); ++I) {
+    ASSERT_TRUE(Gen.next(E));
+    ASSERT_EQ(Batched.Events[I], E) << "event " << I;
+  }
 }
 
 TEST(DriverTest, MetricsCountEventsAndChunks) {

@@ -33,9 +33,8 @@ BranchEvent mk(uint64_t I) {
   BranchEvent E;
   E.Site = static_cast<SiteId>(I % 7);
   E.Taken = (I & 1) != 0;
-  E.Gap = static_cast<uint32_t>(I % 13);
-  E.Index = I;
-  E.InstRet = I * 3 + 1;
+  E.Gap = static_cast<uint16_t>(I % 13);
+  E.InstRet = I * 3 + 1; // unique per I, so a reordered event shows
   return E;
 }
 

@@ -30,8 +30,8 @@ namespace specctrl {
 namespace workload {
 
 /// An EventSource view that drops the first \p Skip events of \p Inner and
-/// then streams the rest unchanged (Index/InstRet keep their original
-/// values, so the tail is bit-identical to the uninterrupted stream).
+/// then streams the rest unchanged (InstRet keeps its original values, so
+/// the tail is bit-identical to the uninterrupted stream).
 class SkipSource final : public EventSource {
 public:
   SkipSource(EventSource &Inner, uint64_t Skip)

@@ -115,7 +115,7 @@ TEST(TraceArenaTest, CursorResetRestartsTheStream) {
   TraceCursor Source(Trace);
 
   // Consume a ragged prefix, then reset: the stream must restart from
-  // event zero with Index/InstRet reconstruction rewound too.
+  // event zero with the InstRet reconstruction rewound too.
   std::vector<BranchEvent> Chunk(257);
   ASSERT_GT(Source.nextBatch(Chunk), 0u);
   ASSERT_GT(Source.nextBatch(Chunk), 0u);

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+
 using namespace specctrl;
 using namespace specctrl::workload;
 
@@ -101,9 +105,9 @@ TEST(TraceGeneratorTest, PhaseMaskConfinesSite) {
   BranchEvent E;
   uint64_t LastPhase0Event = 0;
   const uint64_t PhaseLen = Spec.RefEvents / Spec.NumPhases;
-  while (Gen.next(E))
+  for (uint64_t Position = 0; Gen.next(E); ++Position)
     if (E.Site == 3)
-      LastPhase0Event = E.Index;
+      LastPhase0Event = Position;
   // Site 3 is restricted to phase 0.
   EXPECT_LT(LastPhase0Event, PhaseLen);
   EXPECT_GT(Gen.siteExecCounts()[3], 0u);
@@ -158,4 +162,85 @@ TEST(TraceGeneratorTest, ExpectedExecsTrackEmpirical) {
     EXPECT_NEAR(static_cast<double>(Counts[S]) / Expected[S], 1.0, 0.15)
         << "site " << S;
   }
+}
+
+namespace {
+
+/// Requires \p Spec to fail validate() with a message containing \p Rule,
+/// and TraceGenerator's constructor to throw that message.
+void expectRejected(const WorkloadSpec &Spec, const std::string &Rule) {
+  const std::string Violation = Spec.validate();
+  EXPECT_NE(Violation.find(Rule), std::string::npos) << Violation;
+  try {
+    TraceGenerator Gen(Spec, Spec.refInput());
+    ADD_FAILURE() << "generator accepted a spec that breaks: " << Rule;
+  } catch (const std::invalid_argument &E) {
+    EXPECT_NE(std::string(E.what()).find(Violation), std::string::npos)
+        << E.what();
+  }
+}
+
+} // namespace
+
+TEST(TraceGeneratorTest, RejectsSpecWithoutSites) {
+  WorkloadSpec Spec = makeTinySpec();
+  Spec.Sites.clear();
+  expectRejected(Spec, "no branch sites");
+}
+
+TEST(TraceGeneratorTest, RejectsPhaseCountOutsideOneToSixteen) {
+  for (const unsigned Phases : {0u, 17u}) {
+    WorkloadSpec Spec = makeTinySpec();
+    Spec.NumPhases = Phases;
+    expectRejected(Spec, "phase count " + std::to_string(Phases));
+  }
+}
+
+TEST(TraceGeneratorTest, RejectsGapRangeOutOfOrder) {
+  WorkloadSpec ZeroMin = makeTinySpec();
+  ZeroMin.MinGap = 0;
+  expectRejected(ZeroMin, "needs 1 <= MinGap <= MaxGap");
+  WorkloadSpec Inverted = makeTinySpec();
+  Inverted.MinGap = 9;
+  Inverted.MaxGap = 8;
+  expectRejected(Inverted, "needs 1 <= MinGap <= MaxGap");
+}
+
+TEST(TraceGeneratorTest, RejectsGapBeyondSixteenBits) {
+  WorkloadSpec Spec = makeTinySpec();
+  Spec.MaxGap = 65536;
+  expectRejected(Spec, "MaxGap 65536 exceeds 65535");
+}
+
+TEST(TraceGeneratorTest, RejectsZeroPeriod) {
+  // Each of these kinds divides by its period; unchecked, a Periodic site
+  // with period 0 raises SIGFPE in a build without asserts.
+  for (const BehaviorSpec &B :
+       {BehaviorSpec::soften(0.99, 0.6, 10, 0),
+        BehaviorSpec::periodic(0.99, 0.01, 0),
+        BehaviorSpec::randomWalk(0.5, 0)}) {
+    WorkloadSpec Spec = makeTinySpec();
+    Spec.Sites[1].Behavior = B;
+    expectRejected(Spec, std::string("site 1 (") + behaviorKindName(B.Kind) +
+                             ") has period 0");
+  }
+}
+
+TEST(TraceGeneratorTest, GeneratesAtMaxGap65535) {
+  WorkloadSpec Spec = makeTinySpec();
+  Spec.MinGap = 65000;
+  Spec.MaxGap = 65535;
+  ASSERT_EQ(Spec.validate(), "");
+  TraceGenerator Gen(Spec, Spec.refInput());
+  BranchEvent E;
+  uint64_t PrevInstRet = 0;
+  uint32_t Widest = 0;
+  while (Gen.next(E)) {
+    ASSERT_GE(E.Gap, Spec.MinGap);
+    ASSERT_EQ(E.InstRet, PrevInstRet + E.Gap + 1);
+    PrevInstRet = E.InstRet;
+    Widest = std::max<uint32_t>(Widest, E.Gap);
+  }
+  EXPECT_EQ(Gen.eventsGenerated(), Spec.RefEvents);
+  EXPECT_GT(Widest, 65500u); // the top of the range is reached, untruncated
 }

@@ -5,8 +5,8 @@
 // mapped file (untrusted).  For every suite benchmark, both inputs, and
 // consumer chunk sizes 4096 (one block, the zero-copy path), 257 (never
 // divides a block, the staging path), and 1 (per event), the replayed
-// stream must equal the generator's event for event, Index and InstRet
-// included.
+// stream must equal the generator's event for event, the reconstructed
+// InstRet included.
 //
 //===----------------------------------------------------------------------===//
 

@@ -3,11 +3,14 @@
 // Bit-for-bit pins of the trace generator's event streams.  Every suite
 // benchmark under both inputs at a reduced scale, one suite benchmark under
 // a non-default WorkloadSpec::Seed, and hand-built specs that take the
-// paths the suite never does (a fixed gap, a gap range whose size is not a
-// power of two, a phase with no active site, 1 and 16 phases, a single
-// site).  Each stream pins one XXH64 digest over every event's site, taken
-// bit, gap, index and instret, chained in event order, and then over the
-// final siteExecCounts().
+// paths the suite never does (a fixed gap, gap ranges whose sizes are not
+// powers of two, up to the widest range a 16-bit gap holds, a phase with
+// no active site, 1 and 16 phases, a single site).  Each stream pins one
+// XXH64 digest over every event's site, taken bit, gap, position in the
+// stream and instret, chained in event order, and then over the final
+// siteExecCounts().  The position is counted here: events stopped storing
+// it after the digests were captured, and it is hashed in the word that
+// held it, so the digests did not move.
 //
 // The digests were captured from the generator as it stood before its
 // per-event loop was rewritten to draw without division (support/Rng.h's
@@ -61,8 +64,8 @@ uint64_t streamDigest(const WorkloadSpec &Spec, const InputConfig &In,
   while (const size_t N = Gen.nextBatch(Buffer)) {
     for (size_t I = 0; I < N; ++I) {
       const BranchEvent &E = Buffer[I];
-      const uint64_t Words[5] = {E.Site, E.Taken ? 1u : 0u, E.Gap, E.Index,
-                                 E.InstRet};
+      const uint64_t Words[5] = {E.Site, E.Taken ? 1u : 0u, E.Gap,
+                                 Events + I, E.InstRet};
       Digest = hash64(Words, sizeof(Words), Digest);
     }
     Events += N;
@@ -158,9 +161,13 @@ const HandPin HandPins[] = {
      0x7e3b78559eacc3fb, 0x7610f0b78b56f897},
     {"gap-range-7", [] { return handSpec("gap-range-7", 8, 3, 9); },
      0x8d990373b8004d53, 0xbefbdef05ab38d07},
-    {"gap-range-huge",
-     [] { return handSpec("gap-range-huge", 4, 1, 1000003); },
-     0xc36a39abd2cfd896, 0x74a3a9ca0113d7ff},
+    // The widest gap range an event's 16-bit gap holds (a wider one fails
+    // WorkloadSpec::validate).  Captured later than the other pins, from
+    // the generator as it stood just before events narrowed their gap to
+    // 16 bits.
+    {"gap-range-widest",
+     [] { return handSpec("gap-range-widest", 4, 1, 65535); },
+     0x61ccd634f8523e11, 0x616dccda123e0a1a},
     {"one-phase", [] { return handSpec("one-phase", 1, 1, 8); },
      0x7693ce42b67fa03c, 0x615bf1f25f71bf0b},
     {"sixteen-phases", [] { return handSpec("sixteen-phases", 16, 2, 6); },

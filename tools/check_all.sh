@@ -4,8 +4,9 @@
 #
 #   1. tier-1: configure and build build/ (RelWithDebInfo, asserts on),
 #      then the full ctest;
-#   2. the fast ctest label in an AddressSanitizer tree (build-asan/) and
-#      in an UndefinedBehaviorSanitizer tree (build-ubsan/);
+#   2. the fast ctest label and the SPSC ring tests (RingBuffer, outside
+#      the fast label) in an AddressSanitizer tree (build-asan/) and in an
+#      UndefinedBehaviorSanitizer tree (build-ubsan/);
 #   3. the engine concurrency tests, the mapped trace store's tests and
 #      every serve test in a ThreadSanitizer tree (build-tsan/): cursors in
 #      several threads race on one mapping's per-block verified bits, and
@@ -32,13 +33,15 @@ echo "== tier-1 (build/)"
 configure build
 (cd build && ctest --output-on-failure -j "$JOBS")
 
-echo "== ASan, fast label (build-asan/)"
+echo "== ASan, fast label and the ring (build-asan/)"
 configure build-asan -DSPECCTRL_ASAN=ON
-(cd build-asan && ctest -L fast --output-on-failure -j "$JOBS")
+(cd build-asan && ctest -L fast --output-on-failure -j "$JOBS" &&
+  ctest -R RingBuffer --output-on-failure -j "$JOBS")
 
-echo "== UBSan, fast label (build-ubsan/)"
+echo "== UBSan, fast label and the ring (build-ubsan/)"
 configure build-ubsan -DSPECCTRL_UBSAN=ON
-(cd build-ubsan && ctest -L fast --output-on-failure -j "$JOBS")
+(cd build-ubsan && ctest -L fast --output-on-failure -j "$JOBS" &&
+  ctest -R RingBuffer --output-on-failure -j "$JOBS")
 
 echo "== TSan, engine concurrency, the trace store and the serve layer (build-tsan/)"
 configure build-tsan -DSPECCTRL_TSAN=ON

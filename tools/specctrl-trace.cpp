@@ -184,12 +184,14 @@ int main(int Argc, char **Argv) try {
     std::vector<BranchEvent> Events(static_cast<size_t>(Head));
     Events.resize(Gen.nextBatch(Events));
     Table Out({"index", "site", "taken", "instret"});
-    for (const BranchEvent &E : Events)
+    for (size_t I = 0; I < Events.size(); ++I) {
+      const BranchEvent &E = Events[I];
       Out.row()
-          .cell(E.Index)
+          .cell(static_cast<uint64_t>(I))
           .cell(static_cast<uint64_t>(E.Site))
           .cell(E.Taken ? "T" : "N")
           .cell(E.InstRet);
+    }
     Out.printText(std::cout);
     return 0;
   }
