@@ -28,20 +28,39 @@ void bench::addScaleOptions(OptionSet &Opts) {
 }
 
 workload::SuiteScale bench::readScale(const OptionSet &Opts) {
-  const auto Positive = [&Opts](const char *Name) {
-    const double Value = Opts.getDouble(Name);
-    if (!std::isfinite(Value) || !(Value > 0.0)) {
-      std::fprintf(stderr,
-                   "error: --%s must be a finite number > 0, got %g\n", Name,
-                   Value);
-      std::exit(2);
-    }
-    return Value;
-  };
   workload::SuiteScale Scale;
-  Scale.EventsPerBillion = Positive("events-per-billion");
-  Scale.SiteScale = Positive("site-scale");
+  Scale.EventsPerBillion = Opts.getDouble("events-per-billion");
+  Scale.SiteScale = Opts.getDouble("site-scale");
+  const std::string Error = Scale.validate();
+  if (!Error.empty()) {
+    std::fprintf(stderr, "error: --events-per-billion %g --site-scale %g: %s\n",
+                 Scale.EventsPerBillion, Scale.SiteScale, Error.c_str());
+    std::exit(2);
+  }
   return Scale;
+}
+
+uint64_t bench::readCount(const OptionSet &Opts, const char *Name,
+                          int64_t Min) {
+  const int64_t Value = Opts.getInt(Name);
+  if (Value < Min) {
+    std::fprintf(stderr, "error: --%s must be >= %lld, got %lld\n", Name,
+                 static_cast<long long>(Min), static_cast<long long>(Value));
+    std::exit(2);
+  }
+  return static_cast<uint64_t>(Value);
+}
+
+double bench::readThreshold(const OptionSet &Opts, const char *Name) {
+  core::ReactiveConfig Config;
+  Config.SelectThreshold = Opts.getDouble(Name);
+  const std::string Error = Config.validate();
+  if (!Error.empty()) {
+    std::fprintf(stderr, "error: --%s: %s, got %g\n", Name, Error.c_str(),
+                 Config.SelectThreshold);
+    std::exit(2);
+  }
+  return Config.SelectThreshold;
 }
 
 void bench::addBenchmarksOption(OptionSet &Opts) {
@@ -248,8 +267,8 @@ bench::collectProfile(const workload::WorkloadSpec &Spec,
 
 core::ReactiveConfig bench::scaledBaseline(const OptionSet &Opts) {
   core::ReactiveConfig C = core::ReactiveConfig::baseline();
-  C.OptLatency = static_cast<uint64_t>(Opts.getInt("opt-latency"));
-  C.WaitPeriod = static_cast<uint64_t>(Opts.getInt("wait-period"));
+  C.OptLatency = readCount(Opts, "opt-latency", 0);
+  C.WaitPeriod = readCount(Opts, "wait-period", 0);
   return C;
 }
 

@@ -63,10 +63,25 @@ void addCsvOption(OptionSet &Opts);
 /// binaries that build workloads, and the inspection tools.
 void addScaleOptions(OptionSet &Opts);
 
-/// Reads the scale options back.  A value that is not a finite number
-/// > 0 prints an `error:` line and exits with status 2, the usage-error
-/// code.
+/// Reads the scale options back.  A scale SuiteScale::validate rejects (a
+/// factor that is not a finite number > 0, or one whose derived counts
+/// overflow) prints an `error:` line and exits with status 2, the
+/// usage-error code.
 workload::SuiteScale readScale(const OptionSet &Opts);
+
+/// The checked readers of a bench's own numeric options.  A value the
+/// option's rule rejects prints `error: --NAME ...` and exits with status
+/// 2, like readScale.
+///
+/// readCount reads integer option \p Name, which must be >= \p Min
+/// (--iterations, --block, --tracks, --flush-interval and --pump-events
+/// take Min 1; --opt-latency and --wait-period take 0).
+uint64_t readCount(const OptionSet &Opts, const char *Name, int64_t Min);
+
+/// readThreshold reads double option \p Name as a selection bias
+/// threshold, which must obey ReactiveConfig::validate's rule for
+/// SelectThreshold: finite and in (0.5, 1].
+double readThreshold(const OptionSet &Opts, const char *Name);
 
 /// --benchmarks: binaries that select suite members.  The MSSP benches
 /// register it alone, since they synthesize programs from the selected
@@ -97,7 +112,7 @@ void addSweepOptions(OptionSet &Opts);
 /// negligible against billion-instruction sites but would dominate our
 /// ~1/300-length runs; --opt-latency overrides, and the fig5/fig8 latency
 /// sweeps restore the paper's values explicitly).  Needs
-/// addBaselineOptions.
+/// addBaselineOptions; reads both through readCount with Min 0.
 core::ReactiveConfig scaledBaseline(const OptionSet &Opts);
 
 /// Reads back every standard option group that was registered.  A value

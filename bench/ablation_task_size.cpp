@@ -34,8 +34,7 @@ int main(int Argc, char **Argv) try {
 
   const workload::BenchmarkProfile &Profile =
       profileByName(Opts.getString("bench"));
-  const uint64_t Iterations =
-      static_cast<uint64_t>(Opts.getInt("iterations"));
+  const uint64_t Iterations = readCount(Opts, "iterations", 1);
 
   printBanner("Ablation: task size",
               Profile.Name + "-like program: task granularity vs squash "

@@ -66,7 +66,7 @@ int main(int Argc, char **Argv) {
   // comfortably spans one monitor window, and the per-site skew spreads
   // the flips across the population.
   AdversarialPumpSpec Pump;
-  Pump.Events = static_cast<uint64_t>(Opts.getInt("pump-events"));
+  Pump.Events = readCount(Opts, "pump-events", 1);
   Pump.PumpPeriod = 3 * Base.MonitorPeriod;
   Pump.PeriodSkew = Base.MonitorPeriod / 8;
 

@@ -52,8 +52,7 @@ int main(int Argc, char **Argv) {
   ReactiveConfig Open = Base;
   Open.EnableEviction = false;
   Open.EnableRevisit = false;
-  const uint64_t FlushInterval =
-      static_cast<uint64_t>(Opts.getInt("flush-interval"));
+  const uint64_t FlushInterval = readCount(Opts, "flush-interval", 1);
 
   // One column per policy; all four replay each benchmark's one shared
   // materialization.

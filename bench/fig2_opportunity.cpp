@@ -71,7 +71,7 @@ int main(int Argc, char **Argv) {
   if (!Opts.parse(Argc, Argv))
     return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
-  const double Threshold = Opts.getDouble("threshold");
+  const double Threshold = readThreshold(Opts, "threshold");
 
   printBanner("Figure 2",
               "correct vs incorrect speculation: self-training frontier, "

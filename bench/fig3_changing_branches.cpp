@@ -36,8 +36,8 @@ int main(int Argc, char **Argv) try {
 
   const WorkloadSpec Spec =
       makeBenchmark(Opts.getString("bench"), Opt.Scale);
-  const unsigned Tracks = static_cast<unsigned>(Opts.getInt("tracks"));
-  const uint64_t Block = static_cast<uint64_t>(Opts.getInt("block"));
+  const uint64_t Tracks = readCount(Opts, "tracks", 1);
+  const uint64_t Block = readCount(Opts, "block", 1);
 
   printBanner("Figure 3",
               "per-branch bias over blocks of " + std::to_string(Block) +

@@ -70,8 +70,7 @@ int main(int Argc, char **Argv) {
   if (!Opts.parse(Argc, Argv))
     return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
-  const uint64_t Iterations =
-      static_cast<uint64_t>(Opts.getInt("iterations"));
+  const uint64_t Iterations = readCount(Opts, "iterations", 1);
   const bool ValueSpec = Opts.getFlag("value-spec");
 
   printBanner("Figure 7",

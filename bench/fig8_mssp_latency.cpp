@@ -38,8 +38,7 @@ int main(int Argc, char **Argv) {
   if (!Opts.parse(Argc, Argv))
     return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
-  const uint64_t Iterations =
-      static_cast<uint64_t>(Opts.getInt("iterations"));
+  const uint64_t Iterations = readCount(Opts, "iterations", 1);
 
   printBanner("Figure 8",
               "MSSP speedup over the superscalar baseline at optimization "

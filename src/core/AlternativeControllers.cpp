@@ -7,6 +7,7 @@
 #include "core/AlternativeControllers.h"
 
 #include <cassert>
+#include <stdexcept>
 
 using namespace specctrl;
 using namespace specctrl::core;
@@ -15,7 +16,8 @@ DynamoFlushController::DynamoFlushController(const ReactiveConfig &Config,
                                              uint64_t FlushInterval)
     : Config(Config), FlushInterval(FlushInterval),
       NextFlushAt(FlushInterval) {
-  assert(FlushInterval > 0 && "flush interval must be positive");
+  if (FlushInterval == 0)
+    throw std::invalid_argument("flush interval must be positive");
 }
 
 DynamoFlushController::SiteState &DynamoFlushController::state(SiteId Site) {

@@ -44,7 +44,8 @@ public:
   /// \p FlushInterval is in dynamic instructions (Dynamo's preemptive
   /// fragment-cache flushes).  Classification parameters (monitor period,
   /// threshold, latency) come from \p Config; the reactive arcs are
-  /// ignored -- flushing is the only feedback.
+  /// ignored -- flushing is the only feedback.  Throws
+  /// std::invalid_argument when \p FlushInterval is 0.
   DynamoFlushController(const ReactiveConfig &Config,
                         uint64_t FlushInterval);
 

@@ -1,15 +1,14 @@
-//===- distill/CodeCache.h - Versioned distilled-code storage ---*- C++ -*-===//
+//===- distill/CodeCache.h - Distilled-code storage -------------*- C++ -*-===//
 //
 // Part of the specctrl project (CGO 2005 reactive speculation reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Storage for distilled code versions.  Each function id owns a chain of
-/// versions; deployment hands stable Function pointers to the interpreter's
-/// code map.  Version counts feed the "fewer re-optimizations than model
-/// transitions" observation of Sec. 4.3: one regeneration can fold several
-/// controller transitions into a single new version.
+/// Append-only storage for distilled code versions.  The execution engine's
+/// code map holds plain Function pointers into this store, so a version
+/// must outlive every dispatch of it; nothing is ever looked up or freed
+/// before the store itself goes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,14 +19,13 @@
 #include "distill/Distiller.h"
 #include "ir/Verifier.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
-#include <map>
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace specctrl {
 namespace distill {
@@ -35,7 +33,8 @@ namespace distill {
 /// Owns distilled versions; pointers remain valid for the cache lifetime.
 class CodeCache {
 public:
-  /// Installs a new version for \p FuncId and returns a stable pointer.
+  /// Installs a new version of function \p FuncId and returns a stable
+  /// pointer to it.
   const ir::Function *install(uint32_t FuncId, ir::Function Version) {
     // Deploy-time gate (SPECCTRL_VERIFY): nothing structurally
     // broken may enter the cache, whatever produced it.
@@ -49,72 +48,16 @@ public:
         std::abort();
       }
     }
-    Entry &E = Entries[FuncId];
-    E.Versions.push_back(std::move(Version));
-    return &E.Versions.back();
+    Versions.push_back(std::move(Version));
+    return &Versions.back();
   }
 
-  /// Looks up a version previously installed via installKeyed whose
-  /// request key matches exactly.  \p KeyBytes is a canonical
-  /// serialization of the distillation request; \p KeyHash its hash.  The
-  /// hash narrows the scan, the byte comparison eliminates any collision
-  /// risk -- a hit is guaranteed to be the code for this exact request.
-  const ir::Function *findKeyed(uint32_t FuncId, uint64_t KeyHash,
-                                const std::vector<uint8_t> &KeyBytes) const {
-    const auto It = Entries.find(FuncId);
-    if (It == Entries.end())
-      return nullptr;
-    for (const KeyedVersion &K : It->second.Keyed)
-      if (K.Hash == KeyHash && K.Key == KeyBytes)
-        return K.Fn;
-    return nullptr;
-  }
-
-  /// Installs a new version for \p FuncId under a request key, so later
-  /// rebuilds with the same key can be served by findKeyed.
-  const ir::Function *installKeyed(uint32_t FuncId, uint64_t KeyHash,
-                                   std::vector<uint8_t> KeyBytes,
-                                   ir::Function Version) {
-    const ir::Function *Fn = install(FuncId, std::move(Version));
-    Entries[FuncId].Keyed.push_back({KeyHash, std::move(KeyBytes), Fn});
-    return Fn;
-  }
-
-  /// Latest installed version, or nullptr if none exists.
-  const ir::Function *current(uint32_t FuncId) const {
-    const auto It = Entries.find(FuncId);
-    if (It == Entries.end() || It->second.Versions.empty())
-      return nullptr;
-    return &It->second.Versions.back();
-  }
-
-  /// Number of versions ever installed for \p FuncId.
-  uint32_t versionCount(uint32_t FuncId) const {
-    const auto It = Entries.find(FuncId);
-    return It == Entries.end()
-               ? 0
-               : static_cast<uint32_t>(It->second.Versions.size());
-  }
-
-  /// Total versions installed across all functions (re-optimization count).
-  uint64_t totalVersions() const {
-    uint64_t Total = 0;
-    for (const auto &[Id, E] : Entries)
-      Total += E.Versions.size();
-    return Total;
-  }
+  /// Number of versions installed, across all functions.
+  size_t size() const { return Versions.size(); }
 
 private:
-  struct KeyedVersion {
-    uint64_t Hash = 0;
-    std::vector<uint8_t> Key; ///< canonical request bytes
-    const ir::Function *Fn = nullptr;
-  };
-  struct Entry {
-    std::deque<ir::Function> Versions; ///< deque: stable element addresses
-    std::vector<KeyedVersion> Keyed;   ///< request-key index into Versions
-  };
-  std::map<uint32_t, Entry> Entries;
+  /// A deque keeps element addresses stable as versions are appended.
+  std::deque<ir::Function> Versions;
 };
 
 } // namespace distill

@@ -16,85 +16,6 @@
 using namespace specctrl;
 using namespace specctrl::exec;
 
-// The plain prefix of XOp mirrors ir::Opcode, so decode of an unfused
-// instruction is a cast.  Pin the correspondence.
-static_assert(static_cast<unsigned>(XOp::Nop) ==
-                  static_cast<unsigned>(ir::Opcode::Nop) &&
-              static_cast<unsigned>(XOp::CmpLtImm) ==
-                  static_cast<unsigned>(ir::Opcode::CmpLtImm) &&
-              static_cast<unsigned>(XOp::Load) ==
-                  static_cast<unsigned>(ir::Opcode::Load) &&
-              static_cast<unsigned>(XOp::Halt) ==
-                  static_cast<unsigned>(ir::Opcode::Halt),
-              "plain XOp values must mirror ir::Opcode");
-
-namespace {
-
-/// Fusion table: true when the adjacent pair (\p A, \p B) has a fused
-/// handler, with the superinstruction in \p Out.  Pairs are fused
-/// unconditionally on opcode shape -- the fused handlers execute both
-/// halves exactly, so no operand relation needs to hold.
-bool fusePair(XOp A, XOp B, XOp &Out) {
-  switch (A) {
-  case XOp::CmpLt:
-    if (B == XOp::Br) {
-      Out = XOp::FCmpLtBr;
-      return true;
-    }
-    return false;
-  case XOp::CmpLtImm:
-    if (B == XOp::Br) {
-      Out = XOp::FCmpLtImmBr;
-      return true;
-    }
-    return false;
-  case XOp::CmpEq:
-    if (B == XOp::Br) {
-      Out = XOp::FCmpEqBr;
-      return true;
-    }
-    return false;
-  case XOp::CmpEqImm:
-    if (B == XOp::Br) {
-      Out = XOp::FCmpEqImmBr;
-      return true;
-    }
-    return false;
-  case XOp::Load:
-    if (B == XOp::Add) {
-      Out = XOp::FLoadAdd;
-      return true;
-    }
-    if (B == XOp::AddImm) {
-      Out = XOp::FLoadAddImm;
-      return true;
-    }
-    return false;
-  case XOp::Add:
-    if (B == XOp::Store) {
-      Out = XOp::FAddStore;
-      return true;
-    }
-    return false;
-  case XOp::AddImm:
-    if (B == XOp::Store) {
-      Out = XOp::FAddImmStore;
-      return true;
-    }
-    return false;
-  case XOp::Xor:
-    if (B == XOp::Store) {
-      Out = XOp::FXorStore;
-      return true;
-    }
-    return false;
-  default:
-    return false;
-  }
-}
-
-} // namespace
-
 std::unique_ptr<DecodedFunction> exec::decodeFunction(const ir::Function &F) {
   auto DF = std::make_unique<DecodedFunction>();
   DF->Src = &F;
@@ -114,7 +35,7 @@ std::unique_ptr<DecodedFunction> exec::decodeFunction(const ir::Function &F) {
     for (uint32_t Idx = 0; Idx < BB.size(); ++Idx) {
       const ir::Instruction &I = BB.Insts[Idx];
       DecodedInst D;
-      D.Op = static_cast<XOp>(I.Op);
+      D.Op = I.Op;
       D.D = I.Dest;
       D.A = I.SrcA;
       D.B = I.SrcB;
@@ -130,24 +51,6 @@ std::unique_ptr<DecodedFunction> exec::decodeFunction(const ir::Function &F) {
         D.ThenPC = DF->BlockStart[I.ThenTarget];
       }
       DF->Insts.push_back(D);
-    }
-  }
-
-  // Fusion peephole: rewrite pair heads in place.  Non-overlapping greedy
-  // left-to-right within each block; the second half keeps its plain entry
-  // (it is both the fused handler's operand source and the resume point).
-  for (uint32_t B = 0; B < F.numBlocks(); ++B) {
-    const uint32_t Start = DF->BlockStart[B];
-    const uint32_t Size = static_cast<uint32_t>(F.block(B).size());
-    for (uint32_t Idx = 0; Idx + 1 < Size;) {
-      XOp Fused;
-      if (fusePair(DF->Insts[Start + Idx].Op, DF->Insts[Start + Idx + 1].Op,
-                   Fused)) {
-        DF->Insts[Start + Idx].Op = Fused;
-        Idx += 2;
-      } else {
-        ++Idx;
-      }
     }
   }
   return DF;

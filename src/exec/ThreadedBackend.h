@@ -7,27 +7,23 @@
 /// \file
 /// The SimIR execution engine: one direct-threaded (computed-goto)
 /// dispatch loop over a pre-decoded, flattened instruction stream.  Each
-/// code version is decoded once into a DecodedFunction -- operands widened
-/// into fixed slots, branch targets resolved to decoded-PC offsets, blocks
-/// concatenated into one array -- and then executes with a single indirect
-/// jump per instruction (token threading: each handler re-dispatches
-/// through the opcode label table).
-///
-/// Superinstruction fusion: adjacent pairs the distiller's straightened
-/// code produces in bulk (cmp+br, load+op, op+store) are rewritten at
-/// decode time into one fused handler at the pair head.  Decoded entries
-/// stay 1:1 with source instructions -- the second instruction of a pair
-/// keeps its own unfused entry -- so a fused handler reads its second
-/// half's operands from IP[1], a mid-pair stop or fuel cut lands on a real
-/// instruction, and decoded PC <-> (block, index) stays bijective.
+/// code version is decoded once into a DecodedFunction -- one entry per
+/// source instruction, carrying that instruction's own opcode, operands
+/// widened into fixed slots, branch targets resolved to decoded-PC
+/// offsets, blocks concatenated into one array -- and then executes with a
+/// single indirect jump per instruction (token threading: each handler
+/// re-dispatches through a label table indexed by ir::Opcode).  Decoded PC
+/// <-> (block, index) is bijective, so every stop, fuel cut, and position
+/// transplant lands on a real instruction.
 ///
 /// Block-charged retirement: the loop keeps no per-instruction
 /// bookkeeping.  On entry to a block (and after every control transfer) it
 /// charges the remaining straight-line stretch [IP, block end) against the
 /// fuel budget in one step and remembers the charge horizon in LimitIP;
-/// plain handlers then run with one pointer bump and an IP == LimitIP test
-/// folded into the dispatch jump.  Early exits refund the charged but
-/// unexecuted tail, so instructionsRetired() is exact at every exit.
+/// straight-line handlers then run with one pointer bump and an
+/// IP == LimitIP test folded into the dispatch jump.  Early exits refund
+/// the charged but unexecuted tail, so instructionsRetired() is exact at
+/// every exit.
 ///
 /// The policy: run() is templated on a statically dispatched policy that
 /// sees only events -- noteBranch, noteLoad, noteStore, noteCall,
@@ -58,14 +54,6 @@
 #include <memory>
 #include <unordered_map>
 #include <vector>
-
-// Token-threaded dispatch requires the GNU address-of-label extension; a
-// portable switch loop with identical semantics is kept as the fallback.
-#if defined(__GNUC__) || defined(__clang__)
-#define SPECCTRL_EXEC_COMPUTED_GOTO 1
-#else
-#define SPECCTRL_EXEC_COMPUTED_GOTO 0
-#endif
 
 namespace specctrl {
 namespace exec {
@@ -122,51 +110,10 @@ struct ArchPosition {
   bool Faulted = false;
 };
 
-/// Decoded opcode: the plain opcodes in ir::Opcode order, then the fused
-/// superinstructions.  Values index the dispatch table.
-enum class XOp : uint8_t {
-  Nop,
-  MovImm,
-  Mov,
-  Add,
-  AddImm,
-  Sub,
-  Mul,
-  And,
-  Or,
-  Xor,
-  Shl,
-  Shr,
-  CmpLt,
-  CmpLtImm,
-  CmpEq,
-  CmpEqImm,
-  Load,
-  Store,
-  Br,
-  Jmp,
-  Call,
-  Ret,
-  Halt,
-  // Fused pairs (handler at the pair head; second half's operands are read
-  // from the following decoded entry, which keeps its plain XOp).
-  FCmpLtBr,    ///< CmpLt    + Br
-  FCmpLtImmBr, ///< CmpLtImm + Br
-  FCmpEqBr,    ///< CmpEq    + Br
-  FCmpEqImmBr, ///< CmpEqImm + Br
-  FLoadAdd,    ///< Load     + Add
-  FLoadAddImm, ///< Load     + AddImm
-  FAddStore,   ///< Add      + Store
-  FAddImmStore,///< AddImm   + Store
-  FXorStore,   ///< Xor      + Store
-};
-
-inline constexpr unsigned NumXOps = static_cast<unsigned>(XOp::FXorStore) + 1;
-
 /// One pre-decoded instruction.  Exactly one entry per source instruction;
 /// branch targets are offsets into the enclosing DecodedFunction's stream.
 struct DecodedInst {
-  XOp Op = XOp::Nop;
+  ir::Opcode Op = ir::Opcode::Nop;
   uint8_t D = 0; ///< destination register slot
   uint8_t A = 0; ///< first source register slot
   uint8_t B = 0; ///< second source register slot
@@ -197,9 +144,8 @@ struct DecodedFunction {
   }
 };
 
-/// Decodes \p F (which must verify) into a flattened stream with fused
-/// superinstructions.  Exposed for tests; execution goes through
-/// ThreadedBackend's per-version cache.
+/// Decodes \p F (which must verify) into a flattened stream.  Exposed for
+/// tests; execution goes through ThreadedBackend's per-version cache.
 std::unique_ptr<DecodedFunction> decodeFunction(const ir::Function &F);
 
 /// A resumable SimIR execution over a module and a flat word memory,
@@ -315,8 +261,6 @@ private:
 // stop.  Handlers re-derive the frame pointer, code base, and register
 // window only at control-flow boundaries.
 
-#if SPECCTRL_EXEC_COMPUTED_GOTO
-#define SPECCTRL_XCASE(op) L_##op:
 // The block-charge dispatch: one compare against the charge horizon and
 // the handler's own indirect jump.  A spent charge goes back through the
 // recharger (which also ends the run when fuel is gone).
@@ -326,14 +270,6 @@ private:
       goto Recharge;                                                           \
     goto *Tbl[static_cast<unsigned>(IP->Op)];                                  \
   } while (0)
-#else
-// Portable fallback: one switch in a loop.  The L_ labels stay so fused
-// handlers can fall back to their first half's plain handler.
-#define SPECCTRL_XCASE(op)                                                     \
-  case XOp::op:                                                                \
-  L_##op:
-#define SPECCTRL_XDISPATCH() goto Dispatch
-#endif
 
 template <class PolicyT>
 StopReason ThreadedBackend::run(uint64_t MaxInstructions, PolicyT &Policy) {
@@ -361,24 +297,18 @@ StopReason ThreadedBackend::run(uint64_t MaxInstructions, PolicyT &Policy) {
   uint64_t Retired = InstRet;
   StopReason Reason = StopReason::FuelExhausted;
 
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wunused-label"
-#endif
-
-#if SPECCTRL_EXEC_COMPUTED_GOTO
-  // Indexed by XOp; must match the enum order exactly.
-  static const void *const Tbl[NumXOps] = {
+  // One handler label per ir::Opcode, in the enum's order.
+  static const void *const Tbl[] = {
       &&L_Nop,      &&L_MovImm,      &&L_Mov,      &&L_Add,
       &&L_AddImm,   &&L_Sub,         &&L_Mul,      &&L_And,
       &&L_Or,       &&L_Xor,         &&L_Shl,      &&L_Shr,
       &&L_CmpLt,    &&L_CmpLtImm,    &&L_CmpEq,    &&L_CmpEqImm,
       &&L_Load,     &&L_Store,       &&L_Br,       &&L_Jmp,
-      &&L_Call,     &&L_Ret,         &&L_Halt,     &&L_FCmpLtBr,
-      &&L_FCmpLtImmBr, &&L_FCmpEqBr, &&L_FCmpEqImmBr, &&L_FLoadAdd,
-      &&L_FLoadAddImm, &&L_FAddStore, &&L_FAddImmStore, &&L_FXorStore,
+      &&L_Call,     &&L_Ret,         &&L_Halt,
   };
-#endif
+  static_assert(sizeof(Tbl) / sizeof(Tbl[0]) ==
+                    static_cast<unsigned>(ir::Opcode::Halt) + 1,
+                "one dispatch label per ir::Opcode");
 
 Recharge:
   // IP points at a real, uncharged instruction and the previous charge is
@@ -393,89 +323,79 @@ Recharge:
     Retired += N;
     LimitIP = IP + N;
   }
-#if SPECCTRL_EXEC_COMPUTED_GOTO
   goto *Tbl[static_cast<unsigned>(IP->Op)];
-#else
-  goto Exec;
 
-Dispatch:
-  if (IP == LimitIP)
-    goto Recharge;
-Exec:
-  switch (IP->Op) {
-#endif
-
-  SPECCTRL_XCASE(Nop) {
+  L_Nop: {
     ++IP;
     SPECCTRL_XDISPATCH();
   }
-  SPECCTRL_XCASE(MovImm) {
+  L_MovImm: {
     const DecodedInst &I = *IP;
     ++IP;
     Regs[I.D] = static_cast<uint64_t>(I.Imm);
     SPECCTRL_XDISPATCH();
   }
-  SPECCTRL_XCASE(Mov) {
+  L_Mov: {
     const DecodedInst &I = *IP;
     ++IP;
     Regs[I.D] = Regs[I.A];
     SPECCTRL_XDISPATCH();
   }
-  SPECCTRL_XCASE(Add) {
+  L_Add: {
     const DecodedInst &I = *IP;
     ++IP;
     Regs[I.D] = Regs[I.A] + Regs[I.B];
     SPECCTRL_XDISPATCH();
   }
-  SPECCTRL_XCASE(AddImm) {
+  L_AddImm: {
     const DecodedInst &I = *IP;
     ++IP;
     Regs[I.D] = Regs[I.A] + static_cast<uint64_t>(I.Imm);
     SPECCTRL_XDISPATCH();
   }
-  SPECCTRL_XCASE(Sub) {
+  L_Sub: {
     const DecodedInst &I = *IP;
     ++IP;
     Regs[I.D] = Regs[I.A] - Regs[I.B];
     SPECCTRL_XDISPATCH();
   }
-  SPECCTRL_XCASE(Mul) {
+  L_Mul: {
     const DecodedInst &I = *IP;
     ++IP;
     Regs[I.D] = Regs[I.A] * Regs[I.B];
     SPECCTRL_XDISPATCH();
   }
-  SPECCTRL_XCASE(And) {
+  L_And: {
     const DecodedInst &I = *IP;
     ++IP;
     Regs[I.D] = Regs[I.A] & Regs[I.B];
     SPECCTRL_XDISPATCH();
   }
-  SPECCTRL_XCASE(Or) {
+  L_Or: {
     const DecodedInst &I = *IP;
     ++IP;
     Regs[I.D] = Regs[I.A] | Regs[I.B];
     SPECCTRL_XDISPATCH();
   }
-  SPECCTRL_XCASE(Xor) {
+  L_Xor: {
     const DecodedInst &I = *IP;
     ++IP;
     Regs[I.D] = Regs[I.A] ^ Regs[I.B];
     SPECCTRL_XDISPATCH();
   }
-  SPECCTRL_XCASE(Shl) {
+  L_Shl: {
     const DecodedInst &I = *IP;
     ++IP;
     Regs[I.D] = Regs[I.A] << (Regs[I.B] & 63);
     SPECCTRL_XDISPATCH();
   }
-  SPECCTRL_XCASE(Shr) {
+  L_Shr: {
     const DecodedInst &I = *IP;
     ++IP;
     Regs[I.D] = Regs[I.A] >> (Regs[I.B] & 63);
     SPECCTRL_XDISPATCH();
   }
-  SPECCTRL_XCASE(CmpLt) {
+  L_CmpLt: {
     const DecodedInst &I = *IP;
     ++IP;
     Regs[I.D] = static_cast<int64_t>(Regs[I.A]) <
@@ -484,25 +404,25 @@ Exec:
                     : 0;
     SPECCTRL_XDISPATCH();
   }
-  SPECCTRL_XCASE(CmpLtImm) {
+  L_CmpLtImm: {
     const DecodedInst &I = *IP;
     ++IP;
     Regs[I.D] = static_cast<int64_t>(Regs[I.A]) < I.Imm ? 1 : 0;
     SPECCTRL_XDISPATCH();
   }
-  SPECCTRL_XCASE(CmpEq) {
+  L_CmpEq: {
     const DecodedInst &I = *IP;
     ++IP;
     Regs[I.D] = Regs[I.A] == Regs[I.B] ? 1 : 0;
     SPECCTRL_XDISPATCH();
   }
-  SPECCTRL_XCASE(CmpEqImm) {
+  L_CmpEqImm: {
     const DecodedInst &I = *IP;
     ++IP;
     Regs[I.D] = Regs[I.A] == static_cast<uint64_t>(I.Imm) ? 1 : 0;
     SPECCTRL_XDISPATCH();
   }
-  SPECCTRL_XCASE(Load) {
+  L_Load: {
     const DecodedInst &I = *IP;
     const uint64_t Done = Retired - static_cast<uint64_t>(LimitIP - IP);
     ++IP;
@@ -515,7 +435,7 @@ Exec:
       goto ExitStop;
     SPECCTRL_XDISPATCH();
   }
-  SPECCTRL_XCASE(Store) {
+  L_Store: {
     const DecodedInst &I = *IP;
     ++IP;
     const uint64_t Addr = Regs[I.A] + static_cast<uint64_t>(I.Imm);
@@ -528,7 +448,7 @@ Exec:
       goto ExitStop;
     SPECCTRL_XDISPATCH();
   }
-  SPECCTRL_XCASE(Br) {
+  L_Br: {
     const DecodedInst &I = *IP;
     // Done before the transfer: IP still points at the branch itself.
     const uint64_t Done = Retired - static_cast<uint64_t>(LimitIP - IP);
@@ -540,12 +460,12 @@ Exec:
       goto ExitStop;
     goto Recharge;
   }
-  SPECCTRL_XCASE(Jmp) {
+  L_Jmp: {
     IP = Code + IP->ThenPC;
     LimitIP = IP;
     goto Recharge;
   }
-  SPECCTRL_XCASE(Call) {
+  L_Call: {
     const DecodedInst &I = *IP;
     ++IP;
     if (Stack.size() >= MaxCallDepth) {
@@ -576,7 +496,7 @@ Exec:
       goto ExitStop;
     goto Recharge;
   }
-  SPECCTRL_XCASE(Ret) {
+  L_Ret: {
     // Terminator: the charge is exactly consumed (LimitIP == IP + 1).
     const uint32_t Callee = F->FuncId;
     RegStack.resize(F->RegBase);
@@ -598,7 +518,7 @@ Exec:
       goto ExitStop;
     goto Recharge;
   }
-  SPECCTRL_XCASE(Halt) {
+  L_Halt: {
     const DecodedInst &I = *IP;
     ++IP;
     Halted = true;
@@ -610,166 +530,6 @@ Exec:
     Reason = StopReason::Halted;
     goto Exit;
   }
-
-  //--- Fused superinstructions -------------------------------------------
-  // Each executes its two halves in order with the first half's event
-  // between them.  When the charge horizon splits the pair (fuel ran out
-  // between the halves), fall back to the plain handler of the first half.
-
-  SPECCTRL_XCASE(FCmpLtBr) {
-    if (LimitIP - IP < 2)
-      goto L_CmpLt;
-    const DecodedInst &C = IP[0];
-    const DecodedInst &B = IP[1];
-    Regs[C.D] = static_cast<int64_t>(Regs[C.A]) <
-                        static_cast<int64_t>(Regs[C.B])
-                    ? 1
-                    : 0;
-    const uint64_t Done = Retired - static_cast<uint64_t>(LimitIP - (IP + 1));
-    const bool Taken = Regs[B.A] != 0;
-    IP = Code + (Taken ? B.ThenPC : B.ElsePC);
-    LimitIP = IP;
-    Policy.noteBranch(B.Site, Taken, Done);
-    if (StopFlag)
-      goto ExitStop;
-    goto Recharge;
-  }
-  SPECCTRL_XCASE(FCmpLtImmBr) {
-    if (LimitIP - IP < 2)
-      goto L_CmpLtImm;
-    const DecodedInst &C = IP[0];
-    const DecodedInst &B = IP[1];
-    Regs[C.D] = static_cast<int64_t>(Regs[C.A]) < C.Imm ? 1 : 0;
-    const uint64_t Done = Retired - static_cast<uint64_t>(LimitIP - (IP + 1));
-    const bool Taken = Regs[B.A] != 0;
-    IP = Code + (Taken ? B.ThenPC : B.ElsePC);
-    LimitIP = IP;
-    Policy.noteBranch(B.Site, Taken, Done);
-    if (StopFlag)
-      goto ExitStop;
-    goto Recharge;
-  }
-  SPECCTRL_XCASE(FCmpEqBr) {
-    if (LimitIP - IP < 2)
-      goto L_CmpEq;
-    const DecodedInst &C = IP[0];
-    const DecodedInst &B = IP[1];
-    Regs[C.D] = Regs[C.A] == Regs[C.B] ? 1 : 0;
-    const uint64_t Done = Retired - static_cast<uint64_t>(LimitIP - (IP + 1));
-    const bool Taken = Regs[B.A] != 0;
-    IP = Code + (Taken ? B.ThenPC : B.ElsePC);
-    LimitIP = IP;
-    Policy.noteBranch(B.Site, Taken, Done);
-    if (StopFlag)
-      goto ExitStop;
-    goto Recharge;
-  }
-  SPECCTRL_XCASE(FCmpEqImmBr) {
-    if (LimitIP - IP < 2)
-      goto L_CmpEqImm;
-    const DecodedInst &C = IP[0];
-    const DecodedInst &B = IP[1];
-    Regs[C.D] = Regs[C.A] == static_cast<uint64_t>(C.Imm) ? 1 : 0;
-    const uint64_t Done = Retired - static_cast<uint64_t>(LimitIP - (IP + 1));
-    const bool Taken = Regs[B.A] != 0;
-    IP = Code + (Taken ? B.ThenPC : B.ElsePC);
-    LimitIP = IP;
-    Policy.noteBranch(B.Site, Taken, Done);
-    if (StopFlag)
-      goto ExitStop;
-    goto Recharge;
-  }
-  SPECCTRL_XCASE(FLoadAdd) {
-    if (LimitIP - IP < 2)
-      goto L_Load;
-    const DecodedInst &L = IP[0];
-    const DecodedInst &A = IP[1];
-    const uint64_t Done = Retired - static_cast<uint64_t>(LimitIP - IP);
-    ++IP;
-    const uint64_t Addr = Regs[L.A] + static_cast<uint64_t>(L.Imm);
-    const uint64_t Value = loadWord(Addr);
-    Regs[L.D] = Value;
-    Policy.noteLoad(InstLocation{F->FuncId, L.Block, L.Index}, Addr, Value,
-                    Done);
-    if (StopFlag)
-      goto ExitStop; // lands on the pair's second half, a real instruction
-    ++IP;
-    Regs[A.D] = Regs[A.A] + Regs[A.B];
-    SPECCTRL_XDISPATCH();
-  }
-  SPECCTRL_XCASE(FLoadAddImm) {
-    if (LimitIP - IP < 2)
-      goto L_Load;
-    const DecodedInst &L = IP[0];
-    const DecodedInst &A = IP[1];
-    const uint64_t Done = Retired - static_cast<uint64_t>(LimitIP - IP);
-    ++IP;
-    const uint64_t Addr = Regs[L.A] + static_cast<uint64_t>(L.Imm);
-    const uint64_t Value = loadWord(Addr);
-    Regs[L.D] = Value;
-    Policy.noteLoad(InstLocation{F->FuncId, L.Block, L.Index}, Addr, Value,
-                    Done);
-    if (StopFlag)
-      goto ExitStop;
-    ++IP;
-    Regs[A.D] = Regs[A.A] + static_cast<uint64_t>(A.Imm);
-    SPECCTRL_XDISPATCH();
-  }
-  SPECCTRL_XCASE(FAddStore) {
-    if (LimitIP - IP < 2)
-      goto L_Add;
-    const DecodedInst &A = IP[0];
-    const DecodedInst &S = IP[1];
-    Regs[A.D] = Regs[A.A] + Regs[A.B];
-    IP += 2;
-    const uint64_t Addr = Regs[S.A] + static_cast<uint64_t>(S.Imm);
-    const uint64_t Value = Regs[S.B];
-    storeWord(Addr, Value);
-    if (Faulted)
-      goto ExitFault;
-    Policy.noteStore(Addr, Value);
-    if (StopFlag)
-      goto ExitStop;
-    SPECCTRL_XDISPATCH();
-  }
-  SPECCTRL_XCASE(FAddImmStore) {
-    if (LimitIP - IP < 2)
-      goto L_AddImm;
-    const DecodedInst &A = IP[0];
-    const DecodedInst &S = IP[1];
-    Regs[A.D] = Regs[A.A] + static_cast<uint64_t>(A.Imm);
-    IP += 2;
-    const uint64_t Addr = Regs[S.A] + static_cast<uint64_t>(S.Imm);
-    const uint64_t Value = Regs[S.B];
-    storeWord(Addr, Value);
-    if (Faulted)
-      goto ExitFault;
-    Policy.noteStore(Addr, Value);
-    if (StopFlag)
-      goto ExitStop;
-    SPECCTRL_XDISPATCH();
-  }
-  SPECCTRL_XCASE(FXorStore) {
-    if (LimitIP - IP < 2)
-      goto L_Xor;
-    const DecodedInst &X = IP[0];
-    const DecodedInst &S = IP[1];
-    Regs[X.D] = Regs[X.A] ^ Regs[X.B];
-    IP += 2;
-    const uint64_t Addr = Regs[S.A] + static_cast<uint64_t>(S.Imm);
-    const uint64_t Value = Regs[S.B];
-    storeWord(Addr, Value);
-    if (Faulted)
-      goto ExitFault;
-    Policy.noteStore(Addr, Value);
-    if (StopFlag)
-      goto ExitStop;
-    SPECCTRL_XDISPATCH();
-  }
-
-#if !SPECCTRL_EXEC_COMPUTED_GOTO
-  }
-#endif
 
 ExitStop:
   Reason = StopReason::Stopped;
@@ -792,11 +552,6 @@ Exit:
   Policy.noteRetired(Retired - Start);
   return Reason;
 
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-#undef SPECCTRL_XCASE
 #undef SPECCTRL_XDISPATCH
 }
 

@@ -7,7 +7,6 @@
 #include "mssp/MsspSimulator.h"
 
 #include "distill/Distiller.h"
-#include "support/Hash.h"
 
 #include <algorithm>
 #include <cassert>
@@ -21,44 +20,6 @@ using namespace specctrl::mssp;
 namespace {
 
 constexpr uint64_t RunForever = ~0ull >> 1;
-
-uint8_t *putU32(uint8_t *P, uint32_t V) {
-  P[0] = static_cast<uint8_t>(V);
-  P[1] = static_cast<uint8_t>(V >> 8);
-  P[2] = static_cast<uint8_t>(V >> 16);
-  P[3] = static_cast<uint8_t>(V >> 24);
-  return P + 4;
-}
-
-uint8_t *putU64(uint8_t *P, uint64_t V) {
-  return putU32(putU32(P, static_cast<uint32_t>(V)),
-                static_cast<uint32_t>(V >> 32));
-}
-
-/// Canonical, injective serialization of a distillation request (both
-/// maps iterate sorted): count-prefixed fixed-width records, so equal
-/// bytes <=> equal requests.  The output size is known up front, so the
-/// buffer is sized once and filled with raw writes -- this runs on every
-/// memoized rebuild, and the per-byte push_back version was a visible
-/// slice of the full MSSP loop profile.
-void serializeRequest(const distill::DistillRequest &Request,
-                      std::vector<uint8_t> &Out) {
-  Out.resize(4 + 5 * Request.BranchAssertions.size() + 4 +
-             16 * Request.ValueConstants.size());
-  uint8_t *P = Out.data();
-  P = putU32(P, static_cast<uint32_t>(Request.BranchAssertions.size()));
-  for (const auto &[Site, Dir] : Request.BranchAssertions) {
-    P = putU32(P, Site);
-    *P++ = Dir ? 1 : 0;
-  }
-  P = putU32(P, static_cast<uint32_t>(Request.ValueConstants.size()));
-  for (const auto &[Loc, Value] : Request.ValueConstants) {
-    P = putU32(P, Loc.Block);
-    P = putU32(P, Loc.Index);
-    P = putU64(P, static_cast<uint64_t>(Value));
-  }
-  assert(P == Out.data() + Out.size() && "serialized size mismatch");
-}
 
 /// Packs a value-site coordinate into one FlatMap64 key.  Field widths
 /// (23/20/20 bits, top bit of the function field always clear) keep the
@@ -278,23 +239,12 @@ MsspSimulator::buildDistillRequest(uint32_t FunctionId) const {
 }
 
 void MsspSimulator::rebuildRegion(uint32_t FunctionId) {
-  // Code-cache entries are keyed by the exact distillation request, so FSM
-  // evict/revisit oscillations re-deploy cached versions instead of
-  // re-running the distiller.
-  const distill::DistillRequest Request = buildDistillRequest(FunctionId);
-  serializeRequest(Request, KeyBuf);
-  const uint64_t KeyHash = hash64(KeyBuf.data(), KeyBuf.size(), FunctionId);
-  const ir::Function *Installed = Cache.findKeyed(FunctionId, KeyHash, KeyBuf);
-  if (Installed) {
-    ++Result.DistillCacheHits;
-  } else {
-    ++Result.DistillCacheMisses;
-    distill::DistillResult Distilled =
-        distill::distillFunction(Program.Mod.function(FunctionId), Request);
-    Installed = Cache.installKeyed(FunctionId, KeyHash, KeyBuf,
-                                   std::move(Distilled.Distilled));
-  }
-  Master.setCodeVersion(FunctionId, Installed);
+  distill::DistillResult Distilled = distill::distillFunction(
+      Program.Mod.function(FunctionId), buildDistillRequest(FunctionId));
+  Master.setCodeVersion(FunctionId,
+                        Cache.install(FunctionId,
+                                      std::move(Distilled.Distilled)));
+  ++Result.DistillCacheMisses;
   ++Result.Regenerations;
 }
 

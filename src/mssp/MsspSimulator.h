@@ -90,11 +90,14 @@ struct MsspResult {
   uint64_t CheckerInstructions = 0; ///< original instructions executed
   uint64_t OptRequests = 0;      ///< controller deploy+revoke requests
   /// Region code redeployments (each completed request batch rebuilds the
-  /// affected regions once -- whether freshly distilled or served from
-  /// the keyed code cache).
+  /// affected regions once, running the distiller for each).
   uint64_t Regenerations = 0;
-  uint64_t DistillCacheHits = 0;   ///< rebuilds served from the keyed cache
-  uint64_t DistillCacheMisses = 0; ///< rebuilds that ran the distiller
+  /// Always 0: every rebuild runs the distiller.  This field and
+  /// DistillCacheMisses stay because perfbench digests and reports both,
+  /// so deleting them is a change to perfbench and its pinned digests.
+  uint64_t DistillCacheHits = 0;
+  /// Distiller runs, always equal to Regenerations (see DistillCacheHits).
+  uint64_t DistillCacheMisses = 0;
   uint64_t MasterBranchMispredicts = 0;
   core::ControlStats Controller; ///< final branch-controller statistics
   core::ControlStats ValueController; ///< value-controller statistics
@@ -226,7 +229,6 @@ private:
   // Reusable completion buffers (processOptCompletions runs every task).
   std::vector<PendingOpt> ReadyBuf;
   std::vector<uint32_t> RegionsBuf;
-  std::vector<uint8_t> KeyBuf; ///< serialized request (memoization key)
 
   uint64_t MasterClock = 0;
   MsspResult Result;

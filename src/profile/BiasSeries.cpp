@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 using namespace specctrl;
 using namespace specctrl::profile;
@@ -15,7 +16,8 @@ using namespace specctrl::profile;
 BiasSeriesCollector::BiasSeriesCollector(std::vector<SiteId> Sites,
                                          uint64_t BlockSize)
     : Sites(std::move(Sites)), BlockSize(BlockSize) {
-  assert(BlockSize > 0 && "block size must be positive");
+  if (BlockSize == 0)
+    throw std::invalid_argument("bias block size must be positive");
   SiteId MaxSite = 0;
   for (SiteId S : this->Sites)
     MaxSite = std::max(MaxSite, S);

@@ -38,6 +38,7 @@ struct BiasBlock {
 class BiasSeriesCollector {
 public:
   /// Tracks \p Sites, closing a block every \p BlockSize executions.
+  /// Throws std::invalid_argument when \p BlockSize is 0.
   BiasSeriesCollector(std::vector<SiteId> Sites, uint64_t BlockSize = 1000);
 
   /// Feeds one dynamic branch.  \p GlobalIndex is the run-wide event index.

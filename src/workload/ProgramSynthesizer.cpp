@@ -12,6 +12,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 using namespace specctrl;
 using namespace specctrl::workload;
@@ -70,8 +71,10 @@ void emitArm(IRBuilder &B, uint64_t AccAddr, int64_t Key, unsigned Filler,
 } // namespace
 
 SynthProgram workload::synthesize(const SynthSpec &Spec) {
-  assert(!Spec.Regions.empty() && "synth spec has no regions");
-  assert(Spec.Iterations > 0 && "synth spec has no iterations");
+  if (Spec.Regions.empty())
+    throw std::invalid_argument("synth spec has no regions");
+  if (Spec.Iterations == 0)
+    throw std::invalid_argument("synth spec has no iterations");
 
   SynthProgram P;
   P.Iterations = Spec.Iterations;

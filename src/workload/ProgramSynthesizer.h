@@ -105,7 +105,8 @@ struct SynthProgram {
 };
 
 /// Synthesizes \p Spec into a verified SimIR program.  Deterministic in
-/// Spec.Seed.
+/// Spec.Seed.  Throws std::invalid_argument on a spec with no regions or
+/// zero iterations.
 SynthProgram synthesize(const SynthSpec &Spec);
 
 /// Builds a representative default program for examples/benches: \p

@@ -12,7 +12,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 
 using namespace specctrl;
 using namespace specctrl::workload;
@@ -69,6 +72,76 @@ uint32_t scaled(uint32_t PaperCount, double Factor, uint32_t Floor = 1) {
   return std::max(V, Floor);
 }
 
+/// The statics that enter biased: Table 3's "bias" scaled, at most three
+/// quarters of the \p Touch static population.
+uint32_t biasTarget(const BenchmarkProfile &Profile, double SiteScale,
+                    uint32_t Touch) {
+  return std::min(scaled(Profile.PaperBias, SiteScale, 12),
+                  Touch - Touch / 4);
+}
+
+/// A run must be long enough for its biased-static population to be
+/// classified at all (the 10k-execution monitor period per site); this
+/// floor widens benchmarks whose paper runs were short relative to their
+/// populations (gcc, gap), and scales with the run-length knob.  Each
+/// classified site needs ~40k executions (10k monitor + useful
+/// speculation), and the classified pool may only occupy PaperSpecShare
+/// of the stream -- so the run must host BiasTarget * 42k / share events.
+double eventFloor(const BenchmarkProfile &Profile, const SuiteScale &Scale,
+                  uint32_t BiasTarget) {
+  return BiasTarget * 42000.0 / std::max(Profile.PaperSpecShare, 0.25) *
+         (Scale.EventsPerBillion / 6.0e5);
+}
+
+std::string formatNumber(double V) {
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%g", V);
+  return Buf;
+}
+
+/// The first rule \p Scale breaks for building \p Profile, or empty.
+std::string scaleError(const BenchmarkProfile &Profile,
+                       const SuiteScale &Scale) {
+  if (!std::isfinite(Scale.EventsPerBillion) ||
+      !(Scale.EventsPerBillion > 0.0))
+    return "events per billion must be a finite number > 0, got " +
+           formatNumber(Scale.EventsPerBillion);
+  if (!std::isfinite(Scale.SiteScale) || !(Scale.SiteScale > 0.0))
+    return "site scale must be a finite number > 0, got " +
+           formatNumber(Scale.SiteScale);
+  // scaled() rounds each paper count times the site scale to a 32-bit
+  // count.
+  for (const uint32_t Count :
+       {Profile.PaperTouch, Profile.PaperBias, Profile.PaperEvictStatics,
+        Profile.PaperTotalEvicts})
+    if (!(Count * Scale.SiteScale < 0x1p32 - 0.5))
+      return "site scale " + formatNumber(Scale.SiteScale) + " gives " +
+             Profile.Name + " " + formatNumber(Count * Scale.SiteScale) +
+             " static branches, more than a 32-bit count holds";
+  // makeBenchmark splits the biased statics into categories with 32-bit
+  // products, the largest BiasTarget * 30.
+  const uint32_t Touch = scaled(Profile.PaperTouch, Scale.SiteScale, 40);
+  const uint32_t BiasTarget = biasTarget(Profile, Scale.SiteScale, Touch);
+  if (BiasTarget > UINT32_MAX / 30)
+    return "site scale " + formatNumber(Scale.SiteScale) + " gives " +
+           Profile.Name + " " + std::to_string(BiasTarget) +
+           " biased statics, more than its 32-bit category counts hold";
+  // RefEvents is rounded through a signed 64-bit integer (llround), the
+  // event floor converted to an unsigned one.
+  const double Events = Profile.PaperLenBillions * Scale.EventsPerBillion;
+  if (!(Events < 0x1p63))
+    return "events per billion " + formatNumber(Scale.EventsPerBillion) +
+           " gives " + Profile.Name + " a run of " + formatNumber(Events) +
+           " events, more than a signed 64-bit count holds";
+  const double Floor = eventFloor(Profile, Scale, BiasTarget);
+  if (!(Floor < 0x1p64))
+    return "events per billion " + formatNumber(Scale.EventsPerBillion) +
+           " at site scale " + formatNumber(Scale.SiteScale) + " gives " +
+           Profile.Name + " an event floor of " + formatNumber(Floor) +
+           " events, more than a 64-bit count holds";
+  return {};
+}
+
 /// Taken probability for a site biased toward \p DirectionTaken with bias
 /// level \p Bias (probability of the biased direction).
 double takenProb(bool DirectionTaken, double Bias) {
@@ -99,8 +172,20 @@ double drawPostChangeProb(bool DirTaken, Rng &R) {
 
 } // namespace
 
+std::string SuiteScale::validate() const {
+  for (const BenchmarkProfile &Profile : suiteProfiles()) {
+    std::string Error = scaleError(Profile, *this);
+    if (!Error.empty())
+      return Error;
+  }
+  return {};
+}
+
 WorkloadSpec workload::makeBenchmark(const BenchmarkProfile &Profile,
                                      const SuiteScale &Scale) {
+  const std::string Error = scaleError(Profile, Scale);
+  if (!Error.empty())
+    throw std::invalid_argument(Error);
   WorkloadSpec Spec;
   Spec.Name = Profile.Name;
   Spec.Seed = nameSeed(Profile.Name);
@@ -114,19 +199,10 @@ WorkloadSpec workload::makeBenchmark(const BenchmarkProfile &Profile,
 
   // ---- Population sizes -------------------------------------------------
   const uint32_t Touch = scaled(Profile.PaperTouch, Scale.SiteScale, 40);
-  const uint32_t BiasTarget = std::min(
-      scaled(Profile.PaperBias, Scale.SiteScale, 12), Touch - Touch / 4);
+  const uint32_t BiasTarget = biasTarget(Profile, Scale.SiteScale, Touch);
 
-  // A run must be long enough for its biased-static population to be
-  // classified at all (the 10k-execution monitor period per site); widen
-  // benchmarks whose paper runs were short relative to their populations
-  // (gcc, gap).  The floor scales with the user's run-length knob.
-  // Each classified site needs ~40k executions (10k monitor + useful
-  // speculation), and the classified pool may only occupy PaperSpecShare
-  // of the stream -- so the run must host BiasTarget * 42k / share events.
-  const uint64_t EventFloor = static_cast<uint64_t>(
-      BiasTarget * 42000.0 / std::max(Profile.PaperSpecShare, 0.25) *
-      (Scale.EventsPerBillion / 6.0e5));
+  const uint64_t EventFloor =
+      static_cast<uint64_t>(eventFloor(Profile, Scale, BiasTarget));
   if (Spec.RefEvents < EventFloor)
     Spec.RefEvents = EventFloor;
   Spec.TrainEvents = static_cast<uint64_t>(Spec.RefEvents * 0.6);

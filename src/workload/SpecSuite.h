@@ -48,6 +48,16 @@ struct SuiteScale {
   double EventsPerBillion = 6.0e5;
   /// Fraction of the paper's static branch population instantiated.
   double SiteScale = 0.25;
+
+  /// The first rule this scale breaks, as a message; empty if it breaks
+  /// none.  Both factors must be finite and > 0, and every count
+  /// makeBenchmark derives for a suite profile must fit the integer it is
+  /// stored in: the run length (RefEvents), the event floor, the scaled
+  /// site counts, and the biased-static category counts.  Memory is not
+  /// bounded: makeBenchmark holds one site record per scaled static.
+  /// makeBenchmark checks its own profile against the same rules in
+  /// every build.
+  std::string validate() const;
 };
 
 /// Paper-derived calibration targets for one benchmark (Tables 1 and 3).
@@ -76,7 +86,9 @@ const std::vector<BenchmarkProfile> &suiteProfiles();
 /// naming the valid names when there is none.
 const BenchmarkProfile &profileByName(const std::string &Name);
 
-/// Builds the full WorkloadSpec for \p Profile under \p Scale.
+/// Builds the full WorkloadSpec for \p Profile under \p Scale.  Throws
+/// std::invalid_argument naming the broken rule when a count it derives
+/// does not fit (see SuiteScale::validate).
 WorkloadSpec makeBenchmark(const BenchmarkProfile &Profile,
                            const SuiteScale &Scale = SuiteScale());
 

@@ -24,9 +24,9 @@ namespace {
 //===----------------------------------------------------------------------===//
 // Key serialization
 //===----------------------------------------------------------------------===//
-// Injective, length-prefixed serialization (the distill::CodeCache keying
-// idiom): two distinct (spec, input) pairs can never serialize to the same
-// byte string, so arena sharing is decided by content, not by name.
+// Injective, length-prefixed serialization: two distinct (spec, input)
+// pairs can never serialize to the same byte string, so arena sharing is
+// decided by content, not by name.
 
 void putU64(std::string &K, uint64_t V) {
   for (unsigned I = 0; I < 8; ++I)

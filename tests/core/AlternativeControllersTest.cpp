@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace specctrl;
 using namespace specctrl::core;
 
@@ -36,6 +38,10 @@ TEST(DynamoFlushTest, ClassifiesOnceAndDeploys) {
   EXPECT_TRUE(C.isDeployed(0));
   EXPECT_TRUE(C.deployedDirection(0));
   EXPECT_EQ(C.flushes(), 0u);
+}
+
+TEST(DynamoFlushTest, RejectsZeroFlushInterval) {
+  EXPECT_THROW(DynamoFlushController(fastConfig(), 0), std::invalid_argument);
 }
 
 TEST(DynamoFlushTest, NoPerSiteFeedback) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 
 using namespace specctrl;
 using namespace specctrl::exec;
@@ -54,6 +55,17 @@ TEST(SynthesizedProgramTest, VerifiesAndRunsToCompletion) {
   SiteCounter Obs(P.IterationAddr);
   ASSERT_EQ(I.run(~0ull >> 1, Obs), StopReason::Halted);
   EXPECT_EQ(Obs.LastIteration, Spec.Iterations);
+}
+
+TEST(SynthesizedProgramTest, RejectsZeroIterations) {
+  const SynthSpec Spec = makeDefaultSynthSpec("z", 7, 0, 3, 0.6);
+  EXPECT_THROW(synthesize(Spec), std::invalid_argument);
+}
+
+TEST(SynthesizedProgramTest, RejectsNoRegions) {
+  SynthSpec Spec = makeDefaultSynthSpec("n", 7, 100, 3, 0.6);
+  Spec.Regions.clear();
+  EXPECT_THROW(synthesize(Spec), std::invalid_argument);
 }
 
 TEST(SynthesizedProgramTest, BranchStreamMatchesBehaviors) {

@@ -2,10 +2,10 @@
 //
 // Unit tests for the engine's moving parts that the differential suite
 // (tests/oracle) exercises only indirectly: the decode pass (flattening,
-// target resolution, superinstruction fusion and its adjacency rules), the
-// per-version decode cache, the stale-handle generation guard, and
-// ArchPosition transplants -- between engines, as MSSP squash recovery
-// uses them, and to and from the definitional interpreter.
+// opcodes, target resolution), the per-version decode cache, the
+// stale-handle generation guard, and ArchPosition transplants -- between
+// engines, as MSSP squash recovery uses them, and to and from the
+// definitional interpreter.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,8 +25,8 @@ using namespace specctrl::ir;
 
 namespace {
 
-/// main: loops B1 (cmp+br pattern) N times accumulating into memory,
-/// then halts.  Exercises CmpLtImm+Br fusion and a loop back-edge.
+/// main: loops B1 N times accumulating into memory, then halts.
+/// Exercises a compare-and-branch loop head and a loop back-edge.
 Module makeLoopModule(int64_t Trips) {
   Module M;
   Function &F = M.createFunction("main", 4);
@@ -62,10 +62,11 @@ TEST(DecodeFunction, FlattensBlocksWithBijectivePcs) {
   ASSERT_EQ(DF->Insts.size(), Total);
 
   // pcOf inverts the stored source coordinates on every entry, and the
-  // entry carries that source instruction's operands.
+  // entry carries that source instruction's opcode and operands.
   for (uint32_t PC = 0; PC < DF->Insts.size(); ++PC) {
     const DecodedInst &D = DF->Insts[PC];
     EXPECT_EQ(DF->pcOf(D.Block, D.Index), PC);
+    EXPECT_EQ(D.Op, F.block(D.Block).Insts[D.Index].Op);
     EXPECT_EQ(D.Imm, F.block(D.Block).Insts[D.Index].Imm);
   }
   // The final BlockStart entry closes the last block.
@@ -77,45 +78,7 @@ TEST(DecodeFunction, FlattensBlocksWithBijectivePcs) {
   EXPECT_EQ(Br.ElsePC, DF->BlockStart[2]);
 }
 
-TEST(DecodeFunction, FusesDistillerPatterns) {
-  const Module M = makeLoopModule(10);
-  const std::unique_ptr<DecodedFunction> DF =
-      decodeFunction(M.function(0));
-
-  // Head block: cmpltimm + br fuses at the pair head; the Br keeps its
-  // plain entry so mid-pair resume lands on a real instruction.
-  EXPECT_EQ(DF->Insts[DF->pcOf(0, 0)].Op, XOp::FCmpLtImmBr);
-  EXPECT_EQ(DF->Insts[DF->pcOf(0, 1)].Op, XOp::Br);
-
-  // Body: load + addimm fuses; the following addimm + store fuses too
-  // (greedy non-overlapping, left to right).
-  EXPECT_EQ(DF->Insts[DF->pcOf(1, 0)].Op, XOp::FLoadAddImm);
-  EXPECT_EQ(DF->Insts[DF->pcOf(1, 1)].Op, XOp::AddImm);
-  EXPECT_EQ(DF->Insts[DF->pcOf(1, 2)].Op, XOp::FAddImmStore);
-  EXPECT_EQ(DF->Insts[DF->pcOf(1, 3)].Op, XOp::Store);
-}
-
-TEST(DecodeFunction, FusionStopsAtBlockBoundaries) {
-  // A block ending in a bare Load followed by a block starting with Add
-  // must not fuse across the boundary.
-  Module M;
-  Function &F = M.createFunction("main", 4);
-  IRBuilder B(F);
-  const uint32_t B0 = B.makeBlock();
-  const uint32_t B1 = B.makeBlock();
-  B.setBlock(B0);
-  B.load(1, 0, 0);
-  B.jmp(B1);
-  B.setBlock(B1);
-  B.binary(Opcode::Add, 2, 1, 1);
-  B.halt();
-
-  const std::unique_ptr<DecodedFunction> DF = decodeFunction(F);
-  EXPECT_EQ(DF->Insts[DF->pcOf(0, 0)].Op, XOp::Load);
-  EXPECT_EQ(DF->Insts[DF->pcOf(1, 0)].Op, XOp::Add);
-}
-
-TEST(ThreadedBackend, ExecutesFusedLoopExactly) {
+TEST(ThreadedBackend, ExecutesLoopExactly) {
   const Module M = makeLoopModule(1000);
   std::vector<uint64_t> Memory(32, 0);
 
@@ -124,7 +87,7 @@ TEST(ThreadedBackend, ExecutesFusedLoopExactly) {
   EXPECT_EQ(Ref.run(~0ull >> 1), oracle::Status::Halted);
   EXPECT_EQ(Thr.run(~0ull >> 1), StopReason::Halted);
   EXPECT_EQ(Thr.loadWord(16), 7000u);
-  difftest::expectSameState(Thr, Ref, "fused loop");
+  difftest::expectSameState(Thr, Ref, "loop");
 }
 
 TEST(ThreadedBackend, DecodeCacheReusesVersions) {
@@ -165,8 +128,8 @@ TEST(ThreadedBackend, ArchPositionSelfRoundTrip) {
   ThreadedBackend A(M, std::vector<uint64_t>(32, 0));
   ThreadedBackend B(M, std::vector<uint64_t>(32, 0));
 
-  // Run A partway (mid-loop, likely mid-fused-pair), transplant its
-  // position into B along with memory, and let both finish.
+  // Run A partway (mid-loop, mid-block), transplant its position into B
+  // along with memory, and let both finish.
   EXPECT_EQ(A.run(1237), StopReason::FuelExhausted);
   B.memory() = A.memory();
   B.adoptPositionFrom(A);

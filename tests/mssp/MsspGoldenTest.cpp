@@ -5,9 +5,9 @@
 // Pins MsspResult bit-exactly against values captured from the
 // pre-fast-path implementation (full-digest verification, map-based
 // tables, unkeyed code cache, the reference interpreter).  The simulator's
-// dirty-set verification, dense tables, keyed memoization, and the
-// block-charged engine all promise "never changes results"; these tests
-// are that promise, one run per pinned configuration.
+// dirty-set verification, dense tables, and the block-charged engine all
+// promise "never changes results"; these tests are that promise, one run
+// per pinned configuration.
 //
 //===----------------------------------------------------------------------===//
 
@@ -45,7 +45,7 @@ MsspResult runMssp(const std::string &Bench, uint64_t Iterations,
   return Sim.run();
 }
 
-/// The memoization counters account for every redeployment exactly once.
+/// The distill-cache counters account for every redeployment exactly once.
 void expectCacheCounterInvariant(const MsspResult &R, const std::string &Tag) {
   EXPECT_EQ(R.DistillCacheHits + R.DistillCacheMisses, R.Regenerations)
       << Tag;

@@ -41,8 +41,8 @@ using namespace specctrl::workload;
 
 namespace {
 
-/// Long enough to exercise every region, controller gadget, and fused
-/// pattern; short enough for the fast label.
+/// Long enough to exercise every region and controller gadget; short
+/// enough for the fast label.
 constexpr uint64_t TestIterations = 1500;
 constexpr uint64_t AllFuel = ~0ull >> 1;
 
@@ -184,8 +184,8 @@ TEST_P(BackendEquivalence, DistilledPairsMatch) {
   }
 }
 
-// Prime-sized fuel slices cut through blocks, fused pairs, and call
-// frames; state and position must match at every cut.
+// Prime-sized fuel slices cut through blocks and call frames; state and
+// position must match at every cut.
 TEST_P(BackendEquivalence, FuelSlicingMatchesSingleShot) {
   const SynthProgram P = synthProgram();
   UntimedPair Pair(P.Mod, P.InitialMemory);
@@ -193,9 +193,8 @@ TEST_P(BackendEquivalence, FuelSlicingMatchesSingleShot) {
   Pair.finish("sliced");
 }
 
-// A stop requested from a load event deep in the run (the load usually
-// heads a fused load+add pair, so the stop lands between the halves),
-// then a resume to the end.
+// A stop requested from a load event deep in the run (usually mid-block,
+// so the stop lands inside a charged stretch), then a resume to the end.
 TEST_P(BackendEquivalence, RequestStopResumeMatches) {
   const SynthProgram P = synthProgram();
   UntimedPair Pair(P.Mod, P.InitialMemory);

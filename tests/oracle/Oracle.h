@@ -7,8 +7,8 @@
 /// \file
 /// The test oracle for the execution engine: SimIR's semantics written
 /// down directly from ir/Opcode.h and DESIGN.md §7, one source instruction
-/// per step() with one switch case per opcode -- no decoding, no fusion,
-/// no block charging, no templates.  Each activation owns its zeroed
+/// per step() with one switch case per opcode -- no decoding, no block
+/// charging, no templates.  Each activation owns its zeroed
 /// register file; memory is a flat word image that reads 0 beyond its end,
 /// grows on stores, and faults on stores at or past the memory cap; a call
 /// past the depth limit faults.  A faulting instruction still retires.

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace specctrl;
 using namespace specctrl::profile;
 
@@ -19,6 +21,10 @@ TEST(BiasSeriesTest, BlocksCloseAtBlockSize) {
   // Final partial block (50 outcomes) closed by finish().
   EXPECT_NEAR(S[2].TakenFraction, 0.9, 1e-12);
   EXPECT_EQ(S[2].GlobalIndex, 249u);
+}
+
+TEST(BiasSeriesTest, RejectsZeroBlockSize) {
+  EXPECT_THROW(BiasSeriesCollector({7}, 0), std::invalid_argument);
 }
 
 TEST(BiasSeriesTest, UntrackedSitesIgnored) {

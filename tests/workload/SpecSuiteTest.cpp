@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 using namespace specctrl;
 using namespace specctrl::workload;
 
@@ -37,6 +41,39 @@ TEST(SpecSuiteTest, SiteCountsScaleWithProfile) {
         << P.Name;
     EXPECT_GT(Spec.RefEvents, 1000000u) << P.Name;
   }
+}
+
+TEST(SpecSuiteTest, RejectsScalesWhoseCountsOverflow) {
+  EXPECT_EQ(SuiteScale().validate(), "");
+  SuiteScale Sites;
+  Sites.SiteScale = 1e30;
+  SuiteScale Events;
+  Events.EventsPerBillion = 1e30;
+  SuiteScale NotANumber;
+  NotANumber.EventsPerBillion = std::nan("");
+  for (const SuiteScale &Scale : {Sites, Events, NotANumber}) {
+    EXPECT_NE(Scale.validate(), "");
+    EXPECT_THROW(makeBenchmark("gzip", Scale), std::invalid_argument);
+  }
+  // Each factor alone fits, but crafty's event floor (its scaled biased
+  // population times the run-length scale) passes 2^64.
+  SuiteScale Floor;
+  Floor.SiteScale = 1e4;
+  Floor.EventsPerBillion = 1e14;
+  EXPECT_NE(Floor.validate().find("crafty an event floor"),
+            std::string::npos)
+      << Floor.validate();
+  // Every scaled site count fits 32 bits at site scale 1e5, but gcc's
+  // 206,800,000 biased statics would wrap BiasTarget * 30; its
+  // 124,080,000 at 6e4 fit.
+  SuiteScale Biased;
+  Biased.SiteScale = 1e5;
+  EXPECT_NE(Biased.validate().find("gcc 206800000 biased statics"),
+            std::string::npos)
+      << Biased.validate();
+  EXPECT_THROW(makeBenchmark("gcc", Biased), std::invalid_argument);
+  Biased.SiteScale = 6e4;
+  EXPECT_EQ(Biased.validate(), "");
 }
 
 TEST(SpecSuiteTest, BiasedShareCalibratedToPaperSpecShare) {
