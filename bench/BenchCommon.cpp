@@ -7,6 +7,7 @@
 #include "BenchCommon.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -126,11 +127,11 @@ SuiteOptions bench::readSuiteOptions(const OptionSet &Opts) {
   }
   if (Opts.has("jobs")) {
     const int64_t Jobs = Opts.getInt("jobs");
-    if (Jobs < 0) {
+    if (Jobs < 0 || Jobs > UINT_MAX) {
       std::fprintf(stderr,
                    "error: --jobs must be 0 (hardware concurrency) or a "
-                   "positive worker count, got %lld\n",
-                   static_cast<long long>(Jobs));
+                   "positive worker count of at most %u, got %lld\n",
+                   UINT_MAX, static_cast<long long>(Jobs));
       std::exit(2);
     }
     Out.Jobs = static_cast<unsigned>(Jobs);

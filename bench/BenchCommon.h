@@ -116,9 +116,10 @@ void addSweepOptions(OptionSet &Opts);
 core::ReactiveConfig scaledBaseline(const OptionSet &Opts);
 
 /// Reads back every standard option group that was registered.  A value
-/// no run can honor (a negative --jobs, an unknown --benchmarks name, a
-/// scale readScale rejects) prints an `error:` line and exits with status
-/// 2, like the option parser's own errors.
+/// no run can honor (a --jobs that is negative or above UINT_MAX, an
+/// unknown --benchmarks name, a scale readScale rejects) prints an
+/// `error:` line and exits with status 2, like the option parser's own
+/// errors.
 SuiteOptions readSuiteOptions(const OptionSet &Opts);
 
 /// Mixes --seed into \p Spec's workload seed, so a nonzero seed changes

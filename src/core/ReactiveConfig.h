@@ -70,7 +70,7 @@ struct ReactiveConfig {
 
   /// The first violated validity rule, as a message; empty when the
   /// config is valid.  The one check behind the controller's constructor
-  /// and reconfigure, snapshot restore, and stream reconfiguration.
+  /// and the benches' --threshold reader.
   std::string validate() const {
     if (MonitorPeriod == 0)
       return "monitor period is zero";

@@ -27,10 +27,6 @@ ReactiveController::ReactiveController(const ReactiveConfig &Config,
                                        const char *Name)
     : Config(checked(Config)), PolicyName(Name) {}
 
-void ReactiveController::reconfigure(const ReactiveConfig &NewConfig) {
-  Config = checked(NewConfig);
-}
-
 ReactiveController::SiteState &ReactiveController::state(SiteId Site) {
   if (Site >= States.size()) {
     States.resize(Site + 1);

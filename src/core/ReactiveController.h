@@ -38,9 +38,6 @@
 namespace specctrl {
 namespace core {
 
-/// Full-state extraction/injection for snapshots (core/Snapshot.h).
-struct ControllerSnapshotAccess;
-
 /// The reactive control policy (and, with arcs disabled via the config,
 /// the one-shot/open-loop baselines).
 class ReactiveController : public SpeculationController {
@@ -49,15 +46,6 @@ public:
   /// Config.validate() reports one, in every build.
   explicit ReactiveController(const ReactiveConfig &Config = {},
                               const char *Name = "reactive");
-
-  /// Replaces the control parameters for all subsequent events (the live
-  /// reconfiguration primitive of the serve layer, applied at an epoch
-  /// boundary).  In-flight per-site state -- FSM states, monitor counts,
-  /// eviction counters, pending requests -- is preserved, so the switch is
-  /// equivalent to having fed the remaining events to a controller that
-  /// always had \p NewConfig from this point on.  An invalid config throws
-  /// std::invalid_argument, as in the constructor, and changes nothing.
-  void reconfigure(const ReactiveConfig &NewConfig);
 
   /// Routes re-optimization requests to \p Sink instead of the built-in
   /// instruction-latency model; the caller must then invoke
@@ -93,8 +81,6 @@ public:
   const ReactiveConfig &config() const { return Config; }
 
 private:
-  friend struct ControllerSnapshotAccess;
-
   enum class PendingKind : uint8_t { None, Deploy, Revoke };
 
   /// Field order packs the struct into exactly one cache line (bytes,

@@ -156,14 +156,16 @@ const CellResult *RunReport::find(const std::string &Benchmark,
 RunReport engine::runPlan(const ExperimentPlan &Plan,
                           const RunOptions &Options) {
   RunReport Report;
-  Report.Jobs = ThreadPool::resolveJobs(Options.Jobs);
-
   // Lay out every cell slot up front in stable benchmark-major order; each
   // task then writes only its own slot.
   Report.Cells = layoutPlanCells(Plan);
+  // No more workers than cells: a spare one would only start and idle.
+  Report.Jobs = static_cast<unsigned>(
+      std::min<size_t>(ThreadPool::resolveJobs(Options.Jobs),
+                       std::max<size_t>(Report.Cells.size(), 1)));
 
   const Clock::time_point RunStart = Clock::now();
-  if (Report.Jobs <= 1 || Report.Cells.size() <= 1) {
+  if (Report.Jobs == 1) {
     for (CellResult &Cell : Report.Cells)
       runPlanCell(Plan, Cell);
   } else {

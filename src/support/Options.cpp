@@ -7,6 +7,7 @@
 #include "support/Options.h"
 
 #include <cassert>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -143,9 +144,13 @@ bool OptionSet::parse(int Argc, const char *const *Argv) {
       break;
     case OptionKind::Int: {
       char *End = nullptr;
+      errno = 0;
       O->IntValue = std::strtoll(Value.c_str(), &End, 0);
       if (End == Value.c_str() || *End != '\0')
         return Fail("bad integer value '" + Value + "' for '--" + Name + "'");
+      if (errno == ERANGE)
+        return Fail("integer value '" + Value + "' for '--" + Name +
+                    "' is outside the 64-bit signed range");
       break;
     }
     case OptionKind::Double: {

@@ -8,6 +8,7 @@
 
 #include "support/Rng.h"
 #include "workload/ProgramSynthesizer.h"
+#include "workload/TraceFile.h"
 
 #include <algorithm>
 #include <cassert>
@@ -118,14 +119,15 @@ std::string scaleError(const BenchmarkProfile &Profile,
       return "site scale " + formatNumber(Scale.SiteScale) + " gives " +
              Profile.Name + " " + formatNumber(Count * Scale.SiteScale) +
              " static branches, more than a 32-bit count holds";
-  // makeBenchmark splits the biased statics into categories with 32-bit
-  // products, the largest BiasTarget * 30.
+  // Every site id must fit an SCT2 trace.  The bound also keeps the
+  // biased-static category products (at most BiasTarget * 30) in 32 bits.
   const uint32_t Touch = scaled(Profile.PaperTouch, Scale.SiteScale, 40);
-  const uint32_t BiasTarget = biasTarget(Profile, Scale.SiteScale, Touch);
-  if (BiasTarget > UINT32_MAX / 30)
+  if (Touch > TraceFileLimits::MaxSite + 1)
     return "site scale " + formatNumber(Scale.SiteScale) + " gives " +
-           Profile.Name + " " + std::to_string(BiasTarget) +
-           " biased statics, more than its 32-bit category counts hold";
+           Profile.Name + " " + std::to_string(Touch) +
+           " static branches, more than a trace's " +
+           std::to_string(TraceFileLimits::MaxSite + 1) + " site ids";
+  const uint32_t BiasTarget = biasTarget(Profile, Scale.SiteScale, Touch);
   // RefEvents is rounded through a signed 64-bit integer (llround), the
   // event floor converted to an unsigned one.
   const double Events = Profile.PaperLenBillions * Scale.EventsPerBillion;

@@ -50,11 +50,13 @@ struct SuiteScale {
   double SiteScale = 0.25;
 
   /// The first rule this scale breaks, as a message; empty if it breaks
-  /// none.  Both factors must be finite and > 0, and every count
+  /// none.  Both factors must be finite and > 0, every count
   /// makeBenchmark derives for a suite profile must fit the integer it is
-  /// stored in: the run length (RefEvents), the event floor, the scaled
-  /// site counts, and the biased-static category counts.  Memory is not
-  /// bounded: makeBenchmark holds one site record per scaled static.
+  /// stored in (the run length RefEvents, the event floor, the scaled
+  /// site counts), and each scaled static population must fit an SCT2
+  /// trace's site ids (TraceFileLimits::MaxSite + 1 sites).  That caps
+  /// the largest site table (gcc's) near 1 GiB; memory is not bounded
+  /// otherwise: makeBenchmark holds one site record per scaled static.
   /// makeBenchmark checks its own profile against the same rules in
   /// every build.
   std::string validate() const;

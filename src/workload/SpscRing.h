@@ -7,7 +7,7 @@
 /// \file
 /// A bounded lock-free single-producer/single-consumer ring buffer carrying
 /// BranchEvent batches -- the per-stream ingest queue of the streaming
-/// control-plane service (src/serve).  The design follows the classic
+/// ingest service (src/serve).  The design follows the classic
 /// per-producer buffering split of tracing frameworks: exactly one thread
 /// pushes (the stream's producer/client) and exactly one thread reads (the
 /// consumer shard that owns the stream's controller), so the only shared

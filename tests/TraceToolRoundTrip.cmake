@@ -2,7 +2,9 @@
 # that made the golden trace must write the golden byte for byte, and
 # --stats and --replay on the recorded file must exit 0 and report its
 # event count.  --head 5 with the same command must print the stream's
-# first five events: index, site, taken, instret.
+# first five events: index, site, taken, instret; --head 100000000000000
+# must print every event of the stream once and exit 0, without
+# allocating room for N events.
 #
 # Usage:
 #   cmake -DBIN=<specctrl-trace> -DGOLDEN=<file> -DOUT=<file> -DEVENTS=<n>
@@ -60,4 +62,16 @@ set(Want "^index +site +taken +instret\n-+\n"
 string(CONCAT Want ${Want})
 if(NOT Out MATCHES "${Want}")
   message(FATAL_ERROR "${BIN} --head 5 printed other events:\n${Out}")
+endif()
+
+execute_process(COMMAND "${BIN}" ${GOLDEN_COMMAND} --head 100000000000000
+                OUTPUT_VARIABLE Out RESULT_VARIABLE Rc)
+if(NOT Rc EQUAL 0)
+  message(FATAL_ERROR "${BIN} --head 100000000000000 exited with ${Rc}")
+endif()
+string(REGEX MATCHALL "[0-9]+ +[0-9]+ +[TN] +[0-9]+\n" Rows "${Out}")
+list(LENGTH Rows Printed)
+if(NOT Printed EQUAL EVENTS)
+  message(FATAL_ERROR "${BIN} --head 100000000000000 printed ${Printed} "
+                      "event rows, not the stream's ${EVENTS}")
 endif()

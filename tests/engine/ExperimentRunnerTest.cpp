@@ -195,6 +195,27 @@ TEST(ExperimentRunnerTest, ReportHasStableGridOrder) {
   EXPECT_EQ(Report.find("alpha", "ref", "missing"), nullptr);
 }
 
+TEST(ExperimentRunnerTest, StartsNoMoreWorkersThanCells) {
+  ExperimentPlan Plan;
+  Plan.addBenchmark(smallSpec("alpha", 1));
+  Plan.addBenchmark(smallSpec("beta", 2));
+  Plan.addConfig("one", reactiveFactory());
+  ASSERT_EQ(Plan.numCells(), 2u);
+
+  const RunReport Serial = runPlan(Plan, {.Jobs = 1});
+  const RunReport Wide = runPlan(Plan, {.Jobs = 8});
+  EXPECT_EQ(Serial.Jobs, 1u);
+  EXPECT_EQ(Wide.Jobs, 2u);
+  ASSERT_EQ(Wide.Cells.size(), Serial.Cells.size());
+  EXPECT_EQ(Wide.failedCells(), 0u);
+  for (size_t I = 0; I < Serial.Cells.size(); ++I) {
+    EXPECT_EQ(Wide.Cells[I].Coord, Serial.Cells[I].Coord);
+    EXPECT_EQ(Wide.Cells[I].Seed, Serial.Cells[I].Seed);
+    EXPECT_EQ(Wide.Cells[I].Events, Serial.Cells[I].Events);
+    EXPECT_EQ(Wide.Cells[I].Stats, Serial.Cells[I].Stats);
+  }
+}
+
 TEST(ExperimentRunnerTest, CellSeedsAreCoordinatePure) {
   const uint64_t S00 = ExperimentPlan::cellSeed(7, {0, 0, 0});
   EXPECT_EQ(S00, ExperimentPlan::cellSeed(7, {0, 0, 0}));

@@ -77,9 +77,10 @@ TEST(ParserFuzzTest, SingleByteMutationsAreHandled) {
       Mutant[Pos] = C;
       ParseError Error;
       const std::optional<Module> M = parseModule(Mutant, &Error);
-      if (!M)
+      if (!M) {
         EXPECT_FALSE(Error.Message.empty())
             << "pos " << Pos << " char " << static_cast<int>(C);
+      }
     }
   }
 }
@@ -104,8 +105,9 @@ TEST(ParserFuzzTest, RandomLineSplicesAreHandled) {
     }
     ParseError Error;
     const std::optional<Module> M = parseModule(Text, &Error);
-    if (!M)
+    if (!M) {
       EXPECT_FALSE(Error.Message.empty()) << "round " << Round;
+    }
   }
 }
 

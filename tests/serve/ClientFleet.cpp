@@ -45,10 +45,8 @@ FleetResult serve::driveFleet(StreamServer &Server,
   engine::ThreadPool Pool(ProducerThreads ? ProducerThreads : 1);
   for (const ClientSpec &Client : Clients) {
     assert(Client.Spec && "client without a workload spec");
-    StreamServer::StreamHandle Handle =
-        Client.Existing ? Server.handleOf(Client.Existing)
-                        : Server.openStream(Client.Control);
-    assert(Handle.Ring && "client targets an unknown stream");
+    const StreamServer::StreamHandle Handle =
+        Server.openStream(Client.Control);
     Result.Streams.push_back(Handle.Id);
 
     std::unique_ptr<workload::EventSource> Source =
@@ -58,13 +56,7 @@ FleetResult serve::driveFleet(StreamServer &Server,
     // The pump task owns its replay cursor; tasks are move-only for
     // exactly this capture (engine::UniqueTask).
     Pool.submit([Source = std::move(Source), Handle,
-                 Skip = Client.SkipEvents, Batch = Client.BatchEvents,
-                 &Produced]() mutable {
-      if (Skip > 0) {
-        workload::SkipSource Tail(*Source, Skip);
-        pumpStream(Tail, *Handle.Ring, Batch, Produced);
-        return;
-      }
+                 Batch = Client.BatchEvents, &Produced] {
       pumpStream(*Source, *Handle.Ring, Batch, Produced);
     });
   }

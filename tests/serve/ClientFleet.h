@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Drives N simulated client populations against a StreamServer: each
-/// client opens (or resumes) one stream and pumps a workload trace --
+/// client opens one stream and pumps a workload trace --
 /// generator-backed or arena replay -- through its ingest ring on a shared
 /// engine::ThreadPool of producer threads.  This is the load half of the
 /// serve tests; the server half never knows events are synthetic.
@@ -35,12 +35,6 @@ struct ClientSpec {
   core::ReactiveConfig Control;
   /// Producer-side staging batch (events per ring push attempt).
   size_t BatchEvents = workload::DefaultBatchEvents;
-  /// Events of the trace to drop before streaming -- the failover resume
-  /// path: a restored stream has already consumed this many.
-  uint64_t SkipEvents = 0;
-  /// 0 opens a fresh stream with \p Control; otherwise pump into this
-  /// existing (typically restored) stream and ignore \p Control.
-  StreamId Existing = 0;
 };
 
 /// What driveFleet returns once every stream has fully drained.

@@ -254,7 +254,6 @@ TEST(RingBufferTest, ServerSoakConservesPerStreamEventCounts) {
 
   ServeConfig Config;
   Config.Consumers = 4;
-  Config.EpochEvents = 256;
   Config.RingEvents = 512; // small: constant backpressure
   StreamServer Server(Config);
 

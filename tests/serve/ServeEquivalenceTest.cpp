@@ -2,13 +2,13 @@
 //
 // The serve layer's correctness bar: every stream hosted by a live
 // StreamServer -- events arriving through lock-free rings, read in place
-// by consumer shards in chunks cut at epoch boundaries and ring wrap
-// points -- finishes with ControlStats byte-identical to batch
+// by consumer shards in chunks cut at ring wrap points and service
+// budgets -- finishes with ControlStats byte-identical to batch
 // core::runTrace over the same trace.  Exercised over the full
 // twelve-benchmark paper suite on both inputs, at one and four consumer
 // threads, with the default producer batch and a deliberately odd one
-// (partial pushes, ragged ring occupancy), and with an epoch that does
-// not divide the ring.
+// (partial pushes, ragged ring occupancy), and with a ring a quarter of
+// the producer's staging batch.
 //
 // `ctest -R serve_equivalence` is the stable handle for this suite (see
 // tests/CMakeLists.txt).
@@ -39,20 +39,19 @@ constexpr SuiteScale TestScale{3.0e3, 0.1};
 
 /// One server and producer configuration of the live runs.
 struct Shape {
-  uint64_t EpochEvents;
   uint32_t RingEvents;
   size_t Batch; ///< producer-side staging batch
 };
 
-/// A small epoch and ring so boundary-capped drains and producer
-/// backpressure both happen many times per stream, fed with the pipeline
-/// default batch and with an odd one so ring pushes are ragged and partial
-/// pushes occur; then an epoch that does not divide the ring, so one
-/// service pass splits at both wrap points and epoch boundaries.
+/// A small ring so wrap-point drains and producer backpressure both happen
+/// many times per stream, fed with the pipeline default batch and with an
+/// odd one so ring pushes are ragged and partial pushes occur; then a ring
+/// a quarter of the default batch, so a staged batch takes at least four
+/// pushes.
 constexpr Shape TestShapes[] = {
-    {1024, 2048, workload::DefaultBatchEvents},
-    {1024, 2048, 257},
-    {1000, 1024, workload::DefaultBatchEvents},
+    {2048, workload::DefaultBatchEvents},
+    {2048, 257},
+    {1024, workload::DefaultBatchEvents},
 };
 
 ReactiveConfig scaledConfig() {
@@ -94,7 +93,6 @@ TEST(ServeEquivalenceTest, LiveStreamsMatchBatchAcrossSuiteAndShards) {
     for (const Shape &Sh : TestShapes) {
       ServeConfig Config;
       Config.Consumers = Consumers;
-      Config.EpochEvents = Sh.EpochEvents;
       Config.RingEvents = Sh.RingEvents;
       StreamServer Server(Config);
 
@@ -117,8 +115,8 @@ TEST(ServeEquivalenceTest, LiveStreamsMatchBatchAcrossSuiteAndShards) {
       for (size_t I = 0; I < Reference.size(); ++I) {
         EXPECT_EQ(Server.streamStats(Fleet.Streams[I]), Reference[I])
             << SpecOf[I]->Name << "/" << Inputs[I].Name
-            << " consumers=" << Consumers << " epoch=" << Sh.EpochEvents
-            << " ring=" << Sh.RingEvents << " batch=" << Sh.Batch;
+            << " consumers=" << Consumers << " ring=" << Sh.RingEvents
+            << " batch=" << Sh.Batch;
         EXPECT_EQ(Server.processed(Fleet.Streams[I]),
                   Reference[I].EventsConsumed);
         ExpectedEvents += Reference[I].EventsConsumed;

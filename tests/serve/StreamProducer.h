@@ -1,20 +1,16 @@
-//===- tests/serve/StreamProducer.h - Ring producer adapters ---*- C++ -*-===//
+//===- tests/serve/StreamProducer.h - Ring producer adapter ----*- C++ -*-===//
 //
 // Part of the specctrl project (CGO 2005 reactive speculation reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Producer-side adapters that feed any EventSource (TraceGenerator,
-/// TraceCursor) into an SpscRing -- the client half of
-/// the streaming control-plane service.  Two pieces:
-///
-///  * SkipSource wraps a source and discards its first N events, which is
-///    how a failover producer resumes the tail of a stream after a
-///    snapshot restore (the restored server already consumed N events).
-///  * RingProducer stages batched reads from a source and pushes them into
-///    a ring with partial-push retry, preserving the source's exact event
-///    order.  step() is non-blocking so callers own the backoff policy.
+/// The producer-side adapter that feeds any EventSource (TraceGenerator,
+/// TraceCursor) into an SpscRing -- the client half of the streaming
+/// ingest service.  RingProducer stages batched reads from a source and
+/// pushes them into a ring with partial-push retry, preserving the
+/// source's exact event order.  step() is non-blocking so callers own the
+/// backoff policy.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,23 +24,6 @@
 
 namespace specctrl {
 namespace workload {
-
-/// An EventSource view that drops the first \p Skip events of \p Inner and
-/// then streams the rest unchanged (InstRet keeps its original values, so
-/// the tail is bit-identical to the uninterrupted stream).
-class SkipSource final : public EventSource {
-public:
-  SkipSource(EventSource &Inner, uint64_t Skip)
-      : Inner(Inner), Remaining(Skip) {}
-
-  size_t nextBatch(std::span<BranchEvent> Buffer) override;
-
-private:
-  void skipPending();
-
-  EventSource &Inner;
-  uint64_t Remaining;
-};
 
 /// Pumps an EventSource into an SpscRing in batches.  Single-threaded on
 /// the producer side; pair with one consumer draining the ring.

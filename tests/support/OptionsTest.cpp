@@ -63,6 +63,22 @@ TEST(OptionsTest, BadIntegerFails) {
   EXPECT_TRUE(Opts.wasError());
 }
 
+TEST(OptionsTest, OutOfRangeIntegerFails) {
+  // strtoll clamps these to INT64_MAX and INT64_MIN; the parser must not.
+  for (const char *Arg : {"--n=99999999999999999999",
+                          "--n=-99999999999999999999",
+                          "--n=0x10000000000000000"}) {
+    OptionSet Opts("t");
+    Opts.addInt("n", 0, "n");
+    EXPECT_FALSE(parse(Opts, {Arg})) << Arg;
+    EXPECT_TRUE(Opts.wasError()) << Arg;
+  }
+  OptionSet Opts("t");
+  Opts.addInt("n", 0, "n");
+  ASSERT_TRUE(parse(Opts, {"--n=9223372036854775807"}));
+  EXPECT_EQ(Opts.getInt("n"), INT64_MAX);
+}
+
 TEST(OptionsTest, PositionalCollected) {
   OptionSet Opts("t");
   Opts.addFlag("x", "x");

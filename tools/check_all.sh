@@ -8,7 +8,8 @@
 #      the fast label) in an AddressSanitizer tree (build-asan/) and in an
 #      UndefinedBehaviorSanitizer tree (build-ubsan/);
 #   3. the engine concurrency tests, the MSSP plan cells, the mapped
-#      trace store's tests and every serve test in a ThreadSanitizer tree
+#      trace store's tests and every serve test (StreamServerTest,
+#      ServeEquivalenceTest, RingBuffer) in a ThreadSanitizer tree
 #      (build-tsan/): MSSP and baseline cells run on several workers, each
 #      with its own execution engine over one shared dispatch table;
 #      cursors in several threads race on one mapping's per-block verified
@@ -48,7 +49,7 @@ configure build-ubsan -DSPECCTRL_UBSAN=ON
 echo "== TSan, engine concurrency, MSSP plans, the trace store and the serve layer (build-tsan/)"
 configure build-tsan -DSPECCTRL_TSAN=ON
 (cd build-tsan &&
-  ctest -R 'ExperimentRunner|ArenaRace|Determinism|MsspEnginePlan|MmapTraceStore|RingBuffer|ReconfigTest|ServeEquivalenceTest|SnapshotRestoreTest' \
+  ctest -R 'ExperimentRunner|ArenaRace|Determinism|MsspEnginePlan|MmapTraceStore|RingBuffer|StreamServerTest|ServeEquivalenceTest' \
     --output-on-failure -j "$JOBS")
 
 echo "== perfbench self-test"

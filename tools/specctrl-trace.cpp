@@ -6,7 +6,8 @@
 //     --list-sites            dump the static site table (behavior, weight)
 //     --dump-profile[=FILE]   run and save the whole-run branch profile
 //     --synthesize            print the benchmark-like SimIR program
-//     --head=N                print the first N branch events
+//     --head=N                print the first N branch events, in tables
+//                             of at most 4096 rows
 //     --record=FILE           record the run as an SCT2 trace
 //     --replay=FILE           replay a recorded trace zero-copy from a
 //                             read-only mapping and report peak RSS
@@ -28,6 +29,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -51,7 +53,9 @@ int main(int Argc, char **Argv) try {
                  "print structural stats for this trace file (events, "
                  "blocks, bytes, bytes/event)");
   Opts.addFlag("synthesize", "print the benchmark-like SimIR program");
-  Opts.addInt("head", 0, "print the first N branch events");
+  Opts.addInt("head", 0,
+              "print the first N branch events (in tables of at most 4096 "
+              "rows)");
   bench::addScaleOptions(Opts); // shared with the bench harnesses
   if (!Opts.parse(Argc, Argv))
     return Opts.wasError() ? 2 : 0;
@@ -62,6 +66,7 @@ int main(int Argc, char **Argv) try {
               << "'\n";
     return 2;
   }
+  const uint64_t Head = bench::readCount(Opts, "head", 0);
   const SuiteScale Scale = bench::readScale(Opts);
   const WorkloadSpec Spec = makeBenchmark(Opts.getString("bench"), Scale);
   const InputConfig Input =
@@ -178,21 +183,27 @@ int main(int Argc, char **Argv) try {
     return 0;
   }
 
-  const int64_t Head = Opts.getInt("head");
   if (Head > 0) {
+    // One table per generated chunk, so memory stays bounded by a chunk
+    // however large N is.
     TraceGenerator Gen(Spec, Input);
-    std::vector<BranchEvent> Events(static_cast<size_t>(Head));
-    Events.resize(Gen.nextBatch(Events));
-    Table Out({"index", "site", "taken", "instret"});
-    for (size_t I = 0; I < Events.size(); ++I) {
-      const BranchEvent &E = Events[I];
-      Out.row()
-          .cell(static_cast<uint64_t>(I))
-          .cell(static_cast<uint64_t>(E.Site))
-          .cell(E.Taken ? "T" : "N")
-          .cell(E.InstRet);
+    std::vector<BranchEvent> Chunk(DefaultBatchEvents);
+    uint64_t Index = 0;
+    while (Index < Head) {
+      const size_t N = Gen.nextBatch({Chunk.data(),
+                                      static_cast<size_t>(std::min<uint64_t>(
+                                          Chunk.size(), Head - Index))});
+      if (N == 0)
+        break;
+      Table Out({"index", "site", "taken", "instret"});
+      for (size_t I = 0; I < N; ++I, ++Index)
+        Out.row()
+            .cell(Index)
+            .cell(static_cast<uint64_t>(Chunk[I].Site))
+            .cell(Chunk[I].Taken ? "T" : "N")
+            .cell(Chunk[I].InstRet);
+      Out.printText(std::cout);
     }
-    Out.printText(std::cout);
     return 0;
   }
 
