@@ -6,6 +6,8 @@
 
 #include "BenchCommon.h"
 
+#include "core/Driver.h"
+
 #include <algorithm>
 #include <climits>
 #include <cmath>
@@ -257,13 +259,8 @@ bool bench::checkReport(const engine::RunReport &Report) {
 profile::BranchProfile
 bench::collectProfile(const workload::WorkloadSpec &Spec,
                       const workload::InputConfig &Input) {
-  profile::BranchProfile P(Spec.numSites());
   workload::TraceGenerator Gen(Spec, Input);
-  std::vector<workload::BranchEvent> Chunk(workload::DefaultBatchEvents);
-  while (const size_t N = Gen.nextBatch(Chunk))
-    for (size_t I = 0; I < N; ++I)
-      P.addOutcome(Chunk[I].Site, Chunk[I].Taken);
-  return P;
+  return core::collectProfile(Gen, Spec.numSites());
 }
 
 core::ReactiveConfig bench::scaledBaseline(const OptionSet &Opts) {

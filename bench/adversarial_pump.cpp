@@ -14,11 +14,11 @@
 
 #include "core/Driver.h"
 #include "core/ReactiveController.h"
-#include "core/StaticControllers.h"
 #include "profile/Pareto.h"
 #include "support/Table.h"
 #include "workload/AdversarialWorkload.h"
 
+#include <any>
 #include <iostream>
 #include <memory>
 
@@ -35,11 +35,6 @@ struct Variant {
 };
 
 constexpr const char *SelfTrainingName = "self-training-99";
-
-std::unique_ptr<SpeculationController> makeNullController() {
-  return std::make_unique<StaticSelectionController>(
-      std::vector<bool>{}, std::vector<bool>{}, "none");
-}
 
 } // namespace
 
@@ -88,19 +83,17 @@ int main(int Argc, char **Argv) {
   seedWorkload(PumpSpec, Opt.Seed, 0);
   Plan.addBenchmark(std::move(PumpSpec));
 
-  Plan.addConfig(SelfTrainingName, [](const engine::CellContext &) {
-    return makeNullController();
+  // The self-training reference is a task cell in column 0, so it
+  // materializes the trace the reactive variants replay.
+  Plan.addTaskConfig(SelfTrainingName, [Arena = Plan.traceArena()](
+                                           const engine::CellContext &Ctx) {
+    return std::any(core::collectProfile(*Arena->open(Ctx.Spec, Ctx.Input),
+                                         Ctx.Spec.numSites()));
   });
   for (const Variant &V : Variants)
     Plan.addConfig(V.Name, [V](const engine::CellContext &) {
       return std::make_unique<ReactiveController>(V.Config, V.Name);
     });
-  Plan.setObserverFactory([](const engine::CellContext &Ctx)
-                              -> std::unique_ptr<TraceObserver> {
-    if (Ctx.ConfigName != SelfTrainingName)
-      return nullptr;
-    return std::make_unique<ProfileObserver>(Ctx.Spec.numSites());
-  });
 
   const engine::RunReport Report = runSuite(Plan, Opt);
   if (!checkReport(Report))
@@ -111,9 +104,8 @@ int main(int Argc, char **Argv) {
 
   const std::string &Bench = Plan.benchmarks().front().Spec.Name;
 
-  const engine::CellResult &SelfCell = Report.cell(0, 0, 0);
-  const auto &Self =
-      static_cast<const ProfileObserver &>(*SelfCell.Observer).profile();
+  const auto &Self = std::any_cast<const profile::BranchProfile &>(
+      Report.cell(0, 0, 0).Value);
   const profile::SelectionResult Ref =
       profile::evaluateSelection(Self, Self, 0.99);
   Out.row()

@@ -13,23 +13,24 @@
 // Axes are fractions of the evaluation run's dynamic branches.
 //
 // There are no controllers here, only profile collection: each
-// (benchmark, input) run is an engine cell whose observer streams the
-// whole-run profile (and, for the evaluation input, the initial-behavior
-// prefix statistics).  All series are computed analytically afterwards.
+// (benchmark, input) run is an engine task cell that streams its
+// generator straight into the whole-run profile (and, for the evaluation
+// input, the initial-behavior prefix statistics).  Each trace is read
+// once, so the plan has no trace arena.  All series are computed
+// analytically afterwards.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 
-#include "core/Driver.h"
-#include "core/StaticControllers.h"
 #include "profile/InitialBehavior.h"
 #include "profile/Pareto.h"
 #include "support/Table.h"
 
+#include <any>
 #include <iostream>
-#include <memory>
 #include <optional>
+#include <vector>
 
 using namespace specctrl;
 using namespace specctrl::bench;
@@ -38,25 +39,29 @@ using namespace specctrl::workload;
 
 namespace {
 
-/// Collects the whole-run profile and, for the evaluation input, the
-/// initial-behavior prefix statistics, in one streaming pass.
-class Fig2Observer final : public core::TraceObserver {
-public:
-  Fig2Observer(uint32_t NumSites, bool CollectInitial) : Profile(NumSites) {
-    if (CollectInitial)
-      Initial.emplace(InitialBehaviorProfile::paperWindows());
-  }
-
-  void onEvent(const BranchEvent &Event,
-               const core::BranchVerdict &) override {
-    Profile.addOutcome(Event.Site, Event.Taken);
-    if (Initial)
-      Initial->addOutcome(Event.Site, Event.Taken);
-  }
-
+/// One cell's result: the whole-run profile and, for the evaluation
+/// input, the initial-behavior prefix statistics.
+struct Fig2Profiles {
   BranchProfile Profile;
   std::optional<InitialBehaviorProfile> Initial;
 };
+
+/// Collects a cell's profiles in one pass over a fresh generator.
+Fig2Profiles collectFig2Profiles(const WorkloadSpec &Spec,
+                                 const InputConfig &Input) {
+  Fig2Profiles Out{BranchProfile(Spec.numSites()), std::nullopt};
+  if (Input.Name == "ref")
+    Out.Initial.emplace(InitialBehaviorProfile::paperWindows());
+  TraceGenerator Gen(Spec, Input);
+  std::vector<BranchEvent> Chunk(DefaultBatchEvents);
+  while (const size_t N = Gen.nextBatch(Chunk))
+    for (size_t I = 0; I < N; ++I) {
+      Out.Profile.addOutcome(Chunk[I].Site, Chunk[I].Taken);
+      if (Out.Initial)
+        Out.Initial->addOutcome(Chunk[I].Site, Chunk[I].Taken);
+    }
+  return Out;
+}
 
 } // namespace
 
@@ -66,7 +71,6 @@ int main(int Argc, char **Argv) {
   addCsvOption(Opts);
   addSuiteOptions(Opts);
   addJobsOptions(Opts);
-  addTraceCacheOption(Opts);
   Opts.addDouble("threshold", 0.99, "selection bias threshold");
   if (!Opts.parse(Argc, Argv))
     return Opts.wasError() ? 2 : 0;
@@ -81,20 +85,13 @@ int main(int Argc, char **Argv) {
   // the differing training input.
   engine::ExperimentPlan Plan;
   Plan.setBaseSeed(Opt.Seed);
-  Plan.setTraceArena(makeArena(Opt));
   for (WorkloadSpec &Spec : selectedSuite(Opt)) {
     std::vector<InputConfig> Inputs = {Spec.refInput(), Spec.trainInput()};
     Plan.addBenchmark(std::move(Spec), std::move(Inputs));
   }
-  Plan.addConfig("profile", [](const engine::CellContext &) {
-    return std::make_unique<core::StaticSelectionController>(
-        std::vector<bool>{}, std::vector<bool>{}, "none");
+  Plan.addTaskConfig("profile", [](const engine::CellContext &Ctx) {
+    return std::any(collectFig2Profiles(Ctx.Spec, Ctx.Input));
   });
-  Plan.setObserverFactory(
-      [](const engine::CellContext &Ctx) -> std::unique_ptr<core::TraceObserver> {
-        return std::make_unique<Fig2Observer>(
-            Ctx.Spec.numSites(), /*CollectInitial=*/Ctx.Input.Name == "ref");
-      });
 
   const engine::RunReport Report = runSuite(Plan, Opt);
   if (!checkReport(Report))
@@ -110,9 +107,9 @@ int main(int Argc, char **Argv) {
   for (uint32_t B = 0; B < Benchmarks.size(); ++B) {
     const std::string &Bench = Benchmarks[B].Spec.Name;
     const auto &Ref =
-        static_cast<const Fig2Observer &>(*Report.cell(B, 0, 0).Observer);
+        std::any_cast<const Fig2Profiles &>(Report.cell(B, 0, 0).Value);
     const auto &Train =
-        static_cast<const Fig2Observer &>(*Report.cell(B, 1, 0).Observer);
+        std::any_cast<const Fig2Profiles &>(Report.cell(B, 1, 0).Value);
     const BranchProfile &RefProfile = Ref.Profile;
     const InitialBehaviorProfile &Initial = *Ref.Initial;
 

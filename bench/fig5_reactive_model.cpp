@@ -7,9 +7,10 @@
 // revisit), plus an optimization-latency sweep (the paper's headline
 // latency-tolerance claim).
 //
-// All runs -- including the self-training reference, which is a
-// profile-collecting cell -- execute as one ExperimentPlan on the
-// parallel engine (--jobs workers, output independent of the value).
+// All runs -- including the self-training reference, a task column that
+// collects the run's profile from the plan's trace arena -- execute as
+// one ExperimentPlan on the parallel engine (--jobs workers, output
+// independent of the value).
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,10 +19,10 @@
 
 #include "core/Driver.h"
 #include "core/ReactiveController.h"
-#include "core/StaticControllers.h"
 #include "profile/Pareto.h"
 #include "support/Table.h"
 
+#include <any>
 #include <iostream>
 #include <memory>
 
@@ -38,13 +39,6 @@ struct Variant {
 };
 
 constexpr const char *SelfTrainingName = "self-training-99";
-
-/// A controller that never speculates: carrier for profile-collection
-/// cells (the observer does the work).
-std::unique_ptr<SpeculationController> makeNullController() {
-  return std::make_unique<StaticSelectionController>(
-      std::vector<bool>{}, std::vector<bool>{}, "none");
-}
 
 } // namespace
 
@@ -87,23 +81,20 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // Grid: the self-training reference first (its cell collects the run's
-  // profile through an observer; the paper's 99% knee is computed from it
-  // after the run), then the reactive variants.
+  // Grid: the self-training reference first (a task cell that collects
+  // the run's profile; the paper's 99% knee is computed from it after the
+  // run), then the reactive variants.  Column 0 runs first per benchmark,
+  // so the profile cell materializes the trace its siblings replay.
   engine::ExperimentPlan Plan = suitePlan(Opt);
-  Plan.addConfig(SelfTrainingName, [](const engine::CellContext &) {
-    return makeNullController();
+  Plan.addTaskConfig(SelfTrainingName, [Arena = Plan.traceArena()](
+                                           const engine::CellContext &Ctx) {
+    return std::any(core::collectProfile(*Arena->open(Ctx.Spec, Ctx.Input),
+                                         Ctx.Spec.numSites()));
   });
   for (const Variant &V : Variants)
     Plan.addConfig(V.Name, [V](const engine::CellContext &) {
       return std::make_unique<ReactiveController>(V.Config, V.Name);
     });
-  Plan.setObserverFactory([](const engine::CellContext &Ctx)
-                              -> std::unique_ptr<TraceObserver> {
-    if (Ctx.ConfigName != SelfTrainingName)
-      return nullptr;
-    return std::make_unique<ProfileObserver>(Ctx.Spec.numSites());
-  });
 
   const engine::RunReport Report = runSuite(Plan, Opt);
   if (!checkReport(Report))
@@ -117,9 +108,8 @@ int main(int Argc, char **Argv) {
     const std::string &Bench = Benchmarks[B].Spec.Name;
 
     // Self-training reference point (the line's 99% knee).
-    const engine::CellResult &SelfCell = Report.cell(B, 0, 0);
-    const auto &Self =
-        static_cast<const ProfileObserver &>(*SelfCell.Observer).profile();
+    const auto &Self = std::any_cast<const profile::BranchProfile &>(
+        Report.cell(B, 0, 0).Value);
     const profile::SelectionResult Ref =
         profile::evaluateSelection(Self, Self, 0.99);
     Out.row()

@@ -12,17 +12,8 @@
 using namespace specctrl;
 using namespace specctrl::core;
 
-TraceObserver::~TraceObserver() = default;
-
-void TraceObserver::onBatch(std::span<const workload::BranchEvent> Events,
-                            std::span<const BranchVerdict> Verdicts) {
-  for (size_t I = 0; I < Events.size(); ++I)
-    onEvent(Events[I], Verdicts[I]);
-}
-
 const ControlStats &core::runTrace(SpeculationController &Controller,
                                    workload::EventSource &Source,
-                                   TraceObserver *Observer,
                                    size_t BatchEvents) {
   uint64_t Consumed = 0;
   // Reusable chunk arena: one events buffer, one verdicts buffer, both
@@ -33,9 +24,6 @@ const ControlStats &core::runTrace(SpeculationController &Controller,
   while (const size_t N = Source.nextBatch(Events)) {
     const std::span<const workload::BranchEvent> Chunk(Events.data(), N);
     Controller.onBatch(Chunk, Verdicts.data());
-    if (Observer)
-      Observer->onBatch(Chunk,
-                        std::span<const BranchVerdict>(Verdicts.data(), N));
     Consumed += N;
   }
   ControlStats &Stats = Controller.stats();
@@ -46,8 +34,17 @@ const ControlStats &core::runTrace(SpeculationController &Controller,
 const ControlStats &core::runWorkload(SpeculationController &Controller,
                                       const workload::WorkloadSpec &Spec,
                                       const workload::InputConfig &Input,
-                                      TraceObserver *Observer,
                                       size_t BatchEvents) {
   workload::TraceGenerator Gen(Spec, Input);
-  return runTrace(Controller, Gen, Observer, BatchEvents);
+  return runTrace(Controller, Gen, BatchEvents);
+}
+
+profile::BranchProfile core::collectProfile(workload::EventSource &Source,
+                                            uint32_t NumSites) {
+  profile::BranchProfile Profile(NumSites);
+  std::vector<workload::BranchEvent> Events(workload::DefaultBatchEvents);
+  while (const size_t N = Source.nextBatch(Events))
+    for (size_t I = 0; I < N; ++I)
+      Profile.addOutcome(Events[I].Site, Events[I].Taken);
+  return Profile;
 }

@@ -26,15 +26,6 @@ StaticSelectionController::StaticSelectionController(
   }
 }
 
-StaticSelectionController::StaticSelectionController(
-    std::vector<bool> Selected, std::vector<bool> Direction,
-    const char *Name)
-    : Selected(std::move(Selected)), Direction(std::move(Direction)),
-      PolicyName(Name) {
-  assert(this->Selected.size() == this->Direction.size() &&
-         "selection/direction size mismatch");
-}
-
 uint32_t StaticSelectionController::selectedCount() const {
   uint32_t N = 0;
   for (bool B : Selected)

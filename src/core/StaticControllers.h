@@ -7,11 +7,13 @@
 /// \file
 /// Non-reactive speculation-control baselines:
 ///
-///  * StaticSelectionController -- a fixed site->direction selection, fully
-///    deployed from the first instruction.  Feeding it a training-run
-///    profile reproduces the paper's "profiling from a previous run"
-///    policy; feeding it the evaluation run's own profile reproduces
-///    self-training.
+///  * StaticSelectionController -- a fixed site->direction selection made
+///    from a profile, fully deployed from the first instruction.  Feeding
+///    it a training-run profile reproduces the paper's "profiling from a
+///    previous run" policy; feeding it the evaluation run's own profile
+///    reproduces self-training.  Figs. 2 and 5 compute that point from
+///    the whole-run profile alone (profile::evaluateSelection), with no
+///    controller run.
 ///  * Initial-behavior and open-loop policies are ReactiveController
 ///    configurations (ReactiveConfig::oneShot / noEviction), not separate
 ///    classes -- the paper's Fig. 4(a) is Fig. 4(b) minus arcs.
@@ -39,11 +41,6 @@ public:
   StaticSelectionController(const profile::BranchProfile &Profile,
                             double BiasThreshold, uint64_t MinExecs = 1,
                             const char *Name = "static-profile");
-
-  /// Builds an explicit selection; Selected[Site]/Direction[Site].
-  StaticSelectionController(std::vector<bool> Selected,
-                            std::vector<bool> Direction,
-                            const char *Name = "static-explicit");
 
   uint32_t selectedCount() const;
 

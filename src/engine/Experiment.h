@@ -9,11 +9,11 @@
 /// engine::runPlan.  A plan is a grid of benchmark x input x
 /// controller-config cells -- exactly the shape of the paper's sensitivity
 /// methodology (Sec. 3, Tables 3-4), where every cell is an independent
-/// full-trace run.  Each cell names a *factory* for its
-/// SpeculationController (and optionally one for a TraceObserver), so the
-/// runner can construct all per-cell state inside the cell itself: no
-/// mutable state is shared between cells, which is what makes parallel
-/// execution bit-identical to serial.
+/// full-trace run.  Each column names a *factory* for its cells'
+/// SpeculationController, or a task that is the whole cell (a profile
+/// collection, an MSSP simulation), so the runner constructs all per-cell
+/// state inside the cell itself: no mutable state is shared between
+/// cells, which is what makes parallel execution bit-identical to serial.
 ///
 /// Cells receive a deterministic seed derived purely from the plan's base
 /// seed and the cell's grid coordinates (never from shared generator
@@ -25,7 +25,6 @@
 #define SPECCTRL_ENGINE_EXPERIMENT_H
 
 #include "core/Controller.h"
-#include "core/Driver.h"
 #include "workload/Workload.h"
 
 #include <any>
@@ -55,7 +54,6 @@ struct CellCoord {
 struct CellContext {
   const workload::WorkloadSpec &Spec;
   const workload::InputConfig &Input;
-  const std::string &ConfigName;
   CellCoord Coord;
   /// Deterministic per-cell seed: mix(plan base seed, coordinates).
   uint64_t Seed = 0;
@@ -71,18 +69,14 @@ using ControllerFactory =
     std::function<std::unique_ptr<core::SpeculationController>(
         const CellContext &Ctx)>;
 
-/// Builds the cell's optional trace observer (profile collection etc.).
-/// Returning nullptr means "no observer for this cell".
-using ObserverFactory = std::function<std::unique_ptr<core::TraceObserver>(
-    const CellContext &Ctx)>;
-
 /// Runs an arbitrary self-contained computation for one cell and returns
 /// its result (recovered by the caller with std::any_cast on
 /// CellResult::Value).  Used by experiments whose unit of work is not a
-/// branch-trace run -- e.g. the MSSP timing simulations, where a cell
-/// synthesizes and executes a whole SimIR program.  The same isolation
-/// rule applies: no state shared with other cells, randomness only from
-/// Ctx.Seed.
+/// controller run over a branch trace -- e.g. a whole-run profile
+/// collection, or the MSSP timing simulations, where a cell synthesizes
+/// and executes a whole SimIR program.  The same isolation rule applies:
+/// no state shared with other cells (the plan's trace arena aside, which
+/// is synchronized), randomness only from Ctx.Seed.
 using CellRunner = std::function<std::any(const CellContext &Ctx)>;
 
 /// One benchmark axis entry: a workload and the inputs to run it under.
@@ -118,28 +112,22 @@ public:
   /// in CellResult::Value.
   void addTaskConfig(std::string Name, CellRunner Run);
 
-  /// Installs the per-cell observer factory (applies to every cell; return
-  /// nullptr from the factory to skip individual cells).
-  void setObserverFactory(ObserverFactory Make) {
-    MakeObserver = std::move(Make);
-  }
-
   /// Base seed mixed into every cell seed (default 0).
   void setBaseSeed(uint64_t Seed) { BaseSeed = Seed; }
 
   /// Installs the plan's trace arena: every controller cell then replays
   /// its (benchmark, input) trace out of one shared materialization
   /// instead of re-synthesizing it (identical stream, so identical
-  /// results; see workload::TraceArena).  Null (the default) re-generates
-  /// per cell.  Shared_ptr so one arena -- and its disk tier -- can back
-  /// several plans.
+  /// results; see workload::TraceArena).  Task cells that read the trace
+  /// open it here too.  Null (the default) re-generates per cell.
+  /// Shared_ptr so one arena -- and its disk tier -- can back several
+  /// plans.
   void setTraceArena(std::shared_ptr<workload::TraceArena> Arena) {
     this->Arena = std::move(Arena);
   }
 
   const std::vector<BenchmarkAxis> &benchmarks() const { return Benchmarks; }
   const std::vector<ConfigAxis> &configs() const { return Configs; }
-  const ObserverFactory &observerFactory() const { return MakeObserver; }
   uint64_t baseSeed() const { return BaseSeed; }
   const std::shared_ptr<workload::TraceArena> &traceArena() const {
     return Arena;
@@ -155,7 +143,6 @@ public:
 private:
   std::vector<BenchmarkAxis> Benchmarks;
   std::vector<ConfigAxis> Configs;
-  ObserverFactory MakeObserver;
   std::shared_ptr<workload::TraceArena> Arena;
   uint64_t BaseSeed = 0;
 };

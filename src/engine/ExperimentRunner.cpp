@@ -6,6 +6,7 @@
 
 #include "engine/ExperimentRunner.h"
 
+#include "core/Driver.h"
 #include "engine/ThreadPool.h"
 #include "workload/TraceArena.h"
 #include "workload/TraceGenerator.h"
@@ -28,8 +29,8 @@ double secondsSince(Clock::time_point Start, Clock::time_point End) {
 }
 
 /// Runs one laid-out cell of \p Plan: constructs all per-cell state from
-/// the plan (controller, observer, event source), feeds the whole trace,
-/// and records stats/metrics into \p Cell.  Exceptions are captured into
+/// the plan (controller, event source), feeds the whole trace, and
+/// records stats/metrics into \p Cell.  Exceptions are captured into
 /// Cell.Failed/Error instead of propagating (failure isolation).  Safe to
 /// call from any worker: the only shared state touched is the plan's
 /// trace arena, which is internally synchronized.
@@ -40,8 +41,8 @@ void runPlanCell(const ExperimentPlan &Plan, CellResult &Cell) {
     const workload::InputConfig &Input = Bench.Inputs[Cell.Coord.Input];
     const ConfigAxis &Config = Plan.configs()[Cell.Coord.Config];
 
-    const CellContext Ctx{Bench.Spec,  Input,     Config.Name,
-                          Cell.Coord,  Cell.Seed, Plan.baseSeed()};
+    const CellContext Ctx{Bench.Spec, Input, Cell.Coord, Cell.Seed,
+                          Plan.baseSeed()};
     if (Config.Run) {
       // Task cell: the column's runner is the whole cell.
       Cell.Value = Config.Run(Ctx);
@@ -53,9 +54,6 @@ void runPlanCell(const ExperimentPlan &Plan, CellResult &Cell) {
     if (!Controller)
       throw std::runtime_error("controller factory returned null for '" +
                                Config.Name + "'");
-    std::unique_ptr<core::TraceObserver> Observer;
-    if (Plan.observerFactory())
-      Observer = Plan.observerFactory()(Ctx);
 
     // With a plan arena the cell replays the shared materialization
     // (first cell per key generates, the rest decode); without one it
@@ -64,11 +62,9 @@ void runPlanCell(const ExperimentPlan &Plan, CellResult &Cell) {
         Plan.traceArena()
             ? Plan.traceArena()->open(Bench.Spec, Input)
             : std::make_unique<workload::TraceGenerator>(Bench.Spec, Input);
-    const core::ControlStats &Stats =
-        core::runTrace(*Controller, *Source, Observer.get());
+    const core::ControlStats &Stats = core::runTrace(*Controller, *Source);
     Cell.Stats = Stats;
     Cell.Events = Stats.EventsConsumed;
-    Cell.Observer = std::move(Observer);
   } catch (const std::exception &E) {
     Cell.Failed = true;
     Cell.Error = E.what();

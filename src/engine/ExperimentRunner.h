@@ -11,10 +11,10 @@
 /// trace arena when the plan carries one.
 ///
 /// Guarantees:
-///  * Determinism -- every cell builds its own generator, controller, and
-///    observer from the plan (no shared mutable state), and cell seeds are
-///    pure functions of grid coordinates, so a parallel run's results are
-///    bit-identical to a serial run's.
+///  * Determinism -- every cell builds its own event source and
+///    controller (or runs its own task) from the plan (no shared mutable
+///    state), and cell seeds are pure functions of grid coordinates, so a
+///    parallel run's results are bit-identical to a serial run's.
 ///  * Failure isolation -- an exception escaping one cell is captured into
 ///    that cell's report slot (Failed/Error); sibling cells complete
 ///    normally and the run returns a full report.
@@ -35,7 +35,6 @@
 #include "engine/Experiment.h"
 
 #include <any>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,11 +58,8 @@ struct CellResult {
 
   /// Final controller statistics (copied out of the cell's controller).
   core::ControlStats Stats;
-  /// The cell's observer, if the plan's factory produced one; callers
-  /// downcast to recover collected per-cell data (e.g. profiles).
-  std::unique_ptr<core::TraceObserver> Observer;
-  /// A task cell's return value (addTaskConfig columns); empty for
-  /// controller cells.  Recover with std::any_cast<T>.
+  /// A task cell's return value (addTaskConfig columns, e.g. a collected
+  /// profile); empty for controller cells.  Recover with std::any_cast<T>.
   std::any Value;
 
   bool Failed = false; ///< an exception escaped the cell

@@ -35,7 +35,7 @@ ThreadPool::~ThreadPool() {
     Worker.join();
 }
 
-void ThreadPool::submit(UniqueTask Task) {
+void ThreadPool::submit(std::function<void()> Task) {
   assert(Task && "null task");
   {
     std::lock_guard<std::mutex> Lock(Mutex);
@@ -53,7 +53,7 @@ void ThreadPool::wait() {
 
 void ThreadPool::workerLoop() {
   for (;;) {
-    UniqueTask Task;
+    std::function<void()> Task;
     {
       std::unique_lock<std::mutex> Lock(Mutex);
       WorkReady.wait(Lock, [this] { return Stopping || !Queue.empty(); });

@@ -22,46 +22,13 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <memory>
+#include <functional>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace specctrl {
 namespace engine {
-
-/// A type-erased move-only callable, the pool's task type.  std::function
-/// requires copyable callables, which rules out tasks owning unique_ptr
-/// state (e.g. the serve client pumps, which capture their arena replay
-/// cursor); this minimal wrapper erases any move-constructible invocable.
-class UniqueTask {
-public:
-  UniqueTask() = default;
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, UniqueTask> &&
-                std::is_invocable_v<std::decay_t<F> &>>>
-  UniqueTask(F &&Fn) // NOLINT(google-explicit-constructor)
-      : Impl(std::make_unique<Model<std::decay_t<F>>>(std::forward<F>(Fn))) {}
-
-  void operator()() { Impl->call(); }
-  explicit operator bool() const { return Impl != nullptr; }
-
-private:
-  struct Concept {
-    virtual ~Concept() = default;
-    virtual void call() = 0;
-  };
-  template <typename F> struct Model final : Concept {
-    explicit Model(F Fn) : Fn(std::move(Fn)) {}
-    void call() override { Fn(); }
-    F Fn;
-  };
-  std::unique_ptr<Concept> Impl;
-};
 
 /// A fixed-size FIFO thread pool.
 class ThreadPool {
@@ -79,9 +46,8 @@ public:
   /// Number of worker threads.
   unsigned size() const { return static_cast<unsigned>(Workers.size()); }
 
-  /// Enqueues \p Task (any move-constructible invocable).  Thread-safe;
-  /// may be called from worker threads.
-  void submit(UniqueTask Task);
+  /// Enqueues \p Task.  Thread-safe; may be called from worker threads.
+  void submit(std::function<void()> Task);
 
   /// Blocks until every task submitted so far has completed.
   void wait();
@@ -96,7 +62,7 @@ private:
   std::mutex Mutex;
   std::condition_variable WorkReady;
   std::condition_variable AllDone;
-  std::deque<UniqueTask> Queue;
+  std::deque<std::function<void()>> Queue;
   std::vector<std::thread> Workers;
   size_t Outstanding = 0; ///< queued + currently running tasks
   bool Stopping = false;

@@ -27,8 +27,8 @@ std::vector<std::string> specctrl::splitList(const std::string &List,
   return Out;
 }
 
-OptionSet::OptionSet(std::string ToolDescription)
-    : Description(std::move(ToolDescription)) {}
+OptionSet::OptionSet(std::string ToolDescription, size_t MaxPositional)
+    : Description(std::move(ToolDescription)), MaxPositional(MaxPositional) {}
 
 void OptionSet::addFlag(const std::string &Name, const std::string &Help) {
   assert(!find(Name) && "duplicate option name");
@@ -106,6 +106,8 @@ bool OptionSet::parse(int Argc, const char *const *Argv) {
       return false;
     }
     if (Arg.rfind("--", 0) != 0) {
+      if (Positional.size() == MaxPositional)
+        return Fail("unexpected argument '" + Arg + "'");
       Positional.push_back(Arg);
       continue;
     }
@@ -143,9 +145,14 @@ bool OptionSet::parse(int Argc, const char *const *Argv) {
         return Fail("bad boolean value '" + Value + "' for '--" + Name + "'");
       break;
     case OptionKind::Int: {
+      // Hexadecimal after an optional sign and 0x, decimal otherwise: a
+      // leading zero does not make the value octal.
+      const size_t Sign = Value.find_first_of("+-") == 0;
+      const bool Hex = Value.compare(Sign, 2, "0x") == 0 ||
+                       Value.compare(Sign, 2, "0X") == 0;
       char *End = nullptr;
       errno = 0;
-      O->IntValue = std::strtoll(Value.c_str(), &End, 0);
+      O->IntValue = std::strtoll(Value.c_str(), &End, Hex ? 16 : 10);
       if (End == Value.c_str() || *End != '\0')
         return Fail("bad integer value '" + Value + "' for '--" + Name + "'");
       if (errno == ERANGE)

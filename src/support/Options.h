@@ -8,7 +8,9 @@
 /// A minimal declarative command-line parser for the bench and example
 /// binaries.  Options are registered with a name, help text, and a default;
 /// `--name=value`, `--name value`, and bare `--flag` forms are accepted.
-/// `--help` prints the registered options and exits.
+/// An integer value is decimal, or hexadecimal after `0x`; a leading zero
+/// does not make it octal.  `--help` prints the registered options and
+/// exits.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,8 +31,10 @@ std::vector<std::string> splitList(const std::string &List, char Sep = ',');
 /// A declarative option set for tool binaries.
 class OptionSet {
 public:
-  /// Creates an option set; \p ToolDescription is shown by --help.
-  explicit OptionSet(std::string ToolDescription);
+  /// Creates an option set; \p ToolDescription is shown by --help.  The
+  /// tool takes at most \p MaxPositional positional arguments (input
+  /// files); parse rejects a surplus one.
+  explicit OptionSet(std::string ToolDescription, size_t MaxPositional = 0);
 
   /// Registers a boolean flag (default false; `--name` sets it true,
   /// `--name=false` clears it).
@@ -48,7 +52,8 @@ public:
   /// Parses argv.  On `--help`, prints usage and returns false (the caller
   /// should exit 0).  On a malformed or unknown option, prints a diagnostic
   /// to stderr and returns false (the caller should exit nonzero, which
-  /// `wasError()` distinguishes).  Positional arguments are collected.
+  /// `wasError()` distinguishes).  Positional arguments are collected, up
+  /// to the tool's maximum; one more is an error like an unknown option.
   bool parse(int Argc, const char *const *Argv);
 
   bool wasError() const { return SawError; }
@@ -81,6 +86,7 @@ private:
 
   std::string Description;
   std::vector<Option> Options;
+  size_t MaxPositional;
   std::vector<std::string> Positional;
   bool SawError = false;
 };

@@ -2,9 +2,10 @@
 # that made the golden trace must write the golden byte for byte, and
 # --stats and --replay on the recorded file must exit 0 and report its
 # event count.  --head 5 with the same command must print the stream's
-# first five events: index, site, taken, instret; --head 100000000000000
-# must print every event of the stream once and exit 0, without
-# allocating room for N events.
+# first five events: index, site, taken, instret; --head 010 must print
+# ten (a leading zero is not octal); --head 100000000000000 must print
+# every event of the stream once and exit 0, without allocating room for
+# N events.
 #
 # Usage:
 #   cmake -DBIN=<specctrl-trace> -DGOLDEN=<file> -DOUT=<file> -DEVENTS=<n>
@@ -62,6 +63,18 @@ set(Want "^index +site +taken +instret\n-+\n"
 string(CONCAT Want ${Want})
 if(NOT Out MATCHES "${Want}")
   message(FATAL_ERROR "${BIN} --head 5 printed other events:\n${Out}")
+endif()
+
+execute_process(COMMAND "${BIN}" ${GOLDEN_COMMAND} --head 010
+                OUTPUT_VARIABLE Out RESULT_VARIABLE Rc)
+if(NOT Rc EQUAL 0)
+  message(FATAL_ERROR "${BIN} --head 010 exited with ${Rc}")
+endif()
+string(REGEX MATCHALL "[0-9]+ +[0-9]+ +[TN] +[0-9]+\n" Rows "${Out}")
+list(LENGTH Rows Printed)
+if(NOT Printed EQUAL 10)
+  message(FATAL_ERROR "${BIN} --head 010 printed ${Printed} event rows, "
+                      "not 10")
 endif()
 
 execute_process(COMMAND "${BIN}" ${GOLDEN_COMMAND} --head 100000000000000

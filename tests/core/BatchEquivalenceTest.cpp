@@ -8,13 +8,15 @@
 // controller and the static baselines, at the default chunk size, a
 // deliberately odd one (so final partial chunks and chunk-boundary
 // effects are covered), and chunks of one, and through the engine at
-// several worker counts.
+// several worker counts.  The verdicts onBatch writes obey the same
+// contract for every controller family, and count to the stats.
 //
 // `ctest -R batch_equivalence` is the stable handle for this suite (see
 // tests/CMakeLists.txt).
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/AlternativeControllers.h"
 #include "core/Driver.h"
 #include "core/ReactiveController.h"
 #include "core/StaticControllers.h"
@@ -25,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -60,7 +63,7 @@ ReactiveConfig scaledConfig(ReactiveConfig C) {
 ControlStats runReactive(const WorkloadSpec &Spec, const InputConfig &Input,
                          size_t BatchEvents) {
   ReactiveController C(scaledConfig(ReactiveConfig::baseline()));
-  runWorkload(C, Spec, Input, nullptr, BatchEvents);
+  runWorkload(C, Spec, Input, BatchEvents);
   return C.stats();
 }
 
@@ -98,7 +101,7 @@ ControlStats runStatic(const WorkloadSpec &Spec, const InputConfig &Input,
                        const profile::BranchProfile &Profile,
                        size_t BatchEvents) {
   StaticSelectionController C(Profile, 0.95);
-  runWorkload(C, Spec, Input, nullptr, BatchEvents);
+  runWorkload(C, Spec, Input, BatchEvents);
   return C.stats();
 }
 
@@ -107,6 +110,56 @@ ControlStats staticReference(const WorkloadSpec &Spec,
                              const profile::BranchProfile &Profile) {
   StaticSelectionController C(Profile, 0.95);
   return perEventReference(C, Spec, Input);
+}
+
+/// One verdict, encoded for comparison: bit 1 Speculated, bit 0 Correct.
+using VerdictCodes = std::vector<uint8_t>;
+
+uint8_t code(const BranchVerdict &V) {
+  return static_cast<uint8_t>(V.Speculated << 1 | V.Correct);
+}
+
+/// The verdicts onBatch writes over the whole stream, in chunks of
+/// \p BatchEvents.
+VerdictCodes batchVerdicts(SpeculationController &C, const WorkloadSpec &Spec,
+                           const InputConfig &Input, size_t BatchEvents) {
+  TraceGenerator Gen(Spec, Input);
+  std::vector<BranchEvent> Events(BatchEvents);
+  std::vector<BranchVerdict> Verdicts(BatchEvents);
+  VerdictCodes Out;
+  while (const size_t N = Gen.nextBatch(Events)) {
+    C.onBatch({Events.data(), N}, Verdicts.data());
+    for (size_t I = 0; I < N; ++I)
+      Out.push_back(code(Verdicts[I]));
+  }
+  return Out;
+}
+
+/// The verdicts per-event onBranch returns over the whole stream.
+VerdictCodes perEventVerdicts(SpeculationController &C,
+                              const WorkloadSpec &Spec,
+                              const InputConfig &Input) {
+  TraceGenerator Gen(Spec, Input);
+  BranchEvent E;
+  VerdictCodes Out;
+  while (Gen.next(E))
+    Out.push_back(code(C.onBranch(E.Site, E.Taken, E.InstRet)));
+  return Out;
+}
+
+/// Requires \p Verdicts to count to \p Stats: every speculated verdict
+/// is a correct or an incorrect speculation, and every correct one a
+/// correct speculation.
+void expectVerdictsCountToStats(const VerdictCodes &Verdicts,
+                                const ControlStats &Stats,
+                                const std::string &Where) {
+  uint64_t Speculated = 0, Correct = 0;
+  for (const uint8_t V : Verdicts) {
+    Speculated += V >> 1;
+    Correct += V == 3;
+  }
+  EXPECT_EQ(Speculated, Stats.CorrectSpecs + Stats.IncorrectSpecs) << Where;
+  EXPECT_EQ(Correct, Stats.CorrectSpecs) << Where;
 }
 
 ExperimentPlan fullSuitePlan() {
@@ -174,6 +227,59 @@ TEST(BatchEquivalenceTest, StaticSuiteMatchesPerEventOnBothInputs) {
     }
   }
   EXPECT_GT(SpeculatingRuns, 0u);
+}
+
+TEST(BatchEquivalenceTest, VerdictsMatchPerEventForEveryController) {
+  using Factory = std::function<std::unique_ptr<SpeculationController>(
+      const profile::BranchProfile &)>;
+  const std::pair<const char *, Factory> Controllers[] = {
+      {"reactive",
+       [](const profile::BranchProfile &) {
+         return std::make_unique<ReactiveController>(
+             scaledConfig(ReactiveConfig::baseline()));
+       }},
+      {"static",
+       [](const profile::BranchProfile &Profile) {
+         return std::make_unique<StaticSelectionController>(Profile, 0.95);
+       }},
+      {"dynamo-flush",
+       [](const profile::BranchProfile &) {
+         // The bench default (25M instructions) at TestScale's 1/200
+         // run length.
+         return std::make_unique<DynamoFlushController>(
+             scaledConfig(ReactiveConfig::baseline()), 125000);
+       }},
+      {"hardware-2bit",
+       [](const profile::BranchProfile &) {
+         return std::make_unique<HardwareCounterController>();
+       }},
+  };
+  for (const auto &[Name, Make] : Controllers) {
+    uint64_t SpeculatingRuns = 0;
+    for (const BenchmarkProfile &P : suiteProfiles()) {
+      const WorkloadSpec Spec = makeBenchmark(P, TestScale);
+      const InputConfig Input = Spec.refInput();
+      const profile::BranchProfile Profile = selfProfile(Spec, Input);
+      const std::string Where = std::string(Name) + "/" + Spec.Name;
+
+      const std::unique_ptr<SpeculationController> Reference = Make(Profile);
+      const VerdictCodes Want = perEventVerdicts(*Reference, Spec, Input);
+      ASSERT_EQ(Want.size(), Spec.RefEvents) << Where;
+      expectVerdictsCountToStats(Want, Reference->stats(), Where);
+      SpeculatingRuns += Reference->stats().CorrectSpecs > 0;
+
+      for (const size_t Batch : TestBatches) {
+        const std::unique_ptr<SpeculationController> C = Make(Profile);
+        const VerdictCodes Got = batchVerdicts(*C, Spec, Input, Batch);
+        const std::string At = Where + " batch=" + std::to_string(Batch);
+        EXPECT_EQ(Got, Want) << At;
+        EXPECT_EQ(C->stats(), Reference->stats()) << At;
+        expectVerdictsCountToStats(Got, C->stats(), At);
+      }
+    }
+    // Each family must actually speculate somewhere in the suite.
+    EXPECT_GT(SpeculatingRuns, 0u) << Name;
+  }
 }
 
 TEST(BatchEquivalenceTest, GeneratorBatchesMatchPerEventStream) {

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <type_traits>
 #include <vector>
 
 using namespace specctrl;
@@ -50,27 +49,6 @@ TEST(DriverTest, RunsWholeTrace) {
   EXPECT_LT(S.incorrectRate(), 0.01);
 }
 
-TEST(DriverTest, HookSeesEveryEventAndVerdict) {
-  const WorkloadSpec Spec = twoSiteSpec();
-  ReactiveConfig Cfg;
-  Cfg.MonitorPeriod = 1000;
-  Cfg.OptLatency = 0;
-  ReactiveController C(Cfg);
-
-  struct Counter final : TraceObserver {
-    uint64_t Events = 0, Speculated = 0;
-    void onEvent(const BranchEvent &E, const BranchVerdict &V) override {
-      ++Events;
-      Speculated += V.Speculated;
-      EXPECT_LT(E.Site, 2u);
-    }
-  } Hook;
-  workload::TraceGenerator Gen(Spec, Spec.refInput());
-  const ControlStats &S = runTrace(C, Gen, &Hook);
-  EXPECT_EQ(Hook.Events, Spec.RefEvents);
-  EXPECT_EQ(Hook.Speculated, S.CorrectSpecs + S.IncorrectSpecs);
-}
-
 TEST(DriverTest, PartiallyConsumedGeneratorFinishes) {
   const WorkloadSpec Spec = twoSiteSpec();
   workload::TraceGenerator Gen(Spec, Spec.refInput());
@@ -82,54 +60,21 @@ TEST(DriverTest, PartiallyConsumedGeneratorFinishes) {
   EXPECT_EQ(S.Branches, Spec.RefEvents - 1000);
 }
 
-// Observers are move-only by design: the engine hands each cell's
-// observer around by unique_ptr, and an accidental copy would silently
-// fork (and then drop) collected state.
-static_assert(!std::is_copy_constructible_v<ProfileObserver>);
-static_assert(!std::is_copy_assignable_v<ProfileObserver>);
-
-namespace {
-
-/// An observer that overrides only onEvent: the default onBatch must
-/// forward every (event, verdict) pair to it in stream order.
-class RecordingObserver final : public TraceObserver {
-public:
-  void onEvent(const BranchEvent &Event,
-               const BranchVerdict &Verdict) override {
-    Events.push_back(Event);
-    Speculated.push_back(Verdict.Speculated);
-  }
-  std::vector<BranchEvent> Events;
-  std::vector<bool> Speculated;
-};
-
-} // namespace
-
-TEST(DriverTest, DefaultOnBatchForwardsPerEventInOrder) {
+TEST(DriverTest, CollectProfileCountsEveryOutcome) {
   const WorkloadSpec Spec = twoSiteSpec();
-  ReactiveConfig Cfg;
-  Cfg.MonitorPeriod = 1000;
-  Cfg.OptLatency = 0;
-
-  RecordingObserver PerEvent;
+  profile::BranchProfile Want(Spec.numSites());
   {
-    ReactiveController C(Cfg);
-    runWorkload(C, Spec, Spec.refInput(), &PerEvent, /*BatchEvents=*/1);
+    TraceGenerator Gen(Spec, Spec.refInput());
+    BranchEvent E;
+    while (Gen.next(E))
+      Want.addOutcome(E.Site, E.Taken);
   }
-  RecordingObserver Batched;
-  {
-    ReactiveController C(Cfg);
-    runWorkload(C, Spec, Spec.refInput(), &Batched, /*BatchEvents=*/257);
-  }
-  ASSERT_EQ(PerEvent.Events.size(), Spec.RefEvents);
-  EXPECT_EQ(PerEvent.Events, Batched.Events);
-  EXPECT_EQ(PerEvent.Speculated, Batched.Speculated);
-  // Events arrive in stream order.
   TraceGenerator Gen(Spec, Spec.refInput());
-  BranchEvent E;
-  for (size_t I = 0; I < Batched.Events.size(); ++I) {
-    ASSERT_TRUE(Gen.next(E));
-    ASSERT_EQ(Batched.Events[I], E) << "event " << I;
+  const profile::BranchProfile Got = collectProfile(Gen, Spec.numSites());
+  EXPECT_EQ(Got.totalExecutions(), Spec.RefEvents);
+  for (SiteId S = 0; S < Spec.numSites(); ++S) {
+    EXPECT_EQ(Got.taken(S), Want.taken(S)) << "site " << S;
+    EXPECT_EQ(Got.notTaken(S), Want.notTaken(S)) << "site " << S;
   }
 }
 
@@ -137,8 +82,7 @@ TEST(DriverTest, MetricsCountEventsAndChunks) {
   const WorkloadSpec Spec = twoSiteSpec();
   for (const size_t Batch : {size_t{4096}, size_t{1}}) {
     ReactiveController C(ReactiveConfig{});
-    const ControlStats &S =
-        runWorkload(C, Spec, Spec.refInput(), nullptr, Batch);
+    const ControlStats &S = runWorkload(C, Spec, Spec.refInput(), Batch);
     EXPECT_EQ(S.EventsConsumed, Spec.RefEvents) << "batch=" << Batch;
   }
 }

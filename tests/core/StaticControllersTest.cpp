@@ -48,16 +48,6 @@ TEST(StaticSelectionControllerTest, AccountsOutcomes) {
   EXPECT_EQ(S.everBiasedCount(), 1u);
 }
 
-TEST(StaticSelectionControllerTest, ExplicitSelection) {
-  StaticSelectionController C({true, false}, {false, false}, "explicit");
-  EXPECT_EQ(C.selectedCount(), 1u);
-  const BranchVerdict V = C.onBranch(0, false, 5);
-  EXPECT_TRUE(V.Speculated);
-  EXPECT_TRUE(V.Correct);
-  const BranchVerdict W = C.onBranch(1, false, 10);
-  EXPECT_FALSE(W.Speculated);
-}
-
 TEST(StaticSelectionControllerTest, MinExecsFilter) {
   profile::BranchProfile P(1);
   for (int I = 0; I < 5; ++I)

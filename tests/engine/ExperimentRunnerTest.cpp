@@ -1,6 +1,6 @@
 //===- tests/engine/ExperimentRunnerTest.cpp ------------------------------===//
 //
-// Runner behavior: report layout, per-cell seeding, observer plumbing,
+// Runner behavior: report layout, per-cell seeding, task cells,
 // throughput accounting, failure isolation (a throwing cell must not
 // poison its siblings), and the arena schedule (a key's first cell ends
 // before any of its siblings starts).
@@ -75,15 +75,6 @@ public:
 private:
   uint64_t Seen = 0;
   ControlStats Stats;
-};
-
-/// Counts the events its cell saw.
-class CountingObserver final : public core::TraceObserver {
-public:
-  void onEvent(const BranchEvent &, const BranchVerdict &) override {
-    ++Events;
-  }
-  uint64_t Events = 0;
 };
 
 using Clock = std::chrono::steady_clock;
@@ -286,28 +277,6 @@ TEST(ExperimentRunnerTest, NullControllerFactoryIsCapturedAsFailure) {
   ASSERT_EQ(Report.failedCells(), 1u);
   EXPECT_NE(Report.Cells[0].Error.find("factory returned null"),
             std::string::npos);
-}
-
-TEST(ExperimentRunnerTest, ObserverFactoryRunsPerCell) {
-  ExperimentPlan Plan;
-  Plan.addBenchmark(smallSpec("alpha", 1, 10000));
-  Plan.addBenchmark(smallSpec("beta", 2, 15000));
-  Plan.addConfig("one", reactiveFactory());
-  Plan.setObserverFactory([](const CellContext &Ctx)
-                              -> std::unique_ptr<core::TraceObserver> {
-    if (Ctx.Spec.Name == "beta")
-      return nullptr; // observers are optional per cell
-    return std::make_unique<CountingObserver>();
-  });
-
-  const RunReport Report = runPlan(Plan, {.Jobs = 4});
-  const CellResult &Alpha = Report.cell(0, 0, 0);
-  ASSERT_NE(Alpha.Observer, nullptr);
-  EXPECT_EQ(static_cast<const CountingObserver &>(*Alpha.Observer).Events,
-            10000u);
-  EXPECT_EQ(Report.cell(1, 0, 0).Observer, nullptr);
-  // Cells without an observer still count consumed events.
-  EXPECT_EQ(Report.cell(1, 0, 0).Events, 15000u);
 }
 
 TEST(ExperimentRunnerTest, CellLookupThrowsWhenAbsent) {

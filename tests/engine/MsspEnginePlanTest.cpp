@@ -86,9 +86,8 @@ TEST(MsspEnginePlanTest, TaskCellsReturnValues) {
     EXPECT_GT(R.Tasks, 0u);
     EXPECT_GT(std::any_cast<uint64_t>(Report.cell(B, 0, 1).Value), 0u);
   }
-  // Task cells have no trace metrics or observer.
+  // Task cells have no trace metrics.
   EXPECT_EQ(Report.Cells[0].Events, 0u);
-  EXPECT_EQ(Report.Cells[0].Observer, nullptr);
 }
 
 TEST(MsspEnginePlanTest, SerialAndParallelBitIdentical) {

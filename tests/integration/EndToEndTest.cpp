@@ -45,12 +45,8 @@ ReactiveConfig tinyConfig() {
 
 BranchProfile collectProfile(const WorkloadSpec &Spec,
                              const InputConfig &In) {
-  BranchProfile P(Spec.numSites());
   TraceGenerator Gen(Spec, In);
-  BranchEvent E;
-  while (Gen.next(E))
-    P.addOutcome(E.Site, E.Taken);
-  return P;
+  return core::collectProfile(Gen, Spec.numSites());
 }
 
 } // namespace

@@ -69,11 +69,8 @@ TEST_P(SuiteInvariants, ReactiveRunSatisfiesPaperShape) {
 TEST_P(SuiteInvariants, ReactiveTracksSelfTraining) {
   const WorkloadSpec Spec = makeBenchmark(GetParam(), reducedScale());
 
-  profile::BranchProfile P(Spec.numSites());
   TraceGenerator Gen(Spec, Spec.refInput());
-  BranchEvent E;
-  while (Gen.next(E))
-    P.addOutcome(E.Site, E.Taken);
+  const profile::BranchProfile P = collectProfile(Gen, Spec.numSites());
   const profile::SelectionResult Self =
       profile::evaluateSelection(P, P, 0.99);
 

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cassert>
+#include <memory>
 #include <thread>
 
 using namespace specctrl;
@@ -49,14 +50,13 @@ FleetResult serve::driveFleet(StreamServer &Server,
         Server.openStream(Client.Control);
     Result.Streams.push_back(Handle.Id);
 
-    std::unique_ptr<workload::EventSource> Source =
+    // The pump task owns its replay cursor; shared, since pool tasks
+    // are copyable.
+    std::shared_ptr<workload::EventSource> Source =
         Arena ? Arena->open(*Client.Spec, Client.Input)
               : std::make_unique<workload::TraceGenerator>(*Client.Spec,
                                                            Client.Input);
-    // The pump task owns its replay cursor; tasks are move-only for
-    // exactly this capture (engine::UniqueTask).
-    Pool.submit([Source = std::move(Source), Handle,
-                 Batch = Client.BatchEvents, &Produced] {
+    Pool.submit([Source, Handle, Batch = Client.BatchEvents, &Produced] {
       pumpStream(*Source, *Handle.Ring, Batch, Produced);
     });
   }

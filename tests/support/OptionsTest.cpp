@@ -80,12 +80,27 @@ TEST(OptionsTest, OutOfRangeIntegerFails) {
 }
 
 TEST(OptionsTest, PositionalCollected) {
-  OptionSet Opts("t");
+  OptionSet Opts("t", /*MaxPositional=*/2);
   Opts.addFlag("x", "x");
   ASSERT_TRUE(parse(Opts, {"one", "--x", "two"}));
   ASSERT_EQ(Opts.positional().size(), 2u);
   EXPECT_EQ(Opts.positional()[0], "one");
   EXPECT_EQ(Opts.positional()[1], "two");
+}
+
+TEST(OptionsTest, SurplusPositionalFails) {
+  // A tool takes none unless it says so: a stray word, or a one-dash
+  // typo of an option, is an error rather than silently ignored.
+  for (const char *Arg : {"stray", "-jobs"}) {
+    OptionSet Opts("t");
+    Opts.addInt("jobs", 0, "jobs");
+    EXPECT_FALSE(parse(Opts, {Arg, "4"})) << Arg;
+    EXPECT_TRUE(Opts.wasError()) << Arg;
+  }
+  OptionSet Opts("t", /*MaxPositional=*/1);
+  EXPECT_FALSE(parse(Opts, {"one", "two"}));
+  EXPECT_TRUE(Opts.wasError());
+  ASSERT_EQ(Opts.positional().size(), 1u);
 }
 
 TEST(OptionsTest, HelpReturnsFalseWithoutError) {
@@ -101,4 +116,15 @@ TEST(OptionsTest, NegativeAndHexIntegers) {
   ASSERT_TRUE(parse(Opts, {"--a=-17", "--b=0x10"}));
   EXPECT_EQ(Opts.getInt("a"), -17);
   EXPECT_EQ(Opts.getInt("b"), 16);
+}
+
+TEST(OptionsTest, LeadingZeroIntegersAreDecimal) {
+  OptionSet Opts("t");
+  for (const char *Name : {"a", "b", "c", "d"})
+    Opts.addInt(Name, 0, Name);
+  ASSERT_TRUE(parse(Opts, {"--a=010", "--b=-010", "--c=08", "--d=0x10"}));
+  EXPECT_EQ(Opts.getInt("a"), 10);
+  EXPECT_EQ(Opts.getInt("b"), -10);
+  EXPECT_EQ(Opts.getInt("c"), 8);
+  EXPECT_EQ(Opts.getInt("d"), 16);
 }

@@ -5,7 +5,7 @@
 // byte flips, and outright garbage must never crash replay; the events it
 // does deliver must be an exact prefix of the undamaged stream, in whole
 // blocks; a truncated input delivers no event at all; and no event of a
-// damaged block reaches an observer.  All randomness is std::mt19937 with
+// damaged block reaches a controller.  All randomness is std::mt19937 with
 // fixed seeds, so failures reproduce.
 //
 //===----------------------------------------------------------------------===//
@@ -13,7 +13,7 @@
 #include "workload/TraceFile.h"
 
 #include "core/Driver.h"
-#include "core/StaticControllers.h"
+#include "core/ReactiveController.h"
 
 #include <gtest/gtest.h>
 
@@ -177,7 +177,7 @@ TEST(TraceReplayFuzzTest, GarbageInputsFailCleanly) {
     EXPECT_EQ(Trace, nullptr);
 }
 
-TEST(TraceReplayFuzzTest, CorruptBlockDeliversNothingToObservers) {
+TEST(TraceReplayFuzzTest, CorruptBlockDeliversNothingToTheController) {
   const WorkloadSpec Spec = fuzzSpec();
   std::string V2 = recordV2(Spec);
   // Flip one payload byte inside the first block.
@@ -186,12 +186,11 @@ TEST(TraceReplayFuzzTest, CorruptBlockDeliversNothingToObservers) {
   for (const auto &Trace : openUntrusted(V2)) {
     ASSERT_TRUE(Trace);
     TraceCursor Cursor(Trace);
-    core::StaticSelectionController C({false, false, false},
-                                      {false, false, false});
-    core::ProfileObserver Observer(Spec.numSites());
-    core::runTrace(C, Cursor, &Observer);
-    // The first block is damaged, so not one event reaches the observer.
-    EXPECT_EQ(Observer.profile().totalExecutions(), 0u);
+    core::ReactiveController C(core::ReactiveConfig{});
+    const core::ControlStats &S = core::runTrace(C, Cursor);
+    // The first block is damaged, so not one event reaches the controller.
+    EXPECT_EQ(S.Branches, 0u);
+    EXPECT_EQ(S.EventsConsumed, 0u);
     EXPECT_TRUE(Cursor.failed());
     EXPECT_NE(Cursor.error().find("checksum"), std::string::npos)
         << Cursor.error();

@@ -7,8 +7,9 @@
 #   2. the fast ctest label and the SPSC ring tests (RingBuffer, outside
 #      the fast label) in an AddressSanitizer tree (build-asan/) and in an
 #      UndefinedBehaviorSanitizer tree (build-ubsan/);
-#   3. the engine concurrency tests, the MSSP plan cells, the mapped
-#      trace store's tests and every serve test (StreamServerTest,
+#   3. the engine concurrency tests (the plan runner, the arena races,
+#      determinism and the ThreadPool itself), the MSSP plan cells, the
+#      mapped trace store's tests and every serve test (StreamServerTest,
 #      ServeEquivalenceTest, RingBuffer) in a ThreadSanitizer tree
 #      (build-tsan/): MSSP and baseline cells run on several workers, each
 #      with its own execution engine over one shared dispatch table;
@@ -49,7 +50,7 @@ configure build-ubsan -DSPECCTRL_UBSAN=ON
 echo "== TSan, engine concurrency, MSSP plans, the trace store and the serve layer (build-tsan/)"
 configure build-tsan -DSPECCTRL_TSAN=ON
 (cd build-tsan &&
-  ctest -R 'ExperimentRunner|ArenaRace|Determinism|MsspEnginePlan|MmapTraceStore|RingBuffer|StreamServerTest|ServeEquivalenceTest' \
+  ctest -R 'ExperimentRunner|ArenaRace|Determinism|ThreadPool|MsspEnginePlan|MmapTraceStore|RingBuffer|StreamServerTest|ServeEquivalenceTest' \
     --output-on-failure -j "$JOBS")
 
 echo "== perfbench self-test"

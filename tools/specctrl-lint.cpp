@@ -257,7 +257,8 @@ size_t runSuite(Reporter &R, const analysis::VerifyOptions &VOpts) {
 
 int main(int Argc, char **Argv) {
   OptionSet Opts("specctrl-lint: static speculation-safety checks for "
-                 "SimIR and distillation pairs");
+                 "SimIR and distillation pairs",
+                 /*MaxPositional=*/2);
   Opts.addFlag("analyze", "dump per-function dataflow analyses");
   Opts.addFlag("distill-check", "verify a distillation pair");
   Opts.addFlag("suite", "verify distillations across the seed suite");

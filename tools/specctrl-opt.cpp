@@ -14,8 +14,9 @@
 //     --verify                          verify and exit
 //
 // Exit codes: 0 success, 1 unreadable or invalid input, 2 usage error
-// (unknown option, malformed --assert/--value list, --function out of
-// range), 3 internal error (the output does not verify).
+// (unknown option, a second input file, malformed --assert/--value list,
+// --function out of range), 3 internal error (the output does not
+// verify).
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +35,8 @@ using namespace specctrl::ir;
 
 int main(int Argc, char **Argv) {
   OptionSet Opts("specctrl-opt: apply speculative/cleanup passes to "
-                 "textual SimIR");
+                 "textual SimIR",
+                 /*MaxPositional=*/1);
   Opts.addString("assert", "", "branch assertions SITE:t|n[,...]");
   Opts.addString("value", "", "value speculations BB:IDX:CONST[,...]");
   Opts.addFlag("distill", "run the full distillation pipeline");

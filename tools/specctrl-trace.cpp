@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
+#include "core/Driver.h"
 #include "ir/Printer.h"
 #include "profile/BranchProfile.h"
 #include "support/Format.h"
@@ -208,12 +209,8 @@ int main(int Argc, char **Argv) try {
   }
 
   // Default / --dump-profile: run fully and report.
-  profile::BranchProfile P(Spec.numSites());
   TraceGenerator Gen(Spec, Input);
-  std::vector<BranchEvent> Chunk(DefaultBatchEvents);
-  while (const size_t N = Gen.nextBatch(Chunk))
-    for (size_t I = 0; I < N; ++I)
-      P.addOutcome(Chunk[I].Site, Chunk[I].Taken);
+  const profile::BranchProfile P = core::collectProfile(Gen, Spec.numSites());
 
   const std::string &File = Opts.getString("dump-profile");
   if (!File.empty()) {
