@@ -107,7 +107,6 @@ void bench::addSweepOptions(OptionSet &Opts) {
   addSuiteOptions(Opts);
   addBaselineOptions(Opts);
   addJobsOptions(Opts);
-  addTraceCacheOption(Opts);
 }
 
 SuiteOptions bench::readSuiteOptions(const OptionSet &Opts) {
@@ -194,7 +193,6 @@ bench::selectedSuite(const SuiteOptions &Opt) {
 engine::ExperimentPlan bench::suitePlan(const SuiteOptions &Opt) {
   engine::ExperimentPlan Plan;
   Plan.setBaseSeed(Opt.Seed);
-  Plan.setTraceArena(makeArena(Opt));
   for (workload::WorkloadSpec &Spec : selectedSuite(Opt))
     Plan.addBenchmark(std::move(Spec));
   return Plan;

@@ -99,12 +99,11 @@ void addBaselineOptions(OptionSet &Opts);
 void addJobsOptions(OptionSet &Opts);
 
 /// --trace-cache-dir: binaries whose plans carry a trace arena
-/// (suitePlan, makeArena).
+/// (makeArena).
 void addTraceCacheOption(OptionSet &Opts);
 
-/// Every group a trace-sweep bench reads (suitePlan + scaledBaseline +
-/// runSuite): --csv, the suite, the baseline, the jobs, and the
-/// trace-cache options.
+/// Every group a controller-sweep bench reads (suitePlan + scaledBaseline
+/// + runSuite): --csv, the suite, the baseline and the jobs options.
 void addSweepOptions(OptionSet &Opts);
 
 /// Table 2's configuration with the optimization latency rescaled to the
@@ -140,14 +139,15 @@ std::vector<workload::BenchmarkProfile>
 selectedProfiles(const SuiteOptions &Opt);
 
 /// A fresh trace arena, with the --trace-cache-dir disk tier when set.
-/// suitePlan installs one automatically.
+/// A bench whose config columns replay one trace per benchmark installs
+/// it on its plan, so each trace is materialized once and replayed by
+/// every column.
 std::shared_ptr<workload::TraceArena> makeArena(const SuiteOptions &Opt);
 
 /// Starts an experiment plan over the selected suite: one benchmark axis
-/// per selected workload (reference input), base seed from --seed, and a
-/// per-plan trace arena so every config column replays one shared
-/// materialization per benchmark.  The bench adds its controller configs
-/// and runs it with runSuite.
+/// per selected workload (reference input) and the base seed from --seed.
+/// The bench adds its controller configs (and an arena, if its columns
+/// share traces) and runs it with runSuite.
 engine::ExperimentPlan suitePlan(const SuiteOptions &Opt);
 
 /// Executes \p Plan with --jobs workers.

@@ -70,6 +70,7 @@ bench::table4Plan(const SuiteOptions &Opt,
   // own controller from the captured config, so parallel execution is
   // bit-identical to serial.
   engine::ExperimentPlan Plan = suitePlan(Opt);
+  Plan.setTraceArena(makeArena(Opt));
   for (const Table4Variant &V : Variants)
     Plan.addConfig(V.Name,
                    [Config = V.Config](const engine::CellContext &) {

@@ -54,8 +54,8 @@ core::ReactiveConfig withBaseLatency(const core::ReactiveConfig &Base,
 std::vector<Table4Variant> table4Variants(const core::ReactiveConfig &Base,
                                           bool NoOscillationLimit);
 
-/// Builds the (benchmark x variant) grid: suitePlan(Opt) plus one
-/// controller column per variant.
+/// Builds the (benchmark x variant) grid: suitePlan(Opt) over a trace
+/// arena (makeArena) plus one controller column per variant.
 engine::ExperimentPlan table4Plan(const SuiteOptions &Opt,
                                   const std::vector<Table4Variant> &Variants);
 

@@ -32,6 +32,7 @@ int main(int Argc, char **Argv) {
   OptionSet Opts("ablation_thresholds: selection-threshold and "
                  "monitor-period sweeps around the Table 2 defaults");
   addSweepOptions(Opts);
+  addTraceCacheOption(Opts);
   if (!Opts.parse(Argc, Argv))
     return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
@@ -49,6 +50,7 @@ int main(int Argc, char **Argv) {
   // the arena materializes each benchmark once and every other cell is
   // pure replay.
   engine::ExperimentPlan Plan = suitePlan(Opt);
+  Plan.setTraceArena(makeArena(Opt));
   auto AddColumn = [&Plan](const std::string &Name,
                            const ReactiveConfig &Config) {
     Plan.addConfig(Name, [Config](const engine::CellContext &) {

@@ -37,6 +37,7 @@ int main(int Argc, char **Argv) {
   OptionSet Opts("ext_related_policies: Dynamo-style flushing and "
                  "hardware-style counters vs the paper's model (Sec. 5)");
   addSweepOptions(Opts);
+  addTraceCacheOption(Opts);
   Opts.addInt("flush-interval", 25000000,
               "Dynamo flush interval in dynamic instructions");
   if (!Opts.parse(Argc, Argv))
@@ -75,6 +76,7 @@ int main(int Argc, char **Argv) {
        }},
   };
   engine::ExperimentPlan Plan = suitePlan(Opt);
+  Plan.setTraceArena(makeArena(Opt));
   for (const auto &[Name, Make] : Policies)
     Plan.addConfig(Name, Make);
   const engine::RunReport Report = runSuite(Plan, Opt);

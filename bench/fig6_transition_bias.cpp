@@ -37,10 +37,9 @@ int main(int Argc, char **Argv) {
               "distribution of post-eviction misprediction rates over the "
               "64 executions after leaving the biased state (suite-wide)");
 
-  // Collect transition records across the whole suite under the baseline.
-  // The arena shares each benchmark's materialized trace with any other
-  // invocation via --trace-cache-dir (one config per benchmark here, so
-  // in-process reuse alone has nothing to amortize).
+  // Collect transition records across the whole suite under the baseline:
+  // one cell per benchmark, each reading its trace once, so the plan has
+  // no trace arena and every cell streams its own generator.
   engine::ExperimentPlan Plan = suitePlan(Opt);
   Plan.addConfig("baseline", [Base = scaledBaseline(Opts)](
                                  const engine::CellContext &) {

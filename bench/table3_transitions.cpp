@@ -34,8 +34,8 @@ int main(int Argc, char **Argv) {
               "model transition data, baseline reactive config (paper "
               "values in parentheses; statics scaled by --site-scale)");
 
-  // One baseline cell per benchmark, so the arena pays off across
-  // invocations (--trace-cache-dir) rather than within this one.
+  // One baseline cell per benchmark: each trace is read once, so the plan
+  // has no trace arena and every cell streams its own generator.
   engine::ExperimentPlan Plan = suitePlan(Opt);
   Plan.addConfig("baseline", [Base = scaledBaseline(Opts)](
                                  const engine::CellContext &) {

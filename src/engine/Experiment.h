@@ -120,8 +120,9 @@ public:
   /// instead of re-synthesizing it (identical stream, so identical
   /// results; see workload::TraceArena).  Task cells that read the trace
   /// open it here too.  Null (the default) re-generates per cell.
-  /// Shared_ptr so one arena -- and its disk tier -- can back several
-  /// plans.
+  /// runPlan releases each key's trace when the key's last cell ends, so
+  /// a second plan on the same arena materializes it again, or maps it
+  /// from the disk tier.
   void setTraceArena(std::shared_ptr<workload::TraceArena> Arena) {
     this->Arena = std::move(Arena);
   }

@@ -13,9 +13,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
+#include <condition_variable>
+#include <deque>
+#include <mutex>
 #include <span>
 #include <stdexcept>
+#include <tuple>
 
 using namespace specctrl;
 using namespace specctrl::engine;
@@ -75,19 +78,93 @@ void runPlanCell(const ExperimentPlan &Plan, CellResult &Cell) {
   Cell.WallSeconds = secondsSince(Start, Clock::now());
 }
 
-/// Queues \p Cell on \p Pool; its queue wait runs from now, the moment it
-/// becomes ready.  \p Then, if set, runs on the worker once the cell ends,
-/// whether it succeeded or failed.
-void submitCell(ThreadPool &Pool, const ExperimentPlan &Plan,
-                CellResult &Cell, std::function<void()> Then = {}) {
-  const Clock::time_point Ready = Clock::now();
-  Pool.submit([&Plan, &Cell, Ready, Then = std::move(Then)] {
-    Cell.QueueWaitSeconds = secondsSince(Ready, Clock::now());
-    runPlanCell(Plan, Cell);
-    if (Then)
-      Then();
-  });
-}
+/// The run-local work queue.  A group is the run of cells that share one
+/// trace: with an arena, one (benchmark, input) key's cells, contiguous
+/// with config column 0 first; without one, a single cell.  take() starts
+/// groups longest first with an arena (report order without), each with
+/// its first cell; when that cell ends, failed or not, the group's other
+/// cells are queued, and take() hands them out before it starts another
+/// group.  So a group's first cell materializes its trace and no sibling
+/// blocks on it, and at most one group per worker is in flight.
+class CellQueue {
+public:
+  CellQueue(const ExperimentPlan &Plan, std::vector<CellResult> &Cells)
+      : Plan(Plan), Cells(Cells),
+        GroupSize(Plan.traceArena() ? Plan.configs().size() : 1),
+        Ready(Clock::now()), Left(Cells.size()) {
+    for (size_t I = 0; I < Cells.size(); I += GroupSize)
+      Groups.push_back(std::span(Cells).subspan(I, GroupSize));
+    if (Plan.traceArena())
+      std::stable_sort(Groups.begin(), Groups.end(), [this](auto A, auto B) {
+        return events(A) > events(B);
+      });
+    Unfinished.assign(Groups.size(), GroupSize);
+  }
+
+  /// The next cell to run, its queue wait set; null once every cell has
+  /// been handed out.  Blocks while nothing is queued and no group is left
+  /// to start, but a first cell still runs.
+  CellResult *take() {
+    std::unique_lock<std::mutex> Lock(Mutex);
+    Released.wait(Lock, [this] {
+      return !Siblings.empty() || NextGroup < Groups.size() || Left == 0;
+    });
+    if (Left == 0)
+      return nullptr;
+    CellResult *Cell;
+    Clock::time_point Since = Ready;
+    if (Siblings.empty()) {
+      Cell = &Groups[NextGroup++].front();
+    } else {
+      std::tie(Cell, Since) = Siblings.front();
+      Siblings.pop_front();
+    }
+    --Left;
+    Cell->QueueWaitSeconds = secondsSince(Since, Clock::now());
+    return Cell;
+  }
+
+  /// Records that \p Cell ended: queues its group's other cells when it
+  /// was the first, and releases the group's trace from the arena when it
+  /// was the last.  The worker calls this before it takes its next cell,
+  /// which is what bounds the groups in flight by the workers.
+  void finish(CellResult &Cell) {
+    const size_t I = static_cast<size_t>(&Cell - Cells.data());
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      if (I % GroupSize == 0) {
+        const Clock::time_point Now = Clock::now();
+        for (size_t S = I + 1; S < I + GroupSize; ++S)
+          Siblings.emplace_back(&Cells[S], Now);
+        Released.notify_all();
+      }
+      if (--Unfinished[I / GroupSize] != 0 || !Plan.traceArena())
+        return;
+    }
+    const BenchmarkAxis &Bench = Plan.benchmarks()[Cell.Coord.Benchmark];
+    Plan.traceArena()->release(Bench.Spec, Bench.Inputs[Cell.Coord.Input]);
+  }
+
+private:
+  uint64_t events(std::span<CellResult> Group) const {
+    const CellCoord &C = Group.front().Coord;
+    return Plan.benchmarks()[C.Benchmark].Inputs[C.Input].Events;
+  }
+
+  const ExperimentPlan &Plan;
+  std::vector<CellResult> &Cells;
+  const size_t GroupSize;
+  const Clock::time_point Ready; ///< the run's start: first cells are ready
+  std::vector<std::span<CellResult>> Groups; ///< in the order they start
+
+  std::mutex Mutex;
+  std::condition_variable Released;
+  /// Cells whose first cell ended, each with that moment.
+  std::deque<std::pair<CellResult *, Clock::time_point>> Siblings;
+  std::vector<size_t> Unfinished; ///< per group, in report order
+  size_t NextGroup = 0;           ///< into Groups
+  size_t Left;                    ///< cells not yet handed out
+};
 
 /// One CellResult slot per plan cell in the stable benchmark-major report
 /// order (benchmark, then input, then config), with names and the
@@ -161,34 +238,19 @@ RunReport engine::runPlan(const ExperimentPlan &Plan,
                        std::max<size_t>(Report.Cells.size(), 1)));
 
   const Clock::time_point RunStart = Clock::now();
+  CellQueue Queue(Plan, Report.Cells);
+  const auto Work = [&Plan, &Queue] {
+    while (CellResult *Cell = Queue.take()) {
+      runPlanCell(Plan, *Cell);
+      Queue.finish(*Cell);
+    }
+  };
   if (Report.Jobs == 1) {
-    for (CellResult &Cell : Report.Cells)
-      runPlanCell(Plan, Cell);
+    Work();
   } else {
-    // Each group starts with its first cell and releases the rest when
-    // that cell ends.  With an arena a group is one (benchmark, input)
-    // key, whose cells are contiguous with config column 0 first: the
-    // first cell materializes the trace, so no sibling blocks on it, and
-    // keys go longest first.  Without one every cell is its own group,
-    // in report order.
-    std::vector<std::span<CellResult>> Groups;
-    const size_t GroupSize = Plan.traceArena() ? Plan.configs().size() : 1;
-    for (size_t I = 0; I < Report.Cells.size(); I += GroupSize)
-      Groups.push_back(std::span(Report.Cells).subspan(I, GroupSize));
-    const auto Events = [&Plan](std::span<CellResult> Group) {
-      const CellCoord &C = Group.front().Coord;
-      return Plan.benchmarks()[C.Benchmark].Inputs[C.Input].Events;
-    };
-    if (Plan.traceArena())
-      std::stable_sort(Groups.begin(), Groups.end(), [&Events](auto A, auto B) {
-        return Events(A) > Events(B);
-      });
     ThreadPool Pool(Report.Jobs);
-    for (const std::span<CellResult> Group : Groups)
-      submitCell(Pool, Plan, Group.front(), [&Pool, &Plan, Group] {
-        for (CellResult &Sibling : Group.subspan(1))
-          submitCell(Pool, Plan, Sibling);
-      });
+    for (unsigned W = 0; W < Report.Jobs; ++W)
+      Pool.submit(Work);
     Pool.wait();
   }
   Report.WallSeconds = secondsSince(RunStart, Clock::now());

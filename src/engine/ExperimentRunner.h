@@ -20,12 +20,16 @@
 ///    normally and the run returns a full report.
 ///  * Stable report order -- cells appear benchmark-major (benchmark,
 ///    then input, then config) regardless of completion order.
-///  * No cell waits on a trace -- with a trace arena and more than one
-///    worker, each (benchmark, input) key's cell in config column 0 runs
-///    first, keys longest first (by InputConfig::Events); when it ends,
-///    failed or not, it releases the key's other cells, which then replay
-///    the trace it materialized.  Task and controller columns follow the
-///    same rule.  Serial runs and arena-less plans run in report order.
+///  * No cell waits on a trace -- with a trace arena, each (benchmark,
+///    input) key's cell in config column 0 runs first, keys longest first
+///    (by InputConfig::Events); when it ends, failed or not, it releases
+///    the key's other cells, which then replay the trace it materialized.
+///    Task and controller columns follow the same rule.  Arena-less plans
+///    run in report order.
+///  * Bounded residency -- workers take a released cell before they start
+///    a new key, and the worker that ends a key's last cell calls
+///    TraceArena::release on it before taking another cell.  So at most
+///    Jobs keys are in flight, and a serial run holds one at a time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,8 +72,8 @@ struct CellResult {
   // ---- Timing / throughput ----------------------------------------------
   uint64_t Events = 0;      ///< trace events consumed by the cell
   double WallSeconds = 0.0; ///< cell execution wall time
-  /// Ready -> start latency: a cell is ready when runPlan submits it, or
-  /// for an arena key's later cells, when the key's first cell ends.
+  /// Ready -> start latency: a cell is ready when the run starts, or for
+  /// an arena key's later cells, when the key's first cell ends.
   double QueueWaitSeconds = 0.0;
 
   double eventsPerSecond() const {

@@ -12,7 +12,8 @@
 /// Canonical environment variables:
 ///
 ///   SPECCTRL_VERIFY=1            deploy-time distill verification gate
-///   SPECCTRL_ARENA_VERBOSE=1     per-materialization trace-arena logging
+///   SPECCTRL_ARENA_VERBOSE=1     per-materialization and per-release
+///                                trace-arena logging
 ///
 /// Removed variables (SPECCTRL_VERIFY_DISTILL, SPECCTRL_ARENA_DEBUG,
 /// SPECCTRL_TRACE_MMAP, SPECCTRL_SWEEP_PROCS, SPECCTRL_SERVE_EPOCH_EVENTS,

@@ -1,4 +1,4 @@
-//===- workload/TraceArena.cpp - Materialize-once trace store -------------===//
+//===- workload/TraceArena.cpp - Shared materialized traces ---------------===//
 //
 // Part of the specctrl project (CGO 2005 reactive speculation reproduction).
 //
@@ -10,6 +10,7 @@
 #include "support/RunConfig.h"
 #include "workload/TraceGenerator.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <filesystem>
@@ -127,9 +128,47 @@ TraceArena::materialize(const WorkloadSpec &Spec, const InputConfig &Input) {
   }
   // First caller materializes; racing callers for the same key block here
   // (and only here -- other keys proceed independently).
-  std::call_once(E->Once,
-                 [&] { E->Trace = materializeKey(Key, Spec, Input); });
-  return E->Trace;
+  std::lock_guard<std::mutex> KeyLock(E->Mutex);
+  if (E->Retained || E->Unencodable)
+    return E->Retained;
+  // A released key that a cursor still reads is retained again, not
+  // generated twice.
+  std::shared_ptr<const MaterializedTrace> Trace = E->Live.lock();
+  if (!Trace)
+    Trace = materializeKey(Key, Spec, Input);
+  if (!Trace) {
+    E->Unencodable = true; // beyond SCT2 limits: the key stays a fallback
+    return nullptr;
+  }
+  E->Live = Trace;
+  E->Retained = Trace;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  Stats.PeakResidentKeys = std::max(Stats.PeakResidentKeys, ++ResidentKeys);
+  return Trace;
+}
+
+void TraceArena::release(const WorkloadSpec &Spec, const InputConfig &Input) {
+  const std::string Key = keyOf(Spec, Input);
+  Entry *E = nullptr;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    const auto It = Entries.find(Key);
+    if (It == Entries.end())
+      return;
+    E = It->second.get();
+  }
+  {
+    std::lock_guard<std::mutex> KeyLock(E->Mutex);
+    if (!E->Retained)
+      return;
+    E->Retained.reset();
+    std::lock_guard<std::mutex> Lock(Mutex);
+    ++Stats.Releases;
+    --ResidentKeys;
+  }
+  if (Cfg.Verbose)
+    std::fprintf(stderr, "specctrl-arena: %s/%s: released\n",
+                 Spec.Name.c_str(), Input.Name.c_str());
 }
 
 std::shared_ptr<const MaterializedTrace>
@@ -207,7 +246,7 @@ TraceArena::materializeKey(const std::string &Key, const WorkloadSpec &Spec,
   std::shared_ptr<const MaterializedTrace> Trace =
       MaterializedTrace::record(Gen);
   if (!Trace)
-    return nullptr; // beyond SCT2 limits: the key stays a fallback
+    return nullptr;
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     ++Stats.Materializations;

@@ -5,10 +5,11 @@
 // exactly one materialization happens, and every thread replays the
 // generator's exact stream.  (runPlan runs each key's first cell before
 // the rest, so it never races a cold key; the race is made here
-// directly.)  A parallel arena-backed runPlan must also match an
-// arena-less serial run cell for cell.  Built to run under TSAN
-// (-DSPECCTRL_TSAN=ON): the call_once/mutex discipline in TraceArena is
-// what it exercises.
+// directly.)  Readers that open and drain a key while another thread
+// releases and reopens it replay the exact stream too.  A parallel
+// arena-backed runPlan must also match an arena-less serial run cell for
+// cell.  Built to run under TSAN (-DSPECCTRL_TSAN=ON): the per-key mutex
+// discipline in TraceArena is what it exercises.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <latch>
 #include <memory>
 #include <string>
@@ -140,9 +142,53 @@ TEST(ArenaRaceTest, ColdKeyRaceMaterializesOnceAndMatchesSerialNoArena) {
   }
 }
 
-TEST(ArenaRaceTest, SharedArenaAcrossPlansReusesMaterializations) {
-  // Two plans backed by one arena (the suitePlan + --trace-cache-dir use
-  // case, minus the disk): the second run's cells are all warm hits.
+TEST(ArenaRaceTest, ReleaseRacesOpenAndDrain) {
+  const WorkloadSpec Spec = makeBenchmark("gzip", TestScale);
+  const InputConfig Input = Spec.refInput();
+  TraceGenerator Gen(Spec, Input);
+  const std::vector<BranchEvent> Expected = drain(Gen);
+  ASSERT_FALSE(Expected.empty());
+
+  // Readers open and drain the key while one thread keeps releasing it
+  // and reopening it: a release under a live cursor must not disturb it,
+  // and a reopen must serve the same stream whether it finds the trace
+  // still read (no new materialization) or freed (a fresh one).
+  constexpr unsigned NumReaders = 4, ReaderRounds = 4, Releases = 8;
+  TraceArena Arena;
+  (void)Arena.materialize(Spec, Input);
+  std::latch Start(NumReaders + 1);
+  std::atomic<unsigned> Mismatches{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < NumReaders; ++T)
+    Threads.emplace_back([&] {
+      Start.arrive_and_wait();
+      for (unsigned R = 0; R < ReaderRounds; ++R)
+        Mismatches += drain(*Arena.open(Spec, Input)) != Expected;
+    });
+  Threads.emplace_back([&] {
+    Start.arrive_and_wait();
+    for (unsigned R = 0; R < Releases; ++R) {
+      Arena.release(Spec, Input);
+      Mismatches += drain(*Arena.open(Spec, Input)) != Expected;
+    }
+  });
+  for (std::thread &Thread : Threads)
+    Thread.join();
+
+  EXPECT_EQ(Mismatches.load(), 0u);
+  const TraceArenaStats S = Arena.stats();
+  EXPECT_EQ(S.Releases, Releases);
+  EXPECT_GE(S.Materializations, 1u);
+  EXPECT_LE(S.Materializations, 1u + Releases);
+  EXPECT_EQ(S.CursorOpens, NumReaders * ReaderRounds + Releases);
+  EXPECT_EQ(S.Fallbacks, 0u);
+  EXPECT_EQ(S.PeakResidentKeys, 1u);
+}
+
+TEST(ArenaRaceTest, SharedArenaAcrossPlansMaterializesOncePerRun) {
+  // Two plans backed by one arena: runPlan releases the key when its last
+  // cell ends, so the second run materializes it again, with the same
+  // results and the same arena accounting as the first.
   ExperimentPlan Plan = contendedPlan();
   auto Arena = std::make_shared<TraceArena>();
   Plan.setTraceArena(Arena);
@@ -150,12 +196,20 @@ TEST(ArenaRaceTest, SharedArenaAcrossPlansReusesMaterializations) {
   RunOptions Parallel;
   Parallel.Jobs = 4;
   const std::vector<ControlStats> First = cellStats(runPlan(Plan, Parallel));
+  const TraceArenaStats AfterFirst = Arena->stats();
   const std::vector<ControlStats> Second = cellStats(runPlan(Plan, Parallel));
   ASSERT_EQ(First.size(), Second.size());
   for (size_t I = 0; I < First.size(); ++I)
     EXPECT_EQ(First[I], Second[I]) << "cell " << I;
 
+  EXPECT_EQ(AfterFirst.Materializations, 1u);
+  EXPECT_EQ(AfterFirst.CursorOpens, 8u);
+  EXPECT_EQ(AfterFirst.Releases, 1u);
   const TraceArenaStats S = Arena->stats();
-  EXPECT_EQ(S.Materializations, 1u);
-  EXPECT_EQ(S.CursorOpens, 16u);
+  EXPECT_EQ(S.Materializations, 2 * AfterFirst.Materializations);
+  EXPECT_EQ(S.CursorOpens, 2 * AfterFirst.CursorOpens);
+  EXPECT_EQ(S.Releases, 2 * AfterFirst.Releases);
+  EXPECT_EQ(S.ResidentEvents, 2 * AfterFirst.ResidentEvents);
+  EXPECT_EQ(S.ResidentBytes, 2 * AfterFirst.ResidentBytes);
+  EXPECT_EQ(S.PeakResidentKeys, 1u);
 }

@@ -3,7 +3,8 @@
 // Runner behavior: report layout, per-cell seeding, task cells,
 // throughput accounting, failure isolation (a throwing cell must not
 // poison its siblings), and the arena schedule (a key's first cell ends
-// before any of its siblings starts).
+// before any of its siblings starts, and no more keys are resident than
+// workers).
 //
 //===----------------------------------------------------------------------===//
 
@@ -341,4 +342,27 @@ TEST(ExperimentRunnerTest, FailedFirstCellStillReleasesSiblings) {
       }
     }
   }
+}
+
+TEST(ExperimentRunnerTest, ArenaHoldsAtMostJobsKeys) {
+  for (const unsigned Jobs : {1u, 2u, 4u})
+    for (const bool TaskFirst : {false, true}) {
+      CellStamps Stamps;
+      const ExperimentPlan Plan = schedulePlan(TaskFirst, Stamps);
+      const RunReport Report = runPlan(Plan, {.Jobs = Jobs});
+      EXPECT_EQ(Report.failedCells(), 0u);
+      // A new key starts only when no released cell is queued, and a
+      // key's trace is released before its last worker moves on, so the
+      // bound is exact at any timing.
+      TraceArena &Arena = *Plan.traceArena();
+      const TraceArenaStats S = Arena.stats();
+      EXPECT_LE(S.PeakResidentKeys, Jobs) << "jobs " << Jobs;
+      EXPECT_EQ(S.Materializations, 4u) << "jobs " << Jobs;
+      EXPECT_EQ(S.Releases, 4u) << "jobs " << Jobs;
+
+      // The run released every key: opening one materializes it again.
+      const BenchmarkAxis &Beta = Plan.benchmarks()[2];
+      (void)Arena.open(Beta.Spec, Beta.Inputs[1]);
+      EXPECT_EQ(Arena.stats().Materializations, 5u) << "jobs " << Jobs;
+    }
 }

@@ -48,8 +48,9 @@ struct FleetResult {
 /// Opens one stream per client, pumps every trace through its ring on
 /// \p ProducerThreads pool threads, closes the rings, and blocks until the
 /// server has drained and finished every stream.  With \p Arena non-null,
-/// traces replay from the materialize-once arena (cheap per client);
-/// otherwise each client synthesizes with a private TraceGenerator.
+/// traces replay from the arena's one materialization per key (cheap per
+/// client); otherwise each client synthesizes with a private
+/// TraceGenerator.
 FleetResult driveFleet(StreamServer &Server,
                        std::span<const ClientSpec> Clients,
                        unsigned ProducerThreads = 1,

@@ -1,7 +1,9 @@
 //===- tests/workload/TraceArenaTest.cpp ----------------------------------===//
 //
 // The trace arena's contract: a key materializes exactly once no matter
-// how many cursors open it, and cursors are independent; the disk tier
+// how many cursors open it, and cursors are independent; a released key
+// reopens to the same stream, materialized again only once no cursor
+// reads it, and a release never disturbs an open cursor; the disk tier
 // round-trips through mapped SCT2 files and regenerates on corruption;
 // and traces beyond the SCT2 encoding limits fall back to a private
 // generator transparently.  Stream identity over every cursor source is
@@ -54,6 +56,14 @@ void expectStreamIdentity(EventSource &Source, const WorkloadSpec &Spec,
   EXPECT_FALSE(Reference.next(Expected))
       << Spec.Name << "/" << Input.Name << ": replay stream too short";
   EXPECT_EQ(Count, Input.Events);
+}
+
+/// Every event \p Source yields from its current position on, appended
+/// to \p Out.
+void drainInto(EventSource &Source, std::vector<BranchEvent> &Out) {
+  std::vector<BranchEvent> Chunk(4096);
+  while (const size_t N = Source.nextBatch(Chunk))
+    Out.insert(Out.end(), Chunk.begin(), Chunk.begin() + N);
 }
 
 /// A scratch directory for disk-tier tests, removed on destruction.
@@ -157,6 +167,65 @@ TEST(TraceArenaTest, DistinctInputsMaterializeSeparately) {
   const TraceArenaStats S = Arena.stats();
   EXPECT_EQ(S.Materializations, 2u);
   EXPECT_EQ(S.CursorOpens, 3u);
+}
+
+TEST(TraceArenaTest, ReleasedKeyReopensToTheGeneratorStream) {
+  const WorkloadSpec Spec = makeBenchmark("gzip", TestScale);
+  const InputConfig Input = Spec.refInput();
+  TraceArena Arena;
+  {
+    const std::unique_ptr<EventSource> Source = Arena.open(Spec, Input);
+    expectStreamIdentity(*Source, Spec, Input, 4096);
+  }
+  Arena.release(Spec, Input);
+  Arena.release(Spec, Input); // nothing retained: a no-op
+
+  // No cursor reads the trace any more, so the reopen materializes again.
+  const std::unique_ptr<EventSource> Source = Arena.open(Spec, Input);
+  expectStreamIdentity(*Source, Spec, Input, 4096);
+  const TraceArenaStats S = Arena.stats();
+  EXPECT_EQ(S.Materializations, 2u);
+  EXPECT_EQ(S.Releases, 1u);
+  EXPECT_EQ(S.PeakResidentKeys, 1u);
+  EXPECT_EQ(S.ResidentEvents, 2 * Input.Events);
+}
+
+TEST(TraceArenaTest, ReleaseLeavesOpenCursorsReplaying) {
+  const WorkloadSpec Spec = makeBenchmark("gzip", TestScale);
+  const InputConfig Input = Spec.refInput();
+  TraceArena Arena;
+  TraceGenerator Reference(Spec, Input);
+  std::vector<BranchEvent> Expected;
+  drainInto(Reference, Expected);
+
+  // A ragged prefix before the release, the rest after it.
+  const std::unique_ptr<EventSource> Before = Arena.open(Spec, Input);
+  std::vector<BranchEvent> Got(1000);
+  Got.resize(Before->nextBatch(Got));
+  ASSERT_EQ(Got.size(), 1000u);
+  Arena.release(Spec, Input);
+
+  // Reopening while that cursor lives shares its trace.
+  const std::unique_ptr<EventSource> After = Arena.open(Spec, Input);
+  drainInto(*Before, Got);
+  EXPECT_TRUE(Got == Expected);
+  expectStreamIdentity(*After, Spec, Input, 4096);
+
+  const TraceArenaStats S = Arena.stats();
+  EXPECT_EQ(S.Materializations, 1u);
+  EXPECT_EQ(S.Releases, 1u);
+  EXPECT_EQ(S.CursorOpens, 2u);
+}
+
+TEST(TraceArenaTest, PeakResidentKeysCountsRetainedKeys) {
+  const WorkloadSpec Spec = makeBenchmark("gzip", TestScale);
+  TraceArena Arena;
+  (void)Arena.materialize(Spec, Spec.refInput());
+  Arena.release(Spec, Spec.refInput());
+  (void)Arena.materialize(Spec, Spec.trainInput());
+  EXPECT_EQ(Arena.stats().PeakResidentKeys, 1u);
+  (void)Arena.materialize(Spec, Spec.refInput());
+  EXPECT_EQ(Arena.stats().PeakResidentKeys, 2u);
 }
 
 TEST(TraceArenaTest, DiskTierRoundTripsAcrossArenaInstances) {
