@@ -95,13 +95,6 @@ void bench::addJobsOptions(OptionSet &Opts) {
               "(0 = the reference streams)");
 }
 
-void bench::addTraceCacheOption(OptionSet &Opts) {
-  Opts.addString("trace-cache-dir", "",
-                 "disk tier for the trace arena: materialized traces are "
-                 "written here as SCT2 files and replayed mapped across "
-                 "invocations");
-}
-
 void bench::addSweepOptions(OptionSet &Opts) {
   addCsvOption(Opts);
   addSuiteOptions(Opts);
@@ -116,7 +109,13 @@ SuiteOptions bench::readSuiteOptions(const OptionSet &Opts) {
   if (Opts.has("events-per-billion"))
     Out.Scale = readScale(Opts);
   if (Opts.has("benchmarks")) {
-    Out.Benchmarks = splitList(Opts.getString("benchmarks"));
+    const std::string List = Opts.getString("benchmarks");
+    Out.Benchmarks = splitList(List);
+    if (!List.empty() && Out.Benchmarks.empty()) {
+      std::fprintf(stderr, "error: --benchmarks '%s' names no benchmark\n",
+                   List.c_str());
+      std::exit(2);
+    }
     for (const std::string &Name : Out.Benchmarks) {
       try {
         (void)workload::profileByName(Name);
@@ -136,18 +135,9 @@ SuiteOptions bench::readSuiteOptions(const OptionSet &Opts) {
       std::exit(2);
     }
     Out.Jobs = static_cast<unsigned>(Jobs);
-    Out.Seed = static_cast<uint64_t>(Opts.getInt("seed"));
+    Out.Seed = readCount(Opts, "seed", 0);
   }
-  if (Opts.has("trace-cache-dir"))
-    Out.TraceCacheDir = Opts.getString("trace-cache-dir");
   return Out;
-}
-
-std::shared_ptr<workload::TraceArena>
-bench::makeArena(const SuiteOptions &Opt) {
-  workload::TraceArena::Config Cfg;
-  Cfg.CacheDir = Opt.TraceCacheDir;
-  return std::make_shared<workload::TraceArena>(std::move(Cfg));
 }
 
 namespace {

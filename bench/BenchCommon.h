@@ -29,7 +29,6 @@
 #include "support/Options.h"
 #include "workload/ProgramSynthesizer.h"
 #include "workload/SpecSuite.h"
-#include "workload/TraceArena.h"
 #include "workload/TraceGenerator.h"
 
 #include <memory>
@@ -51,9 +50,6 @@ struct SuiteOptions {
   /// Base seed mixed into every experiment cell's seed and every
   /// selected workload's seed (seedWorkload).
   uint64_t Seed = 0;
-  /// Disk tier for the trace arena (--trace-cache-dir); empty = memory
-  /// only.
-  std::string TraceCacheDir;
 };
 
 /// --csv: every report binary.
@@ -75,7 +71,7 @@ workload::SuiteScale readScale(const OptionSet &Opts);
 ///
 /// readCount reads integer option \p Name, which must be >= \p Min
 /// (--iterations, --block, --tracks, --flush-interval and --pump-events
-/// take Min 1; --opt-latency and --wait-period take 0).
+/// take Min 1; --opt-latency, --wait-period and --seed take 0).
 uint64_t readCount(const OptionSet &Opts, const char *Name, int64_t Min);
 
 /// readThreshold reads double option \p Name as a selection bias
@@ -98,10 +94,6 @@ void addBaselineOptions(OptionSet &Opts);
 /// --jobs and --seed: callers of runSuite.
 void addJobsOptions(OptionSet &Opts);
 
-/// --trace-cache-dir: binaries whose plans carry a trace arena
-/// (makeArena).
-void addTraceCacheOption(OptionSet &Opts);
-
 /// Every group a controller-sweep bench reads (suitePlan + scaledBaseline
 /// + runSuite): --csv, the suite, the baseline and the jobs options.
 void addSweepOptions(OptionSet &Opts);
@@ -115,10 +107,10 @@ void addSweepOptions(OptionSet &Opts);
 core::ReactiveConfig scaledBaseline(const OptionSet &Opts);
 
 /// Reads back every standard option group that was registered.  A value
-/// no run can honor (a --jobs that is negative or above UINT_MAX, an
-/// unknown --benchmarks name, a scale readScale rejects) prints an
-/// `error:` line and exits with status 2, like the option parser's own
-/// errors.
+/// no run can honor (a --jobs that is negative or above UINT_MAX, a
+/// negative --seed, an unknown --benchmarks name or a --benchmarks list
+/// that names none, a scale readScale rejects) prints an `error:` line
+/// and exits with status 2, like the option parser's own errors.
 SuiteOptions readSuiteOptions(const OptionSet &Opts);
 
 /// Mixes --seed into \p Spec's workload seed, so a nonzero seed changes
@@ -137,12 +129,6 @@ std::vector<workload::WorkloadSpec> selectedSuite(const SuiteOptions &Opt);
 /// rather than workload specs).
 std::vector<workload::BenchmarkProfile>
 selectedProfiles(const SuiteOptions &Opt);
-
-/// A fresh trace arena, with the --trace-cache-dir disk tier when set.
-/// A bench whose config columns replay one trace per benchmark installs
-/// it on its plan, so each trace is materialized once and replayed by
-/// every column.
-std::shared_ptr<workload::TraceArena> makeArena(const SuiteOptions &Opt);
 
 /// Starts an experiment plan over the selected suite: one benchmark axis
 /// per selected workload (reference input) and the base seed from --seed.

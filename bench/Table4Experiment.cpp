@@ -8,6 +8,7 @@
 
 #include "core/ReactiveController.h"
 #include "support/Table.h"
+#include "workload/TraceArena.h"
 
 #include <algorithm>
 #include <memory>
@@ -70,7 +71,7 @@ bench::table4Plan(const SuiteOptions &Opt,
   // own controller from the captured config, so parallel execution is
   // bit-identical to serial.
   engine::ExperimentPlan Plan = suitePlan(Opt);
-  Plan.setTraceArena(makeArena(Opt));
+  Plan.setTraceArena(std::make_shared<workload::TraceArena>());
   for (const Table4Variant &V : Variants)
     Plan.addConfig(V.Name,
                    [Config = V.Config](const engine::CellContext &) {

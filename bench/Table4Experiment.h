@@ -55,7 +55,7 @@ std::vector<Table4Variant> table4Variants(const core::ReactiveConfig &Base,
                                           bool NoOscillationLimit);
 
 /// Builds the (benchmark x variant) grid: suitePlan(Opt) over a trace
-/// arena (makeArena) plus one controller column per variant.
+/// arena plus one controller column per variant.
 engine::ExperimentPlan table4Plan(const SuiteOptions &Opt,
                                   const std::vector<Table4Variant> &Variants);
 

@@ -18,6 +18,7 @@
 
 #include "core/ReactiveController.h"
 #include "support/Table.h"
+#include "workload/TraceArena.h"
 
 #include <iostream>
 #include <memory>
@@ -32,7 +33,6 @@ int main(int Argc, char **Argv) {
   OptionSet Opts("ablation_thresholds: selection-threshold and "
                  "monitor-period sweeps around the Table 2 defaults");
   addSweepOptions(Opts);
-  addTraceCacheOption(Opts);
   if (!Opts.parse(Argc, Argv))
     return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
@@ -50,7 +50,7 @@ int main(int Argc, char **Argv) {
   // the arena materializes each benchmark once and every other cell is
   // pure replay.
   engine::ExperimentPlan Plan = suitePlan(Opt);
-  Plan.setTraceArena(makeArena(Opt));
+  Plan.setTraceArena(std::make_shared<workload::TraceArena>());
   auto AddColumn = [&Plan](const std::string &Name,
                            const ReactiveConfig &Config) {
     Plan.addConfig(Name, [Config](const engine::CellContext &) {

@@ -17,6 +17,7 @@
 #include "profile/Pareto.h"
 #include "support/Table.h"
 #include "workload/AdversarialWorkload.h"
+#include "workload/TraceArena.h"
 
 #include <any>
 #include <iostream>
@@ -44,7 +45,6 @@ int main(int Argc, char **Argv) {
   addCsvOption(Opts);
   addBaselineOptions(Opts);
   addJobsOptions(Opts);
-  addTraceCacheOption(Opts);
   Opts.addInt("pump-events", 20000000,
               "branch events in the pump workload's reference run");
   if (!Opts.parse(Argc, Argv))
@@ -78,7 +78,7 @@ int main(int Argc, char **Argv) {
 
   engine::ExperimentPlan Plan;
   Plan.setBaseSeed(Opt.Seed);
-  Plan.setTraceArena(makeArena(Opt));
+  Plan.setTraceArena(std::make_shared<workload::TraceArena>());
   WorkloadSpec PumpSpec = makeOscillationPump(Pump);
   seedWorkload(PumpSpec, Opt.Seed, 0);
   Plan.addBenchmark(std::move(PumpSpec));

@@ -22,6 +22,7 @@
 #include "core/AlternativeControllers.h"
 #include "core/ReactiveController.h"
 #include "support/Table.h"
+#include "workload/TraceArena.h"
 
 #include <iostream>
 #include <iterator>
@@ -37,7 +38,6 @@ int main(int Argc, char **Argv) {
   OptionSet Opts("ext_related_policies: Dynamo-style flushing and "
                  "hardware-style counters vs the paper's model (Sec. 5)");
   addSweepOptions(Opts);
-  addTraceCacheOption(Opts);
   Opts.addInt("flush-interval", 25000000,
               "Dynamo flush interval in dynamic instructions");
   if (!Opts.parse(Argc, Argv))
@@ -76,7 +76,7 @@ int main(int Argc, char **Argv) {
        }},
   };
   engine::ExperimentPlan Plan = suitePlan(Opt);
-  Plan.setTraceArena(makeArena(Opt));
+  Plan.setTraceArena(std::make_shared<workload::TraceArena>());
   for (const auto &[Name, Make] : Policies)
     Plan.addConfig(Name, Make);
   const engine::RunReport Report = runSuite(Plan, Opt);

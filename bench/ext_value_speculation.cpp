@@ -26,6 +26,7 @@
 #include "core/ValueInvariance.h"
 #include "support/Format.h"
 #include "support/Table.h"
+#include "workload/TraceArena.h"
 
 #include <any>
 #include <iostream>
@@ -97,7 +98,6 @@ int main(int Argc, char **Argv) {
   OptionSet Opts("ext_value_speculation: the Fig. 4(b) FSM controlling "
                  "load-value speculation (Sec. 2's generalization claim)");
   addSweepOptions(Opts);
-  addTraceCacheOption(Opts);
   if (!Opts.parse(Argc, Argv))
     return Opts.wasError() ? 2 : 0;
   const SuiteOptions Opt = readSuiteOptions(Opts);
@@ -113,7 +113,7 @@ int main(int Argc, char **Argv) {
   OneShot.OptLatency = Base.OptLatency;
 
   ExperimentPlan Plan = suitePlan(Opt);
-  Plan.setTraceArena(makeArena(Opt));
+  Plan.setTraceArena(std::make_shared<workload::TraceArena>());
   const std::pair<const char *, ReactiveConfig> Policies[] = {
       {"reactive", Base}, {"open-loop", Open}, {"one-shot-1k", OneShot}};
   for (const auto &[Name, Config] : Policies)

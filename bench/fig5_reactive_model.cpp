@@ -21,6 +21,7 @@
 #include "core/ReactiveController.h"
 #include "profile/Pareto.h"
 #include "support/Table.h"
+#include "workload/TraceArena.h"
 
 #include <any>
 #include <iostream>
@@ -46,7 +47,6 @@ int main(int Argc, char **Argv) {
   OptionSet Opts("fig5_reactive_model: Figure 5, reactive control vs "
                  "self-training and the sensitivity variants");
   addSweepOptions(Opts);
-  addTraceCacheOption(Opts);
   Opts.addFlag("latency-sweep",
                "also run the 0 / 100k / 1M instruction latency points");
   if (!Opts.parse(Argc, Argv))
@@ -87,7 +87,7 @@ int main(int Argc, char **Argv) {
   // run), then the reactive variants.  Column 0 runs first per benchmark,
   // so the profile cell materializes the trace its siblings replay.
   engine::ExperimentPlan Plan = suitePlan(Opt);
-  Plan.setTraceArena(makeArena(Opt));
+  Plan.setTraceArena(std::make_shared<workload::TraceArena>());
   Plan.addTaskConfig(SelfTrainingName, [Arena = Plan.traceArena()](
                                            const engine::CellContext &Ctx) {
     return std::any(core::collectProfile(*Arena->open(Ctx.Spec, Ctx.Input),

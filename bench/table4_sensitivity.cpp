@@ -28,7 +28,6 @@ int main(int Argc, char **Argv) {
   OptionSet Opts("table4_sensitivity: Table 4, model sensitivity (suite "
                  "averages)");
   addSweepOptions(Opts);
-  addTraceCacheOption(Opts);
   Opts.addFlag("no-oscillation-limit",
                "add an ablation row with the per-site optimization cap "
                "disabled");

@@ -121,8 +121,7 @@ public:
   /// results; see workload::TraceArena).  Task cells that read the trace
   /// open it here too.  Null (the default) re-generates per cell.
   /// runPlan releases each key's trace when the key's last cell ends, so
-  /// a second plan on the same arena materializes it again, or maps it
-  /// from the disk tier.
+  /// a second plan on the same arena materializes it again.
   void setTraceArena(std::shared_ptr<workload::TraceArena> Arena) {
     this->Arena = std::move(Arena);
   }

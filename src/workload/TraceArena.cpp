@@ -6,16 +6,12 @@
 
 #include "workload/TraceArena.h"
 
-#include "support/Hash.h"
 #include "support/RunConfig.h"
 #include "workload/TraceGenerator.h"
 
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <unistd.h>
 
 using namespace specctrl;
 using namespace specctrl::workload;
@@ -49,12 +45,7 @@ void putStr(std::string &K, const std::string &S) {
 // TraceArena
 //===----------------------------------------------------------------------===//
 
-TraceArena::TraceArena() : TraceArena(Config{}) {}
-
-TraceArena::TraceArena(Config C) : Cfg(std::move(C)) {
-  if (RunConfig::global().ArenaVerbose)
-    Cfg.Verbose = true;
-}
+TraceArena::TraceArena() : Verbose(RunConfig::global().ArenaVerbose) {}
 
 std::string TraceArena::keyOf(const WorkloadSpec &Spec,
                               const InputConfig &Input) {
@@ -105,16 +96,6 @@ std::unique_ptr<EventSource> TraceArena::open(const WorkloadSpec &Spec,
   return std::make_unique<TraceCursor>(std::move(Trace));
 }
 
-std::string TraceArena::cachePathOf(const std::string &Key) const {
-  char Name[48];
-  std::snprintf(Name, sizeof(Name), "%016llx%016llx.sct2",
-                static_cast<unsigned long long>(
-                    hash64(Key.data(), Key.size(), 0)),
-                static_cast<unsigned long long>(
-                    hash64(Key.data(), Key.size(), 1)));
-  return (std::filesystem::path(Cfg.CacheDir) / Name).string();
-}
-
 std::shared_ptr<const MaterializedTrace>
 TraceArena::materialize(const WorkloadSpec &Spec, const InputConfig &Input) {
   const std::string Key = keyOf(Spec, Input);
@@ -135,7 +116,7 @@ TraceArena::materialize(const WorkloadSpec &Spec, const InputConfig &Input) {
   // generated twice.
   std::shared_ptr<const MaterializedTrace> Trace = E->Live.lock();
   if (!Trace)
-    Trace = materializeKey(Key, Spec, Input);
+    Trace = materializeKey(Spec, Input);
   if (!Trace) {
     E->Unencodable = true; // beyond SCT2 limits: the key stays a fallback
     return nullptr;
@@ -166,82 +147,14 @@ void TraceArena::release(const WorkloadSpec &Spec, const InputConfig &Input) {
     ++Stats.Releases;
     --ResidentKeys;
   }
-  if (Cfg.Verbose)
+  if (Verbose)
     std::fprintf(stderr, "specctrl-arena: %s/%s: released\n",
                  Spec.Name.c_str(), Input.Name.c_str());
 }
 
 std::shared_ptr<const MaterializedTrace>
-TraceArena::mapCached(const std::string &Key, const WorkloadSpec &Spec,
-                      const InputConfig &Input) {
-  namespace fs = std::filesystem;
-  const std::string Path = cachePathOf(Key);
-
-  // The file is untrusted input: verify the whole of it before serving
-  // (checksums + checked decode, bounded by one block buffer), so a
-  // stale or corrupt cache falls through to regeneration, never into
-  // results -- and a mapped stream never fails mid-replay.
-  const auto Serve =
-      [&](bool Stored) -> std::shared_ptr<const MaterializedTrace> {
-    std::shared_ptr<const MaterializedTrace> Trace =
-        MaterializedTrace::mapFile(Path);
-    if (!Trace || Trace->totalEvents() != Input.Events ||
-        Trace->numSites() != Spec.numSites() || !Trace->verifyAllBlocks())
-      return nullptr;
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      Stats.MmapLoads += !Stored;
-      Stats.MmapStores += Stored;
-      Stats.MappedBytes += Trace->bytes();
-    }
-    if (Cfg.Verbose)
-      std::fprintf(stderr,
-                   "specctrl-arena: %s/%s: %llu events, %zu bytes "
-                   "(%zu blocks) [mmap%s]\n",
-                   Spec.Name.c_str(), Input.Name.c_str(),
-                   static_cast<unsigned long long>(Trace->totalEvents()),
-                   Trace->bytes(), Trace->numBlocks(),
-                   Stored ? ", generated" : "");
-    return Trace;
-  };
-  if (std::shared_ptr<const MaterializedTrace> Trace = Serve(/*Stored=*/false))
-    return Trace;
-
-  // Miss (or a stale/corrupt file): stream-generate straight to the
-  // file -- the trace is never resident -- then map that.  Temp name +
-  // rename keeps concurrent processes from seeing a partial file.
-  std::error_code EC;
-  fs::create_directories(fs::path(Path).parent_path(), EC);
-  const std::string Tmp =
-      Path + ".tmp." + std::to_string(static_cast<uint64_t>(::getpid())) +
-      "." + std::to_string(reinterpret_cast<uintptr_t>(this));
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      return nullptr;
-    TraceGenerator Gen(Spec, Input);
-    if (writeTraceV2(Out, Gen) != Input.Events || !Out) {
-      Out.close();
-      fs::remove(Tmp, EC);
-      return nullptr;
-    }
-  }
-  fs::rename(Tmp, Path, EC);
-  if (EC) {
-    fs::remove(Tmp, EC);
-    return nullptr;
-  }
-  return Serve(/*Stored=*/true);
-}
-
-std::shared_ptr<const MaterializedTrace>
-TraceArena::materializeKey(const std::string &Key, const WorkloadSpec &Spec,
+TraceArena::materializeKey(const WorkloadSpec &Spec,
                            const InputConfig &Input) {
-  if (!Cfg.CacheDir.empty())
-    if (std::shared_ptr<const MaterializedTrace> Trace =
-            mapCached(Key, Spec, Input))
-      return Trace;
-
   TraceGenerator Gen(Spec, Input);
   std::shared_ptr<const MaterializedTrace> Trace =
       MaterializedTrace::record(Gen);
@@ -253,7 +166,7 @@ TraceArena::materializeKey(const std::string &Key, const WorkloadSpec &Spec,
     Stats.ResidentEvents += Trace->totalEvents();
     Stats.ResidentBytes += Trace->bytes();
   }
-  if (Cfg.Verbose)
+  if (Verbose)
     std::fprintf(stderr,
                  "specctrl-arena: %s/%s: %llu events, %zu bytes "
                  "(%.2fx vs 4 B/event, %zu blocks) [generated]\n",

@@ -34,17 +34,6 @@
 ///    instead, so callers never need a non-arena code path for
 ///    correctness.
 ///
-/// An optional disk tier (Config::CacheDir) persists materializations as
-/// SCT2 files named by the key hash, so repeated tool invocations
-/// amortize the same way sweep cells do.  With a disk tier, materialize()
-/// returns the cache file mapped read-only: cursors decode blocks in
-/// place from a mapping the kernel shares across every process replaying
-/// the same file, so the trace is never resident at all.  A miss
-/// stream-generates straight to the file; a hit verifies the whole file
-/// (checksums + checked decode, bounded by one block buffer) before
-/// serving it and regenerates it on any mismatch, so a stream never fails
-/// mid-replay on stale corruption.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPECCTRL_WORKLOAD_TRACEARENA_H
@@ -70,12 +59,9 @@ struct TraceArenaStats {
   uint64_t Fallbacks = 0;        ///< opens served by a private generator
   uint64_t ResidentEvents = 0;   ///< events generated into memory
   uint64_t ResidentBytes = 0;    ///< encoded bytes generated into memory
-  uint64_t MmapLoads = 0;        ///< keys served from a disk-tier hit
-  uint64_t MmapStores = 0;       ///< keys stream-generated to the disk tier
-  uint64_t MappedBytes = 0;      ///< file bytes served via the disk tier
   uint64_t Releases = 0;         ///< retained traces release() dropped
   /// High-water count of keys whose trace the arena retained at once
-  /// (materialized, in memory or mapped, and not yet released).
+  /// (materialized and not yet released).
   uint64_t PeakResidentKeys = 0;
 };
 
@@ -84,17 +70,7 @@ struct TraceArenaStats {
 /// generated stream, seeds included -- so distinct runs never alias.
 class TraceArena {
 public:
-  struct Config {
-    /// Disk tier directory; empty keeps every trace resident.
-    std::string CacheDir;
-    /// Log materializations (events, encoded bytes, per-block compression
-    /// ratio, tier) and releases to stderr.  Also enabled by
-    /// SPECCTRL_ARENA_VERBOSE=1 (RunConfig).
-    bool Verbose = false;
-  };
-
   TraceArena();
-  explicit TraceArena(Config C);
   TraceArena(const TraceArena &) = delete;
   TraceArena &operator=(const TraceArena &) = delete;
 
@@ -105,9 +81,8 @@ public:
   std::unique_ptr<EventSource> open(const WorkloadSpec &Spec,
                                     const InputConfig &Input);
 
-  /// The materialized trace for (Spec, Input) -- the mapped disk-tier
-  /// file with a CacheDir, the resident image otherwise -- or nullptr when
-  /// the trace cannot be encoded.  The arena retains it until release().
+  /// The materialized trace for (Spec, Input), or nullptr when the trace
+  /// cannot be encoded.  The arena retains it until release().
   /// Same thread-safety as open().
   std::shared_ptr<const MaterializedTrace>
   materialize(const WorkloadSpec &Spec, const InputConfig &Input);
@@ -135,19 +110,14 @@ private:
   static std::string keyOf(const WorkloadSpec &Spec,
                            const InputConfig &Input);
 
+  /// Generates (Spec, Input)'s trace into memory; nullptr when it cannot
+  /// be encoded.
   std::shared_ptr<const MaterializedTrace>
-  materializeKey(const std::string &Key, const WorkloadSpec &Spec,
-                 const InputConfig &Input);
-  /// The disk-tier file for \p Key, verified on a hit and generated on a
-  /// miss; nullptr when it cannot be served (unencodable trace, disk
-  /// trouble), in which case the key falls back to the resident image.
-  std::shared_ptr<const MaterializedTrace>
-  mapCached(const std::string &Key, const WorkloadSpec &Spec,
-            const InputConfig &Input);
-  /// The disk-tier cache file path for \p Key.
-  std::string cachePathOf(const std::string &Key) const;
+  materializeKey(const WorkloadSpec &Spec, const InputConfig &Input);
 
-  Config Cfg;
+  /// Log materializations (events, encoded bytes, per-block compression
+  /// ratio) and releases to stderr: SPECCTRL_ARENA_VERBOSE=1 (RunConfig).
+  const bool Verbose;
   mutable std::mutex Mutex;
   std::unordered_map<std::string, std::unique_ptr<Entry>> Entries;
   TraceArenaStats Stats;     ///< guarded by Mutex

@@ -557,28 +557,6 @@ bool MaterializedTrace::fullyVerified() const {
   return true;
 }
 
-bool MaterializedTrace::verifyAllBlocks() const {
-  std::vector<BranchEvent> Scratch;
-  std::string Error;
-  uint64_t DroppedBelow = 0;
-  for (size_t B = 0; B < Blocks.size(); ++B) {
-    if (isVerified(B))
-      continue;
-    // Validity does not depend on the instruction count, so each block
-    // verifies on its own.
-    uint64_t Inst = 0;
-    Scratch.resize(Blocks[B].Events);
-    if (!decodeBlock(B, Inst, Scratch.data(), Error))
-      return false;
-    // Keep the scan's footprint bounded: drop the pages it has passed.
-    const uint64_t Done = Blocks[B].PayloadOffset - TraceV2FrameBytes;
-    if (Done - DroppedBelow >= (1u << 22))
-      dropBehind(DroppedBelow, Done);
-  }
-  dropBehind(DroppedBelow, Len);
-  return true;
-}
-
 // Advice is best-effort by definition: madvise errors are ignored.
 
 void MaterializedTrace::prefetch(uint64_t Begin, uint64_t End) const {

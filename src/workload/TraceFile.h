@@ -177,10 +177,6 @@ public:
 
   /// True once every block has been verified in this process.
   bool fullyVerified() const;
-  /// Verifies every not-yet-verified block up front (resident cost: one
-  /// block buffer; a mapping's pages are dropped as the scan advances).
-  /// Returns false on the first rejected block.
-  bool verifyAllBlocks() const;
 
 private:
   friend class TraceCursor;

@@ -3,10 +3,9 @@
 // The trace arena's contract: a key materializes exactly once no matter
 // how many cursors open it, and cursors are independent; a released key
 // reopens to the same stream, materialized again only once no cursor
-// reads it, and a release never disturbs an open cursor; the disk tier
-// round-trips through mapped SCT2 files and regenerates on corruption;
-// and traces beyond the SCT2 encoding limits fall back to a private
-// generator transparently.  Stream identity over every cursor source is
+// reads it, and a release never disturbs an open cursor; and traces
+// beyond the SCT2 encoding limits fall back to a private generator
+// transparently.  Stream identity over every cursor source is
 // TraceReplayTest's.
 //
 //===----------------------------------------------------------------------===//
@@ -18,9 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <span>
 #include <vector>
@@ -64,36 +60,6 @@ void drainInto(EventSource &Source, std::vector<BranchEvent> &Out) {
   std::vector<BranchEvent> Chunk(4096);
   while (const size_t N = Source.nextBatch(Chunk))
     Out.insert(Out.end(), Chunk.begin(), Chunk.begin() + N);
-}
-
-/// A scratch directory for disk-tier tests, removed on destruction.
-class TempDir {
-public:
-  TempDir() {
-    Path = std::filesystem::temp_directory_path() /
-           ("specctrl-arena-test-" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "-" + std::to_string(reinterpret_cast<uintptr_t>(this)));
-    std::filesystem::create_directories(Path);
-  }
-  ~TempDir() {
-    std::error_code EC;
-    std::filesystem::remove_all(Path, EC);
-  }
-  std::string str() const { return Path.string(); }
-  std::filesystem::path Path;
-};
-
-/// The single cached trace file in \p Dir (asserts there is exactly one).
-std::filesystem::path cachedFile(const TempDir &Dir) {
-  std::filesystem::path Found;
-  unsigned N = 0;
-  for (const auto &Entry : std::filesystem::directory_iterator(Dir.Path)) {
-    Found = Entry.path();
-    ++N;
-  }
-  EXPECT_EQ(N, 1u);
-  return Found;
 }
 
 } // namespace
@@ -226,77 +192,6 @@ TEST(TraceArenaTest, PeakResidentKeysCountsRetainedKeys) {
   EXPECT_EQ(Arena.stats().PeakResidentKeys, 1u);
   (void)Arena.materialize(Spec, Spec.refInput());
   EXPECT_EQ(Arena.stats().PeakResidentKeys, 2u);
-}
-
-TEST(TraceArenaTest, DiskTierRoundTripsAcrossArenaInstances) {
-  const WorkloadSpec Spec = makeBenchmark("gzip", TestScale);
-  const InputConfig Input = Spec.refInput();
-  TempDir Dir;
-
-  {
-    // Cold: the disk tier stream-generates a cache file and serves it
-    // mapped -- nothing is materialized resident.
-    TraceArena::Config Cfg;
-    Cfg.CacheDir = Dir.str();
-    TraceArena Cold(std::move(Cfg));
-    const std::unique_ptr<EventSource> Source = Cold.open(Spec, Input);
-    expectStreamIdentity(*Source, Spec, Input, DefaultBatchEvents);
-    const TraceArenaStats S = Cold.stats();
-    EXPECT_EQ(S.MmapStores, 1u);
-    EXPECT_EQ(S.MmapLoads, 0u);
-    EXPECT_GT(S.MappedBytes, 0u);
-    EXPECT_EQ(S.Materializations, 0u);
-    EXPECT_EQ(S.ResidentBytes, 0u);
-  }
-
-  // A fresh arena (a later process) maps the same cache file -- no
-  // regeneration -- and the replayed stream is still bit-identical.
-  TraceArena::Config Cfg;
-  Cfg.CacheDir = Dir.str();
-  TraceArena Warm(std::move(Cfg));
-  const std::unique_ptr<EventSource> Source = Warm.open(Spec, Input);
-  expectStreamIdentity(*Source, Spec, Input, DefaultBatchEvents);
-  const TraceArenaStats S = Warm.stats();
-  EXPECT_EQ(S.MmapLoads, 1u);
-  EXPECT_EQ(S.MmapStores, 0u);
-  EXPECT_EQ(S.Materializations, 0u);
-  EXPECT_EQ(S.ResidentBytes, 0u);
-}
-
-TEST(TraceArenaTest, CorruptCacheFileIsRegeneratedNotServed) {
-  const WorkloadSpec Spec = makeBenchmark("gzip", TestScale);
-  const InputConfig Input = Spec.refInput();
-  TempDir Dir;
-
-  {
-    TraceArena::Config Cfg;
-    Cfg.CacheDir = Dir.str();
-    TraceArena Cold(std::move(Cfg));
-    (void)Cold.materialize(Spec, Input);
-  }
-
-  // Flip one payload byte in the cached file: the whole mapped file is
-  // verified before a stream is served, so the corruption must be
-  // detected and the trace regenerated (and re-stored), never replayed --
-  // and never allowed to fail mid-replay.
-  const std::filesystem::path Cached = cachedFile(Dir);
-  {
-    std::fstream F(Cached, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(F.is_open());
-    F.seekp(-1, std::ios::end);
-    const char Flip = static_cast<char>(F.peek() ^ 0x40);
-    F.write(&Flip, 1);
-  }
-
-  TraceArena::Config Cfg;
-  Cfg.CacheDir = Dir.str();
-  TraceArena Arena(std::move(Cfg));
-  const std::unique_ptr<EventSource> Source = Arena.open(Spec, Input);
-  expectStreamIdentity(*Source, Spec, Input, DefaultBatchEvents);
-  const TraceArenaStats S = Arena.stats();
-  EXPECT_EQ(S.MmapLoads, 0u);
-  EXPECT_EQ(S.MmapStores, 1u); // the bad file was replaced
-  EXPECT_EQ(S.Materializations, 0u);
 }
 
 TEST(TraceArenaTest, UnencodableTraceFallsBackToGenerator) {

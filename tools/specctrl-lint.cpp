@@ -306,6 +306,11 @@ int main(int Argc, char **Argv) {
 
   size_t Pairs = 0;
   const int64_t Only = Opts.getInt("function");
+  if (Only < -1 || Only >= static_cast<int64_t>(M->numFunctions())) {
+    std::cerr << "error: --function " << Only << " names no function (the "
+              << "input has " << M->numFunctions() << "; -1 means all)\n";
+    return 2;
+  }
 
   // Structural lint always runs.
   std::string Err;
