@@ -30,8 +30,9 @@ ReactiveController::ReactiveController(const ReactiveConfig &Config,
 ReactiveController::SiteState &ReactiveController::state(SiteId Site) {
   if (Site >= States.size()) {
     States.resize(Site + 1);
-    // Grown in lockstep with the per-site stats vectors so step() can mark
-    // Touched with a plain store instead of re-checking bounds per event.
+    // Grown in lockstep with the per-site stats vectors, so onBatch marks
+    // a site Touched with one plain store, when it first sets the site's
+    // Seen bit, instead of re-checking bounds per event.
     Stats.touch(Site);
   }
   return States[Site];
@@ -213,9 +214,12 @@ void ReactiveController::updateBiased(SiteId Site, SiteState &S, bool Taken,
 
 BranchVerdict ReactiveController::onBranch(SiteId Site, bool Taken,
                                            uint64_t InstRet) {
-  ++Stats.Branches;
-  Stats.LastInstRet = InstRet;
-  return step(Site, Taken, InstRet);
+  // One FSM body: an event fed alone is a batch of one.
+  const workload::BranchEvent E{.Site = Site, .Taken = Taken,
+                                .InstRet = InstRet};
+  BranchVerdict Verdict;
+  ReactiveController::onBatch({&E, 1}, &Verdict);
+  return Verdict;
 }
 
 void ReactiveController::onBatch(
@@ -226,62 +230,76 @@ void ReactiveController::onBatch(
   // to the same final values (Branches sums, LastInstRet keeps the last).
   Stats.Branches += Events.size();
   Stats.LastInstRet = Events.back().InstRet;
+  // The common path makes no call and stores only to the event's
+  // SiteState and verdict: the config lives in locals, the speculation
+  // counts in registers until the batch ends, and a site's Touched byte is
+  // stored once, with its Seen bit.
+  const bool LatencyModel = !ExternalSink;
+  const uint64_t MonitorPeriod = Config.MonitorPeriod;
+  const unsigned SampleRate = Config.MonitorSampleRate;
+  const bool Revisit = Config.EnableRevisit;
+  const uint64_t WaitPeriod = Config.WaitPeriod;
+  SiteState *Sites = States.data();
+  size_t NumSites = States.size();
+  uint64_t Correct = 0, Incorrect = 0;
   for (size_t I = 0; I < Events.size(); ++I) {
-    const workload::BranchEvent &E = Events[I];
-    Verdicts[I] = step(E.Site, E.Taken, E.InstRet);
-  }
-}
-
-BranchVerdict ReactiveController::step(SiteId Site, bool Taken,
-                                       uint64_t InstRet) {
-  SiteState &S = state(Site);
-  Stats.Touched[Site] = 1; // state() keeps the stats vectors sized
-  if (!ExternalSink && S.Pending != PendingKind::None &&
-      InstRet >= S.ReadyAt)
-    applyPending(S);
-
-  // Account against the deployed code, whatever the FSM thinks.  Branchless
-  // on purpose: whether a given event speculates depends on interleaved
-  // per-site state, which the branch predictor cannot learn.
-  BranchVerdict Verdict;
-  const bool Deployed = S.Deployed;
-  const bool Correct = Deployed & (Taken == S.DeployedDir);
-  Verdict.Speculated = Deployed;
-  Verdict.Correct = Correct;
-  Stats.CorrectSpecs += Correct;
-  Stats.IncorrectSpecs += Deployed & !Correct;
-
-  // Fig. 6 transition vicinity.
-  if (S.TransRemaining > 0) {
-    S.TransWrong += Taken != S.TransOriginalDir;
-    if (--S.TransRemaining == 0)
-      Stats.Transitions.push_back(
-          {Site, 64, S.TransWrong});
-  }
-
-  switch (S.State) {
-  case FsmState::Monitor: {
-    ++S.MonitorExecs;
-    if (Config.MonitorSampleRate == 1 ||
-        S.MonitorExecs % Config.MonitorSampleRate == 0) {
-      ++S.MonitorSampled;
-      S.MonitorTaken += Taken;
+    const SiteId Site = Events[I].Site;
+    const bool Taken = Events[I].Taken;
+    const uint64_t InstRet = Events[I].InstRet;
+    if (Site >= NumSites) [[unlikely]] {
+      state(Site);
+      Sites = States.data();
+      NumSites = States.size();
     }
-    if (S.MonitorExecs >= Config.MonitorPeriod && S.MonitorSampled > 0)
-      classify(Site, S, InstRet);
-    break;
-  }
-  case FsmState::Biased:
-    updateBiased(Site, S, Taken, InstRet);
-    break;
-  case FsmState::Unbiased:
-    if (S.Blacklisted || !Config.EnableRevisit)
+    SiteState &S = Sites[Site];
+    if (!S.Seen) [[unlikely]] {
+      S.Seen = true;
+      Stats.Touched[Site] = 1; // state() keeps the stats vectors sized
+    }
+    if (LatencyModel && S.Pending != PendingKind::None &&
+        InstRet >= S.ReadyAt)
+      applyPending(S);
+
+    // Account against the deployed code, whatever the FSM thinks.
+    // Branchless on purpose: whether a given event speculates depends on
+    // interleaved per-site state, which the branch predictor cannot learn.
+    const bool Deployed = S.Deployed;
+    const bool Right = Deployed & (Taken == S.DeployedDir);
+    Verdicts[I] = {Deployed, Right};
+    Correct += Right;
+    Incorrect += Deployed & !Right;
+
+    // Fig. 6 transition vicinity.
+    if (S.TransRemaining > 0) [[unlikely]] {
+      S.TransWrong += Taken != S.TransOriginalDir;
+      if (--S.TransRemaining == 0)
+        Stats.Transitions.push_back({Site, 64, S.TransWrong});
+    }
+
+    // Most events reach a monitoring site, so its case is tested first.
+    switch (S.State) {
+    [[likely]] case FsmState::Monitor:
+      ++S.MonitorExecs;
+      if (SampleRate == 1 || S.MonitorExecs % SampleRate == 0) {
+        ++S.MonitorSampled;
+        S.MonitorTaken += Taken;
+      }
+      if (S.MonitorExecs >= MonitorPeriod && S.MonitorSampled > 0)
+        classify(Site, S, InstRet);
       break;
-    if (++S.WaitExecs >= Config.WaitPeriod) {
-      ++Stats.Revisits;
-      enterMonitor(S);
+    case FsmState::Biased:
+      updateBiased(Site, S, Taken, InstRet);
+      break;
+    case FsmState::Unbiased:
+      if (S.Blacklisted || !Revisit)
+        break;
+      if (++S.WaitExecs >= WaitPeriod) {
+        ++Stats.Revisits;
+        enterMonitor(S);
+      }
+      break;
     }
-    break;
   }
-  return Verdict;
+  Stats.CorrectSpecs += Correct;
+  Stats.IncorrectSpecs += Incorrect;
 }

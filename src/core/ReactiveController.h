@@ -49,7 +49,9 @@ public:
 
   /// Routes re-optimization requests to \p Sink instead of the built-in
   /// instruction-latency model; the caller must then invoke
-  /// completeRequest() when each optimization finishes.
+  /// completeRequest() when each optimization finishes.  Requests reach
+  /// the sink in stream order from inside onBatch, before the batch's
+  /// speculation counts are added to stats().
   void setRequestSink(OptRequestSink *Sink) { ExternalSink = Sink; }
 
   /// Completes the outstanding request for \p Site (external mode).
@@ -66,10 +68,11 @@ public:
   bool isOscillationCapped(SiteId Site) const;
 
   // SpeculationController interface.
+  /// A batch of one event: the FSM is written once, in onBatch.
   BranchVerdict onBranch(SiteId Site, bool Taken, uint64_t InstRet) override;
-  /// Batch path: identical verdicts and final stats to per-event feeding,
-  /// with whole-run accounting (branch count, last instret) hoisted out of
-  /// the FSM loop.
+  /// The FSM, stepped inline over the chunk: identical verdicts and final
+  /// stats to per-event feeding, with whole-run accounting (branch count,
+  /// last instret, speculation counts) added once per chunk.
   void onBatch(std::span<const workload::BranchEvent> Events,
                BranchVerdict *Verdicts) override;
   bool isDeployed(SiteId Site) const override;
@@ -85,8 +88,9 @@ private:
 
   /// Field order packs the struct into exactly one cache line (bytes,
   /// then u32s, then u64s), and the alignment keeps each site from
-  /// straddling two: step() touches one line per event, which bounds the
-  /// FSM's cache footprint on wide-site workloads.
+  /// straddling two: onBatch touches one line per event, and its per-event
+  /// stores, the verdict aside, land in it, which bounds the FSM's cache
+  /// footprint on wide-site workloads.
   struct alignas(64) SiteState {
     FsmState State = FsmState::Monitor;
     bool Deployed = false;
@@ -98,6 +102,9 @@ private:
     uint8_t TransRemaining = 0;
     uint8_t TransWrong = 0;
     bool TransOriginalDir = false;
+    /// Stats.Touched is set for this site.  It fills a padding byte, so
+    /// the struct stays one line.
+    bool Seen = false;
     uint32_t Optimizations = 0;
     // Monitor state.
     uint32_t MonitorExecs = 0;
@@ -117,9 +124,6 @@ private:
                 "SiteState must stay within one cache line");
 
   SiteState &state(SiteId Site);
-  /// The per-event FSM work minus the whole-run accounting (which
-  /// onBranch/onBatch perform per event resp. per chunk).
-  BranchVerdict step(SiteId Site, bool Taken, uint64_t InstRet);
   void applyPending(SiteState &S);
   void issueRequest(SiteId Site, SiteState &S, OptRequestKind Kind,
                     bool Direction, uint64_t InstRet);

@@ -14,39 +14,38 @@ using namespace specctrl::core;
 StaticSelectionController::StaticSelectionController(
     const profile::BranchProfile &Profile, double BiasThreshold,
     uint64_t MinExecs, const char *Name)
-    : PolicyName(Name) {
-  Selected.resize(Profile.numSites(), false);
-  Direction.resize(Profile.numSites(), false);
+    : Codes(Profile.numSites(), 0), PolicyName(Name) {
   for (SiteId S = 0; S < Profile.numSites(); ++S) {
     if (Profile.executions(S) < MinExecs ||
         Profile.bias(S) < BiasThreshold)
       continue;
-    Selected[S] = true;
-    Direction[S] = Profile.majorityTaken(S);
+    Codes[S] = SelectedBit | (Profile.majorityTaken(S) ? TakenBit : 0);
   }
 }
 
 uint32_t StaticSelectionController::selectedCount() const {
   uint32_t N = 0;
-  for (bool B : Selected)
-    N += B;
+  for (uint8_t C : Codes)
+    N += C & SelectedBit;
   return N;
 }
 
 BranchVerdict StaticSelectionController::onBranch(SiteId Site, bool Taken,
                                                   uint64_t InstRet) {
-  Stats.touch(Site);
-  ++Stats.Branches;
-  Stats.LastInstRet = InstRet;
-
+  const workload::BranchEvent E{.Site = Site, .Taken = Taken,
+                                .InstRet = InstRet};
   BranchVerdict Verdict;
-  if (Site < Selected.size() && Selected[Site]) {
-    Stats.EverBiased[Site] = 1;
-    Verdict.Speculated = true;
-    Verdict.Correct = Taken == Direction[Site];
-    ++(Verdict.Correct ? Stats.CorrectSpecs : Stats.IncorrectSpecs);
-  }
+  StaticSelectionController::onBatch({&E, 1}, &Verdict);
   return Verdict;
+}
+
+void StaticSelectionController::markSeen(SiteId Site) {
+  if (Site >= Codes.size())
+    Codes.resize(Site + 1, 0);
+  Codes[Site] |= SeenBit;
+  Stats.touch(Site);
+  if (Codes[Site] & SelectedBit)
+    Stats.EverBiased[Site] = 1;
 }
 
 void StaticSelectionController::onBatch(
@@ -55,29 +54,33 @@ void StaticSelectionController::onBatch(
     return;
   Stats.Branches += Events.size();
   Stats.LastInstRet = Events.back().InstRet;
-  const size_t NumSel = Selected.size();
+  const uint8_t *Sites = Codes.data();
+  size_t NumSites = Codes.size();
   uint64_t Correct = 0, Incorrect = 0;
   for (size_t I = 0; I < Events.size(); ++I) {
-    const workload::BranchEvent &E = Events[I];
-    Stats.touch(E.Site);
-    BranchVerdict Verdict;
-    if (E.Site < NumSel && Selected[E.Site]) {
-      Stats.EverBiased[E.Site] = 1;
-      Verdict.Speculated = true;
-      Verdict.Correct = E.Taken == Direction[E.Site];
-      ++(Verdict.Correct ? Correct : Incorrect);
+    const SiteId Site = Events[I].Site;
+    if (Site >= NumSites || !(Sites[Site] & SeenBit)) [[unlikely]] {
+      markSeen(Site);
+      Sites = Codes.data();
+      NumSites = Codes.size();
     }
-    Verdicts[I] = Verdict;
+    const uint8_t Code = Sites[Site];
+    const bool Speculated = Code & SelectedBit;
+    const bool Right =
+        Speculated & (Events[I].Taken == static_cast<bool>(Code & TakenBit));
+    Verdicts[I] = {Speculated, Right};
+    Correct += Right;
+    Incorrect += Speculated & !Right;
   }
   Stats.CorrectSpecs += Correct;
   Stats.IncorrectSpecs += Incorrect;
 }
 
 bool StaticSelectionController::isDeployed(SiteId Site) const {
-  return Site < Selected.size() && Selected[Site];
+  return Site < Codes.size() && (Codes[Site] & SelectedBit);
 }
 
 bool StaticSelectionController::deployedDirection(SiteId Site) const {
   assert(isDeployed(Site) && "no speculation deployed for this site");
-  return Direction[Site];
+  return Codes[Site] & TakenBit;
 }

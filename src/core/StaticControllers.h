@@ -45,9 +45,12 @@ public:
   uint32_t selectedCount() const;
 
   // SpeculationController interface.
+  /// A batch of one event.
   BranchVerdict onBranch(SiteId Site, bool Taken, uint64_t InstRet) override;
-  /// Batch path: the fixed selection never changes mid-run, so the whole
-  /// chunk is scored with locally-accumulated counters flushed once.
+  /// The fixed selection never changes mid-run, so the whole chunk is
+  /// scored from one code byte per event, with counters summed locally
+  /// and added once; a site's per-site stats are written only when it is
+  /// first seen.
   void onBatch(std::span<const workload::BranchEvent> Events,
                BranchVerdict *Verdicts) override;
   bool isDeployed(SiteId Site) const override;
@@ -57,8 +60,16 @@ public:
   const char *name() const override { return PolicyName; }
 
 private:
-  std::vector<bool> Selected;
-  std::vector<bool> Direction;
+  /// Bits of a site's code byte.
+  enum : uint8_t { SelectedBit = 1, TakenBit = 2, SeenBit = 4 };
+
+  /// Marks \p Site seen: touches it in the stats, and marks it ever
+  /// biased when it is selected.
+  void markSeen(SiteId Site);
+
+  /// One code byte per site: the profile's sites, grown to cover any
+  /// site seen beyond them.
+  std::vector<uint8_t> Codes;
   const char *PolicyName;
   ControlStats Stats;
 };

@@ -9,12 +9,17 @@
 // deliberately odd one (so final partial chunks and chunk-boundary
 // effects are covered), and chunks of one, and through the engine at
 // several worker counts.  The verdicts onBatch writes obey the same
-// contract for every controller family, and count to the stats.
+// contract for every controller family, and count to the stats.  Every
+// scaled reactive variant (ScaledVariants.h) writes the same verdicts and
+// stats, Fig. 6's transition records in order included, at every chunk
+// size, over the suite and the oscillation pump.
 //
 // `ctest -R batch_equivalence` is the stable handle for this suite (see
 // tests/CMakeLists.txt).
 //
 //===----------------------------------------------------------------------===//
+
+#include "ScaledVariants.h"
 
 #include "core/AlternativeControllers.h"
 #include "core/Driver.h"
@@ -41,28 +46,18 @@ using namespace specctrl::workload;
 
 namespace {
 
-/// Small enough that the 12-benchmark x 2-input sweep runs in seconds,
-/// large enough that the reactive controller classifies, deploys, and
-/// evicts (the stats being compared are not all-zero).
-constexpr SuiteScale TestScale{3.0e3, 0.1};
+using scaled::TestScale;
 
 /// The chunk sizes under test: the pipeline default, an odd size that
 /// never divides the event count (so the final chunk is partial and chunk
 /// boundaries land mid-phase), and chunks of one event.
 constexpr size_t TestBatches[] = {workload::DefaultBatchEvents, 257, 1};
 
-ReactiveConfig scaledConfig(ReactiveConfig C) {
-  C.MonitorPeriod = 100;
-  C.WaitPeriod = 2000;
-  C.OptLatency = 0;
-  return C;
-}
-
 /// Runs (Spec, Input) under the scaled baseline reactive config with the
 /// given chunk size and returns the final stats.
 ControlStats runReactive(const WorkloadSpec &Spec, const InputConfig &Input,
                          size_t BatchEvents) {
-  ReactiveController C(scaledConfig(ReactiveConfig::baseline()));
+  ReactiveController C(scaled::scaleDown(ReactiveConfig::baseline(), 0));
   runWorkload(C, Spec, Input, BatchEvents);
   return C.stats();
 }
@@ -83,7 +78,7 @@ ControlStats perEventReference(SpeculationController &C,
 
 ControlStats reactiveReference(const WorkloadSpec &Spec,
                                const InputConfig &Input) {
-  ReactiveController C(scaledConfig(ReactiveConfig::baseline()));
+  ReactiveController C(scaled::scaleDown(ReactiveConfig::baseline(), 0));
   return perEventReference(C, Spec, Input);
 }
 
@@ -162,6 +157,22 @@ void expectVerdictsCountToStats(const VerdictCodes &Verdicts,
   EXPECT_EQ(Correct, Stats.CorrectSpecs) << Where;
 }
 
+/// Stats and every verdict of one run of \p Config over (\p Spec,
+/// \p Input), fed in chunks of \p BatchEvents.
+struct ChunkedRun {
+  ControlStats Stats;
+  VerdictCodes Verdicts;
+};
+
+ChunkedRun runChunked(const ReactiveConfig &Config, const WorkloadSpec &Spec,
+                      const InputConfig &Input, size_t BatchEvents) {
+  ReactiveController C(Config);
+  ChunkedRun Run;
+  Run.Verdicts = batchVerdicts(C, Spec, Input, BatchEvents);
+  Run.Stats = C.stats();
+  return Run;
+}
+
 ExperimentPlan fullSuitePlan() {
   ExperimentPlan Plan;
   Plan.setBaseSeed(42);
@@ -169,7 +180,7 @@ ExperimentPlan fullSuitePlan() {
     Plan.addBenchmark(makeBenchmark(P, TestScale));
   Plan.addConfig("baseline", [](const CellContext &) {
     return std::make_unique<ReactiveController>(
-        scaledConfig(ReactiveConfig::baseline()));
+        scaled::scaleDown(ReactiveConfig::baseline(), 0));
   });
   return Plan;
 }
@@ -212,6 +223,47 @@ TEST(BatchEquivalenceTest, ReactiveSuiteMatchesPerEventOnBothInputs) {
   EXPECT_GT(NonTrivialRuns, 0u);
 }
 
+TEST(BatchEquivalenceTest, EveryVariantInvariantUnderChunking) {
+  std::vector<WorkloadSpec> Streams;
+  for (const BenchmarkProfile &P : suiteProfiles())
+    Streams.push_back(makeBenchmark(P, TestScale));
+  Streams.push_back(scaled::scaledPump(200000));
+  uint64_t AllSuppressed = 0;
+  for (const scaled::NamedConfig &V : scaled::variants()) {
+    uint64_t Deploys = 0, Evictions = 0, Suppressed = 0, Transitions = 0;
+    for (const WorkloadSpec &Spec : Streams) {
+      const InputConfig Input = Spec.refInput();
+      const ChunkedRun Want =
+          runChunked(V.Config, Spec, Input, TestBatches[0]);
+      const std::string Where = V.Name + "/" + Spec.Name;
+      ASSERT_EQ(Want.Verdicts.size(), Spec.RefEvents) << Where;
+      expectVerdictsCountToStats(Want.Verdicts, Want.Stats, Where);
+      for (const size_t Batch : std::span(TestBatches).subspan(1)) {
+        const ChunkedRun Got = runChunked(V.Config, Spec, Input, Batch);
+        const std::string At = Where + " batch=" + std::to_string(Batch);
+        EXPECT_TRUE(Got.Verdicts == Want.Verdicts) << At;
+        EXPECT_EQ(Got.Stats, Want.Stats) << At;
+      }
+      Deploys += Want.Stats.DeployRequests;
+      Evictions += Want.Stats.Evictions;
+      Suppressed += Want.Stats.SuppressedRequests;
+      Transitions += Want.Stats.Transitions.size();
+    }
+    // Each variant must reach the paths it enables.
+    EXPECT_GT(Deploys, 0u) << V.Name;
+    if (V.Config.EnableEviction) {
+      EXPECT_GT(Evictions, 0u) << V.Name;
+      EXPECT_GT(Transitions, 0u) << V.Name;
+    }
+    if (V.Config.OscillationLimit == 0) {
+      EXPECT_EQ(Suppressed, 0u) << V.Name;
+    }
+    AllSuppressed += Suppressed;
+  }
+  // The pump drives sites into the oscillation cap.
+  EXPECT_GT(AllSuppressed, 0u);
+}
+
 TEST(BatchEquivalenceTest, StaticSuiteMatchesPerEventOnBothInputs) {
   uint64_t SpeculatingRuns = 0;
   for (const BenchmarkProfile &P : suiteProfiles()) {
@@ -236,7 +288,7 @@ TEST(BatchEquivalenceTest, VerdictsMatchPerEventForEveryController) {
       {"reactive",
        [](const profile::BranchProfile &) {
          return std::make_unique<ReactiveController>(
-             scaledConfig(ReactiveConfig::baseline()));
+             scaled::scaleDown(ReactiveConfig::baseline(), 0));
        }},
       {"static",
        [](const profile::BranchProfile &Profile) {
@@ -247,7 +299,7 @@ TEST(BatchEquivalenceTest, VerdictsMatchPerEventForEveryController) {
          // The bench default (25M instructions) at TestScale's 1/200
          // run length.
          return std::make_unique<DynamoFlushController>(
-             scaledConfig(ReactiveConfig::baseline()), 125000);
+             scaled::scaleDown(ReactiveConfig::baseline(), 0), 125000);
        }},
       {"hardware-2bit",
        [](const profile::BranchProfile &) {

@@ -6,7 +6,9 @@
 #      then the full ctest;
 #   2. the fast ctest label and the SPSC ring tests (RingBuffer, outside
 #      the fast label) in an AddressSanitizer tree (build-asan/) and in an
-#      UndefinedBehaviorSanitizer tree (build-ubsan/);
+#      UndefinedBehaviorSanitizer tree (build-ubsan/); the fast label
+#      includes the reactive controller against its executable FSM spec
+#      over ~10^6 events (fsm_spec.FsmSpecTest.*);
 #   3. the engine concurrency tests (the plan runner, the arena races,
 #      determinism and the ThreadPool itself), the trace arena's own
 #      tests (TraceArenaTest: per-key materialize and release), the MSSP

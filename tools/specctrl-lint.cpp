@@ -22,7 +22,10 @@
 //                                       under a full assertion + value-
 //                                       speculation request, and verify all
 //                                       pairs (the CI acceptance gate); all
-//                                       five checks run, SpecLeak included
+//                                       five checks run, SpecLeak included;
+//                                       takes no input file, --function,
+//                                       --assert, --value, --distill-check
+//                                       or --analyze
 //     --spec-leak                       report only spec-leak findings
 //     --no-spec-leak                    skip the spec-leak check entirely
 //     --json                            one JSON object per finding (the
@@ -284,8 +287,24 @@ int main(int Argc, char **Argv) {
   analysis::VerifyOptions VOpts;
   VOpts.SpecLeak = !Opts.getFlag("no-spec-leak");
 
-  if (Opts.getFlag("suite"))
+  if (Opts.getFlag("suite")) {
+    // The suite distills its own pairs, so an option that narrows a
+    // single-module check would be silently dropped: reject it instead.
+    const char *Unread = !Opts.positional().empty() ? "an input file"
+                         : Opts.getInt("function") != -1 ? "--function"
+                         : !Opts.getString("assert").empty() ? "--assert"
+                         : !Opts.getString("value").empty()  ? "--value"
+                         : Opts.getFlag("distill-check") ? "--distill-check"
+                         : Opts.getFlag("analyze")       ? "--analyze"
+                                                         : nullptr;
+    if (Unread) {
+      std::cerr << "error: --suite checks the seed suite's own pairs and "
+                   "does not take "
+                << Unread << "\n";
+      return 2;
+    }
     return runSuite(R, VOpts) == 0 ? 0 : 1;
+  }
 
   distill::DistillRequest Request;
   if (!distill::parseBranchAssertions(Opts.getString("assert"),
