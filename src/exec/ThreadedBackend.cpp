@@ -9,12 +9,21 @@
 #include "ir/Verifier.h"
 #include "support/RunConfig.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
 using namespace specctrl;
 using namespace specctrl::exec;
+
+namespace {
+
+/// What every page past the image reads until its first store; shared by
+/// all engines.
+alignas(64) constexpr uint64_t ZeroPage[ThreadedBackend::PageWords] = {};
+
+} // namespace
 
 std::unique_ptr<DecodedFunction> exec::decodeFunction(const ir::Function &F) {
   auto DF = std::make_unique<DecodedFunction>();
@@ -57,19 +66,66 @@ std::unique_ptr<DecodedFunction> exec::decodeFunction(const ir::Function &F) {
 }
 
 ThreadedBackend::ThreadedBackend(const ir::Module &M,
-                                 std::vector<uint64_t> Memory)
-    : Mod(M), ModGeneration(M.generation()), Memory(std::move(Memory)) {
-  assert(M.numFunctions() > 0 && "module has no functions");
-  CodeMap.resize(M.numFunctions());
-  VersionMap.resize(M.numFunctions());
-  for (uint32_t F = 0; F < M.numFunctions(); ++F) {
-    VersionMap[F] = &M.function(F);
+                                 std::span<const uint64_t> Image)
+    : Mod(M), ModGeneration(M.generation()) {
+  init(Image);
+}
+
+ThreadedBackend::ThreadedBackend(const ir::Module &M,
+                                 std::vector<uint64_t> Image)
+    : Mod(M), ModGeneration(M.generation()), OwnedImage(std::move(Image)) {
+  init(OwnedImage);
+}
+
+void ThreadedBackend::init(std::span<const uint64_t> Image) {
+  assert(Mod.numFunctions() > 0 && "module has no functions");
+  CodeMap.resize(Mod.numFunctions());
+  VersionMap.resize(Mod.numFunctions());
+  for (uint32_t F = 0; F < Mod.numFunctions(); ++F) {
+    VersionMap[F] = &Mod.function(F);
     CodeMap[F] = decodedFor(VersionMap[F]);
   }
 
-  const DecodedFunction *Entry = CodeMap[M.entry()];
-  Stack.push_back({Entry, M.entry(), 0, 0, 0, 0});
+  const DecodedFunction *Entry = CodeMap[Mod.entry()];
+  Stack.push_back({Entry, Mod.entry(), 0, 0, 0, 0});
   RegStack.assign(Entry->NumRegs, 0);
+
+  Words = Image.size();
+  const uint64_t Pages = (Words + PageMask) >> PageBits;
+  ReadPages.resize(Pages);
+  WritePages.resize(Pages);
+  for (uint64_t P = 0; P < Pages; ++P)
+    ReadPages[P] = Image.data() + (P << PageBits);
+  if (Words & PageMask)
+    privatize(Pages - 1);
+}
+
+void ThreadedBackend::growTo(uint64_t NewWords) {
+  const uint64_t Pages = (NewWords + PageMask) >> PageBits;
+  ReadPages.resize(Pages, ZeroPage);
+  WritePages.resize(Pages);
+  Words = NewWords;
+}
+
+uint64_t *ThreadedBackend::privatize(uint64_t Page) {
+  // Zero-filled past the copied words: the image's partial last page
+  // copies only the image's words.
+  std::unique_ptr<uint64_t[]> Copy(new uint64_t[PageWords]());
+  const uint64_t Base = Page << PageBits;
+  std::copy_n(ReadPages[Page], std::min(PageWords, Words - Base), Copy.get());
+  ReadPages[Page] = Copy.get();
+  WritePages[Page] = std::move(Copy);
+  return WritePages[Page].get();
+}
+
+std::vector<uint64_t> ThreadedBackend::memory() const {
+  std::vector<uint64_t> Out(Words);
+  for (uint64_t P = 0; P < ReadPages.size(); ++P) {
+    const uint64_t Base = P << PageBits;
+    std::copy_n(ReadPages[P], std::min(PageWords, Words - Base),
+                Out.data() + Base);
+  }
+  return Out;
 }
 
 const DecodedFunction *ThreadedBackend::decodedFor(const ir::Function *F) {

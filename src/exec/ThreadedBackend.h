@@ -38,6 +38,13 @@
 /// A policy may call requestStop() from any event hook; the loop honors
 /// it right after that event's instruction.
 ///
+/// Memory is a table of 4 KiB pages (PageWords words) over a read-only
+/// initial image that the engine borrows or owns.  Loads read through the
+/// table; a page is copied privately on its first store, so engines that
+/// share one image (MSSP's master and checker, every cell of a benchmark)
+/// copy only the pages they write.  Growth past the image maps one shared
+/// zero page.
+///
 /// Exactness is checked against the definitional interpreter in
 /// tests/oracle: every event, Done count, StopReason, memory word,
 /// position, and cycle count, under fuel slicing and stop/resume.
@@ -52,6 +59,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -148,7 +156,7 @@ struct DecodedFunction {
 /// tests; execution goes through ThreadedBackend's per-version cache.
 std::unique_ptr<DecodedFunction> decodeFunction(const ir::Function &F);
 
-/// A resumable SimIR execution over a module and a flat word memory,
+/// A resumable SimIR execution over a module and a paged word memory,
 /// positioned at the entry of the module's entry function on
 /// construction.  Code versioning: calls dispatch through a per-function
 /// code map, so a dynamic optimizer can swap in a distilled version of a
@@ -156,7 +164,13 @@ std::unique_ptr<DecodedFunction> decodeFunction(const ir::Function &F);
 /// "re-optimize and deploy" arc.
 class ThreadedBackend {
 public:
-  ThreadedBackend(const ir::Module &M, std::vector<uint64_t> Memory);
+  /// An engine whose memory starts as \p Image, borrowed: like \p M, the
+  /// image must outlive the engine and must not change under it.  Only the
+  /// pages the engine stores to are copied.
+  ThreadedBackend(const ir::Module &M, std::span<const uint64_t> Image);
+  /// An engine that owns its initial image (a vector passed by name is
+  /// copied; pass a span of it to borrow it instead).
+  ThreadedBackend(const ir::Module &M, std::vector<uint64_t> Image);
 
   /// Swaps the code executed for function \p FuncId (nullptr restores the
   /// module's original).  Takes effect at the next call of the function;
@@ -182,24 +196,28 @@ public:
   bool halted() const { return Halted; }
   uint64_t instructionsRetired() const { return InstRet; }
 
-  std::vector<uint64_t> &memory() { return Memory; }
-  const std::vector<uint64_t> &memory() const { return Memory; }
+  /// A snapshot of memory: every word below the current size, which is
+  /// the image's size or one past the highest word stored since.
+  std::vector<uint64_t> memory() const;
 
-  /// Reads a memory word (0 beyond the image, matching load semantics).
+  /// Reads a memory word (0 at or past the size, matching load semantics).
   uint64_t loadWord(uint64_t Addr) const {
-    return Addr < Memory.size() ? Memory[Addr] : 0;
+    return Addr < Words ? ReadPages[Addr >> PageBits][Addr & PageMask] : 0;
   }
-  /// Writes a memory word, growing the image if needed; addresses past the
+  /// Writes a memory word, growing memory if needed; addresses past the
   /// memory cap fault instead of growing.
   void storeWord(uint64_t Addr, uint64_t Value) {
-    if (Addr >= Memory.size()) {
+    if (Addr >= Words) [[unlikely]] {
       if (Addr >= MaxMemoryWords) {
         Faulted = true;
         return;
       }
-      Memory.resize(Addr + 1, 0);
+      growTo(Addr + 1);
     }
-    Memory[Addr] = Value;
+    uint64_t *Page = WritePages[Addr >> PageBits].get();
+    if (!Page) [[unlikely]]
+      Page = privatize(Addr >> PageBits);
+    Page[Addr & PageMask] = Value;
   }
 
   /// The position and registers in source coordinates.
@@ -216,6 +234,9 @@ public:
   /// Memory images beyond this many words fault instead of growing, so a
   /// corrupted address cannot swallow the host's RAM.
   static constexpr uint64_t MaxMemoryWords = 1ull << 28;
+  /// Words per memory page (4 KiB), the unit of copy-on-write.
+  static constexpr unsigned PageBits = 9;
+  static constexpr uint64_t PageWords = uint64_t{1} << PageBits;
 
 private:
   /// A frame over decoded code.  PC is authoritative while running; Block
@@ -235,6 +256,15 @@ private:
   /// an always-on check, since release builds compile asserts out.
   const DecodedFunction *decodedFor(const ir::Function *F);
 
+  /// Builds the code map and the entry frame, and maps \p Image.
+  void init(std::span<const uint64_t> Image);
+  /// Extends memory to \p NewWords words; the new pages read zero.
+  void growTo(uint64_t NewWords);
+  /// Gives \p Page a private copy of its current contents; returns it.
+  uint64_t *privatize(uint64_t Page);
+
+  static constexpr uint64_t PageMask = PageWords - 1;
+
   const ir::Module &Mod;
   uint64_t ModGeneration; ///< Mod.generation() at construction
   /// Per-function currently dispatched version (parallel to VersionMap).
@@ -243,7 +273,17 @@ private:
   /// Decode cache: one entry per distinct code version ever dispatched.
   std::unordered_map<const ir::Function *, std::unique_ptr<DecodedFunction>>
       Decoded;
-  std::vector<uint64_t> Memory;
+  /// The initial image when the engine owns it (empty when borrowed).
+  std::vector<uint64_t> OwnedImage;
+  /// Memory size in words.
+  uint64_t Words = 0;
+  /// Per page: where its words are read -- the image, the page's private
+  /// copy, or the shared zero page.  Every page read is whole: an image
+  /// whose size is not a page multiple has its last page copied at
+  /// construction, so words past the image read 0 once memory grows.
+  std::vector<const uint64_t *> ReadPages;
+  /// Per page: its private copy, null until the page's first store.
+  std::vector<std::unique_ptr<uint64_t[]>> WritePages;
   std::vector<DecodedFrame> Stack;
   std::vector<uint64_t> RegStack;
   uint64_t InstRet = 0;

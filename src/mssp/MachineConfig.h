@@ -28,6 +28,7 @@
 #define SPECCTRL_MSSP_MACHINECONFIG_H
 
 #include <cstdint>
+#include <string>
 
 namespace specctrl {
 namespace mssp {
@@ -38,6 +39,23 @@ struct CacheConfig {
   uint32_t Assoc = 2;
   uint32_t BlockBytes = 64;
   uint32_t LatencyCycles = 3;
+
+  /// Names the first rule the geometry breaks ("" if CacheModel can be
+  /// built from it).
+  std::string validate() const {
+    const auto PowerOfTwo = [](uint32_t X) { return X && !(X & (X - 1)); };
+    if (Assoc == 0)
+      return "Assoc is zero";
+    if (BlockBytes < 8 || !PowerOfTwo(BlockBytes))
+      return "BlockBytes is not a power of two of at least 8";
+    const uint32_t Blocks = SizeBytes / BlockBytes;
+    if (Blocks < Assoc)
+      return "SizeBytes holds less than one set";
+    if (!PowerOfTwo(Blocks / Assoc))
+      return "SizeBytes / BlockBytes / Assoc (the set count) is not a power "
+             "of two";
+    return {};
+  }
 };
 
 /// One core's pipeline and private-cache parameters.
@@ -50,6 +68,19 @@ struct CoreConfig {
   uint32_t GshareBits = 13;    ///< log2 of 2-bit-counter table entries
                                ///< (8K counters ~ "8Kb gshare")
   uint32_t RasEntries = 32;
+
+  /// Names the first rule the core breaks ("" if valid).
+  std::string validate() const {
+    if (Width == 0)
+      return "Width is zero";
+    if (GshareBits < 4 || GshareBits > 24)
+      return "GshareBits is outside [4, 24]";
+    if (RasEntries == 0)
+      return "RasEntries is zero";
+    if (std::string Rule = L1.validate(); !Rule.empty())
+      return "L1." + Rule;
+    return {};
+  }
 };
 
 /// The whole machine.
@@ -60,6 +91,23 @@ struct MachineConfig {
   CacheConfig L2{1024 * 1024, 8, 64, 10};
   uint32_t CoherenceHopCycles = 10;
   uint32_t MemoryLatencyCycles = 200;
+
+  /// Names the first rule the machine breaks, led by the field's path
+  /// ("" if valid): each rule guards a crash or an assert in the timing
+  /// model (a division by a zero width, an empty trailing-core set, a
+  /// predictor or cache it cannot build).  Behind MsspConfig::validate()
+  /// and simulateSuperscalarBaseline.
+  std::string validate() const {
+    if (NumTrailing == 0)
+      return "NumTrailing is zero";
+    if (std::string Rule = Leading.validate(); !Rule.empty())
+      return "Leading." + Rule;
+    if (std::string Rule = Trailing.validate(); !Rule.empty())
+      return "Trailing." + Rule;
+    if (std::string Rule = L2.validate(); !Rule.empty())
+      return "L2." + Rule;
+    return {};
+  }
 };
 
 } // namespace mssp

@@ -32,6 +32,14 @@ uint64_t packValueSiteKey(uint32_t Func, distill::LocKey Loc) {
          (static_cast<uint64_t>(Loc.Block) << 20) | Loc.Index;
 }
 
+/// \p Config, or a std::runtime_error naming the rule it breaks.
+const MsspConfig &checked(const MsspConfig &Config) {
+  const std::string Rule = Config.validate();
+  if (!Rule.empty())
+    throw std::runtime_error("MsspSimulator: invalid MsspConfig: " + Rule);
+  return Config;
+}
+
 /// Names the function an execution faulted in, for error messages.
 std::string faultingFunction(const exec::ThreadedBackend &Backend) {
   const exec::ArchPosition Position = Backend.archPosition();
@@ -97,9 +105,9 @@ public:
 
 MsspSimulator::MsspSimulator(const workload::SynthProgram &Program,
                              const MsspConfig &Config)
-    : Program(Program), Config(Config),
-      Master(Program.Mod, Program.InitialMemory),
-      Checker(Program.Mod, Program.InitialMemory),
+    : Program(Program), Config(checked(Config)),
+      Master(Program.Mod, std::span(Program.InitialMemory)),
+      Checker(Program.Mod, std::span(Program.InitialMemory)),
       SharedL2(Config.Machine.L2),
       MasterTiming(Config.Machine.Leading, &SharedL2,
                    Config.Machine.L2.LatencyCycles,
@@ -109,9 +117,6 @@ MsspSimulator::MsspSimulator(const workload::SynthProgram &Program,
                   Config.Machine.MemoryLatencyCycles),
       Controller(Config.Control, "mssp-reactive"),
       ValueCtrl(Config.ValueControl) {
-  if (Config.TaskIterations == 0)
-    throw std::runtime_error(
-        "MsspSimulator: MsspConfig::TaskIterations must be at least 1");
   Controller.setRequestSink(this);
   if (Config.EnableValueSpeculation)
     ValueCtrl.setRequestSink(&ValueSink);
@@ -390,7 +395,11 @@ MsspResult MsspSimulator::run() {
 uint64_t mssp::simulateSuperscalarBaseline(
     const workload::SynthProgram &Program, const MachineConfig &Machine,
     uint64_t MaxInstructions) {
-  exec::ThreadedBackend Engine(Program.Mod, Program.InitialMemory);
+  const std::string Rule = Machine.validate();
+  if (!Rule.empty())
+    throw std::runtime_error(
+        "simulateSuperscalarBaseline: invalid MachineConfig: " + Rule);
+  exec::ThreadedBackend Engine(Program.Mod, std::span(Program.InitialMemory));
   CacheModel L2(Machine.L2);
   CoreTiming Timing(Machine.Leading, &L2, Machine.L2.LatencyCycles,
                     Machine.MemoryLatencyCycles);

@@ -50,6 +50,7 @@
 #include "support/FlatHash.h"
 #include "workload/ProgramSynthesizer.h"
 
+#include <string>
 #include <vector>
 
 namespace specctrl {
@@ -79,6 +80,18 @@ struct MsspConfig {
   /// Stop after this many checker (architectural) instructions; 0 = run
   /// the program to completion.
   uint64_t MaxInstructions = 0;
+
+  /// Names the first rule the configuration breaks ("" if valid).  The
+  /// controller configs are checked by the controllers themselves.
+  std::string validate() const {
+    if (TaskIterations == 0)
+      return "TaskIterations must be at least 1";
+    if (MaxOutstandingTasks == 0)
+      return "MaxOutstandingTasks must be at least 1";
+    if (std::string Rule = Machine.validate(); !Rule.empty())
+      return "Machine." + Rule;
+    return {};
+  }
 };
 
 /// Simulation outputs.
@@ -114,7 +127,9 @@ struct MsspResult {
 /// Runs one MSSP simulation over a synthesized program.
 class MsspSimulator : private core::OptRequestSink {
 public:
-  /// Throws std::runtime_error when Config.TaskIterations is 0.
+  /// Throws std::runtime_error naming the rule when Config.validate()
+  /// reports one, in every build.  Borrows Program's memory image, as it
+  /// borrows its module: Program must outlive the simulator.
   MsspSimulator(const workload::SynthProgram &Program,
                 const MsspConfig &Config);
   ~MsspSimulator() override;
@@ -236,7 +251,7 @@ private:
 
 /// Baseline: the original program on the leading core alone ("vanilla"
 /// superscalar, the B bars of Figs. 7-8).  Returns total cycles.  Throws
-/// std::runtime_error when the program faults.
+/// std::runtime_error when \p Machine is invalid or the program faults.
 uint64_t simulateSuperscalarBaseline(const workload::SynthProgram &Program,
                                      const MachineConfig &Machine,
                                      uint64_t MaxInstructions = 0);

@@ -2,8 +2,10 @@
 //
 // The batched pipeline's core contract: driving a run in chunks of any
 // size produces results bit-identical to a per-event reference loop kept
-// here, independent of the driver (TraceGenerator::next, then onBranch,
-// one event at a time).  Exercised as a property over the full
+// here, independent of the driver (TraceGenerator::next, then one event at
+// a time into onBranch, or, for the reactive controller, whose onBranch is
+// its own batch loop at a chunk of one, into the executable FSM spec,
+// oracle/FsmSpec.h).  Exercised as a property over the full
 // twelve-benchmark paper suite on both inputs, for the reactive
 // controller and the static baselines, at the default chunk size, a
 // deliberately odd one (so final partial chunks and chunk-boundary
@@ -20,6 +22,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "ScaledVariants.h"
+
+#include "../oracle/FsmSpec.h"
 
 #include "core/AlternativeControllers.h"
 #include "core/Driver.h"
@@ -53,11 +57,20 @@ using scaled::TestScale;
 /// boundaries land mid-phase), and chunks of one event.
 constexpr size_t TestBatches[] = {workload::DefaultBatchEvents, 257, 1};
 
-/// Runs (Spec, Input) under the scaled baseline reactive config with the
-/// given chunk size and returns the final stats.
+/// The reactive config the per-event checks run: the scaled baseline at
+/// the scaled presets' optimization latency, so requests stay pending
+/// across chunk boundaries and go live at a later execution of their
+/// site.  (Latency 0 is EveryVariantInvariantUnderChunking's
+/// baseline-latency-0 row.)
+ReactiveConfig reactiveUnderTest() {
+  return scaled::scaleDown(ReactiveConfig::baseline(), scaled::ScaledLatency);
+}
+
+/// Runs (Spec, Input) under reactiveUnderTest() with the given chunk size
+/// and returns the final stats.
 ControlStats runReactive(const WorkloadSpec &Spec, const InputConfig &Input,
                          size_t BatchEvents) {
-  ReactiveController C(scaled::scaleDown(ReactiveConfig::baseline(), 0));
+  ReactiveController C(reactiveUnderTest());
   runWorkload(C, Spec, Input, BatchEvents);
   return C.stats();
 }
@@ -74,12 +87,6 @@ ControlStats perEventReference(SpeculationController &C,
     ++C.stats().EventsConsumed;
   }
   return C.stats();
-}
-
-ControlStats reactiveReference(const WorkloadSpec &Spec,
-                               const InputConfig &Input) {
-  ReactiveController C(scaled::scaleDown(ReactiveConfig::baseline(), 0));
-  return perEventReference(C, Spec, Input);
 }
 
 profile::BranchProfile selfProfile(const WorkloadSpec &Spec,
@@ -173,14 +180,36 @@ ChunkedRun runChunked(const ReactiveConfig &Config, const WorkloadSpec &Spec,
   return Run;
 }
 
+/// The reactive controller's per-event reference: the FSM spec under
+/// \p Config, stepped one generator event at a time.
+ChunkedRun specRun(const ReactiveConfig &Config, const WorkloadSpec &Spec,
+                   const InputConfig &Input) {
+  oracle::FsmSpec Fsm(Config);
+  TraceGenerator Gen(Spec, Input);
+  BranchEvent E;
+  ChunkedRun Run;
+  while (Gen.next(E))
+    Run.Verdicts.push_back(code(Fsm.step(E.Site, E.Taken, E.InstRet)));
+  Run.Stats = Fsm.stats();
+  return Run;
+}
+
+/// specRun under reactiveUnderTest(), with EventsConsumed accounted as
+/// the driver does.
+ControlStats reactiveReference(const WorkloadSpec &Spec,
+                               const InputConfig &Input) {
+  ChunkedRun Run = specRun(reactiveUnderTest(), Spec, Input);
+  Run.Stats.EventsConsumed = Run.Verdicts.size();
+  return Run.Stats;
+}
+
 ExperimentPlan fullSuitePlan() {
   ExperimentPlan Plan;
   Plan.setBaseSeed(42);
   for (const BenchmarkProfile &P : suiteProfiles())
     Plan.addBenchmark(makeBenchmark(P, TestScale));
   Plan.addConfig("baseline", [](const CellContext &) {
-    return std::make_unique<ReactiveController>(
-        scaled::scaleDown(ReactiveConfig::baseline(), 0));
+    return std::make_unique<ReactiveController>(reactiveUnderTest());
   });
   return Plan;
 }
@@ -284,12 +313,20 @@ TEST(BatchEquivalenceTest, StaticSuiteMatchesPerEventOnBothInputs) {
 TEST(BatchEquivalenceTest, VerdictsMatchPerEventForEveryController) {
   using Factory = std::function<std::unique_ptr<SpeculationController>(
       const profile::BranchProfile &)>;
-  const std::pair<const char *, Factory> Controllers[] = {
+  const ReactiveConfig Reactive = reactiveUnderTest();
+  /// A family and its per-event reference: onBranch on a fresh
+  /// controller, or, given a config, the FSM spec under it.
+  struct Family {
+    const char *Name;
+    Factory Make;
+    const ReactiveConfig *SpecConfig = nullptr;
+  };
+  const Family Controllers[] = {
       {"reactive",
-       [](const profile::BranchProfile &) {
-         return std::make_unique<ReactiveController>(
-             scaled::scaleDown(ReactiveConfig::baseline(), 0));
-       }},
+       [&Reactive](const profile::BranchProfile &) {
+         return std::make_unique<ReactiveController>(Reactive);
+       },
+       &Reactive},
       {"static",
        [](const profile::BranchProfile &Profile) {
          return std::make_unique<StaticSelectionController>(Profile, 0.95);
@@ -306,7 +343,7 @@ TEST(BatchEquivalenceTest, VerdictsMatchPerEventForEveryController) {
          return std::make_unique<HardwareCounterController>();
        }},
   };
-  for (const auto &[Name, Make] : Controllers) {
+  for (const auto &[Name, Make, SpecConfig] : Controllers) {
     uint64_t SpeculatingRuns = 0;
     for (const BenchmarkProfile &P : suiteProfiles()) {
       const WorkloadSpec Spec = makeBenchmark(P, TestScale);
@@ -314,18 +351,25 @@ TEST(BatchEquivalenceTest, VerdictsMatchPerEventForEveryController) {
       const profile::BranchProfile Profile = selfProfile(Spec, Input);
       const std::string Where = std::string(Name) + "/" + Spec.Name;
 
-      const std::unique_ptr<SpeculationController> Reference = Make(Profile);
-      const VerdictCodes Want = perEventVerdicts(*Reference, Spec, Input);
-      ASSERT_EQ(Want.size(), Spec.RefEvents) << Where;
-      expectVerdictsCountToStats(Want, Reference->stats(), Where);
-      SpeculatingRuns += Reference->stats().CorrectSpecs > 0;
+      ChunkedRun Want;
+      if (SpecConfig) {
+        Want = specRun(*SpecConfig, Spec, Input);
+      } else {
+        const std::unique_ptr<SpeculationController> Reference =
+            Make(Profile);
+        Want.Verdicts = perEventVerdicts(*Reference, Spec, Input);
+        Want.Stats = Reference->stats();
+      }
+      ASSERT_EQ(Want.Verdicts.size(), Spec.RefEvents) << Where;
+      expectVerdictsCountToStats(Want.Verdicts, Want.Stats, Where);
+      SpeculatingRuns += Want.Stats.CorrectSpecs > 0;
 
       for (const size_t Batch : TestBatches) {
         const std::unique_ptr<SpeculationController> C = Make(Profile);
         const VerdictCodes Got = batchVerdicts(*C, Spec, Input, Batch);
         const std::string At = Where + " batch=" + std::to_string(Batch);
-        EXPECT_EQ(Got, Want) << At;
-        EXPECT_EQ(C->stats(), Reference->stats()) << At;
+        EXPECT_EQ(Got, Want.Verdicts) << At;
+        EXPECT_EQ(C->stats(), Want.Stats) << At;
         expectVerdictsCountToStats(Got, C->stats(), At);
       }
     }
@@ -396,8 +440,8 @@ TEST(BatchEquivalenceTest, EngineReportsIdenticalAcrossJobs) {
   const ExperimentPlan Plan = fullSuitePlan();
   ASSERT_EQ(Plan.numCells(), 12u);
 
-  // The reference report: a serial run whose every cell matches the
-  // per-event loop.
+  // The reference report: a serial run whose every cell matches the FSM
+  // spec stepped per event.
   const RunReport Reference = runPlan(Plan, {.Jobs = 1});
   for (const CellResult &Cell : Reference.Cells) {
     const BenchmarkAxis &Bench = Plan.benchmarks()[Cell.Coord.Benchmark];

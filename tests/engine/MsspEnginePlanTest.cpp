@@ -6,7 +6,9 @@
 // values through CellResult::Value, (c) isolate their failures, and
 // (d) produce bit-identical values serial vs parallel -- that last
 // property is what lets fig7/fig8 offer --jobs without perturbing their
-// CSVs.
+// CSVs.  Cells may also share one synthesized program, as perfbench's
+// mssp workload does: their engines then borrow one memory image
+// concurrently, which must neither change it nor their results.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +24,8 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 using namespace specctrl;
 using namespace specctrl::engine;
@@ -103,6 +107,73 @@ TEST(MsspEnginePlanTest, SerialAndParallelBitIdentical) {
         "bench" + std::to_string(B));
     EXPECT_EQ(std::any_cast<uint64_t>(Serial.cell(B, 0, 1).Value),
               std::any_cast<uint64_t>(Parallel.cell(B, 0, 1).Value));
+  }
+}
+
+TEST(MsspEnginePlanTest, CellsOverOneSharedProgramMatchSerial) {
+  // Each benchmark's program is synthesized once, before the plan, and
+  // every cell of the benchmark runs over it: four MSSP control columns
+  // (open and closed loop, value speculation, a nonzero optimization
+  // latency) and the superscalar baseline.
+  const char *const Benchmarks[] = {"bzip2", "gcc"};
+  std::vector<SynthProgram> Programs;
+  ExperimentPlan Plan;
+  for (const char *Name : Benchmarks) {
+    Plan.addBenchmark(makeBenchmark(Name));
+    Programs.push_back(
+        synthesize(makeSynthSpecFor(profileByName(Name), 2000)));
+  }
+  std::vector<std::vector<uint64_t>> Images;
+  for (const SynthProgram &P : Programs)
+    Images.push_back(P.InitialMemory);
+
+  MsspConfig Closed;
+  Closed.Control.MonitorPeriod = 1000;
+  Closed.Control.EvictSaturation = 2000;
+  Closed.Control.WaitPeriod = 100000;
+  MsspConfig Open = Closed;
+  Open.Control.EnableEviction = false;
+  MsspConfig Value = Closed;
+  Value.EnableValueSpeculation = true;
+  Value.ValueControl = Value.Control;
+  MsspConfig Latency = Closed;
+  Latency.OptLatencyCycles = 100000;
+  for (const auto &[Name, Cfg] :
+       {std::pair<const char *, MsspConfig>{"closed", Closed},
+        {"open", Open},
+        {"value", Value},
+        {"latency", Latency}}) {
+    Plan.addTaskConfig(Name, [&Programs, Cfg](const CellContext &Ctx) {
+      MsspSimulator Sim(Programs[Ctx.Coord.Benchmark], Cfg);
+      return std::any(Sim.run());
+    });
+  }
+  Plan.addTaskConfig("baseline", [&Programs](const CellContext &Ctx) {
+    return std::any(simulateSuperscalarBaseline(
+        Programs[Ctx.Coord.Benchmark], MachineConfig()));
+  });
+
+  const RunReport Serial = runPlan(Plan, {.Jobs = 1});
+  const RunReport Parallel = runPlan(Plan, {.Jobs = 4});
+  ASSERT_EQ(Serial.failedCells(), 0u);
+  ASSERT_EQ(Parallel.failedCells(), 0u);
+  for (uint32_t B = 0; B < 2; ++B) {
+    for (uint32_t C = 0; C < 4; ++C) {
+      const std::string Tag =
+          std::string(Benchmarks[B]) + " column " + std::to_string(C);
+      const MsspResult S =
+          std::any_cast<MsspResult>(Serial.cell(B, 0, C).Value);
+      const MsspResult P =
+          std::any_cast<MsspResult>(Parallel.cell(B, 0, C).Value);
+      expectSameResult(S, P, Tag);
+      EXPECT_TRUE(S.Controller == P.Controller) << Tag;
+      EXPECT_TRUE(S.ValueController == P.ValueController) << Tag;
+      EXPECT_GT(S.Tasks, 0u) << Tag;
+    }
+    EXPECT_EQ(std::any_cast<uint64_t>(Serial.cell(B, 0, 4).Value),
+              std::any_cast<uint64_t>(Parallel.cell(B, 0, 4).Value));
+    // Every engine stored into private pages, never into the image.
+    EXPECT_TRUE(Programs[B].InitialMemory == Images[B]) << Benchmarks[B];
   }
 }
 

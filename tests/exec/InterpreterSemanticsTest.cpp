@@ -121,7 +121,8 @@ TEST(InterpreterSemanticsTest, AdoptPositionTransplantsExecution) {
   ThreadedBackend Clone(M, std::vector<uint64_t>(32, 0));
   Clone.adoptPositionFrom(A);
   // Memory is reconciled by the caller in MSSP; here copy it wholesale.
-  Clone.memory() = A.memory();
+  for (uint64_t Addr = 0; Addr < 32; ++Addr)
+    Clone.storeWord(Addr, A.loadWord(Addr));
 
   ASSERT_EQ(A.run(~0ull >> 1), StopReason::Halted);
   ASSERT_EQ(Clone.run(~0ull >> 1), StopReason::Halted);

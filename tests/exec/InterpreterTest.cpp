@@ -112,7 +112,7 @@ TEST(InterpreterTest, FuelExhaustionIsResumable) {
   B.setBlock(Exit);
   B.halt();
 
-  ThreadedBackend I(M, {});
+  ThreadedBackend I(M, std::vector<uint64_t>{});
   EXPECT_EQ(I.run(100), StopReason::FuelExhausted);
   const uint64_t After100 = I.instructionsRetired();
   EXPECT_EQ(After100, 100u);
@@ -158,7 +158,7 @@ TEST(InterpreterTest, ReturnFromEntryHalts) {
   IRBuilder B(F);
   B.setBlock(B.makeBlock());
   B.ret();
-  ThreadedBackend I(M, {});
+  ThreadedBackend I(M, std::vector<uint64_t>{});
   EXPECT_EQ(I.run(10), StopReason::Halted);
 }
 
@@ -243,7 +243,7 @@ TEST(InterpreterTest, DeepRecursionFaults) {
   B.setBlock(B.makeBlock());
   B.call(0); // infinite self-recursion
   B.ret();
-  ThreadedBackend I(M, {});
+  ThreadedBackend I(M, std::vector<uint64_t>{});
   EXPECT_EQ(I.run(1u << 20), StopReason::Fault);
 }
 

@@ -131,7 +131,8 @@ TEST(ThreadedBackend, ArchPositionSelfRoundTrip) {
   // Run A partway (mid-loop, mid-block), transplant its position into B
   // along with memory, and let both finish.
   EXPECT_EQ(A.run(1237), StopReason::FuelExhausted);
-  B.memory() = A.memory();
+  for (uint64_t Addr = 0; Addr < 32; ++Addr)
+    B.storeWord(Addr, A.loadWord(Addr));
   B.adoptPositionFrom(A);
   EXPECT_EQ(B.instructionsRetired(), 0u); // position, not counters
 

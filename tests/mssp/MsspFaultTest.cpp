@@ -8,7 +8,9 @@
 // point, where the fault happened, and the faulting function.  In an
 // experiment plan that surfaces as a failed cell, while sibling cells
 // still match their serial runs.  An invalid configuration is rejected
-// the same way.
+// the same way: every rule MsspConfig::validate() checks has a case, each
+// of which crashed the simulator (or tripped an assert) before the rule
+// existed.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <any>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 
@@ -112,6 +115,91 @@ TEST(MsspFaultTest, ZeroTaskIterationsRejected) {
   const std::string Error = errorOf([&] { MsspSimulator Sim(P, Cfg); });
   EXPECT_NE(Error.find("TaskIterations"), std::string::npos) << Error;
 }
+
+namespace {
+
+/// One rule of MsspConfig::validate(): a config breaking only it, and the
+/// field path the rejection must name.
+struct ConfigRule {
+  const char *Name;
+  const char *Field;
+  void (*Break)(MsspConfig &);
+  /// The rule is the machine's, so simulateSuperscalarBaseline checks it.
+  bool Machine = true;
+};
+
+const ConfigRule ConfigRules[] = {
+    {"MaxOutstandingTasks", "MaxOutstandingTasks",
+     [](MsspConfig &C) { C.MaxOutstandingTasks = 0; }, false},
+    {"NumTrailing", "Machine.NumTrailing",
+     [](MsspConfig &C) { C.Machine.NumTrailing = 0; }},
+    {"LeadingWidth", "Machine.Leading.Width",
+     [](MsspConfig &C) { C.Machine.Leading.Width = 0; }},
+    {"TrailingWidth", "Machine.Trailing.Width",
+     [](MsspConfig &C) { C.Machine.Trailing.Width = 0; }},
+    {"GshareBits", "Machine.Leading.GshareBits",
+     [](MsspConfig &C) { C.Machine.Leading.GshareBits = 3; }},
+    {"RasEntries", "Machine.Trailing.RasEntries",
+     [](MsspConfig &C) { C.Machine.Trailing.RasEntries = 0; }},
+    {"L1Assoc", "Machine.Leading.L1.Assoc",
+     [](MsspConfig &C) { C.Machine.Leading.L1.Assoc = 0; }},
+    {"L1BlockBytes", "Machine.Trailing.L1.BlockBytes",
+     [](MsspConfig &C) { C.Machine.Trailing.L1.BlockBytes = 4; }},
+    {"L2BlockBytesNotPowerOfTwo", "Machine.L2.BlockBytes",
+     [](MsspConfig &C) { C.Machine.L2.BlockBytes = 48; }},
+    {"L1SmallerThanOneSet", "Machine.Leading.L1.SizeBytes",
+     [](MsspConfig &C) { C.Machine.Leading.L1.SizeBytes = 64; }},
+    {"L2SetCount", "Machine.L2.SizeBytes / BlockBytes / Assoc",
+     [](MsspConfig &C) { C.Machine.L2.Assoc = 3; }},
+};
+
+/// Names a rule in test output (and keeps its bytes out of test names).
+void PrintTo(const ConfigRule &Rule, std::ostream *OS) { *OS << Rule.Name; }
+
+class MsspConfigRuleTest : public ::testing::TestWithParam<ConfigRule> {};
+
+} // namespace
+
+TEST(MsspFaultTest, DefaultConfigIsValid) {
+  EXPECT_EQ(MsspConfig().validate(), "");
+  EXPECT_EQ(MachineConfig().validate(), "");
+}
+
+TEST_P(MsspConfigRuleTest, RejectedInEveryBuild) {
+  const ConfigRule &Rule = GetParam();
+  static const SynthProgram P =
+      synthesize(makeSynthSpecFor(profileByName("bzip2"), 100));
+  MsspConfig Cfg;
+  Cfg.MaxInstructions = 1;
+  Rule.Break(Cfg);
+  const std::string Field = Rule.Field;
+  EXPECT_EQ(Cfg.validate().rfind(Field, 0), 0u) << Cfg.validate();
+
+  const std::string Error = errorOf([&] {
+    MsspSimulator Sim(P, Cfg);
+    Sim.run();
+  });
+  EXPECT_NE(Error.find("invalid MsspConfig: " + Field), std::string::npos)
+      << Error;
+
+  // The baseline reads only the machine, and names the field from there.
+  const std::string Baseline =
+      errorOf([&] { simulateSuperscalarBaseline(P, Cfg.Machine, 1); });
+  if (Rule.Machine) {
+    const std::string MachineField = Field.substr(Field.find('.') + 1);
+    EXPECT_NE(Baseline.find("invalid MachineConfig: " + MachineField),
+              std::string::npos)
+        << Baseline;
+  } else {
+    EXPECT_EQ(Baseline, "");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(MsspFaultTest, MsspConfigRuleTest,
+                         ::testing::ValuesIn(ConfigRules),
+                         [](const auto &Info) {
+                           return std::string(Info.param.Name);
+                         });
 
 TEST(MsspFaultTest, EnginePlanIsolatesFaultingCells) {
   const SynthProgram Faulty = faultingProgram(Fault::StorePastCap);

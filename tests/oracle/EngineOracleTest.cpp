@@ -31,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,11 +63,14 @@ protected:
 };
 
 /// Both sides of one comparison: engine + recorder, oracle, and (for the
-/// timed variant) a CoreTiming on each side.
+/// timed variant) a CoreTiming on each side.  The engine borrows the
+/// pair's copy of the initial image, as MSSP's engines borrow the
+/// program's.
 class UntimedPair {
 public:
-  UntimedPair(const ir::Module &M, const std::vector<uint64_t> &Memory)
-      : Engine(M, Memory), Rec(Engine), Oracle(M, Memory) {}
+  UntimedPair(const ir::Module &M, std::vector<uint64_t> Memory)
+      : Image(std::move(Memory)), Engine(M, std::span(Image)), Rec(Engine),
+        Oracle(M, Image) {}
 
   void setCodeVersion(uint32_t FuncId, const ir::Function *F) {
     Engine.setCodeVersion(FuncId, F);
@@ -86,6 +90,7 @@ public:
     expectSameState(Engine, Oracle, What);
   }
 
+  const std::vector<uint64_t> Image;
   exec::ThreadedBackend Engine;
   Recorder<exec::NoEvents> Rec;
   oracle::Machine Oracle;
@@ -94,14 +99,14 @@ public:
 
 class TimedPair {
 public:
-  TimedPair(const ir::Module &M, const std::vector<uint64_t> &Memory)
-      : EngineL2(Machine.L2), OracleL2(Machine.L2),
+  TimedPair(const ir::Module &M, std::vector<uint64_t> Memory)
+      : Image(std::move(Memory)), EngineL2(Machine.L2), OracleL2(Machine.L2),
         EngineTiming(Machine.Leading, &EngineL2, Machine.L2.LatencyCycles,
                      Machine.MemoryLatencyCycles),
         OracleTiming(Machine.Leading, &OracleL2, Machine.L2.LatencyCycles,
                      Machine.MemoryLatencyCycles),
-        Engine(M, Memory), Rec(Engine, EngineTiming),
-        Oracle(M, Memory, &OracleTiming) {}
+        Engine(M, std::span(Image)), Rec(Engine, EngineTiming),
+        Oracle(M, Image, &OracleTiming) {}
 
   void setCodeVersion(uint32_t FuncId, const ir::Function *F) {
     Engine.setCodeVersion(FuncId, F);
@@ -122,6 +127,7 @@ public:
     expectSameTiming(EngineTiming, OracleTiming, What);
   }
 
+  const std::vector<uint64_t> Image;
   const MachineConfig Machine = MachineConfig();
   CacheModel EngineL2, OracleL2;
   CoreTiming EngineTiming, OracleTiming;

@@ -6,6 +6,9 @@
 
 #include "FsmSpec.h"
 
+#include <cassert>
+#include <limits>
+
 using namespace specctrl;
 using namespace specctrl::oracle;
 
@@ -116,7 +119,7 @@ void FsmSpec::classify(uint32_t Site, SiteRecord &R, uint64_t InstRet) {
   R.Optimizations += 1;
   Stats.DeployRequests += 1;
   Stats.EverBiased[Site] = 1;
-  requestChange(R, /*Speculate=*/true, MajorityTaken, InstRet);
+  requestChange(Site, R, /*Speculate=*/true, MajorityTaken, InstRet);
 }
 
 void FsmSpec::biased(uint32_t Site, SiteRecord &R, bool Taken,
@@ -175,16 +178,31 @@ void FsmSpec::evict(uint32_t Site, SiteRecord &R, uint64_t InstRet) {
   R.VicinityLeft = VicinityExecutions;
   R.VicinityAgainst = 0;
   R.VicinityTaken = R.SpeculatedTaken;
-  requestChange(R, /*Speculate=*/false, false, InstRet);
+  requestChange(Site, R, /*Speculate=*/false, false, InstRet);
   startMonitoring(R);
 }
 
-void FsmSpec::requestChange(SiteRecord &R, bool Speculate, bool Taken,
-                            uint64_t InstRet) {
+void FsmSpec::requestChange(uint32_t Site, SiteRecord &R, bool Speculate,
+                            bool Taken, uint64_t InstRet) {
   R.ChangeRequested = true;
   R.ChangeSpeculates = Speculate;
   R.ChangeTaken = Taken;
-  R.ChangeLiveAt = InstRet + Config.OptLatency;
+  if (!RequestSink) {
+    R.ChangeLiveAt = InstRet + Config.OptLatency;
+    return;
+  }
+  // Not live until the optimizer reports completion, which may happen
+  // inside this call.
+  R.ChangeLiveAt = std::numeric_limits<uint64_t>::max();
+  RequestSink->onRequest({Speculate ? core::OptRequestKind::Deploy
+                                    : core::OptRequestKind::Revoke,
+                          Site, Taken});
+}
+
+void FsmSpec::completeRequest(uint32_t Site) {
+  assert(RequestSink && Site < Sites.size() && Sites[Site].ChangeRequested &&
+         "no outstanding request");
+  Sites[Site].ChangeLiveAt = 0;
 }
 
 void FsmSpec::startMonitoring(SiteRecord &R) {

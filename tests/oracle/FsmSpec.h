@@ -52,6 +52,13 @@
 ///     - unbiased: with revisits enabled and the site not excluded, after
 ///       WaitPeriod executions it returns to monitor (a revisit).
 ///
+/// With a request sink (the mode MSSP runs the controller in), rule 1's
+/// latency is not used: each requested change is reported to the sink as
+/// it is requested, in stream order, and goes live at the site's first
+/// execution after completeRequest() -- which the sink may call from
+/// inside its onRequest, before the next event.  These are the contract
+/// ReactiveController::setRequestSink documents.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPECCTRL_TESTS_ORACLE_FSMSPEC_H
@@ -69,6 +76,12 @@ namespace oracle {
 class FsmSpec {
 public:
   explicit FsmSpec(const core::ReactiveConfig &Config) : Config(Config) {}
+
+  /// Reports code changes to \p Sink; each takes effect only once
+  /// completeRequest() is called for its site.
+  void setRequestSink(core::OptRequestSink *Sink) { RequestSink = Sink; }
+  /// The optimizer finished the change requested for \p Site.
+  void completeRequest(uint32_t Site);
 
   /// Feeds one dynamic branch of site \p Site; \p InstRet is the dynamic
   /// instruction count at the branch.
@@ -118,11 +131,12 @@ private:
   void unbiased(SiteRecord &R);
   void classify(uint32_t Site, SiteRecord &R, uint64_t InstRet);
   void evict(uint32_t Site, SiteRecord &R, uint64_t InstRet);
-  void requestChange(SiteRecord &R, bool Speculate, bool Taken,
-                     uint64_t InstRet);
+  void requestChange(uint32_t Site, SiteRecord &R, bool Speculate,
+                     bool Taken, uint64_t InstRet);
   static void startMonitoring(SiteRecord &R);
 
   core::ReactiveConfig Config;
+  core::OptRequestSink *RequestSink = nullptr;
   std::vector<SiteRecord> Sites;
   core::ControlStats Stats;
 };

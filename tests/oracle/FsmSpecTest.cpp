@@ -7,7 +7,13 @@
 // random multi-site streams with bias flips, the oscillation pump, and
 // the suite's ref and train streams.
 //
-// FsmSpecTest.* is the ~10^6-event subset in the fast label, which the
+// The same holds in the mode MSSP runs the controller in, with a request
+// sink: under those configurations and fig7's four control columns, a
+// sink that completes requests at later chunk boundaries (some inside
+// onRequest) receives the same requests from both, the controller fed in
+// chunks of one, of 50-300 events (a task's worth) and of 4096.
+//
+// FsmSpecTest.* is the ~10^7-event subset in the fast label, which the
 // sanitizer legs run; the FsmSpecSoak shards (~1.5 * 10^8 events) and the
 // suite streams run in tier-1.  `ctest -R fsm_spec` runs all of them.
 //
@@ -25,6 +31,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -63,12 +70,13 @@ double drawBias(SplitMix &Rng) {
 
 /// A seeded stream of \p Events branches over \p Sites sites whose ids are
 /// three apart, so the per-site vectors keep untouched entries.  Low site
-/// indices run far more often than high ones.  About every 2000 events one
-/// site's bias flips direction or is redrawn, so sites are selected,
+/// indices run far more often than high ones.  About every \p FlipPeriod
+/// events one site's bias flips direction or is redrawn, so sites are selected,
 /// evicted, revisited and selected again.  Branches are 1-16 dynamic
 /// instructions apart.
 std::vector<BranchEvent> randomStream(uint64_t Seed, size_t Events,
-                                      uint32_t Sites) {
+                                      uint32_t Sites,
+                                      uint64_t FlipPeriod = 2000) {
   SplitMix Rng{Seed};
   std::vector<double> TakenBias(Sites);
   for (double &B : TakenBias)
@@ -76,7 +84,7 @@ std::vector<BranchEvent> randomStream(uint64_t Seed, size_t Events,
   std::vector<BranchEvent> Out(Events);
   uint64_t InstRet = 0;
   for (BranchEvent &E : Out) {
-    if (Rng.next() % 2000 == 0) {
+    if (Rng.next() % FlipPeriod == 0) {
       double &B = TakenBias[Rng.next() % Sites];
       B = Rng.unit() < 0.5 ? 1.0 - B : drawBias(Rng);
     }
@@ -203,6 +211,142 @@ void expectEveryArc(const scaled::NamedConfig &V, const ControlStats &Total) {
   }
 }
 
+/// fig7's four control columns (bench/fig7_mssp_reactivity.cpp): open and
+/// closed loop at 1k and 10k monitor periods, with its short-run eviction
+/// saturation and wait period.  MSSP ignores OptLatency.
+std::vector<scaled::NamedConfig> fig7Controls() {
+  std::vector<scaled::NamedConfig> Out;
+  for (const uint64_t Monitor : {1000u, 10000u}) {
+    for (const bool Eviction : {false, true}) {
+      ReactiveConfig C;
+      C.MonitorPeriod = Monitor;
+      C.EnableEviction = Eviction;
+      C.EvictSaturation = 2000;
+      C.WaitPeriod = 100000;
+      Out.push_back({std::string(Eviction ? "closed-" : "open-") +
+                         (Monitor == 1000 ? "1k" : "10k"),
+                     C});
+    }
+  }
+  return Out;
+}
+
+/// One request as a sink received it.  Chunk is the first event of the
+/// chunk it arrived in: the requesting event itself at chunks of one.
+struct LoggedRequest {
+  OptRequestKind Kind;
+  uint32_t Site;
+  bool Direction;
+  size_t Chunk;
+  bool operator==(const LoggedRequest &) const = default;
+};
+
+/// The optimizer as MSSP drives it: a request for a site whose id is a
+/// multiple of five completes inside onRequest, as MSSP completes its
+/// control sites' requests; every other completes at the first, second or
+/// third chunk boundary after it (by arrival order), as MSSP completes
+/// requests at a later task's start.  Completions go to \p Target's
+/// completeRequest, in arrival order.
+template <class TargetT> class ScheduledSink : public OptRequestSink {
+public:
+  explicit ScheduledSink(TargetT &Target) : Target(Target) {}
+
+  void onRequest(const OptRequest &Request) override {
+    Log.push_back(
+        {Request.Kind, Request.Site, Request.Direction, ChunkStart});
+    if (Request.Site % 5 == 0) {
+      ++Synchronous;
+      Target.completeRequest(Request.Site);
+      return;
+    }
+    Queue.push_back({Request.Site, Boundaries + 1 + Log.size() % 3});
+  }
+
+  /// A chunk ended: completes every queued request now due.
+  void boundary() {
+    ++Boundaries;
+    size_t Kept = 0;
+    for (size_t I = 0; I < Queue.size(); ++I) {
+      if (Queue[I].Due <= Boundaries) {
+        ++Deferred;
+        Target.completeRequest(Queue[I].Site);
+      } else {
+        Queue[Kept++] = Queue[I];
+      }
+    }
+    Queue.resize(Kept);
+  }
+
+  size_t ChunkStart = 0;
+  std::vector<LoggedRequest> Log;
+  uint64_t Synchronous = 0, Deferred = 0;
+
+private:
+  struct Queued {
+    uint32_t Site;
+    size_t Due;
+  };
+  TargetT &Target;
+  std::vector<Queued> Queue;
+  size_t Boundaries = 0;
+};
+
+/// What one sink-mode comparison exercised.
+struct SinkActivity {
+  ControlStats Stats;
+  uint64_t Synchronous = 0, Deferred = 0;
+};
+
+/// Feeds \p Events, with a ScheduledSink on each side, to a controller in
+/// chunks whose sizes \p NextChunk draws and to the spec one event at a
+/// time; both sinks see the same chunk boundaries.  Requires identical
+/// request logs, verdicts and final stats.
+SinkActivity expectSinkAgreement(const scaled::NamedConfig &V,
+                                 std::span<const BranchEvent> Events,
+                                 const std::function<size_t()> &NextChunk,
+                                 const std::string &Where) {
+  ReactiveController C(V.Config);
+  FsmSpec Spec(V.Config);
+  ScheduledSink<ReactiveController> CSink(C);
+  ScheduledSink<FsmSpec> SpecSink(Spec);
+  C.setRequestSink(&CSink);
+  Spec.setRequestSink(&SpecSink);
+  std::vector<BranchVerdict> Verdicts;
+  size_t Disagreements = 0, First = 0;
+  for (size_t Begin = 0; Begin < Events.size();) {
+    const size_t N = std::min(NextChunk(), Events.size() - Begin);
+    const std::span<const BranchEvent> Slice = Events.subspan(Begin, N);
+    Verdicts.resize(N);
+    CSink.ChunkStart = SpecSink.ChunkStart = Begin;
+    C.onBatch(Slice, Verdicts.data());
+    for (size_t I = 0; I < N; ++I) {
+      const BranchEvent &E = Slice[I];
+      const BranchVerdict Want = Spec.step(E.Site, E.Taken, E.InstRet);
+      if (Verdicts[I].Speculated != Want.Speculated ||
+          Verdicts[I].Correct != Want.Correct) {
+        if (Disagreements++ == 0)
+          First = Begin + I;
+      }
+    }
+    CSink.boundary();
+    SpecSink.boundary();
+    Begin += N;
+  }
+  EXPECT_EQ(Disagreements, 0u)
+      << Where << ": verdicts differ first at event " << First;
+  const auto Mismatch = std::mismatch(CSink.Log.begin(), CSink.Log.end(),
+                                      SpecSink.Log.begin(),
+                                      SpecSink.Log.end());
+  EXPECT_TRUE(Mismatch.first == CSink.Log.end() &&
+              Mismatch.second == SpecSink.Log.end())
+      << Where << ": " << CSink.Log.size() << " vs " << SpecSink.Log.size()
+      << " requests, differing first at request "
+      << (Mismatch.first - CSink.Log.begin());
+  EXPECT_TRUE(C.stats() == Spec.stats())
+      << Where << ": stats differ:" << statsDiff(C.stats(), Spec.stats());
+  return {Spec.stats(), SpecSink.Synchronous, SpecSink.Deferred};
+}
+
 std::vector<std::string> suiteNames() {
   std::vector<std::string> Names;
   for (const BenchmarkProfile &P : suiteProfiles())
@@ -233,6 +377,54 @@ TEST(FsmSpecTest, RandomStreamsAndPumpAgree) {
   }
   // The pump exists to reach the oscillation cap.
   EXPECT_GT(Suppressed, 0u);
+}
+
+TEST(FsmSpecTest, RequestSinkAgreesAtTaskSizedChunks) {
+  const std::vector<BranchEvent> Random = randomStream(3, 1 << 17, 24);
+  const WorkloadSpec Pump = scaled::scaledPump(80000);
+  const std::vector<BranchEvent> Pumped = drain(Pump, Pump.refInput());
+  // fig7's 1k and 10k monitor periods need sites that run tens of
+  // thousands of times between bias flips.
+  const std::vector<BranchEvent> Steady = randomStream(4, 1 << 18, 8, 20000);
+  using Stream = std::pair<std::string, std::span<const BranchEvent>>;
+  const std::vector<Stream> Scaled = {{"random-3", Random},
+                                      {Pump.Name, Pumped}};
+  const std::vector<Stream> Fig7 = {{"steady-4", Steady}};
+  std::vector<std::pair<scaled::NamedConfig, const std::vector<Stream> *>>
+      Configs;
+  for (scaled::NamedConfig &V : scaled::variants())
+    Configs.push_back({std::move(V), &Scaled});
+  for (scaled::NamedConfig &V : fig7Controls())
+    Configs.push_back({std::move(V), &Fig7});
+
+  for (const auto &[V, Streams] : Configs) {
+    SplitMix Rng{7};
+    const std::pair<const char *, std::function<size_t()>> Chunkings[] = {
+        {"1", [] { return size_t{1}; }},
+        {"50-300",
+         [&Rng] { return static_cast<size_t>(50 + Rng.next() % 251); }},
+        {"4096", [] { return size_t{4096}; }},
+    };
+    ControlStats Total;
+    uint64_t Synchronous = 0, Deferred = 0;
+    for (const auto &[Name, NextChunk] : Chunkings) {
+      for (const auto &[StreamName, Events] : *Streams) {
+        const SinkActivity A = expectSinkAgreement(
+            V, Events, NextChunk,
+            V.Name + "/" + StreamName + " sink chunks=" + Name);
+        accumulate(Total, A.Stats);
+        Synchronous += A.Synchronous;
+        Deferred += A.Deferred;
+      }
+    }
+    // Both completion paths and the arcs the config enables ran.
+    EXPECT_GT(Synchronous, 0u) << V.Name;
+    EXPECT_GT(Deferred, 0u) << V.Name;
+    EXPECT_GT(Total.DeployRequests, 0u) << V.Name;
+    if (V.Config.EnableEviction) {
+      EXPECT_GT(Total.Evictions, 0u) << V.Name;
+    }
+  }
 }
 
 // ---- Tier-1: ~1.5 * 10^8 events in 16 shards, and the suite ------------

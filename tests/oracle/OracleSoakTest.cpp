@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 
 using namespace specctrl;
@@ -42,7 +43,7 @@ uint64_t soak(const SynthProgram &P, uint32_t FuncId,
                           M.MemoryLatencyCycles);
   CoreTiming OracleTiming(M.Leading, &OracleL2, M.L2.LatencyCycles,
                           M.MemoryLatencyCycles);
-  exec::ThreadedBackend Engine(P.Mod, P.InitialMemory);
+  exec::ThreadedBackend Engine(P.Mod, std::span(P.InitialMemory));
   Recorder<TimingPolicy> Rec(Engine, EngineTiming);
   oracle::Machine Oracle(P.Mod, P.InitialMemory, &OracleTiming);
   if (Version) {

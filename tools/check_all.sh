@@ -8,7 +8,10 @@
 #      the fast label) in an AddressSanitizer tree (build-asan/) and in an
 #      UndefinedBehaviorSanitizer tree (build-ubsan/); the fast label
 #      includes the reactive controller against its executable FSM spec
-#      over ~10^6 events (fsm_spec.FsmSpecTest.*);
+#      over ~10^7 events, with the built-in latency model and with a
+#      request sink (fsm_spec.FsmSpecTest.*), and the execution engine's
+#      paged copy-on-write memory over a borrowed image (PagedMemoryTest:
+#      page edges, growth past a partial last page, the memory cap);
 #   3. the engine concurrency tests (the plan runner, the arena races,
 #      determinism and the ThreadPool itself), the trace arena's own
 #      tests (TraceArenaTest: per-key materialize and release), the MSSP
@@ -16,9 +19,11 @@
 #      (StreamServerTest, ServeEquivalenceTest, RingBuffer) in a
 #      ThreadSanitizer tree (build-tsan/): MSSP and baseline cells run on
 #      several workers, each with its own execution engine over one shared
-#      dispatch table; cursors in several threads race on one mapping's
-#      per-block verified bits; and serve consumers read ring slots in
-#      place while producers fill the others;
+#      dispatch table, and in MsspEnginePlanTest.CellsOverOneSharedProgram-
+#      MatchSerial every cell of a benchmark borrows one program's memory
+#      image; cursors in several threads race on one mapping's per-block
+#      verified bits; and serve consumers read ring slots in place while
+#      producers fill the others;
 #   4. perfbench's own tests.
 #
 # Usage: tools/check_all.sh   (from anywhere; takes no options)
