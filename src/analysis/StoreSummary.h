@@ -7,7 +7,7 @@
 /// \file
 /// Conservative per-function side-effect summaries over the flat word
 /// address space -- the same space the MSSP dirty-set tracking classifies
-/// with its AddrClass map.  A store whose base register is a known
+/// word by word.  A store whose base register is a known
 /// constant (via analysis/ConstProp.h) contributes a concrete word
 /// address; anything unresolved sets the MayWriteUnknown flag.  Call sites
 /// are summarized as the callee-id set, since callee side effects belong

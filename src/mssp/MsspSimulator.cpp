@@ -136,12 +136,17 @@ MsspSimulator::MsspSimulator(const workload::SynthProgram &Program,
     IsRegionFunc[F] = true;
 
   const std::vector<uint64_t> Writable = Program.writableAddrs();
-  uint64_t MaxAddr = 0;
+  uint32_t NumClassPages = 1; // the zero page
+  for (uint64_t Addr : Writable) {
+    const uint64_t Page = Addr >> exec::ThreadedBackend::PageBits;
+    if (Page >= ClassPage.size())
+      ClassPage.resize(Page + 1, 0);
+    if (ClassPage[Page] == 0)
+      ClassPage[Page] = NumClassPages++;
+  }
+  ClassBytes.assign(NumClassPages * exec::ThreadedBackend::PageWords, 0);
   for (uint64_t Addr : Writable)
-    MaxAddr = std::max(MaxAddr, Addr);
-  AddrClass.assign(Writable.empty() ? 0 : MaxAddr + 1, 0);
-  for (uint64_t Addr : Writable)
-    AddrClass[Addr] = 1;
+    classOf(Addr) = 1;
   DirtyAddrs.reserve(Writable.size());
 }
 
@@ -205,7 +210,7 @@ void MsspSimulator::restoreMasterDirty() {
 
 void MsspSimulator::clearDirtyAddrs() {
   for (uint64_t Addr : DirtyAddrs)
-    AddrClass[Addr] = 1;
+    classOf(Addr) = 1;
   DirtyAddrs.clear();
 }
 

@@ -174,10 +174,19 @@ private:
   void markDirty(uint64_t Addr) {
     // First store to a writable word this task marks it dirty; stores
     // outside the writable set are never compared.
-    if (Addr < AddrClass.size() && AddrClass[Addr] == 1) {
-      AddrClass[Addr] = 2;
-      DirtyAddrs.push_back(Addr);
+    if ((Addr >> exec::ThreadedBackend::PageBits) < ClassPage.size()) {
+      uint8_t &Class = classOf(Addr);
+      if (Class == 1) {
+        Class = 2;
+        DirtyAddrs.push_back(Addr);
+      }
     }
+  }
+  /// The class byte of \p Addr, a word on a page below ClassPage.size().
+  uint8_t &classOf(uint64_t Addr) {
+    return ClassBytes[ClassPage[Addr >> exec::ThreadedBackend::PageBits] *
+                          exec::ThreadedBackend::PageWords +
+                      (Addr & (exec::ThreadedBackend::PageWords - 1))];
   }
   bool dirtyStateMatches() const;
   void restoreMasterDirty();
@@ -235,9 +244,15 @@ private:
   std::vector<std::vector<std::pair<distill::LocKey, int64_t>>>
       ValueConstsByFunc;
 
-  /// Word-addr-indexed classification: 0 = not writable (stores never
-  /// compared), 1 = writable and clean this task, 2 = writable and dirty.
-  std::vector<uint8_t> AddrClass;
+  /// Word classification: 0 = not writable (stores never compared),
+  /// 1 = writable and clean this task, 2 = writable and dirty.  Stored
+  /// per engine page (PageWords words), and only for the pages that hold
+  /// a writable word, so its size follows the writable set, not the
+  /// image: ClassBytes is one page of zeros, then one page per such page.
+  std::vector<uint8_t> ClassBytes;
+  /// Per page up to the last writable word: its page in ClassBytes, 0 for
+  /// the zero page (never written: only class-1 bytes change).
+  std::vector<uint32_t> ClassPage;
   /// Writable addresses stored to by either execution this task.
   std::vector<uint64_t> DirtyAddrs;
 

@@ -12,6 +12,7 @@
 #include <cassert>
 #include <cerrno>
 #include <cstring>
+#include <new>
 #include <ostream>
 #include <streambuf>
 
@@ -344,24 +345,32 @@ void workload::decodeTraceBlockPayloadTrusted(const uint8_t *Payload,
 
 namespace {
 
-/// An ostream sink appending straight into a byte vector, so the writer
-/// encodes into a trace's own buffer with no intermediate copy.
-class VectorBuf final : public std::streambuf {
+/// The host's page size, the unit of every mapping and of the advice.
+uint64_t pageBytes() {
+  static const uint64_t Page = [] {
+#ifdef _SC_PAGESIZE
+    if (const long P = ::sysconf(_SC_PAGESIZE); P > 0)
+      return static_cast<uint64_t>(P);
+#endif
+    return uint64_t{4096};
+  }();
+  return Page;
+}
+
+uint64_t pageCeil(uint64_t Bytes) {
+  return (Bytes + pageBytes() - 1) / pageBytes() * pageBytes();
+}
+
+/// An ostream sink over a fixed buffer, so the writer encodes straight
+/// into a trace's own mapping with no intermediate copy.  A write past the
+/// end fails the stream (the default overflow), and with it the writer.
+class FixedBuf final : public std::streambuf {
 public:
-  explicit VectorBuf(std::vector<uint8_t> &Out) : Out(Out) {}
-
-private:
-  int_type overflow(int_type Ch) override {
-    if (Ch != traits_type::eof())
-      Out.push_back(static_cast<uint8_t>(Ch));
-    return Ch;
+  FixedBuf(uint8_t *Begin, size_t Len) {
+    char *const B = reinterpret_cast<char *>(Begin);
+    setp(B, B + Len);
   }
-  std::streamsize xsputn(const char *S, std::streamsize N) override {
-    Out.insert(Out.end(), S, S + N);
-    return N;
-  }
-
-  std::vector<uint8_t> &Out;
+  size_t written() const { return static_cast<size_t>(pptr() - pbase()); }
 };
 
 } // namespace
@@ -369,20 +378,43 @@ private:
 std::shared_ptr<const MaterializedTrace>
 MaterializedTrace::record(TraceGenerator &Gen) {
   const uint64_t Events = Gen.totalEvents() - Gen.eventsGenerated();
-  std::vector<uint8_t> Bytes;
-  // Encoded events land near 2 B each; reserving ~3 B/event keeps the
-  // buffer's growth to one allocation in practice.
-  Bytes.reserve(TraceV2HeaderBytes + 3 * Events);
+  // Reserve the SCT2 worst case -- the header, one frame per block and
+  // MaxEventBytes per event -- so the writer never outgrows the mapping.
+  // MAP_NORESERVE commits pages only as the writer reaches them, and the
+  // whole pages past the last block are unmapped once it finishes.  Under
+  // strict overcommit (vm.overcommit_memory = 2) the kernel ignores
+  // MAP_NORESERVE and charges the whole reservation, ~3x the encoded
+  // size, until that trim.
+  const uint64_t Reserve =
+      TraceV2HeaderBytes +
+      (Events + TraceV2BlockEvents - 1) / TraceV2BlockEvents *
+          TraceV2FrameBytes +
+      Events * MaxEventBytes;
+  auto Trace = std::shared_ptr<MaterializedTrace>(new MaterializedTrace());
+  void *Map = ::mmap(nullptr, static_cast<size_t>(Reserve),
+                     PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (Map == MAP_FAILED)
+    throw std::bad_alloc();
+  Trace->Base = static_cast<const uint8_t *>(Map);
+  Trace->Len = static_cast<size_t>(Reserve);
+  Trace->Owner = BytesOwner::Anonymous; // unmapped by the destructor
+
+  FixedBuf Buf(static_cast<uint8_t *>(Map), Trace->Len);
   {
-    VectorBuf Buf(Bytes);
     std::ostream OS(&Buf);
     if (writeTraceV2(OS, Gen) != Events)
       return nullptr; // beyond the format limits
   }
-  std::shared_ptr<const MaterializedTrace> Trace = fromBytes(std::move(Bytes));
-  assert(Trace && "freshly written SCT2 bytes failed to index");
+  Trace->Len = Buf.written();
+  if (const uint64_t Used = pageCeil(Trace->Len); Used < Reserve)
+    ::munmap(static_cast<uint8_t *>(Map) + Used,
+             static_cast<size_t>(Reserve - Used));
+  std::string Reason;
+  [[maybe_unused]] const bool Indexed = Trace->index(Reason);
+  assert(Indexed && "freshly written SCT2 bytes failed to index");
   // The writer enforced every limit: these blocks are trusted.
-  for (size_t B = 0; Trace && B < Trace->numBlocks(); ++B)
+  for (size_t B = 0; B < Trace->numBlocks(); ++B)
     Trace->setVerified(B);
   return Trace;
 }
@@ -432,11 +464,7 @@ MaterializedTrace::mapFile(const std::string &Path, std::string *Error) {
   auto Trace = std::shared_ptr<MaterializedTrace>(new MaterializedTrace());
   Trace->Base = static_cast<const uint8_t *>(Map);
   Trace->Len = Len;
-  Trace->Mapped = true; // unmapped by the destructor from here on
-#ifdef _SC_PAGESIZE
-  if (const long P = ::sysconf(_SC_PAGESIZE); P > 0)
-    Trace->PageSize = P;
-#endif
+  Trace->Owner = BytesOwner::File; // unmapped by the destructor from here on
   std::string Reason;
   if (!Trace->index(Reason))
     return Fail(Reason);
@@ -444,7 +472,8 @@ MaterializedTrace::mapFile(const std::string &Path, std::string *Error) {
 }
 
 MaterializedTrace::~MaterializedTrace() {
-  if (Mapped)
+  // munmap covers every page that holds a byte of [Base, Base + Len).
+  if (Owner != BytesOwner::Vector)
     ::munmap(const_cast<uint8_t *>(Base), // NOLINT
              Len);
 }
@@ -560,23 +589,21 @@ bool MaterializedTrace::fullyVerified() const {
 // Advice is best-effort by definition: madvise errors are ignored.
 
 void MaterializedTrace::prefetch(uint64_t Begin, uint64_t End) const {
-  if (!Mapped)
+  if (!mapped())
     return;
   // Round out to whole pages: over-advising is harmless.
-  const uint64_t Page = static_cast<uint64_t>(PageSize);
-  const uint64_t B = Begin / Page * Page;
-  const uint64_t E = (std::min<uint64_t>(End, Len) + Page - 1) / Page * Page;
+  const uint64_t B = Begin / pageBytes() * pageBytes();
+  const uint64_t E = pageCeil(std::min<uint64_t>(End, Len));
   if (B < E)
     ::madvise(const_cast<uint8_t *>(Base) + B, // NOLINT
               static_cast<size_t>(E - B), MADV_WILLNEED);
 }
 
 void MaterializedTrace::dropBehind(uint64_t &Mark, uint64_t Upto) const {
-  const uint64_t Page = static_cast<uint64_t>(PageSize);
-  const uint64_t Floor = Upto / Page * Page;
+  const uint64_t Floor = Upto / pageBytes() * pageBytes();
   if (Floor <= Mark)
     return;
-  if (Mapped)
+  if (mapped())
     ::madvise(const_cast<uint8_t *>(Base) + Mark, // NOLINT
               static_cast<size_t>(Floor - Mark), MADV_DONTNEED);
   Mark = Floor;

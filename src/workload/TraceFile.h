@@ -118,10 +118,18 @@ private:
 uint64_t writeTraceV2(std::ostream &OS, TraceGenerator &Gen,
                       uint32_t BlockEvents = TraceV2BlockEvents);
 
-/// One immutable SCT2 trace: its bytes, owned by either a vector or a
-/// read-only file mapping, one structural block index built when the trace
-/// is opened, and one verified bit per block.  Shared (shared_ptr) by any
-/// number of TraceCursors, in any number of threads.
+/// One immutable SCT2 trace: its bytes, one structural block index built
+/// when the trace is opened, and one verified bit per block.  Shared
+/// (shared_ptr) by any number of TraceCursors, in any number of threads.
+///
+/// The bytes have one of three owners.  record() encodes into an anonymous
+/// mapping the trace owns, so the pages of a released trace go back to
+/// the OS when its last owner drops it, whatever its size (a malloc'd
+/// buffer below glibc's mmap threshold would stay in the process's heap).
+/// fromBytes() adopts the caller's vector, and mapFile() maps a file
+/// read-only.  Replay advises the kernel (read-ahead, drop-behind) over a
+/// file mapping only: dropped file pages refault from the page cache,
+/// while dropped anonymous pages would read back as zeros.
 ///
 /// Blocks written by record() start verified and always replay through the
 /// SWAR decoder.  Blocks of fromBytes()/mapFile() traces start unverified:
@@ -139,8 +147,9 @@ public:
   };
 
   /// Encodes the rest of \p Gen's stream straight into the trace's own
-  /// buffer (trusted: every block starts verified).  Returns nullptr when
-  /// an event exceeds the format limits.
+  /// anonymous mapping (trusted: every block starts verified).  Returns
+  /// nullptr when an event exceeds the format limits; throws
+  /// std::bad_alloc when the mapping cannot be made.
   static std::shared_ptr<const MaterializedTrace> record(TraceGenerator &Gen);
 
   /// Adopts a caller's SCT2 bytes (untrusted).  Returns nullptr on a bad
@@ -167,7 +176,7 @@ public:
   size_t bytes() const { return Len; }
   const uint8_t *data() const { return Base; }
   /// True when the bytes are a file mapping (replay advises the kernel).
-  bool mapped() const { return Mapped; }
+  bool mapped() const { return Owner == BytesOwner::File; }
   std::span<const Block> blocks() const { return Blocks; }
   size_t numBlocks() const { return Blocks.size(); }
   /// Block framing + payload bytes: everything after the header.
@@ -180,6 +189,9 @@ public:
 
 private:
   friend class TraceCursor;
+
+  /// Who holds the bytes; the destructor unmaps both mappings.
+  enum class BytesOwner : uint8_t { Vector, Anonymous, File };
 
   MaterializedTrace() = default;
 
@@ -194,15 +206,17 @@ private:
   bool decodeBlock(size_t B, uint64_t &InstRet, BranchEvent *Out,
                    std::string &Error) const;
 
-  /// Read-ahead: madvise WILLNEED over bytes [Begin, End) of a mapping,
-  /// rounded out to pages; a no-op for vector-owned bytes.
+  /// Read-ahead: madvise WILLNEED over bytes [Begin, End) of a file
+  /// mapping, rounded out to pages; a no-op for any other owner.
   void prefetch(uint64_t Begin, uint64_t End) const;
 
-  /// The one drop-behind rule of a mapping: madvise DONTNEED over the
-  /// whole pages in [Mark, Upto), then move \p Mark (page-aligned,
+  /// The one drop-behind rule of a file mapping: madvise DONTNEED over
+  /// the whole pages in [Mark, Upto), then move \p Mark (page-aligned,
   /// starting at 0) to the page floor of Upto -- the first byte it did
   /// not release.  The page that straddles Upto may hold a block still
-  /// being read; it stays until a later sweep's Upto has passed it.
+  /// being read; it stays until a later sweep's Upto has passed it.  Only
+  /// the mark moves for any other owner: DONTNEED on anonymous bytes
+  /// would zero them, and trusted blocks are never re-verified.
   void dropBehind(uint64_t &Mark, uint64_t Upto) const;
 
   bool isVerified(size_t B) const {
@@ -214,10 +228,10 @@ private:
                               std::memory_order_release);
   }
 
-  std::vector<uint8_t> Owned; ///< the bytes, unless they are mapped
+  std::vector<uint8_t> Owned; ///< the bytes when Owner is Vector
   const uint8_t *Base = nullptr;
   size_t Len = 0;
-  bool Mapped = false;
+  BytesOwner Owner = BytesOwner::Vector;
   std::vector<Block> Blocks;
   /// One bit per block.  Mutable state of an immutable trace: bits only
   /// ever go unverified -> verified, and a redundant re-verification by a
@@ -227,7 +241,6 @@ private:
   uint64_t TotalEvents = 0;
   uint32_t MinGap = 0;
   uint32_t MaxGap = 0;
-  long PageSize = 4096;
 };
 
 /// The replay cursor: an EventSource over one MaterializedTrace whose
@@ -235,9 +248,9 @@ private:
 /// (each holds only its own decode position); whole blocks decode straight
 /// into the caller's batch buffer whenever it has room for them.  On a
 /// rejected block the cursor fails: failed()/error() report it and no
-/// event of that block is delivered.  Over a mapping the cursor also keeps
-/// the resident set bounded at any trace length: it advises WILLNEED a few
-/// blocks ahead and DONTNEED the pages it has passed.
+/// event of that block is delivered.  Over a file mapping the cursor also
+/// keeps the resident set bounded at any trace length: it advises WILLNEED
+/// a few blocks ahead and DONTNEED the pages it has passed.
 class TraceCursor final : public EventSource {
 public:
   explicit TraceCursor(std::shared_ptr<const MaterializedTrace> Trace);

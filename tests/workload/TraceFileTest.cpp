@@ -2,6 +2,9 @@
 //
 // SCT2 recording and replay of caller-owned bytes: round trips, the
 // header facts, and rejection of garbage, truncation, and corruption.
+// And the memory of a record()ed trace: its bytes are writeTraceV2's, it
+// is not a file mapping, replay never advises its pages away, and its
+// pages leave the process with its last owner.
 //
 //===----------------------------------------------------------------------===//
 
@@ -9,20 +12,26 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 using namespace specctrl;
 using namespace specctrl::workload;
 
 namespace {
 
-WorkloadSpec tinySpec() {
+WorkloadSpec tinySpec(uint64_t RefEvents = 20000) {
   WorkloadSpec Spec;
   Spec.Name = "tf";
   Spec.Seed = 4;
-  Spec.RefEvents = 20000;
+  Spec.RefEvents = RefEvents;
   Spec.NumPhases = 2;
   SiteSpec A, B;
   A.Behavior = BehaviorSpec::fixed(0.99);
@@ -42,6 +51,42 @@ std::vector<uint8_t> recordTiny(uint32_t BlockEvents = TraceV2BlockEvents) {
   const std::string Bytes = OS.str();
   return {Bytes.begin(), Bytes.end()};
 }
+
+/// tinySpec(RefEvents)'s ref run through MaterializedTrace::record.
+std::shared_ptr<const MaterializedTrace> recordInMemory(uint64_t RefEvents) {
+  const WorkloadSpec Spec = tinySpec(RefEvents);
+  TraceGenerator Gen(Spec, Spec.refInput());
+  return MaterializedTrace::record(Gen);
+}
+
+/// Checks the next batch of \p Cursor, \p Batch events at most, against
+/// \p Reference; returns the number of events delivered.
+size_t nextMatching(TraceCursor &Cursor, TraceGenerator &Reference,
+                    size_t Batch) {
+  std::vector<BranchEvent> Chunk(Batch), Expected(Batch);
+  const size_t N = Cursor.nextBatch(Chunk);
+  EXPECT_EQ(Reference.nextBatch({Expected.data(), N}), N);
+  for (size_t I = 0; I < N; ++I)
+    if (Chunk[I] != Expected[I]) {
+      ADD_FAILURE() << "event " << I << " of the batch differs";
+      break;
+    }
+  return N;
+}
+
+/// True while some mapping holds the page at \p Addr (page-aligned).
+bool pageMapped(const void *Addr) {
+  unsigned char Resident = 0;
+  errno = 0;
+  const int Rc =
+      ::mincore(const_cast<void *>(Addr), 1, &Resident); // NOLINT
+  EXPECT_TRUE(Rc == 0 || errno == ENOMEM) << std::strerror(errno);
+  return Rc == 0;
+}
+
+/// A trace long enough that a cursor's drop-behind window (a file
+/// mapping's) would pass dozens of pages.
+constexpr uint64_t ManyBlockEvents = 50 * TraceV2BlockEvents + 123;
 
 } // namespace
 
@@ -169,4 +214,103 @@ TEST(TraceFileTest, V2DetectsTruncationWithoutPartialBlocks) {
   std::string Error;
   EXPECT_EQ(MaterializedTrace::fromBytes(std::move(Bytes), &Error), nullptr);
   EXPECT_NE(Error.find("truncated"), std::string::npos) << Error;
+}
+
+TEST(TraceFileTest, RecordWritesWriteTraceV2Bytes) {
+  const WorkloadSpec Spec = tinySpec(ManyBlockEvents);
+  TraceGenerator Gen(Spec, Spec.refInput());
+  std::ostringstream OS;
+  ASSERT_EQ(writeTraceV2(OS, Gen), Spec.RefEvents);
+  const std::string Written = OS.str();
+
+  const std::shared_ptr<const MaterializedTrace> Trace =
+      recordInMemory(ManyBlockEvents);
+  ASSERT_TRUE(Trace);
+  ASSERT_EQ(Trace->bytes(), Written.size());
+  EXPECT_EQ(std::memcmp(Trace->data(), Written.data(), Written.size()), 0);
+  EXPECT_TRUE(Trace->fullyVerified());
+}
+
+TEST(TraceFileTest, RecordedTraceIsNotAFileMapping) {
+  const std::shared_ptr<const MaterializedTrace> Trace =
+      recordInMemory(ManyBlockEvents);
+  ASSERT_TRUE(Trace);
+  EXPECT_FALSE(Trace->mapped());
+  TraceCursor Cursor(Trace);
+  BranchEvent E;
+  while (Cursor.next(E)) {
+  }
+  EXPECT_FALSE(Cursor.failed()) << Cursor.error();
+  EXPECT_FALSE(Trace->mapped());
+}
+
+TEST(TraceFileTest, SequentialCursorsOverARecordingReplayExactly) {
+  // A second cursor reads every page the first has passed; drop-behind
+  // advice on anonymous bytes would hand it zeros.
+  const WorkloadSpec Spec = tinySpec(ManyBlockEvents);
+  const std::shared_ptr<const MaterializedTrace> Trace =
+      recordInMemory(ManyBlockEvents);
+  ASSERT_TRUE(Trace);
+  for (int Pass = 0; Pass < 2; ++Pass) {
+    TraceCursor Cursor(Trace);
+    TraceGenerator Reference(Spec, Spec.refInput());
+    uint64_t Count = 0;
+    while (const size_t N = nextMatching(Cursor, Reference, 4096))
+      Count += N;
+    EXPECT_EQ(Count, Spec.RefEvents) << "pass " << Pass;
+    EXPECT_FALSE(Cursor.failed()) << Cursor.error();
+  }
+}
+
+TEST(TraceFileTest, InterleavedCursorsOverARecordingReplayExactly) {
+  // The leading cursor is ten blocks ahead when the trailing one starts,
+  // and odd batch sizes send both through the staging path.
+  const WorkloadSpec Spec = tinySpec(ManyBlockEvents);
+  const std::shared_ptr<const MaterializedTrace> Trace =
+      recordInMemory(ManyBlockEvents);
+  ASSERT_TRUE(Trace);
+  TraceCursor Lead(Trace), Trail(Trace);
+  TraceGenerator LeadRef(Spec, Spec.refInput());
+  TraceGenerator TrailRef(Spec, Spec.refInput());
+  uint64_t LeadCount = 0, TrailCount = 0;
+  for (int I = 0; I < 10; ++I)
+    LeadCount += nextMatching(Lead, LeadRef, 4096);
+  for (;;) {
+    const size_t L = nextMatching(Lead, LeadRef, 3001);
+    const size_t T = nextMatching(Trail, TrailRef, 1777);
+    LeadCount += L;
+    TrailCount += T;
+    if (L == 0 && T == 0)
+      break;
+  }
+  EXPECT_EQ(LeadCount, Spec.RefEvents);
+  EXPECT_EQ(TrailCount, Spec.RefEvents);
+  EXPECT_FALSE(Lead.failed()) << Lead.error();
+  EXPECT_FALSE(Trail.failed()) << Trail.error();
+}
+
+TEST(TraceFileTest, RecordingUnmapsItsPagesWithItsLastOwner) {
+  const uint64_t Page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+  std::shared_ptr<const MaterializedTrace> Trace =
+      recordInMemory(ManyBlockEvents);
+  ASSERT_TRUE(Trace);
+  const uint8_t *const Base = Trace->data();
+  ASSERT_EQ(reinterpret_cast<uintptr_t>(Base) % Page, 0u);
+  const uint8_t *const Last = Base + (Trace->bytes() - 1) / Page * Page;
+  // The worst-case reservation past the last page was given back at once.
+  EXPECT_FALSE(pageMapped(Last + Page));
+  EXPECT_TRUE(pageMapped(Base));
+  EXPECT_TRUE(pageMapped(Last));
+
+  // A cursor keeps the trace alive after the caller drops it.
+  auto Cursor = std::make_unique<TraceCursor>(Trace);
+  Trace.reset();
+  BranchEvent E;
+  ASSERT_TRUE(Cursor->next(E));
+  EXPECT_TRUE(pageMapped(Base));
+  EXPECT_TRUE(pageMapped(Last));
+
+  Cursor.reset();
+  EXPECT_FALSE(pageMapped(Base));
+  EXPECT_FALSE(pageMapped(Last));
 }

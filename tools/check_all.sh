@@ -12,6 +12,11 @@
 #      request sink (fsm_spec.FsmSpecTest.*), and the execution engine's
 #      paged copy-on-write memory over a borrowed image (PagedMemoryTest:
 #      page edges, growth past a partial last page, the memory cap);
+#      ASan does not track mapped bytes, so it checks no read of a
+#      record()ed trace (an anonymous mapping) or a mapFile() trace, but
+#      MaterializedTrace::fromBytes keeps the caller's vector, so the
+#      checked decoder's bounds over untrusted bytes (TraceReplayFuzzTest,
+#      TraceFileTest) stay under ASan;
 #   3. the engine concurrency tests (the plan runner, the arena races,
 #      determinism and the ThreadPool itself), the trace arena's own
 #      tests (TraceArenaTest: per-key materialize and release), the MSSP
