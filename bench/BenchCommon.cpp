@@ -91,8 +91,8 @@ void bench::addJobsOptions(OptionSet &Opts) {
               "worker threads for experiment cells (0 = hardware "
               "concurrency; results are identical at any value)");
   Opts.addInt("seed", 0,
-              "base seed mixed into every experiment cell and workload "
-              "(0 = the reference streams)");
+              "base seed mixed into every workload and MSSP program "
+              "(0 = the reference runs)");
 }
 
 void bench::addSweepOptions(OptionSet &Opts) {
@@ -149,6 +149,29 @@ bool isSelected(const SuiteOptions &Opt, const std::string &Name) {
              Opt.Benchmarks.end();
 }
 
+/// SplitMix64 finalizer: the same stateless mix the workload substrate
+/// uses for derived bits.
+uint64_t mix(uint64_t X) {
+  X ^= X >> 30;
+  X *= 0xBF58476D1CE4E5B9ull;
+  X ^= X >> 27;
+  X *= 0x94D049BB133111EBull;
+  X ^= X >> 31;
+  return X;
+}
+
+/// The bits --seed \p Seed mixes into the benchmark at \p Index in
+/// workload::suiteProfiles(): a pure function of the two, so a benchmark's
+/// streams and program do not depend on which other benchmarks run or
+/// which cell reads them.  The last two rounds mix in fixed salts; they
+/// stay so that every seeded stream keeps its values.
+uint64_t benchmarkSeed(uint64_t Seed, uint32_t Index) {
+  uint64_t X = mix(Seed ^ 0x9E3779B97F4A7C15ull);
+  X = mix(X + 0xD1B54A32D192ED03ull * (uint64_t(Index) + 1));
+  X = mix(X + 0xABCC79577A1F4F75ull);
+  return mix(X + 0x8CB92BA72F3D8DD7ull);
+}
+
 } // namespace
 
 std::vector<workload::BenchmarkProfile>
@@ -163,7 +186,7 @@ bench::selectedProfiles(const SuiteOptions &Opt) {
 void bench::seedWorkload(workload::WorkloadSpec &Spec, uint64_t Seed,
                          uint32_t Index) {
   if (Seed != 0)
-    Spec.Seed ^= engine::ExperimentPlan::cellSeed(Seed, {Index, 0, 0});
+    Spec.Seed ^= benchmarkSeed(Seed, Index);
 }
 
 std::vector<workload::WorkloadSpec>
@@ -198,22 +221,23 @@ engine::RunReport bench::runSuite(const engine::ExperimentPlan &Plan,
 engine::ExperimentPlan bench::msspSuitePlan(const SuiteOptions &Opt) {
   engine::ExperimentPlan Plan;
   Plan.setBaseSeed(Opt.Seed);
-  for (const workload::BenchmarkProfile &P : selectedProfiles(Opt))
-    Plan.addBenchmark(workload::makeBenchmark(P, Opt.Scale));
+  for (const workload::BenchmarkProfile &P : selectedProfiles(Opt)) {
+    workload::WorkloadSpec Axis;
+    Axis.Name = P.Name;
+    Plan.addBenchmark(std::move(Axis));
+  }
   return Plan;
-}
-
-const workload::BenchmarkProfile &
-bench::msspCellProfile(const engine::CellContext &Ctx) {
-  return workload::profileByName(Ctx.Spec.Name);
 }
 
 workload::SynthSpec bench::msspSynthSpec(const engine::CellContext &Ctx,
                                          uint64_t Iterations) {
-  workload::SynthSpec Spec =
-      workload::makeSynthSpecFor(msspCellProfile(Ctx), Iterations);
+  const workload::BenchmarkProfile &Profile =
+      workload::profileByName(Ctx.Spec.Name);
+  const uint32_t Index =
+      static_cast<uint32_t>(&Profile - workload::suiteProfiles().data());
+  workload::SynthSpec Spec = workload::makeSynthSpecFor(Profile, Iterations);
   if (Ctx.BaseSeed != 0)
-    Spec.Seed ^= Ctx.Seed;
+    Spec.Seed ^= benchmarkSeed(Ctx.BaseSeed, Index);
   return Spec;
 }
 

@@ -47,8 +47,8 @@ struct SuiteOptions {
   std::vector<std::string> Benchmarks;
   /// Worker threads for runSuite (0 = hardware concurrency).
   unsigned Jobs = 0;
-  /// Base seed mixed into every experiment cell's seed and every
-  /// selected workload's seed (seedWorkload).
+  /// Base seed mixed into every selected workload's seed (seedWorkload)
+  /// and every MSSP program's (msspSynthSpec); 0 is the reference run.
   uint64_t Seed = 0;
 };
 
@@ -141,20 +141,18 @@ engine::RunReport runSuite(const engine::ExperimentPlan &Plan,
                            const SuiteOptions &Opt);
 
 /// Starts an MSSP experiment plan: one benchmark axis per selected
-/// calibration profile (reference input), base seed from --seed.  The
-/// bench adds task columns with addTaskConfig whose runners recover their
-/// profile via msspCellProfile / synthesize via msspSynthSpec, and
-/// executes the grid with runSuite.
+/// calibration profile, carrying only the benchmark's name (MSSP cells
+/// read no branch trace), base seed from --seed.  The bench adds task
+/// columns with addTaskConfig whose runners synthesize via msspSynthSpec,
+/// and executes the grid with runSuite.
 engine::ExperimentPlan msspSuitePlan(const SuiteOptions &Opt);
 
-/// The calibration profile of an MSSP plan cell (matched by benchmark
-/// name).
-const workload::BenchmarkProfile &
-msspCellProfile(const engine::CellContext &Ctx);
-
-/// The cell's synthesis spec.  Deterministic per benchmark by default so
-/// the reference outputs stay bit-identical; a nonzero --seed perturbs
-/// the synthesis per cell (Spec.Seed ^= cell seed).
+/// The cell's synthesis spec, from the calibration profile its axis
+/// names: a function of the benchmark and --seed alone, so every column
+/// of a benchmark simulates one program.  Seed 0 gives the reference
+/// program; a nonzero --seed perturbs it as seedWorkload perturbs a
+/// trace, by the seed and the benchmark's index in
+/// workload::suiteProfiles().
 workload::SynthSpec msspSynthSpec(const engine::CellContext &Ctx,
                                   uint64_t Iterations);
 

@@ -40,16 +40,17 @@ int main(int Argc, char **Argv) try {
               Profile.Name + "-like program: task granularity vs squash "
                              "folding and speedup");
 
-  const SynthSpec Spec = makeSynthSpecFor(Profile, Iterations);
-  SynthProgram Baseline = synthesize(Spec);
+  // One program: the baseline and every task size simulate it, on engines
+  // that borrow its image and never write it.
+  const SynthProgram Program =
+      synthesize(makeSynthSpecFor(Profile, Iterations));
   const uint64_t BaselineCycles =
-      simulateSuperscalarBaseline(Baseline, MachineConfig());
+      simulateSuperscalarBaseline(Program, MachineConfig());
 
   Table Out({"iterations/task", "speedup", "tasks", "squashes",
              "branch misspecs", "misses folded per squash"});
 
   for (unsigned TaskIters : {1u, 2u, 4u, 8u, 16u, 32u}) {
-    SynthProgram Program = synthesize(Spec);
     MsspConfig Cfg;
     Cfg.Control.MonitorPeriod = 1000;
     Cfg.Control.EvictSaturation = 2000;

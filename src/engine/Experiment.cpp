@@ -11,21 +11,6 @@
 using namespace specctrl;
 using namespace specctrl::engine;
 
-namespace {
-
-/// SplitMix64 finalizer: the same stateless mix the workload substrate
-/// uses for derived bits.
-uint64_t mix(uint64_t X) {
-  X ^= X >> 30;
-  X *= 0xBF58476D1CE4E5B9ull;
-  X ^= X >> 27;
-  X *= 0x94D049BB133111EBull;
-  X ^= X >> 31;
-  return X;
-}
-
-} // namespace
-
 BenchmarkAxis &ExperimentPlan::addBenchmark(workload::WorkloadSpec Spec) {
   std::vector<workload::InputConfig> Inputs = {Spec.refInput()};
   return addBenchmark(std::move(Spec), std::move(Inputs));
@@ -54,14 +39,4 @@ size_t ExperimentPlan::numCells() const {
   for (const BenchmarkAxis &B : Benchmarks)
     Inputs += B.Inputs.size();
   return Inputs * Configs.size();
-}
-
-uint64_t ExperimentPlan::cellSeed(uint64_t BaseSeed, const CellCoord &Coord) {
-  // Chain the coordinates through the finalizer with distinct odd salts so
-  // adjacent cells decorrelate; the result depends only on (seed, coord).
-  uint64_t X = mix(BaseSeed ^ 0x9E3779B97F4A7C15ull);
-  X = mix(X + 0xD1B54A32D192ED03ull * (uint64_t(Coord.Benchmark) + 1));
-  X = mix(X + 0xABCC79577A1F4F75ull * (uint64_t(Coord.Input) + 1));
-  X = mix(X + 0x8CB92BA72F3D8DD7ull * (uint64_t(Coord.Config) + 1));
-  return X;
 }

@@ -15,9 +15,11 @@
 /// state inside the cell itself: no mutable state is shared between
 /// cells, which is what makes parallel execution bit-identical to serial.
 ///
-/// Cells receive a deterministic seed derived purely from the plan's base
-/// seed and the cell's grid coordinates (never from shared generator
-/// state), for factories that want per-cell randomness.
+/// The engine derives no randomness.  A workload carries its own seed
+/// (WorkloadSpec::Seed, InputConfig::Seed), so every cell of a benchmark
+/// reads the same stream; the plan's base seed is passed to every cell
+/// unchanged, for a task that perturbs what it builds (the MSSP benches
+/// seed their synthesized programs from it).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,16 +57,14 @@ struct CellContext {
   const workload::WorkloadSpec &Spec;
   const workload::InputConfig &Input;
   CellCoord Coord;
-  /// Deterministic per-cell seed: mix(plan base seed, coordinates).
-  uint64_t Seed = 0;
-  /// The plan's base seed, so cells can distinguish "default run" (0,
-  /// reproduce the reference output bit-exactly) from an explicitly
-  /// perturbed run.
+  /// The plan's base seed, the same in every cell, so a task can tell the
+  /// default run (0, the reference output bit-exactly) from an explicitly
+  /// perturbed one.
   uint64_t BaseSeed = 0;
 };
 
 /// Builds the cell's controller.  Must not touch state shared with other
-/// cells; derive any randomness from Ctx.Seed.
+/// cells.
 using ControllerFactory =
     std::function<std::unique_ptr<core::SpeculationController>(
         const CellContext &Ctx)>;
@@ -76,7 +76,8 @@ using ControllerFactory =
 /// collection, or the MSSP timing simulations, where a cell synthesizes
 /// and executes a whole SimIR program.  The same isolation rule applies:
 /// no state shared with other cells (the plan's trace arena aside, which
-/// is synchronized), randomness only from Ctx.Seed.
+/// is synchronized), and randomness only from the cell's workload and
+/// Ctx.BaseSeed.
 using CellRunner = std::function<std::any(const CellContext &Ctx)>;
 
 /// One benchmark axis entry: a workload and the inputs to run it under.
@@ -112,7 +113,7 @@ public:
   /// in CellResult::Value.
   void addTaskConfig(std::string Name, CellRunner Run);
 
-  /// Base seed mixed into every cell seed (default 0).
+  /// The base seed every cell's context carries (default 0).
   void setBaseSeed(uint64_t Seed) { BaseSeed = Seed; }
 
   /// Installs the plan's trace arena: every controller cell then replays
@@ -135,10 +136,6 @@ public:
 
   /// Total number of grid cells.
   size_t numCells() const;
-
-  /// The deterministic seed of the cell at \p Coord under \p BaseSeed.
-  /// Pure function of its arguments -- independent of execution order.
-  static uint64_t cellSeed(uint64_t BaseSeed, const CellCoord &Coord);
 
 private:
   std::vector<BenchmarkAxis> Benchmarks;

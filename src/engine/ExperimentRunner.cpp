@@ -7,7 +7,6 @@
 #include "engine/ExperimentRunner.h"
 
 #include "core/Driver.h"
-#include "engine/ThreadPool.h"
 #include "workload/TraceArena.h"
 #include "workload/TraceGenerator.h"
 
@@ -18,6 +17,7 @@
 #include <mutex>
 #include <span>
 #include <stdexcept>
+#include <thread>
 #include <tuple>
 
 using namespace specctrl;
@@ -44,8 +44,7 @@ void runPlanCell(const ExperimentPlan &Plan, CellResult &Cell) {
     const workload::InputConfig &Input = Bench.Inputs[Cell.Coord.Input];
     const ConfigAxis &Config = Plan.configs()[Cell.Coord.Config];
 
-    const CellContext Ctx{Bench.Spec, Input, Cell.Coord, Cell.Seed,
-                          Plan.baseSeed()};
+    const CellContext Ctx{Bench.Spec, Input, Cell.Coord, Plan.baseSeed()};
     if (Config.Run) {
       // Task cell: the column's runner is the whole cell.
       Cell.Value = Config.Run(Ctx);
@@ -65,9 +64,7 @@ void runPlanCell(const ExperimentPlan &Plan, CellResult &Cell) {
         Plan.traceArena()
             ? Plan.traceArena()->open(Bench.Spec, Input)
             : std::make_unique<workload::TraceGenerator>(Bench.Spec, Input);
-    const core::ControlStats &Stats = core::runTrace(*Controller, *Source);
-    Cell.Stats = Stats;
-    Cell.Events = Stats.EventsConsumed;
+    Cell.Stats = core::runTrace(*Controller, *Source);
   } catch (const std::exception &E) {
     Cell.Failed = true;
     Cell.Error = E.what();
@@ -167,8 +164,8 @@ private:
 };
 
 /// One CellResult slot per plan cell in the stable benchmark-major report
-/// order (benchmark, then input, then config), with names and the
-/// deterministic cell seed filled in and all run fields zeroed.
+/// order (benchmark, then input, then config), with names filled in and
+/// all run fields zeroed.
 std::vector<CellResult> layoutPlanCells(const ExperimentPlan &Plan) {
   const std::vector<BenchmarkAxis> &Benchmarks = Plan.benchmarks();
   const std::vector<ConfigAxis> &Configs = Plan.configs();
@@ -182,7 +179,6 @@ std::vector<CellResult> layoutPlanCells(const ExperimentPlan &Plan) {
         Cell.Benchmark = Benchmarks[B].Spec.Name;
         Cell.Input = Benchmarks[B].Inputs[I].Name;
         Cell.Config = Configs[C].Name;
-        Cell.Seed = ExperimentPlan::cellSeed(Plan.baseSeed(), Cell.Coord);
         Cells.push_back(std::move(Cell));
       }
   return Cells;
@@ -194,13 +190,6 @@ size_t RunReport::failedCells() const {
   size_t N = 0;
   for (const CellResult &Cell : Cells)
     N += Cell.Failed;
-  return N;
-}
-
-uint64_t RunReport::totalEvents() const {
-  uint64_t N = 0;
-  for (const CellResult &Cell : Cells)
-    N += Cell.Events;
   return N;
 }
 
@@ -216,26 +205,19 @@ const CellResult &RunReport::cell(uint32_t Benchmark, uint32_t Input,
                           std::to_string(Config) + ")");
 }
 
-const CellResult *RunReport::find(const std::string &Benchmark,
-                                  const std::string &Input,
-                                  const std::string &Config) const {
-  for (const CellResult &Cell : Cells)
-    if (Cell.Benchmark == Benchmark && Cell.Input == Input &&
-        Cell.Config == Config)
-      return &Cell;
-  return nullptr;
-}
-
 RunReport engine::runPlan(const ExperimentPlan &Plan,
                           const RunOptions &Options) {
   RunReport Report;
   // Lay out every cell slot up front in stable benchmark-major order; each
-  // task then writes only its own slot.
+  // cell then writes only its own slot.
   Report.Cells = layoutPlanCells(Plan);
-  // No more workers than cells: a spare one would only start and idle.
-  Report.Jobs = static_cast<unsigned>(
-      std::min<size_t>(ThreadPool::resolveJobs(Options.Jobs),
-                       std::max<size_t>(Report.Cells.size(), 1)));
+  // Jobs 0 is the hardware concurrency, at least one; and no more workers
+  // than cells: a spare one would only start and idle.
+  const unsigned Requested =
+      Options.Jobs != 0 ? Options.Jobs
+                        : std::max(1u, std::thread::hardware_concurrency());
+  Report.Jobs = static_cast<unsigned>(std::min<size_t>(
+      Requested, std::max<size_t>(Report.Cells.size(), 1)));
 
   const Clock::time_point RunStart = Clock::now();
   CellQueue Queue(Plan, Report.Cells);
@@ -245,13 +227,13 @@ RunReport engine::runPlan(const ExperimentPlan &Plan,
       Queue.finish(*Cell);
     }
   };
-  if (Report.Jobs == 1) {
+  {
+    // The calling thread runs one loop, so a serial run starts no thread;
+    // the others join when the block ends, after the queue has run dry.
+    std::vector<std::jthread> Workers;
+    for (unsigned W = 1; W < Report.Jobs; ++W)
+      Workers.emplace_back(Work);
     Work();
-  } else {
-    ThreadPool Pool(Report.Jobs);
-    for (unsigned W = 0; W < Report.Jobs; ++W)
-      Pool.submit(Work);
-    Pool.wait();
   }
   Report.WallSeconds = secondsSince(RunStart, Clock::now());
   return Report;

@@ -5,16 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes an ExperimentPlan over a fixed-size thread pool.  runPlan is
+/// Executes an ExperimentPlan on RunOptions::Jobs worker loops, each
+/// taking cells from one run-local queue until none is left.  runPlan is
 /// the one way a multi-run experiment executes; core::runTrace is the
 /// single-run primitive it calls per cell, in batches, over the plan's
 /// trace arena when the plan carries one.
 ///
 /// Guarantees:
-///  * Determinism -- every cell builds its own event source and
-///    controller (or runs its own task) from the plan (no shared mutable
-///    state), and cell seeds are pure functions of grid coordinates, so a
-///    parallel run's results are bit-identical to a serial run's.
+///  * Determinism -- a parallel run's results are bit-identical to a
+///    serial run's: cells share no mutable state (each builds its own
+///    event source and controller, or runs its own task, from the plan;
+///    the trace arena is synchronized and replays the stream a generator
+///    would give), report slots are laid out before the run, and every
+///    workload carries its own seeds, so no result depends on which
+///    worker ran a cell or when.
 ///  * Failure isolation -- an exception escaping one cell is captured into
 ///    that cell's report slot (Failed/Error); sibling cells complete
 ///    normally and the run returns a full report.
@@ -47,8 +51,9 @@ namespace engine {
 
 /// Execution options for a plan run.
 struct RunOptions {
-  /// Worker threads; 0 = std::thread::hardware_concurrency.  Jobs == 1
-  /// runs the cells inline on the calling thread (the serial reference).
+  /// Worker loops; 0 = std::thread::hardware_concurrency, at least one.
+  /// The calling thread runs one of them, so Jobs == 1 starts no thread
+  /// (the serial reference).
   unsigned Jobs = 0;
 };
 
@@ -58,7 +63,6 @@ struct CellResult {
   std::string Benchmark; ///< workload name
   std::string Input;     ///< input name ("ref"/"train"/...)
   std::string Config;    ///< controller-config name
-  uint64_t Seed = 0;     ///< the cell's deterministic seed
 
   /// Final controller statistics (copied out of the cell's controller).
   core::ControlStats Stats;
@@ -69,17 +73,10 @@ struct CellResult {
   bool Failed = false; ///< an exception escaped the cell
   std::string Error;   ///< its message (Failed only)
 
-  // ---- Timing / throughput ----------------------------------------------
-  uint64_t Events = 0;      ///< trace events consumed by the cell
   double WallSeconds = 0.0; ///< cell execution wall time
   /// Ready -> start latency: a cell is ready when the run starts, or for
   /// an arena key's later cells, when the key's first cell ends.
   double QueueWaitSeconds = 0.0;
-
-  double eventsPerSecond() const {
-    return WallSeconds > 0.0 ? static_cast<double>(Events) / WallSeconds
-                             : 0.0;
-  }
 };
 
 /// The full run report: one slot per cell, in stable grid order.
@@ -89,21 +86,10 @@ struct RunReport {
   double WallSeconds = 0.0; ///< whole-run wall time
 
   size_t failedCells() const;
-  uint64_t totalEvents() const;
-  /// Aggregate throughput: total events / run wall time.
-  double eventsPerSecond() const {
-    return WallSeconds > 0.0 ? static_cast<double>(totalEvents()) /
-                                   WallSeconds
-                             : 0.0;
-  }
 
   /// The cell at grid coordinates; throws std::out_of_range when absent.
   const CellResult &cell(uint32_t Benchmark, uint32_t Input,
                          uint32_t Config) const;
-  /// Lookup by names; nullptr when absent.
-  const CellResult *find(const std::string &Benchmark,
-                         const std::string &Input,
-                         const std::string &Config) const;
 };
 
 /// Runs every cell of \p Plan and returns the report.  The plan must

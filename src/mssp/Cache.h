@@ -53,11 +53,13 @@ public:
     // way hits.  (The ~0 sentinel tag of an empty way never collides:
     // backends fault on out-of-range addresses long before a real tag
     // reaches ~0.)
+    //
+    // An MRU hit stores nothing: every other hit and every fill stamps the
+    // clock and makes its way the MRU, so the MRU way already holds its
+    // set's newest stamp and restamping it could not change a victim.
     const uint32_t M = Mru[Set];
-    if (Row[M].Tag == Tag) {
-      Row[M].LastUse = Clock;
+    if (Row[M].Tag == Tag)
       return true;
-    }
     // Branch-free hit scan: a conditional move per way instead of an
     // early-exit branch per way, leaving one well-predicted hit/miss
     // branch per access (hits dominate on the MSSP hot path).  Scanning

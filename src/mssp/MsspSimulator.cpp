@@ -21,17 +21,6 @@ namespace {
 
 constexpr uint64_t RunForever = ~0ull >> 1;
 
-/// Packs a value-site coordinate into one FlatMap64 key.  Field widths
-/// (23/20/20 bits, top bit of the function field always clear) keep the
-/// key below the map's all-ones sentinel; synthesized programs are orders
-/// of magnitude smaller than these bounds.
-uint64_t packValueSiteKey(uint32_t Func, distill::LocKey Loc) {
-  assert(Func < (1u << 23) && Loc.Block < (1u << 20) &&
-         Loc.Index < (1u << 20) && "value-site coordinate out of pack range");
-  return (static_cast<uint64_t>(Func) << 40) |
-         (static_cast<uint64_t>(Loc.Block) << 20) | Loc.Index;
-}
-
 /// \p Config, or a std::runtime_error naming the rule it breaks.
 const MsspConfig &checked(const MsspConfig &Config) {
   const std::string Rule = Config.validate();
@@ -97,8 +86,10 @@ public:
                 uint64_t Done) {
     MasterPolicy::noteLoad(L, Addr, Value, Done);
     // The engine only dispatches module function ids, all of which
-    // IsRegionFunc covers, so L.Func needs no bounds check.
-    if (Sim.Config.EnableValueSpeculation && Sim.IsRegionFunc[L.Func])
+    // ValueSiteTables covers, so L.Func needs no bounds check; only a
+    // region function's table has entries.
+    if (Sim.Config.EnableValueSpeculation &&
+        !Sim.ValueSiteTables[L.Func].Ids.empty())
       Sim.noteRegionLoad(L, Value, Done);
   }
 };
@@ -131,9 +122,14 @@ MsspSimulator::MsspSimulator(const workload::SynthProgram &Program,
   for (std::vector<ir::SiteId> &Sites : SitesByFunc)
     std::sort(Sites.begin(), Sites.end());
   ValueConstsByFunc.assign(Program.Mod.numFunctions(), {});
-  IsRegionFunc.assign(Program.Mod.numFunctions(), false);
-  for (uint32_t F : Program.RegionFunctions)
-    IsRegionFunc[F] = true;
+  ValueSiteTables.assign(Program.Mod.numFunctions(), {});
+  for (uint32_t F : Program.RegionFunctions) {
+    ValueSiteTable &Table = ValueSiteTables[F];
+    for (const ir::BasicBlock &BB : Program.Mod.function(F).blocks()) {
+      Table.BlockStart.push_back(static_cast<uint32_t>(Table.Ids.size()));
+      Table.Ids.resize(Table.Ids.size() + BB.size(), NoValueSite);
+    }
+  }
 
   const std::vector<uint64_t> Writable = Program.writableAddrs();
   uint32_t NumClassPages = 1; // the zero page
@@ -172,11 +168,12 @@ void MsspSimulator::onValueRequest(const core::OptRequest &Request) {
 }
 
 uint32_t MsspSimulator::valueSiteId(uint32_t Func, distill::LocKey Loc) {
-  const uint64_t Key = packValueSiteKey(Func, Loc);
-  const auto [Id, Inserted] = ValueSiteMap.tryEmplace(
-      Key, static_cast<uint32_t>(ValueSites.size()));
-  if (Inserted)
+  ValueSiteTable &Table = ValueSiteTables[Func];
+  uint32_t &Id = Table.Ids[Table.BlockStart[Loc.Block] + Loc.Index];
+  if (Id == NoValueSite) {
+    Id = static_cast<uint32_t>(ValueSites.size());
     ValueSites.push_back({Func, Loc});
+  }
   return Id;
 }
 

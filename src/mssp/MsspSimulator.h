@@ -47,7 +47,6 @@
 #include "exec/ThreadedBackend.h"
 #include "mssp/CoreTiming.h"
 #include "mssp/MachineConfig.h"
-#include "support/FlatHash.h"
 #include "workload/ProgramSynthesizer.h"
 
 #include <string>
@@ -164,7 +163,17 @@ private:
   /// Value-controller requests, tagged by the sink adapter.
   void onValueRequest(const core::OptRequest &Request);
 
-  /// Maps a load location to a dense value-site id (lazily).
+  /// A region function's value-site ids, one slot per instruction of the
+  /// original function: the load at (Block, Index) has slot
+  /// BlockStart[Block] + Index, NoValueSite until it first runs.
+  struct ValueSiteTable {
+    std::vector<uint32_t> BlockStart;
+    std::vector<uint32_t> Ids;
+  };
+  static constexpr uint32_t NoValueSite = ~0u;
+
+  /// Maps a load location to a dense value-site id, handed out in the
+  /// order loads first run.
   uint32_t valueSiteId(uint32_t Func, distill::LocKey Loc);
   /// Feeds one region load to the value-invariance controller.
   void noteRegionLoad(const exec::InstLocation &L, uint64_t Value,
@@ -228,11 +237,10 @@ private:
 
   /// SiteId-indexed: loop/dispatch sites the optimizer never asserts.
   std::vector<bool> IsControlSite;
-  /// FunctionId-indexed: region functions (value-speculation candidates).
-  std::vector<bool> IsRegionFunc;
   std::vector<ValueSite> ValueSites; ///< dense value-site id -> site
-  /// Packed (function, location) -> dense value-site id.
-  FlatMap64 ValueSiteMap;
+  /// FunctionId-indexed: filled for region functions (the value-speculation
+  /// candidates), empty for the rest.
+  std::vector<ValueSiteTable> ValueSiteTables;
   std::vector<PendingOpt> Pending;
 
   /// SiteId-indexed assertion state: 0 = none, 1 = assert not-taken,

@@ -84,8 +84,8 @@ struct BenchmarkProfile {
 /// paper's table order.
 const std::vector<BenchmarkProfile> &suiteProfiles();
 
-/// Returns the profile with the given name; throws std::invalid_argument
-/// naming the valid names when there is none.
+/// Returns the suiteProfiles() element with the given name; throws
+/// std::invalid_argument naming the valid names when there is none.
 const BenchmarkProfile &profileByName(const std::string &Name);
 
 /// Builds the full WorkloadSpec for \p Profile under \p Scale.  Throws

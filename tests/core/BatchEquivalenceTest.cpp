@@ -219,12 +219,12 @@ ExperimentPlan fullSuitePlan() {
 /// strings across jobs/chunk settings is the user-visible equivalence.
 std::string reportCsv(const RunReport &Report) {
   std::ostringstream OS;
-  OS << "benchmark,input,config,seed,events,branches,correct,incorrect,"
+  OS << "benchmark,input,config,events,branches,correct,incorrect,"
         "deploys,revokes,suppressed,evictions,revisits,touched\n";
   for (const CellResult &Cell : Report.Cells) {
     const ControlStats &S = Cell.Stats;
     OS << Cell.Benchmark << ',' << Cell.Input << ',' << Cell.Config << ','
-       << Cell.Seed << ',' << Cell.Events << ',' << S.Branches << ','
+       << S.EventsConsumed << ',' << S.Branches << ','
        << S.CorrectSpecs << ',' << S.IncorrectSpecs << ','
        << S.DeployRequests << ',' << S.RevokeRequests << ','
        << S.SuppressedRequests << ',' << S.Evictions << ',' << S.Revisits

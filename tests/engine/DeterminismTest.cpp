@@ -1,10 +1,11 @@
 //===- tests/engine/DeterminismTest.cpp -----------------------------------===//
 //
 // The engine's core contract: running a plan with --jobs N produces
-// bit-identical per-cell ControlStats for every N, because each cell's
-// randomness is a pure function of (base seed, cell coordinates) and no
-// state is shared between cells.  Exercised over the full twelve-benchmark
-// paper suite at a reduced scale, with two controller configurations.
+// bit-identical per-cell ControlStats for every N, because cells share no
+// mutable state, report slots are laid out before the run, and every
+// workload carries its own seeds, so no result depends on which worker
+// ran a cell or when.  Exercised over the full twelve-benchmark paper
+// suite at a reduced scale, with two controller configurations.
 //
 // This is the tier-1 `engine_determinism` ctest target (see
 // tests/CMakeLists.txt).
@@ -78,8 +79,6 @@ TEST(DeterminismTest, SerialAndParallelSuiteRunsAreIdentical) {
     EXPECT_EQ(S.Benchmark, P.Benchmark);
     EXPECT_EQ(S.Input, P.Input);
     EXPECT_EQ(S.Config, P.Config);
-    EXPECT_EQ(S.Seed, P.Seed);
-    EXPECT_EQ(S.Events, P.Events);
     // Whole-struct comparison: every counter, rate input, and the full
     // transition log must match bit-for-bit.
     EXPECT_EQ(S.Stats, P.Stats) << S.Benchmark << "/" << S.Config;
@@ -98,18 +97,4 @@ TEST(DeterminismTest, RepeatedParallelRunsAreIdentical) {
   for (size_t I = 0; I < A.Cells.size(); ++I)
     EXPECT_EQ(A.Cells[I].Stats, B.Cells[I].Stats)
         << A.Cells[I].Benchmark << "/" << A.Cells[I].Config;
-}
-
-TEST(DeterminismTest, BaseSeedChangesResults) {
-  ExperimentPlan Plan;
-  Plan.addBenchmark(makeBenchmark("bzip2", TestScale));
-  Plan.addConfig("baseline", [](const CellContext &) {
-    return std::make_unique<ReactiveController>(ReactiveConfig::baseline());
-  });
-
-  Plan.setBaseSeed(1);
-  const RunReport A = runPlan(Plan, {.Jobs = 1});
-  Plan.setBaseSeed(2);
-  const RunReport B = runPlan(Plan, {.Jobs = 1});
-  EXPECT_NE(A.Cells[0].Seed, B.Cells[0].Seed);
 }

@@ -90,8 +90,8 @@ TEST(MsspEnginePlanTest, TaskCellsReturnValues) {
     EXPECT_GT(R.Tasks, 0u);
     EXPECT_GT(std::any_cast<uint64_t>(Report.cell(B, 0, 1).Value), 0u);
   }
-  // Task cells have no trace metrics.
-  EXPECT_EQ(Report.Cells[0].Events, 0u);
+  // Task cells have no controller stats.
+  EXPECT_EQ(Report.Cells[0].Stats.EventsConsumed, 0u);
 }
 
 TEST(MsspEnginePlanTest, SerialAndParallelBitIdentical) {
@@ -182,15 +182,17 @@ TEST(MsspEnginePlanTest, TaskCellContextIsDeterministic) {
   Plan.setBaseSeed(42);
   Plan.addBenchmark(makeBenchmark("bzip2"));
   Plan.addBenchmark(makeBenchmark("gcc"));
-  Plan.addTaskConfig("seed", [](const CellContext &Ctx) {
+  Plan.addTaskConfig("context", [](const CellContext &Ctx) {
     EXPECT_EQ(Ctx.BaseSeed, 42u);
-    return std::any(Ctx.Seed);
+    return std::any(Ctx.Spec.Name + "/" + Ctx.Input.Name + "/" +
+                    std::to_string(Ctx.Coord.Benchmark));
   });
   const RunReport Report = runPlan(Plan, {.Jobs = 2});
   ASSERT_EQ(Report.failedCells(), 0u);
-  for (uint32_t B = 0; B < 2; ++B)
-    EXPECT_EQ(std::any_cast<uint64_t>(Report.cell(B, 0, 0).Value),
-              ExperimentPlan::cellSeed(42, {B, 0, 0}));
+  EXPECT_EQ(std::any_cast<std::string>(Report.cell(0, 0, 0).Value),
+            "bzip2/ref/0");
+  EXPECT_EQ(std::any_cast<std::string>(Report.cell(1, 0, 0).Value),
+            "gcc/ref/1");
 }
 
 TEST(MsspEnginePlanTest, TaskCellFailureIsIsolated) {
@@ -224,11 +226,11 @@ TEST(MsspEnginePlanTest, MixedControllerAndTaskColumns) {
   const RunReport Report = runPlan(Plan, {.Jobs = 2});
   ASSERT_EQ(Report.failedCells(), 0u);
   // Controller column: trace ran, no Value.
-  EXPECT_GT(Report.cell(0, 0, 0).Events, 0u);
+  EXPECT_GT(Report.cell(0, 0, 0).Stats.EventsConsumed, 0u);
   EXPECT_FALSE(Report.cell(0, 0, 0).Value.has_value());
-  // Task column: Value set, no trace metrics.
+  // Task column: Value set, no controller stats.
   EXPECT_EQ(std::any_cast<int>(Report.cell(0, 0, 1).Value), 3);
-  EXPECT_EQ(Report.cell(0, 0, 1).Events, 0u);
+  EXPECT_EQ(Report.cell(0, 0, 1).Stats.EventsConsumed, 0u);
 }
 
 } // namespace

@@ -7,9 +7,9 @@
 #include "ClientFleet.h"
 
 #include "StreamProducer.h"
-#include "engine/ThreadPool.h"
 #include "workload/TraceGenerator.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <memory>
@@ -41,27 +41,34 @@ FleetResult serve::driveFleet(StreamServer &Server,
                               workload::TraceArena *Arena) {
   FleetResult Result;
   Result.Streams.reserve(Clients.size());
-  std::atomic<uint64_t> Produced{0};
-
-  engine::ThreadPool Pool(ProducerThreads ? ProducerThreads : 1);
+  std::vector<workload::SpscRing *> Rings;
+  std::vector<std::unique_ptr<workload::EventSource>> Sources;
   for (const ClientSpec &Client : Clients) {
     assert(Client.Spec && "client without a workload spec");
     const StreamServer::StreamHandle Handle =
         Server.openStream(Client.Control);
     Result.Streams.push_back(Handle.Id);
-
-    // The pump task owns its replay cursor; shared, since pool tasks
-    // are copyable.
-    std::shared_ptr<workload::EventSource> Source =
-        Arena ? Arena->open(*Client.Spec, Client.Input)
-              : std::make_unique<workload::TraceGenerator>(*Client.Spec,
-                                                           Client.Input);
-    Pool.submit([Source, Handle, Batch = Client.BatchEvents, &Produced] {
-      pumpStream(*Source, *Handle.Ring, Batch, Produced);
-    });
+    Rings.push_back(Handle.Ring);
+    Sources.push_back(Arena ? Arena->open(*Client.Spec, Client.Input)
+                            : std::make_unique<workload::TraceGenerator>(
+                                  *Client.Spec, Client.Input));
   }
 
-  Pool.wait();
+  // Each producer pumps the next unclaimed client until none is left; the
+  // calling thread is one of them, and the others join when the block
+  // ends.
+  std::atomic<size_t> Next{0};
+  std::atomic<uint64_t> Produced{0};
+  const auto Produce = [&] {
+    for (size_t I = Next++; I < Clients.size(); I = Next++)
+      pumpStream(*Sources[I], *Rings[I], Clients[I].BatchEvents, Produced);
+  };
+  {
+    std::vector<std::jthread> Producers;
+    for (unsigned T = 1; T < std::max(ProducerThreads, 1u); ++T)
+      Producers.emplace_back(Produce);
+    Produce();
+  }
   for (StreamId Id : Result.Streams)
     Server.waitFinished(Id);
   Result.EventsProduced = Produced.load(std::memory_order_relaxed);

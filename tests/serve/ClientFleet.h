@@ -7,9 +7,10 @@
 /// \file
 /// Drives N simulated client populations against a StreamServer: each
 /// client opens one stream and pumps a workload trace --
-/// generator-backed or arena replay -- through its ingest ring on a shared
-/// engine::ThreadPool of producer threads.  This is the load half of the
-/// serve tests; the server half never knows events are synthetic.
+/// generator-backed or arena replay -- through its ingest ring; a few
+/// producer threads share the clients, each taking the next unpumped one
+/// until none is left.  This is the load half of the serve tests; the
+/// server half never knows events are synthetic.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,8 +47,9 @@ struct FleetResult {
 };
 
 /// Opens one stream per client, pumps every trace through its ring on
-/// \p ProducerThreads pool threads, closes the rings, and blocks until the
-/// server has drained and finished every stream.  With \p Arena non-null,
+/// \p ProducerThreads threads (the calling thread one of them; 0 means 1),
+/// closes the rings, and blocks until the server has drained and finished
+/// every stream.  With \p Arena non-null,
 /// traces replay from the arena's one materialization per key (cheap per
 /// client); otherwise each client synthesizes with a private
 /// TraceGenerator.

@@ -17,11 +17,12 @@
 #      MaterializedTrace::fromBytes keeps the caller's vector, so the
 #      checked decoder's bounds over untrusted bytes (TraceReplayFuzzTest,
 #      TraceFileTest) stay under ASan;
-#   3. the engine concurrency tests (the plan runner, the arena races,
-#      determinism and the ThreadPool itself), the trace arena's own
+#   3. the engine concurrency tests (the plan runner and its worker
+#      threads, the arena races and determinism), the trace arena's own
 #      tests (TraceArenaTest: per-key materialize and release), the MSSP
 #      plan cells, the mapped trace store's tests and every serve test
-#      (StreamServerTest, ServeEquivalenceTest, RingBuffer) in a
+#      (StreamServerTest, ServeEquivalenceTest, RingBuffer, whose client
+#      fleets run their producers on threads of their own) in a
 #      ThreadSanitizer tree (build-tsan/): MSSP and baseline cells run on
 #      several workers, each with its own execution engine over one shared
 #      dispatch table, and in MsspEnginePlanTest.CellsOverOneSharedProgram-
@@ -63,7 +64,7 @@ configure build-ubsan -DSPECCTRL_UBSAN=ON
 echo "== TSan, engine concurrency, the trace arena, MSSP plans, the trace store and the serve layer (build-tsan/)"
 configure build-tsan -DSPECCTRL_TSAN=ON
 (cd build-tsan &&
-  ctest -R 'ExperimentRunner|ArenaRace|TraceArena|Determinism|ThreadPool|MsspEnginePlan|MmapTraceStore|RingBuffer|StreamServerTest|ServeEquivalenceTest' \
+  ctest -R 'ExperimentRunner|ArenaRace|TraceArena|Determinism|MsspEnginePlan|MmapTraceStore|RingBuffer|StreamServerTest|ServeEquivalenceTest' \
     --output-on-failure -j "$JOBS")
 
 echo "== perfbench self-test"
